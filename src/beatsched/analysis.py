@@ -32,12 +32,11 @@ __all__ = [
 
 
 def _interference_adjacency(pair: PathPair, nodes: tuple[NodeRef, ...]) -> dict[NodeRef, set[NodeRef]]:
-    adj: dict[NodeRef, set[NodeRef]] = {n: set() for n in nodes}
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            if pair.relation.interferes(a, b):
-                adj[a].add(b)
-                adj[b].add(a)
+    bits = [1 << pair.index_of(n) for n in nodes]
+    adj: dict[NodeRef, set[NodeRef]] = {}
+    for a, bit in zip(nodes, bits):
+        conflicts = pair.conflicts_of(bit)
+        adj[a] = {b for b, other in zip(nodes, bits) if conflicts & other}
     return adj
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,14 +58,28 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_number(value: Any, path: str) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    return float(value)
+    _expect(_is_number(value), path, "expected a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    _expect(math.isfinite(number), path, "expected a finite number")
+    return number
+
+
+def _as_radius(value: Any, path: str, message: str) -> float:
+    _expect(_is_number(value) and value >= 0, path, message)
+    return _as_number(value, path)
 
 
 def _as_point(value: Any, path: str) -> tuple[float, float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value), 0.0)
+    if _is_number(value):
+        return (_as_number(value, path), 0.0)
     _expect(
         isinstance(value, list) and len(value) in (1, 2),
         path,
@@ -118,9 +133,8 @@ def _parse_paths(data: dict) -> tuple[PrimaryPath, PrimaryPath | None]:
 
 def _parse_topology(raw: Any, paths: Sequence[PrimaryPath]) -> GeometricTopology:
     _expect(isinstance(raw, dict), "$.topology", "expected an object")
-    radius = raw.get("interference_radius")
-    _expect(
-        isinstance(radius, (int, float)) and not isinstance(radius, bool) and radius >= 0,
+    radius = _as_radius(
+        raw.get("interference_radius"),
         "$.topology.interference_radius",
         "expected a number >= 0",
     )
@@ -148,7 +162,7 @@ def _parse_topology(raw: Any, paths: Sequence[PrimaryPath]) -> GeometricTopology
     extra = set(positions_raw) - {str(p.id) for p in paths}
     _expect(not extra, "$.topology.positions", f"unknown path keys {sorted(extra)}")
     return GeometricTopology(
-        positions, interference_radius=float(radius), half_duplex=half_duplex
+        positions, interference_radius=radius, half_duplex=half_duplex
     )
 
 
@@ -268,8 +282,8 @@ def _parse_optimize(raw: Any, topology: GeometricTopology | None) -> OptimizeCon
     radius = raw.get("interference_radius")
     if radius is None and topology is not None:
         radius = topology.interference_radius
-    _expect(
-        isinstance(radius, (int, float)) and not isinstance(radius, bool) and radius >= 0,
+    radius = _as_radius(
+        radius,
         f"{base}.interference_radius",
         "expected a number >= 0 (may be inherited from $.topology)",
     )
@@ -298,7 +312,7 @@ def _parse_optimize(raw: Any, topology: GeometricTopology | None) -> OptimizeCon
         "expected an integer >= 1",
     )
     return OptimizeConfig(
-        disk=DiskScenario(interference_radius=float(radius), half_duplex=half_duplex),
+        disk=DiskScenario(interference_radius=radius, half_duplex=half_duplex),
         routes1=routes1,
         routes2=routes2,
         period_range1=_parse_period_range(raw.get("period_range1"), f"{base}.period_range1"),

@@ -143,22 +143,40 @@ class PathPair:
 
     Single-chain scenarios use path2=None; operations that genuinely need a
     second path raise DomainError on such a pair.
+
+    Every concurrency question is answered on a dense sender index built
+    once here: path 1's senders take indices 0..n1-1 and path 2's follow,
+    which is also (path_id, seq) order. A set of senders is an integer mask
+    over that index, and `_conflicts[i]` is the mask of the senders that
+    interfere with sender i. The cached fields take no part in equality,
+    hashing or repr.
     """
 
     path1: PrimaryPath
     path2: PrimaryPath | None
     relation: InterferenceRelation
+    _senders: tuple[NodeRef, ...] = field(init=False, repr=False, compare=False)
+    _index: dict = field(init=False, repr=False, compare=False)
+    _conflicts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.path1.id != 1:
             raise DomainError("path1 must have id 1")
         if self.path2 is not None and self.path2.id != 2:
             raise DomainError("path2 must have id 2")
-        known = set(self.nodes)
+        senders = tuple(ref for p in self.paths for ref in p.senders)
+        index = {ref: i for i, ref in enumerate(senders)}
+        conflicts = [0] * len(senders)
         for pair in self.relation.pairs:
             for node in pair:
-                if node not in known:
+                if node not in index:
                     raise DomainError(f"relation mentions {node}, which is not a sender of this pair")
+            a, b = (index[node] for node in pair)
+            conflicts[a] |= 1 << b
+            conflicts[b] |= 1 << a
+        object.__setattr__(self, "_senders", senders)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_conflicts", tuple(conflicts))
 
     @property
     def paths(self) -> tuple[PrimaryPath, ...]:
@@ -172,17 +190,16 @@ class PathPair:
 
     @property
     def nodes(self) -> tuple[NodeRef, ...]:
-        out: list[NodeRef] = []
-        for p in self.paths:
-            out.extend(p.senders)
-        return tuple(out)
+        """Every sender, in dense-index order."""
+        return self._senders
 
     def path_nodes(self, path_id: int) -> tuple[NodeRef, ...]:
-        return self.path(path_id).senders
+        start = self.offset(path_id)
+        return self._senders[start:start + self.path(path_id).n_senders]
 
     @property
     def total_senders(self) -> int:
-        return sum(p.n_senders for p in self.paths)
+        return len(self._senders)
 
     def has_pair(self) -> bool:
         return self.path2 is not None
@@ -191,16 +208,75 @@ class PathPair:
         if self.path2 is None:
             raise DomainError("operation needs two paths, scenario declares only one")
 
+    def offset(self, path_id: int) -> int:
+        """Dense index of the first sender of a path."""
+        self.path(path_id)
+        return 0 if path_id == 1 else self.path1.n_senders
+
+    def index_of(self, node: NodeRef) -> int:
+        """Dense index of one sender."""
+        try:
+            return self._index[node]
+        except KeyError:
+            raise DomainError(f"{node} is not a sender of this pair") from None
+
+    def mask_of(self, nodes: Iterable[NodeRef]) -> int:
+        """Mask of a node set; rejects empty input and nodes that are not senders."""
+        index = self._index
+        mask = 0
+        strangers = []
+        for node in nodes:
+            i = index.get(node)
+            if i is None:
+                strangers.append(node)
+            else:
+                mask |= 1 << i
+        if strangers:
+            raise DomainError(f"{min(strangers)} is not a sender of this pair")
+        if not mask:
+            raise DomainError("node set is empty")
+        return mask
+
+    def seq_mask(self, path_id: int, seqs: Iterable[int]) -> int:
+        """Mask of sender positions on one path. A position past the end of
+        the chain names no sender, so it adds nothing."""
+        base = self.offset(path_id) - 1
+        n = self.path(path_id).n_senders
+        mask = 0
+        for seq in seqs:
+            if seq < 1:
+                raise DomainError(f"seq must be >= 1, got {seq}")
+            if seq <= n:
+                mask |= 1 << (base + seq)
+        return mask
+
+    def nodes_of(self, mask: int) -> tuple[NodeRef, ...]:
+        """Members of a mask, sorted."""
+        senders = self._senders
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(senders[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+    def conflicts_of(self, mask: int) -> int:
+        """Mask of every sender that interferes with some member of `mask`."""
+        conflicts = self._conflicts
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= conflicts[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def is_concurrent_mask(self, mask: int) -> bool:
+        """True when no member's conflicts meet the set itself."""
+        return not self.conflicts_of(mask) & mask
+
     def validate_nodes(self, nodes: Iterable[NodeRef]) -> tuple[NodeRef, ...]:
         """Sorted tuple of `nodes` after checking membership; rejects empty input."""
-        out = sorted(set(nodes))
-        if not out:
-            raise DomainError("node set is empty")
-        known = set(self.nodes)
-        for n in out:
-            if n not in known:
-                raise DomainError(f"{n} is not a sender of this pair")
-        return tuple(out)
+        return self.nodes_of(self.mask_of(nodes))
 
 
 @dataclass(frozen=True)
@@ -218,6 +294,8 @@ class GeometricTopology:
     _norm: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
+        if isinstance(self.interference_radius, float) and not math.isfinite(self.interference_radius):
+            raise ConfigurationError(f"interference_radius must be finite, got {self.interference_radius}")
         if self.interference_radius < 0:
             raise DomainError(f"interference_radius must be >= 0, got {self.interference_radius}")
         norm = {}
@@ -234,11 +312,13 @@ class GeometricTopology:
 
 def _as_point(value, key) -> tuple[float, float]:
     if isinstance(value, (int, float)):
-        return (float(value), 0.0)
+        value = (value,)
     try:
         coords = tuple(float(c) for c in value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"position of node {key} must be a number or an (x, y) pair")
+    if not all(math.isfinite(c) for c in coords):
+        raise ConfigurationError(f"position of node {key} must be finite, got {coords}")
     if len(coords) == 1:
         return (coords[0], 0.0)
     if len(coords) == 2:
@@ -282,12 +362,7 @@ def derive_relation(topology: GeometricTopology, pair: PathPair) -> Interference
 def is_concurrency_subset(pair: PathPair, nodes: Iterable[NodeRef]) -> bool:
     """True when no two distinct members interfere, so the whole set may share
     one beat. Singletons qualify trivially. Empty input is a domain error."""
-    members = pair.validate_nodes(nodes)
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if pair.relation.interferes(a, b):
-                return False
-    return True
+    return pair.is_concurrent_mask(pair.mask_of(nodes))
 
 
 @dataclass(frozen=True)
@@ -316,17 +391,21 @@ def validate_path_rules(pair: PathPair, path_id: int) -> RulesReport:
     Relations derived from colinear ascending geometry satisfy both; explicit
     relations may not, which disables period/intensity shortcuts elsewhere.
     """
-    path = pair.path(path_id)
-    rel = pair.relation
-    n = path.n_senders
+    n = pair.path(path_id).n_senders
+    base = pair.offset(path_id) - 1
+    conflicts = pair._conflicts
+
+    def concurrent(j: int, k: int) -> bool:
+        return not conflicts[base + j] >> (base + k) & 1
+
     down = []
     up = []
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
-            if not rel.concurrent(NodeRef(path_id, j), NodeRef(path_id, k)):
+            if not concurrent(j, k):
                 continue
-            if k + 1 <= n and not rel.concurrent(NodeRef(path_id, j), NodeRef(path_id, k + 1)):
+            if k + 1 <= n and not concurrent(j, k + 1):
                 down.append((j, k))
-            if j - 1 >= 1 and not rel.concurrent(NodeRef(path_id, j - 1), NodeRef(path_id, k)):
+            if j - 1 >= 1 and not concurrent(j - 1, k):
                 up.append((j, k))
     return RulesReport(path_id, tuple(down), tuple(up))

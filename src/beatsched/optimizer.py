@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from .analysis import interference_intensity
 from .errors import ConsistencyError, DomainError
 from .matching import max_support_set
@@ -57,6 +55,28 @@ class RouteCandidate:
         return len(self.points) - 1
 
 
+def _simple_paths(
+    graph: Mapping[str, Iterable[str]], source: str, destination: str, max_hops: int
+) -> list[tuple[str, ...]]:
+    """Every simple path from source to a different destination with at most
+    max_hops hops, by depth-first search over an explicit stack of neighbour
+    iterators. A path grows only while one more hop still fits."""
+    found = []
+    path = [source]
+    stack = [iter(graph[source])]
+    while stack:
+        vertex = next(stack[-1], None)
+        if vertex is None:
+            stack.pop()
+            path.pop()
+        elif vertex == destination:
+            found.append((*path, vertex))
+        elif vertex not in path and len(path) < max_hops:
+            path.append(vertex)
+            stack.append(iter(graph[vertex]))
+    return found
+
+
 def routes_from_graph(
     adjacency: Mapping[str, Iterable[str]],
     positions: Mapping[str, Sequence[float]],
@@ -73,18 +93,18 @@ def routes_from_graph(
     """
     if max_hops < 1:
         raise DomainError(f"max_hops must be >= 1, got {max_hops}")
-    graph = nx.Graph()
-    graph.add_nodes_from(adjacency)
+    graph: dict[str, set[str]] = {vertex: set() for vertex in adjacency}
     for vertex, neighbors in adjacency.items():
         for other in neighbors:
-            graph.add_edge(vertex, other)
+            graph[vertex].add(other)
+            graph.setdefault(other, set()).add(vertex)
     for vertex in (source, destination):
         if vertex not in graph:
             raise DomainError(f"vertex {vertex!r} is not in the graph")
-    found = [
-        tuple(path)
-        for path in nx.all_simple_paths(graph, source, destination, cutoff=max_hops)
-    ]
+    if source == destination:
+        found = [(source,)]  # a route without senders, which RouteCandidate rejects
+    else:
+        found = _simple_paths(graph, source, destination, max_hops)
     found.sort(key=lambda p: (len(p), p))
     routes = []
     for path in found:

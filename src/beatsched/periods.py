@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .analysis import interference_intensity
 from .errors import ConsistencyError, DomainError
-from .model import NodeRef, PathPair, PrimaryPath, is_concurrency_subset, validate_path_rules
+from .model import NodeRef, PathPair, PrimaryPath, validate_path_rules
 
 __all__ = [
     "ConcurrencyMatrix",
@@ -30,30 +30,45 @@ __all__ = [
 ]
 
 
-def subset_members(path: PrimaryPath, phase: int, spacing: int) -> tuple[NodeRef, ...]:
-    """Senders phase, phase+spacing, ... up to the end of the chain."""
+def _check_phase(path: PrimaryPath, phase: int, spacing: int) -> None:
     if not 1 <= spacing <= path.n_senders:
         raise DomainError(f"spacing must be in 1..{path.n_senders}, got {spacing}")
     if not 1 <= phase <= spacing:
         raise DomainError(f"phase must be in 1..{spacing}, got {phase}")
+
+
+def subset_members(path: PrimaryPath, phase: int, spacing: int) -> tuple[NodeRef, ...]:
+    """Senders phase, phase+spacing, ... up to the end of the chain."""
+    _check_phase(path, phase, spacing)
     return tuple(NodeRef(path.id, j) for j in range(phase, path.n_senders + 1, spacing))
+
+
+def _phase_masks(pair: PathPair, path_id: int, spacing: int) -> list[int]:
+    """Dense masks of the phase subsets 1..spacing at this spacing.
+
+    A spacing below 1 has no phases, so every check over them passes.
+    """
+    path = pair.path(path_id)
+    if spacing < 1:
+        return []
+    _check_phase(path, 1, spacing)
+    chain = pair.seq_mask(path_id, range(1, path.n_senders + 1))
+    first = pair.seq_mask(path_id, range(1, path.n_senders + 1, spacing))
+    # phase p's subset is phase 1's moved p-1 senders downstream
+    return [(first << shift) & chain for shift in range(spacing)]
+
+
+def _first_bad_phase(pair: PathPair, path_id: int, spacing: int) -> int | None:
+    """First phase whose subset is not a concurrency subset, or None."""
+    for phase, mask in enumerate(_phase_masks(pair, path_id, spacing), start=1):
+        if not pair.is_concurrent_mask(mask):
+            return phase
+    return None
 
 
 def is_reachable_period(pair: PathPair, path_id: int, spacing: int) -> bool:
     """True when every phase subset at this spacing is a concurrency subset."""
-    path = pair.path(path_id)
-    return all(
-        is_concurrency_subset(pair, subset_members(path, phase, spacing))
-        for phase in range(1, spacing + 1)
-    )
-
-
-def _first_unreachable_phase(pair: PathPair, path_id: int, spacing: int) -> int | None:
-    path = pair.path(path_id)
-    for phase in range(1, spacing + 1):
-        if not is_concurrency_subset(pair, subset_members(path, phase, spacing)):
-            return phase
-    return None
+    return _first_bad_phase(pair, path_id, spacing) is None
 
 
 def intrinsic_period(pair: PathPair, path_id: int) -> int:
@@ -103,21 +118,19 @@ def build_matrix(pair: PathPair, t1: int, t2: int) -> ConcurrencyMatrix:
     """Joint concurrency matrix for spacings (t1, t2); both must be reachable."""
     pair.require_pair()
     for path_id, spacing in ((1, t1), (2, t2)):
-        bad = _first_unreachable_phase(pair, path_id, spacing)
+        bad = _first_bad_phase(pair, path_id, spacing)
         if bad is not None:
             raise DomainError(
                 f"spacing {spacing} is not reachable on path {path_id}: "
                 f"phase {bad} subset is not a concurrency subset"
             )
-    path1, path2 = pair.path(1), pair.path(2)
+    # Each phase subset is a concurrency subset on its own, so a union is
+    # one exactly when no path-1 member interferes with a path-2 member.
+    masks2 = _phase_masks(pair, 2, t2)
     rows = []
-    for phase1 in range(1, t1 + 1):
-        sub1 = subset_members(path1, phase1, t1)
-        row = []
-        for phase2 in range(1, t2 + 1):
-            sub2 = subset_members(path2, phase2, t2)
-            row.append(1 if is_concurrency_subset(pair, sub1 + sub2) else 0)
-        rows.append(tuple(row))
+    for mask1 in _phase_masks(pair, 1, t1):
+        reach1 = pair.conflicts_of(mask1)
+        rows.append(tuple(0 if reach1 & mask2 else 1 for mask2 in masks2))
     return ConcurrencyMatrix(t1, t2, tuple(rows))
 
 

@@ -360,7 +360,7 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
             problem("non_empty_ok", f"beat {index} activates nothing")
             continue
         seen_paths: set[int] = set()
-        members: list[NodeRef] = []
+        counted: list[SubsetActivation] = []
         for act in beat.activations:
             if act.path_id in seen_paths:
                 problem(
@@ -388,7 +388,14 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
                 )
             counts = phase_counts[act.path_id]
             counts[act.phase] = counts.get(act.phase, 0) + 1
-            members.extend(act.nodes())
+            counted.append(act)
+        union = 0
+        for act in counted:
+            union |= pair.seq_mask(act.path_id, act.members)
+        if pair.is_concurrent_mask(union):
+            continue
+        # list every interfering pair, in activation and member order
+        members = [node for act in counted for node in act.nodes()]
         relation = pair.relation
         for a_pos in range(len(members)):
             for b_pos in range(a_pos + 1, len(members)):

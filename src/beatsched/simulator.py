@@ -30,21 +30,6 @@ from .scheduler import Schedule
 
 
 @dataclass
-class _Block:
-    path_id: int
-    serial: int
-    injected_beat: int
-
-
-def _node_label(ref: NodeRef) -> str:
-    return str(ref)
-
-
-def _dest_label(path_id: int) -> str:
-    return f"dest{path_id}"
-
-
-@dataclass
 class SimReport:
     """Measured outcome of one simulation run."""
 
@@ -66,72 +51,75 @@ class SimReport:
 
 
 class _ChainState:
-    """Mutable per-run state for both chains and their destinations."""
+    """Mutable per-run state for both chains and their destinations.
+
+    Senders are addressed by the pair's dense index. A buffered block is
+    (serial, injected beat); its path is the path of the buffer.
+    """
 
     def __init__(self, pair: PathPair) -> None:
-        self.pair = pair
-        self.buffers: dict[tuple[int, int], list[_Block]] = {}
+        senders = pair.nodes
+        self.labels = [str(ref) for ref in senders]
+        self.path_of = [ref.path_id for ref in senders]
+        self.is_source = [ref.seq == 1 for ref in senders]
+        self.is_last = [ref.seq == pair.path(ref.path_id).n_senders for ref in senders]
+        self.buffers: list[list[tuple[int, int]]] = [[] for _ in senders]
+        self.spans: dict[int, slice] = {}
         self.injected: dict[int, int] = {}
         self.delivered_log: dict[int, list[tuple[int, int, int]]] = {}
         for path in pair.paths:
+            start = pair.offset(path.id)
+            self.spans[path.id] = slice(start, start + path.n_senders)
             self.injected[path.id] = 0
             self.delivered_log[path.id] = []
-            for seq in range(1, path.n_senders + 1):
-                self.buffers[(path.id, seq)] = []
         self.max_depth = 0
 
-    def check_conservation(self) -> None:
-        for path in self.pair.paths:
-            in_flight = sum(
-                len(self.buffers[(path.id, seq)])
-                for seq in range(1, path.n_senders + 1)
-            )
-            balance = self.injected[path.id] - in_flight
-            if balance != len(self.delivered_log[path.id]):
+    def check_conservation(self, depths: list[int]) -> None:
+        """Balance each path's books from the buffers' real depths."""
+        for path_id, span in self.spans.items():
+            in_flight = sum(depths[span])
+            balance = self.injected[path_id] - in_flight
+            if balance != len(self.delivered_log[path_id]):
                 raise ConsistencyError(
-                    f"path {path.id}: injected {self.injected[path.id]}, "
+                    f"path {path_id}: injected {self.injected[path_id]}, "
                     f"in flight {in_flight}, delivered "
-                    f"{len(self.delivered_log[path.id])} do not balance"
+                    f"{len(self.delivered_log[path_id])} do not balance"
                 )
 
-    def step(self, beat_index: int, activated: tuple[NodeRef, ...]) -> list[dict]:
-        """Advance one beat. Returns block movement records."""
-        moves: list[dict] = []
-        departures: list[tuple[NodeRef, _Block]] = []
-        for ref in activated:
-            if ref.seq == 1:
-                self.injected[ref.path_id] += 1
-                block = _Block(
-                    path_id=ref.path_id,
-                    serial=self.injected[ref.path_id],
-                    injected_beat=beat_index,
-                )
-                departures.append((ref, block))
+    def step(
+        self, beat_index: int, activated: tuple[int, ...], record: bool = False
+    ) -> list[dict] | None:
+        """Advance one beat; with `record`, return block movement records."""
+        departures: list[tuple[int, tuple[int, int]]] = []
+        for i in activated:
+            if self.is_source[i]:
+                path_id = self.path_of[i]
+                self.injected[path_id] += 1
+                departures.append((i, (self.injected[path_id], beat_index)))
             else:
-                queue = self.buffers[(ref.path_id, ref.seq)]
+                queue = self.buffers[i]
                 if queue:
-                    departures.append((ref, queue.pop(0)))
-        for ref, block in departures:
-            path = self.pair.path(ref.path_id)
-            if ref.seq == path.n_senders:
-                self.delivered_log[ref.path_id].append(
-                    (block.serial, block.injected_beat, beat_index)
-                )
-                target = _dest_label(ref.path_id)
+                    departures.append((i, queue.pop(0)))
+        moves: list[dict] | None = [] if record else None
+        for i, block in departures:
+            path_id = self.path_of[i]
+            if self.is_last[i]:
+                self.delivered_log[path_id].append((*block, beat_index))
+                target = f"dest{path_id}"
             else:
-                self.buffers[(ref.path_id, ref.seq + 1)].append(block)
-                target = _node_label(NodeRef(ref.path_id, ref.seq + 1))
-            moves.append(
-                {
-                    "block": f"p{block.path_id}b{block.serial}",
-                    "from": _node_label(ref),
-                    "to": target,
-                }
-            )
-        depth = max((len(q) for q in self.buffers.values()), default=0)
-        if depth > self.max_depth:
-            self.max_depth = depth
-        self.check_conservation()
+                self.buffers[i + 1].append(block)
+                target = self.labels[i + 1]
+            if moves is not None:
+                moves.append(
+                    {
+                        "block": f"p{path_id}b{block[0]}",
+                        "from": self.labels[i],
+                        "to": target,
+                    }
+                )
+        depths = list(map(len, self.buffers))
+        self.max_depth = max(self.max_depth, *depths)
+        self.check_conservation(depths)
         return moves
 
 
@@ -167,10 +155,11 @@ def run(
 ) -> SimReport:
     """Execute warmup plus n_periods full periods and measure the tail.
 
-    Activation unions are checked against the interference relation
-    every beat; a failing beat is recorded as a violation but the
-    transmissions still happen, so a broken schedule can be inspected
-    end to end rather than aborting on first contact.
+    Each schedule beat's activation union is checked against the
+    interference relation once per run, and every simulated beat that
+    repeats a failing one is recorded as a violation. The transmissions
+    still happen, so a broken schedule can be inspected end to end
+    rather than aborting on first contact.
     """
     if n_periods < 1:
         raise DomainError(f"need at least one measured period, got {n_periods}")
@@ -184,6 +173,16 @@ def run(
     window_start = warmup_periods * period + 1
     total_beats = (warmup_periods + n_periods) * period
 
+    # A schedule and its beats are immutable, so each beat's legality is
+    # decided once; violations are still counted per simulated beat.
+    activated_refs: list[tuple[NodeRef, ...]] = []
+    legal: list[bool] = []
+    for beat in schedule.beats:
+        refs = beat.nodes()
+        legal.append(not refs or is_concurrency_subset(pair, refs))
+        activated_refs.append(refs)
+    dense = [tuple(map(pair.index_of, refs)) for refs in activated_refs]
+
     violations = 0
     violation_examples: list[str] = []
     trace: list[dict] | None = [] if collect_trace else None
@@ -194,23 +193,22 @@ def run(
             delivered_before = {
                 pid: len(log) for pid, log in state.delivered_log.items()
             }
-        beat = schedule.beat(beat_index)
-        activated = beat.nodes()
-        if activated and not is_concurrency_subset(pair, activated):
+        slot = (beat_index - 1) % period
+        if not legal[slot]:
             violations += 1
             if len(violation_examples) < 5:
-                names = ", ".join(str(ref) for ref in activated)
+                names = ", ".join(str(ref) for ref in activated_refs[slot])
                 violation_examples.append(
                     f"beat {beat_index}: activated set {{{names}}} is not "
                     "a concurrency subset"
                 )
-        moves = state.step(beat_index, activated)
+        moves = state.step(beat_index, dense[slot], record=trace is not None)
         if trace is not None:
             trace.append(
                 {
                     "beat": beat_index,
-                    "category": beat.category,
-                    "activated": [str(ref) for ref in activated],
+                    "category": schedule.beats[slot].category,
+                    "activated": [str(ref) for ref in activated_refs[slot]],
                     "moves": moves,
                 }
             )
@@ -267,9 +265,9 @@ def measure_delay(
         for pid in path_ids
     )
     beat_budget = math.ceil(slowest * (block_count + total_senders + 8))
+    dense = [tuple(map(pair.index_of, beat.nodes())) for beat in schedule.beats]
     for beat_index in range(1, beat_budget + 1):
-        beat = schedule.beat(beat_index)
-        state.step(beat_index, beat.nodes())
+        state.step(beat_index, dense[(beat_index - 1) % schedule.period])
         if all(
             len(state.delivered_log[pid]) >= block_count for pid in path_ids
         ):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -525,3 +527,81 @@ class TestErrors:
         assert code == 1
         assert "$.relation.matrix" in err
         assert "symmetric" in err
+
+
+NAN_POSITION = (
+    '{"paths":[{"id":1,"n_senders":3}],"topology":{"interference_radius":1.0,'
+    '"half_duplex":true,"positions":{"1":[0,NaN,2,3]}}}'
+)
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "topology,error",
+        [
+            (
+                {"interference_radius": 1.0, "positions": {"1": [0, "NaN", 2, 3]}},
+                "error: $.topology.positions.1[1]: expected a finite number",
+            ),
+            (
+                {"interference_radius": 1.0, "positions": {"1": [0, 1, [2, "-Infinity"], 3]}},
+                "error: $.topology.positions.1[2][1]: expected a finite number",
+            ),
+            (
+                {"interference_radius": "Infinity", "positions": {"1": [0, 1, 2, 3]}},
+                "error: $.topology.interference_radius: expected a finite number",
+            ),
+            (
+                {"interference_radius": "NaN", "positions": {"1": [0, 1, 2, 3]}},
+                "error: $.topology.interference_radius: expected a number >= 0",
+            ),
+            (
+                {"interference_radius": 1.0, "positions": {"1": [0, 1, 2, "1e999"]}},
+                "error: $.topology.positions.1[3]: expected a finite number",
+            ),
+        ],
+    )
+    def test_topology_numbers_must_be_finite(self, capsys, tmp_path, topology, error):
+        # json.dumps cannot write NaN and Infinity inside strings, so the
+        # placeholders are unquoted after dumping
+        text = json.dumps({"paths": [{"id": 1, "n_senders": 3}], "topology": topology})
+        for token in ("NaN", "-Infinity", "Infinity", "1e999"):
+            text = text.replace(f'"{token}"', token)
+        target = tmp_path / "scenario.json"
+        target.write_text(text)
+        code, out, err = run(capsys, "analyze", str(target))
+        assert (code, out) == (1, "")
+        assert err == error + "\n"
+
+    def test_optimize_radius_must_be_finite(self, capsys, tmp_path):
+        text = json.dumps(
+            {
+                "paths": [{"id": 1, "n_senders": 1}],
+                "relation": {"matrix": [[0]]},
+                "optimize": {
+                    "interference_radius": "Infinity",
+                    "routes1": [[[0, 0], [1, 0]]],
+                    "routes2": [[[0, 5], [1, 5]]],
+                },
+            }
+        ).replace('"Infinity"', "Infinity")
+        target = tmp_path / "scenario.json"
+        target.write_text(text)
+        code, out, err = run(capsys, "optimize", str(target))
+        assert (code, out) == (1, "")
+        assert err == "error: $.optimize.interference_radius: expected a finite number\n"
+
+    def test_nan_position_exits_with_one_error_line(self, tmp_path):
+        target = tmp_path / "scenario.json"
+        target.write_text(NAN_POSITION)
+        src = Path(cli.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "beatsched.cli", "analyze", str(target)],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: $.topology.positions.1[1]: expected a finite number\n"

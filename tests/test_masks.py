@@ -1,0 +1,227 @@
+"""The dense sender index and conflict masks against a pairwise oracle.
+
+Every concurrency question goes through `PathPair`'s masks. These seeded
+cases build random relations on one and two paths and compare each
+mask-based answer with a direct pairwise `relation.interferes` check.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from beatsched.errors import DomainError
+from beatsched.model import (
+    InterferenceRelation,
+    NodeRef,
+    PathPair,
+    PrimaryPath,
+    is_concurrency_subset,
+    validate_path_rules,
+)
+from beatsched.periods import build_matrix, is_reachable_period
+from beatsched.scheduler import Beat, Schedule, SubsetActivation, audit_schedule
+from beatsched.simulator import run
+
+SEEDS = range(60)
+
+
+def random_pair(rng: random.Random, two_paths: bool) -> PathPair:
+    path1 = PrimaryPath(id=1, n_senders=rng.randint(1, 9))
+    path2 = PrimaryPath(id=2, n_senders=rng.randint(1, 7)) if two_paths else None
+    nodes = [ref for p in (path1, path2) if p is not None for ref in p.senders]
+    density = rng.random()
+    pairs = [
+        (a, b)
+        for i, a in enumerate(nodes)
+        for b in nodes[i + 1:]
+        if rng.random() < density
+    ]
+    return PathPair(path1=path1, path2=path2, relation=InterferenceRelation(pairs))
+
+
+def pairwise_concurrent(pair: PathPair, nodes) -> bool:
+    members = sorted(set(nodes))
+    return not any(
+        pair.relation.interferes(a, b)
+        for i, a in enumerate(members)
+        for b in members[i + 1:]
+    )
+
+
+def phase_subset(pair: PathPair, path_id: int, phase: int, spacing: int):
+    n = pair.path(path_id).n_senders
+    return [NodeRef(path_id, j) for j in range(phase, n + 1, spacing)]
+
+
+def cases():
+    for seed in SEEDS:
+        rng = random.Random(f"masks/{seed}")
+        yield rng, random_pair(rng, two_paths=seed % 2 == 1)
+
+
+class TestConcurrencySubset:
+    def test_agrees_with_pairwise_oracle(self):
+        for rng, pair in cases():
+            nodes = pair.nodes
+            for _ in range(40):
+                # sampling with replacement gives duplicates and singletons
+                chosen = [rng.choice(nodes) for _ in range(rng.randint(1, 2 * len(nodes)))]
+                assert is_concurrency_subset(pair, chosen) == pairwise_concurrent(pair, chosen)
+                assert pair.validate_nodes(chosen) == tuple(sorted(set(chosen)))
+            for node in nodes:
+                assert is_concurrency_subset(pair, [node])
+                assert is_concurrency_subset(pair, [node, node])
+
+    def test_empty_set_is_rejected(self):
+        for _, pair in cases():
+            with pytest.raises(DomainError, match="^node set is empty$"):
+                is_concurrency_subset(pair, [])
+            with pytest.raises(DomainError, match="^node set is empty$"):
+                pair.validate_nodes(iter(()))
+
+    def test_stranger_is_rejected_by_name(self):
+        for _, pair in cases():
+            past_end = NodeRef(1, pair.path1.n_senders + 1)
+            with pytest.raises(DomainError, match=f"^{past_end} is not a sender of this pair$"):
+                is_concurrency_subset(pair, [pair.nodes[0], past_end])
+            if pair.path2 is None:
+                # the smallest stranger is the one reported
+                with pytest.raises(DomainError, match=f"^{past_end} is not a sender"):
+                    pair.validate_nodes([NodeRef(2, 1), past_end, pair.nodes[0]])
+
+    def test_iterators_are_consumed_once(self):
+        for _, pair in cases():
+            assert pair.validate_nodes(iter(pair.nodes)) == pair.nodes
+
+
+class TestPeriods:
+    def test_reachable_periods_agree_with_oracle(self):
+        for _, pair in cases():
+            for path in pair.paths:
+                for spacing in range(1, path.n_senders + 1):
+                    expected = all(
+                        pairwise_concurrent(pair, phase_subset(pair, path.id, phase, spacing))
+                        for phase in range(1, spacing + 1)
+                    )
+                    assert is_reachable_period(pair, path.id, spacing) == expected
+
+    def test_matrix_agrees_with_oracle(self):
+        for _, pair in cases():
+            if pair.path2 is None:
+                continue
+            n1, n2 = pair.path1.n_senders, pair.path2.n_senders
+            for t1 in range(1, n1 + 1):
+                for t2 in range(1, n2 + 1):
+                    reachable = is_reachable_period(pair, 1, t1) and is_reachable_period(pair, 2, t2)
+                    if not reachable:
+                        with pytest.raises(DomainError, match="is not reachable on path"):
+                            build_matrix(pair, t1, t2)
+                        continue
+                    matrix = build_matrix(pair, t1, t2)
+                    for p1 in range(1, t1 + 1):
+                        for p2 in range(1, t2 + 1):
+                            union = phase_subset(pair, 1, p1, t1) + phase_subset(pair, 2, p2, t2)
+                            assert matrix.entry(p1, p2) == int(pairwise_concurrent(pair, union))
+
+    def test_path_rules_agree_with_oracle(self):
+        for _, pair in cases():
+            rel = pair.relation
+            for path in pair.paths:
+                size = path.n_senders
+                node = path.node
+                down, up = [], []
+                for j in range(1, size + 1):
+                    for k in range(j + 1, size + 1):
+                        if rel.interferes(node(j), node(k)):
+                            continue
+                        if k < size and rel.interferes(node(j), node(k + 1)):
+                            down.append((j, k))
+                        if j > 1 and rel.interferes(node(j - 1), node(k)):
+                            up.append((j, k))
+                report = validate_path_rules(pair, path.id)
+                assert report.rule_down_violations == tuple(down)
+                assert report.rule_up_violations == tuple(up)
+
+
+def random_schedule(rng: random.Random, pair: PathPair, beats: int, past_end: bool) -> Schedule:
+    """Spacing-1 activations with arbitrary member sets; with `past_end`,
+    members may name the position after a chain's last sender."""
+    out = []
+    for _ in range(beats):
+        acts = []
+        for path in pair.paths:
+            if rng.random() < 0.7:
+                positions = range(1, path.n_senders + 1 + past_end)
+                members = tuple(sorted(rng.sample(positions, rng.randint(1, path.n_senders))))
+                acts.append(SubsetActivation(path_id=path.id, spacing=1, phase=1, members=members))
+        out.append(Beat(category="joint", activations=tuple(acts)))
+    return Schedule(
+        period=beats,
+        beats=tuple(out),
+        path_periods={p.id: 1 for p in pair.paths},
+        activation_counts={p.id: beats for p in pair.paths},
+        kind="tampered",
+    )
+
+
+class TestScheduleChecks:
+    def test_audit_lists_the_same_interfering_pairs(self):
+        for rng, pair in cases():
+            schedule = random_schedule(rng, pair, rng.randint(1, 6), past_end=True)
+            expected = []
+            for index, beat in enumerate(schedule.beats, start=1):
+                members = [NodeRef(a.path_id, s) for a in beat.activations for s in a.members]
+                for i, a in enumerate(members):
+                    for b in members[i + 1:]:
+                        if pair.relation.interferes(a, b):
+                            expected.append(f"beat {index}: {a} and {b} interfere")
+            report = audit_schedule(pair, schedule)
+            assert [p for p in report.problems if p.endswith(" interfere")] == expected
+            assert report.concurrency_ok == (not expected)
+
+    def test_simulator_counts_every_simulated_violation(self):
+        for rng, pair in cases():
+            # a member past a chain's end is a stranger the simulator rejects
+            schedule = random_schedule(rng, pair, rng.randint(1, 4), past_end=False)
+            warmup, periods = rng.randint(0, 3), rng.randint(1, 3)
+            report = run(pair, schedule, n_periods=periods, warmup_periods=warmup)
+            expected = []
+            for beat_index in range(1, (warmup + periods) * schedule.period + 1):
+                nodes = schedule.beat(beat_index).nodes()
+                if nodes and not pairwise_concurrent(pair, nodes):
+                    names = ", ".join(str(ref) for ref in nodes)
+                    expected.append(f"beat {beat_index}: activated set {{{names}}} is not a concurrency subset")
+            assert report.violations == len(expected)
+            assert report.violation_examples == expected[:5]
+
+
+class TestPathPairIdentity:
+    def test_cached_index_stays_out_of_equality_hash_and_repr(self):
+        for rng, pair in cases():
+            twin = PathPair(
+                path1=PrimaryPath(id=1, n_senders=pair.path1.n_senders),
+                path2=pair.path2,
+                relation=InterferenceRelation(tuple(p) for p in pair.relation.pairs),
+            )
+            assert twin == pair and hash(twin) == hash(pair)
+            assert repr(twin) == repr(pair)
+            assert repr(pair) == (
+                f"PathPair(path1={pair.path1!r}, path2={pair.path2!r}, relation={pair.relation!r})"
+            )
+            if pair.relation.pairs:
+                fewer = PathPair(
+                    path1=pair.path1,
+                    path2=pair.path2,
+                    relation=InterferenceRelation(tuple(p) for p in list(pair.relation.pairs)[1:]),
+                )
+                assert fewer != pair
+            assert {pair, twin} == {pair}
+
+    def test_dense_order_is_path_then_seq(self):
+        for _, pair in cases():
+            assert list(pair.nodes) == sorted(pair.nodes)
+            assert [pair.index_of(ref) for ref in pair.nodes] == list(range(pair.total_senders))
+            for path in pair.paths:
+                assert pair.path_nodes(path.id) == path.senders

@@ -160,6 +160,19 @@ class TestGeometry:
         with pytest.raises(DomainError):
             GeometricTopology({(1, 1): (0.0, 0.0)}, interference_radius=-1.0)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ConfigurationError, match="interference_radius must be finite"):
+            GeometricTopology({(1, 1): (0.0, 0.0)}, interference_radius=radius)
+
+    @pytest.mark.parametrize(
+        "point",
+        [float("nan"), float("inf"), (0.0, float("-inf")), [float("nan")], pytest.param(10**400, id="huge-int")],
+    )
+    def test_non_finite_position_rejected(self, point):
+        with pytest.raises(ConfigurationError, match=r"position of node \(1, 2\)"):
+            GeometricTopology({(1, 1): 0.0, (1, 2): point}, interference_radius=1.0)
+
     def test_scalar_positions_mean_a_line(self):
         topology = GeometricTopology(
             {(1, 1): 0, (1, 2): 3}, interference_radius=1.0

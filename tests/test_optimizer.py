@@ -1,9 +1,15 @@
 """Exhaustive grid search over routes, spacings, and traversal counts."""
 
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import networkx as nx
 import pytest
 
+import beatsched
 from beatsched.errors import DomainError
 from beatsched.optimizer import (
     DiskScenario,
@@ -231,3 +237,53 @@ class TestGraphRoutes:
             {"s": ["d"], "d": ["s"]}, {"s": [0.0], "d": [1.0]}, "s", "d", 3
         )
         assert routes[0].points == ((0.0, 0.0), (1.0, 0.0))
+
+
+class TestRouteEnumerationOracle:
+    def test_matches_networkx_simple_paths(self):
+        for seed in range(150):
+            rng = random.Random(f"routes/{seed}")
+            names = [f"v{i}" for i in range(rng.randint(2, 8))]
+            density = rng.uniform(0.1, 0.6)
+            # one-directional adjacency lists: edges are undirected anyway
+            adjacency = {a: [b for b in names if rng.random() < density] for a in names}
+            positions = {v: (rng.random(), rng.random()) for v in names}
+            source, destination = rng.sample(names, 2)
+            max_hops = rng.randint(1, 7)
+            graph = nx.Graph()
+            graph.add_nodes_from(adjacency)
+            graph.add_edges_from((a, b) for a, nbrs in adjacency.items() for b in nbrs)
+            expected = sorted(
+                (tuple(p) for p in nx.all_simple_paths(graph, source, destination, cutoff=max_hops)),
+                key=lambda p: (len(p), p),
+            )
+            routes = routes_from_graph(adjacency, positions, source, destination, max_hops)
+            assert [r.label for r in routes] == ["-".join(p) for p in expected], seed
+
+    def test_neighbour_only_vertex_counts_as_known(self):
+        routes = routes_from_graph({"s": ["d"]}, {"s": [0.0], "d": [1.0]}, "s", "d", 1)
+        assert [r.label for r in routes] == ["s-d"]
+
+    def test_source_equal_to_destination_is_no_route(self):
+        with pytest.raises(DomainError, match="needs at least one sender"):
+            routes_from_graph({"s": ["d"]}, {"s": [0.0], "d": [1.0]}, "s", "s", 3)
+
+    def test_unknown_vertices_rejected(self):
+        with pytest.raises(DomainError, match="'x' is not in the graph"):
+            routes_from_graph({"s": ["d"]}, {"s": [0.0], "d": [1.0]}, "s", "x", 3)
+        with pytest.raises(DomainError, match="'d' has no position"):
+            routes_from_graph({"s": ["d"]}, {"s": [0.0]}, "s", "d", 3)
+
+
+def test_import_leaves_networkx_out():
+    src = Path(beatsched.__file__).resolve().parent.parent
+    code = "import sys, beatsched, beatsched.cli; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
