@@ -21,7 +21,12 @@ from .analysis import (
     split_dominant,
 )
 from .errors import ConfigurationError, ConsistencyError, DomainError, SchemaError
-from .matching import brute_force_max_support, max_support_set, validate_support_set
+from .matching import (
+    brute_force_max_support,
+    max_support_set,
+    tiled_support_sizes,
+    validate_support_set,
+)
 from .model import (
     GeometricTopology,
     InterferenceRelation,
@@ -132,6 +137,7 @@ __all__ = [
     "schedule_primary",
     "split_dominant",
     "subset_members",
+    "tiled_support_sizes",
     "validate_path_rules",
     "validate_support_set",
     "__version__",

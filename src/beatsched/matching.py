@@ -15,6 +15,29 @@ Conversely a maximal matching satisfies (1) and (3) by construction and (2)
 because an uncovered 1-entry would extend it. Hence a maximum support set is
 a maximum matching, computed here by augmenting paths, and the brute-force
 oracle (exhaustive search over entry subsets) must agree with it.
+
+Tiled sizes without tiling: the l1 x l2 tiling of an n x o matrix M has
+l1 copies of every row and l2 copies of every column, and a row copy of r
+meets a column copy of c in a 1-entry exactly when M[r][c] = 1. So every copy
+of row r is adjacent to every copy of column c. A matching of the tiling
+projects to a flow f on the 1-entries of M, f[r][c] being the number of its
+edges between copies of r and copies of c; row r's load is at most l1 (it
+has l1 copies) and column c's at most l2. Conversely, a flow on the
+1-entries with row loads <= l1 and column loads <= l2 lifts to a matching of
+the same size: hand each row's units to distinct copies of that row and each
+column's units to distinct copies of that column; each unit then joins a row
+copy and a column copy that are adjacent, and no copy is used twice. Hence
+the maximum support size of the tiling is the maximum flow on M with row
+capacity l1 and column capacity l2, which tiled_support_sizes computes.
+
+Its certificate is a weighted cover: a set U of rows and C of columns such
+that every 1-entry lies in a row of U or a column of C. Each unit of a
+feasible flow sits on a covered entry, so it counts against the load of a
+row in U (at most l1 each) or a column in C (at most l2 each); no flow
+exceeds l1 * |U| + l2 * |C|. When the augmenting search stops, the rows it
+did not reach and the columns it reached form such a cover, and its weight
+equals the flow (Ford-Fulkerson's min cut; König's theorem when l1 = l2 = 1),
+which proves the flow maximum, not only maximal.
 """
 
 from __future__ import annotations
@@ -26,6 +49,7 @@ from .errors import ConsistencyError, DomainError
 __all__ = [
     "validate_support_set",
     "max_support_set",
+    "tiled_support_sizes",
     "brute_force_max_support",
 ]
 
@@ -54,7 +78,12 @@ def validate_support_set(
     Element positions are 1-based; out-of-range positions are a domain error,
     not a violation.
     """
-    rows = _normalize(matrix)
+    violations = _violations(_normalize(matrix), elements)
+    return (not violations, violations)
+
+
+def _violations(rows: list[list[int]], elements: Iterable[Element]) -> list[str]:
+    """validate_support_set's checks on rows already passed through _normalize."""
     n, o = len(rows), len(rows[0]) if rows else 0
     chosen = sorted(set((int(r), int(c)) for r, c in elements))
     for r, c in chosen:
@@ -80,30 +109,49 @@ def validate_support_set(
                     f"condition 2: 1-entry ({i + 1}, {j + 1}) shares no row or column "
                     "with any element"
                 )
-    return (not violations, violations)
+    return violations
 
 
 def max_support_set(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Element, ...], int]:
     """Maximum support set via augmenting paths, plus its size.
 
     Deterministic: rows are processed ascending and each search explores
-    columns ascending, so equal inputs give identical witnesses.
+    columns ascending, so equal inputs give identical witnesses. The search
+    is a depth-first walk over an explicit stack, so its depth is bounded by
+    memory, not by the interpreter's recursion limit.
     """
     rows = _normalize(matrix)
     n, o = len(rows), len(rows[0]) if rows else 0
+    adjacent = [[c for c in range(o) if row[c] == 1] for row in rows]
     match_col: list[int | None] = [None] * o  # column -> matched row
 
-    def augment(r: int, seen: set[int]) -> bool:
-        for c in range(o):
-            if rows[r][c] == 1 and c not in seen:
-                seen.add(c)
-                if match_col[c] is None or augment(match_col[c], seen):
-                    match_col[c] = r
-                    return True
-        return False
-
-    for r in range(n):
-        augment(r, set())
+    for root in range(n):
+        seen = [False] * o
+        # stack[k] = [row, next index into adjacent[row]]; via[k] is the
+        # column through which stack[k] descended to stack[k + 1]
+        stack = [[root, 0]]
+        via: list[int] = []
+        while stack:
+            frame = stack[-1]
+            row, k = frame
+            candidates = adjacent[row]
+            while k < len(candidates) and seen[candidates[k]]:
+                k += 1
+            if k == len(candidates):
+                stack.pop()
+                if via:
+                    via.pop()
+                continue
+            c = candidates[k]
+            seen[c] = True
+            frame[1] = k + 1
+            if match_col[c] is None:
+                match_col[c] = row
+                for (path_row, _), col in zip(stack, via):
+                    match_col[col] = path_row
+                break
+            via.append(c)
+            stack.append([match_col[c], 0])
     elems = sorted((match_col[c] + 1, c + 1) for c in range(o) if match_col[c] is not None)
     # Exchange pass: among matchings over the same rows and columns, pair
     # earlier rows with earlier columns whenever the four entries involved
@@ -122,10 +170,144 @@ def max_support_set(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Element, ...
                     c1 = c2
                     changed = True
     elements = tuple(elems)
-    ok, violations = validate_support_set(rows, elements)
-    if not ok:
+    violations = _violations(rows, elements)
+    if violations:
         raise ConsistencyError(f"matching produced an invalid support set: {violations}")
     return elements, len(elements)
+
+
+def tiled_support_sizes(
+    matrix: Sequence[Sequence[int]], max_traversals: int
+) -> tuple[tuple[int, ...], ...]:
+    """Maximum support size of every l1 x l2 tiling, l1, l2 in 1..max_traversals.
+
+    Entry [l1 - 1][l2 - 1] equals max_support_set(continuation(matrix, l1,
+    l2))[1], computed without tiling: it is the maximum flow on the untiled
+    matrix with row capacity l1 and column capacity l2 (see the module
+    docstring). A flow feasible for (l1, l2) stays feasible for larger
+    capacities, so each step of l2 continues from the previous flow and each
+    new l1 restarts from the flow kept at (l1 - 1, 1). Every entry is checked
+    against its cover certificate; a failed check is a ConsistencyError.
+    """
+    if max_traversals < 1:
+        raise DomainError(f"max_traversals must be >= 1, got {max_traversals}")
+    rows = _normalize(matrix)
+    network = _FlowNetwork(rows)
+    table = []
+    for l1 in range(1, max_traversals + 1):
+        line = []
+        for l2 in range(1, max_traversals + 1):
+            line.append(network.saturate(l1, l2))
+            if l2 == 1:
+                kept = network.snapshot()
+        table.append(tuple(line))
+        network.restore(kept)
+    return tuple(table)
+
+
+class _FlowNetwork:
+    """A flow over the 1-entries of a binary matrix, with its row and column
+    loads, that tiled_support_sizes grows under rising capacities."""
+
+    def __init__(self, rows: list[list[int]]) -> None:
+        n, o = len(rows), len(rows[0]) if rows else 0
+        self.ones = [[j for j in range(o) if row[j]] for row in rows]
+        self.zeros = [[j for j in range(o) if not row[j]] for row in rows]
+        self.col_ones = [[i for i in range(n) if rows[i][j]] for j in range(o)]
+        self.flow = [[0] * o for _ in range(n)]
+        self.row_load = [0] * n
+        self.col_load = [0] * o
+
+    def snapshot(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """A copy of the flow and its loads, for restore."""
+        return [r[:] for r in self.flow], self.row_load[:], self.col_load[:]
+
+    def restore(self, state: tuple[list[list[int]], list[int], list[int]]) -> None:
+        """Continue from a snapshot, which the network takes over."""
+        self.flow, self.row_load, self.col_load = state
+
+    def saturate(self, cap_row: int, cap_col: int) -> int:
+        """Augment the flow until it is maximum for these capacities, check
+        its certificate, and return its size.
+
+        Breadth-first search over the residual graph: a row with spare
+        capacity starts a path, a 1-entry leads from its row to its column, a
+        column leads back to every row that sends it flow, and a column with
+        spare capacity ends the path. When no path is left, the rows not
+        reached and the columns reached form the certificate's cover.
+        """
+        flow, row_load, col_load = self.flow, self.row_load, self.col_load
+        n, o = len(row_load), len(col_load)
+        while True:
+            # via_col[i]: the column row i was reached from, o for a start
+            # row, -1 if unreached; via_row[j]: the row column j was reached from
+            via_col = [o if load < cap_row else -1 for load in row_load]
+            via_row = [-1] * o
+            queue = [i for i in range(n) if via_col[i] == o]
+            end = -1
+            for i in queue:
+                for j in self.ones[i]:
+                    if via_row[j] < 0:
+                        via_row[j] = i
+                        if col_load[j] < cap_col:
+                            end = j
+                            break
+                        for k in self.col_ones[j]:
+                            if flow[k][j] and via_col[k] < 0:
+                                via_col[k] = j
+                                queue.append(k)
+                if end >= 0:
+                    break
+            if end < 0:
+                self._check_certificate(cap_row, cap_col, via_col, via_row)
+                return sum(row_load)
+            # Walk the path back from its end: column j was reached from row
+            # via_row[j] over a forward entry, and a row i that is not a start
+            # from column via_col[i] over a backward entry, whose flow bounds
+            # the push. Push the bottleneck through.
+            delta = cap_col - col_load[end]
+            j = end
+            while via_col[via_row[j]] != o:
+                i = via_row[j]
+                j = via_col[i]
+                delta = min(delta, flow[i][j])
+            delta = min(delta, cap_row - row_load[via_row[j]])
+            col_load[end] += delta
+            j = end
+            while True:
+                i = via_row[j]
+                flow[i][j] += delta
+                j = via_col[i]
+                if j == o:
+                    row_load[i] += delta
+                    break
+                flow[i][j] -= delta
+
+    def _check_certificate(self, cap_row, cap_col, via_col, via_row) -> None:
+        """Raise ConsistencyError unless the flow is feasible and maximum.
+
+        Feasible: the flow is non-negative, sits only on 1-entries, and its
+        row and column sums equal the loads, which stay within capacity.
+        Maximum: the unreached rows and the reached columns cover every
+        1-entry, and cap_row * |unreached rows| + cap_col * |reached columns|
+        equals the flow, which no flow can exceed.
+        """
+        flow, row_load, col_load = self.flow, self.row_load, self.col_load
+        problems = []
+        for i, row in enumerate(flow):
+            if min(row, default=0) < 0 or any(row[j] for j in self.zeros[i]):
+                problems.append(f"row {i + 1} has flow off its 1-entries or below 0")
+            if via_col[i] >= 0 and any(via_row[j] < 0 for j in self.ones[i]):
+                problems.append(f"row {i + 1} has a 1-entry outside the cover")
+        if [sum(row) for row in flow] != row_load or max(row_load, default=0) > cap_row:
+            problems.append(f"row loads {row_load} are wrong or exceed {cap_row}")
+        if [sum(col) for col in zip(*flow)] != col_load or max(col_load, default=0) > cap_col:
+            problems.append(f"column loads {col_load} are wrong or exceed {cap_col}")
+        cover = cap_row * via_col.count(-1) + cap_col * (len(via_row) - via_row.count(-1))
+        if cover != sum(row_load):
+            problems.append(f"cover weight {cover} differs from flow {sum(row_load)}")
+        if problems:
+            raise ConsistencyError(f"capacitated flow failed its certificate: {problems}")
 
 
 def brute_force_max_support(matrix: Sequence[Sequence[int]]) -> int:

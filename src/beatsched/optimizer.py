@@ -20,15 +20,16 @@ from typing import Iterable, Mapping, Sequence
 
 from .analysis import interference_intensity
 from .errors import ConsistencyError, DomainError
-from .matching import max_support_set
+from .matching import tiled_support_sizes
 from .model import (
     GeometricTopology,
     InterferenceRelation,
     PathPair,
     PrimaryPath,
+    _as_point,
     derive_relation,
 )
-from .periods import build_matrix, continuation, is_reachable_period
+from .periods import build_matrix, is_reachable_period
 from .scheduler import Schedule, schedule_pair_unequal
 
 
@@ -112,8 +113,7 @@ def routes_from_graph(
         for vertex in path:
             if vertex not in positions:
                 raise DomainError(f"vertex {vertex!r} has no position")
-            raw = tuple(float(c) for c in positions[vertex])
-            pts.append(raw if len(raw) == 2 else (raw[0], 0.0))
+            pts.append(_as_point(positions[vertex], vertex))
         routes.append(RouteCandidate(points=tuple(pts), label="-".join(path)))
     return tuple(routes)
 
@@ -235,10 +235,14 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
             istar2, _ = interference_intensity(pair, pair.path_nodes(2))
             lo1, hi1 = _clamped_range(space.period_range1, istar1, route1.n_senders)
             lo2, hi2 = _clamped_range(space.period_range2, istar2, route2.n_senders)
+            reachable2 = {
+                period2: is_reachable_period(pair, 2, period2)
+                for period2 in range(lo2, hi2 + 1)
+            }
             for period1 in range(lo1, hi1 + 1):
                 reachable1 = is_reachable_period(pair, 1, period1)
                 for period2 in range(lo2, hi2 + 1):
-                    if not reachable1 or not is_reachable_period(pair, 2, period2):
+                    if not reachable1 or not reachable2[period2]:
                         which = 1 if not reachable1 else 2
                         spacing = period1 if which == 1 else period2
                         log.append(
@@ -260,10 +264,10 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                         )
                         continue
                     matrix = build_matrix(pair, period1, period2)
+                    sizes = tiled_support_sizes(matrix.rows, space.max_traversals)
                     for traversals1 in range(1, space.max_traversals + 1):
                         for traversals2 in range(1, space.max_traversals + 1):
-                            tiled = continuation(matrix, traversals1, traversals2)
-                            _, support_size = max_support_set(tiled)
+                            support_size = sizes[traversals1 - 1][traversals2 - 1]
                             period = (
                                 traversals1 * period1
                                 + traversals2 * period2

@@ -1,16 +1,22 @@
 """Support sets of binary matrices: validation, maximum search, oracle."""
 
+import random
+import sys
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatsched.errors import DomainError
+from beatsched.errors import ConsistencyError, DomainError
 from beatsched.matching import (
+    _FlowNetwork,
     brute_force_max_support,
     max_support_set,
+    tiled_support_sizes,
     validate_support_set,
 )
+from beatsched.periods import continuation
 
 matrices = st.integers(1, 5).flatmap(
     lambda rows: st.integers(1, 6).flatmap(
@@ -119,6 +125,148 @@ class TestMaxSupport:
             )
         ) // 2
         assert max_support_set(matrix)[1] == expected
+
+
+def recursive_max_support_set(matrix):
+    """The recursive augmenting search with the same exchange pass, kept as
+    the reference whose witnesses the iterative search must reproduce."""
+    rows = [list(r) for r in matrix]
+    n, o = len(rows), len(rows[0]) if rows else 0
+    match_col = [None] * o
+
+    def augment(r, seen):
+        for c in range(o):
+            if rows[r][c] == 1 and c not in seen:
+                seen.add(c)
+                if match_col[c] is None or augment(match_col[c], seen):
+                    match_col[c] = r
+                    return True
+        return False
+
+    for r in range(n):
+        augment(r, set())
+    elems = sorted((match_col[c] + 1, c + 1) for c in range(o) if match_col[c] is not None)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(elems)):
+            r1, c1 = elems[a]
+            for b in range(a + 1, len(elems)):
+                r2, c2 = elems[b]
+                if c1 > c2 and rows[r1 - 1][c2 - 1] == 1 and rows[r2 - 1][c1 - 1] == 1:
+                    elems[a], elems[b] = (r1, c2), (r2, c1)
+                    c1 = c2
+                    changed = True
+    return tuple(elems), len(elems)
+
+
+def random_matrix(rng, max_rows, max_cols):
+    n, o = rng.randint(1, max_rows), rng.randint(1, max_cols)
+    density = rng.random()
+    return [[int(rng.random() < density) for _ in range(o)] for _ in range(n)]
+
+
+class TestIterativeSearch:
+    def test_long_augmenting_paths_need_no_recursion(self):
+        # Row r holds 1s at columns r-1 and r: row r first tries column r-1
+        # and pushes the search back through every earlier row, a path r
+        # rows long, before it settles on column r.
+        n = 300
+        matrix = [[int(c in (r - 1, r)) for c in range(n)] for r in range(n)]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            witness, size = max_support_set(matrix)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert size == n
+        assert witness == tuple((r, r) for r in range(1, n + 1))
+
+    def test_witnesses_match_the_recursive_search(self):
+        rng = random.Random("matching/iterative")
+        for case in range(600):
+            matrix = random_matrix(rng, 8, 8)
+            assert max_support_set(matrix) == recursive_max_support_set(matrix), (case, matrix)
+
+    @pytest.mark.parametrize("matrix", [[[1, 0], [1]], [[1, 2]], [[1, -1]]])
+    def test_malformed_input_is_a_domain_error(self, matrix):
+        with pytest.raises(DomainError):
+            max_support_set(matrix)
+
+
+class TestTiledSupportSizes:
+    @staticmethod
+    def tiled_reference(matrix, max_traversals):
+        return tuple(
+            tuple(
+                max_support_set(continuation(matrix, l1, l2))[1]
+                for l2 in range(1, max_traversals + 1)
+            )
+            for l1 in range(1, max_traversals + 1)
+        )
+
+    def test_matches_the_tiled_matching_and_brute_force(self):
+        rng = random.Random("matching/tiled")
+        special = [
+            [[0] * 4 for _ in range(3)],
+            [[1] * 5 for _ in range(4)],
+            [[1, 0, 1, 1, 0, 1, 0]],
+            [[1], [0], [1], [1], [0], [1], [1]],
+            [[1] * 7 for _ in range(7)],
+        ]
+        cases = [(m, cap) for m in special for cap in range(1, 5)]
+        cases += [(random_matrix(rng, 7, 7), rng.randint(1, 4)) for _ in range(400)]
+        brute_forced = 0
+        for matrix, cap in cases:
+            sizes = tiled_support_sizes(matrix, cap)
+            assert sizes == self.tiled_reference(matrix, cap), (matrix, cap)
+            for l1 in range(1, cap + 1):
+                for l2 in range(1, cap + 1):
+                    tiled = continuation(matrix, l1, l2)
+                    if len(tiled) * len(tiled[0]) <= 30:
+                        assert sizes[l1 - 1][l2 - 1] == brute_force_max_support(tiled)
+                        brute_forced += 1
+        assert brute_forced > 300
+
+    def test_frozen_values(self):
+        # three phases against two, all clashing: nothing pairs
+        assert tiled_support_sizes([[0, 0], [0, 0], [0, 0]], 2) == ((0, 0), (0, 0))
+        # all ones: min(l1 * rows, l2 * cols)
+        assert tiled_support_sizes([[1, 1], [1, 1], [1, 1]], 3) == (
+            (2, 3, 3),
+            (2, 4, 6),
+            (2, 4, 6),
+        )
+        # one shared column: its l2 copies bound every tiling
+        assert tiled_support_sizes([[1], [1]], 2) == ((1, 2), (1, 2))
+
+    def test_empty_matrix_has_no_support(self):
+        assert tiled_support_sizes([], 2) == ((0, 0), (0, 0))
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_traversal_cap_must_be_positive(self, cap):
+        with pytest.raises(DomainError, match="max_traversals"):
+            tiled_support_sizes([[1]], cap)
+
+    @pytest.mark.parametrize("matrix", [[[1, 0], [1]], [[2]]])
+    def test_malformed_input_is_a_domain_error(self, matrix):
+        with pytest.raises(DomainError):
+            tiled_support_sizes(matrix, 2)
+
+    def test_certificate_rejects_a_flow_that_is_not_maximum(self):
+        # an empty flow on [[1]]: the search reached row 1 but not column 1,
+        # so the cover misses entry (1, 1) and the flow is not proved maximum
+        network = _FlowNetwork([[1]])
+        with pytest.raises(ConsistencyError, match="outside the cover"):
+            network._check_certificate(1, 1, via_col=[1], via_row=[-1])
+
+    def test_certificate_rejects_an_infeasible_flow(self):
+        network = _FlowNetwork([[1, 0]])
+        network.flow[0][1] = 1
+        network.row_load[0] = 1
+        network.col_load[1] = 1
+        with pytest.raises(ConsistencyError, match="off its 1-entries"):
+            network._check_certificate(1, 1, via_col=[-1], via_row=[-1, -1])
 
 
 class TestBruteForce:

@@ -10,7 +10,9 @@ import networkx as nx
 import pytest
 
 import beatsched
-from beatsched.errors import DomainError
+from beatsched.analysis import interference_intensity
+from beatsched.errors import ConfigurationError, DomainError
+from beatsched.matching import max_support_set
 from beatsched.optimizer import (
     DiskScenario,
     RouteCandidate,
@@ -19,6 +21,7 @@ from beatsched.optimizer import (
     optimize,
     routes_from_graph,
 )
+from beatsched.periods import build_matrix, continuation, is_reachable_period
 from beatsched.scheduler import schedule_pair_unequal
 from beatsched.simulator import run
 
@@ -176,6 +179,70 @@ class TestDegenerateAndInvalid:
             )
 
 
+class TestSearchLog:
+    # Six senders around most of a circle: the last sender comes back next
+    # to the first, so spacing 5 puts two interfering senders in one phase
+    # while spacings 3, 4 and 6 stay reachable.
+    LOOP = RouteCandidate(
+        points=(
+            (1.5, 0.0), (0.9, 1.2), (-0.5, 1.4), (-1.4, 0.4),
+            (-1.2, -0.9), (0.1, -1.5), (1.3, -0.8),
+        ),
+        label="loop",
+    )
+
+    def expected_log(self, scenario, space):
+        """The grid walked point by point, every support size taken from a
+        maximum matching of the tiled joint matrix."""
+        log = []
+        for index1, route1 in enumerate(space.routes1):
+            for index2, route2 in enumerate(space.routes2):
+                pair = materialize_pair(scenario, route1, route2)
+                istar1, _ = interference_intensity(pair, pair.path_nodes(1))
+                istar2, _ = interference_intensity(pair, pair.path_nodes(2))
+                for period1 in range(istar1, route1.n_senders + 1):
+                    for period2 in range(istar2, route2.n_senders + 1):
+                        point = (index1, index2, period1, period2)
+                        for path_id, spacing in ((1, period1), (2, period2)):
+                            if not is_reachable_period(pair, path_id, spacing):
+                                note = f"skipped: spacing {spacing} not reachable on path {path_id}"
+                                log.append((*point, None, note))
+                                break
+                        else:
+                            matrix = build_matrix(pair, period1, period2)
+                            log.extend(self.evaluated(point, matrix, space.max_traversals))
+        return log
+
+    @staticmethod
+    def evaluated(point, matrix, max_traversals):
+        period1, period2 = point[2:]
+        for l1 in range(1, max_traversals + 1):
+            for l2 in range(1, max_traversals + 1):
+                _, size = max_support_set(continuation(matrix, l1, l2))
+                period = l1 * period1 + l2 * period2 - size
+                yield (*point, (l1, l2, size, period), "evaluated")
+
+    def test_log_matches_the_tiled_matching_point_by_point(self):
+        scenario = DiskScenario(interference_radius=1.5)
+        line = straight_route(4, 20.0)
+        space = SearchSpace(routes1=(self.LOOP, line), routes2=(line, self.LOOP), max_traversals=3)
+        result = optimize(scenario, space)
+        actual = []
+        for c in result.search_log:
+            point = (c.route1, c.route2, c.period1, c.period2)
+            if c.note == "evaluated":
+                assert c.throughput == Fraction(c.traversals1 + c.traversals2, c.period)
+                grid = (c.traversals1, c.traversals2, c.support_size, c.period)
+                actual.append((*point, grid, c.note))
+            else:
+                assert (c.traversals1, c.traversals2, c.support_size) == (0, 0, None)
+                actual.append((*point, None, c.note))
+        assert actual == self.expected_log(scenario, space)
+        notes = {c.note for c in result.search_log}
+        assert "skipped: spacing 5 not reachable on path 1" in notes
+        assert "skipped: spacing 5 not reachable on path 2" in notes
+
+
 class TestTieBreaks:
     def test_prefers_shorter_period_at_equal_rate(self):
         # Distant chains: every traversal multiple gives rate 2/3; the
@@ -237,6 +304,23 @@ class TestGraphRoutes:
             {"s": ["d"], "d": ["s"]}, {"s": [0.0], "d": [1.0]}, "s", "d", 3
         )
         assert routes[0].points == ((0.0, 0.0), (1.0, 0.0))
+
+    def test_scalar_positions_lie_on_the_x_axis(self):
+        routes = routes_from_graph({"s": ["d"]}, {"s": 0, "d": 2.5}, "s", "d", 1)
+        assert routes[0].points == ((0.0, 0.0), (2.5, 0.0))
+
+    @pytest.mark.parametrize(
+        "position, message",
+        [
+            ([0, 0, 9], "must have 1 or 2 coordinates, got 3"),
+            ([], "must have 1 or 2 coordinates, got 0"),
+            ("far", "must be a number or an"),
+            ([0, float("nan")], "must be finite"),
+        ],
+    )
+    def test_malformed_positions_rejected(self, position, message):
+        with pytest.raises(ConfigurationError, match=message):
+            routes_from_graph({"s": ["d"]}, {"s": [0.0], "d": position}, "s", "d", 1)
 
 
 class TestRouteEnumerationOracle:
