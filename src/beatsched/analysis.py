@@ -6,17 +6,21 @@ interference graph) and the concurrency intensity (largest set of senders
 that can share one beat, i.e. a maximum independent set). Both are computed
 exactly; instances here are desk scale, a couple dozen nodes at most.
 
+The graphs are built on the pair's dense sender index: a node set is an
+integer mask, and a member's neighbours are its conflict mask cut down to
+the set. Node references appear only in the returned values.
+
 Witnesses are deterministic: among all maximum sets the lexicographically
-smallest by (path_id, seq) is returned.
+smallest by (path_id, seq) is returned, which is ascending dense-index order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConsistencyError, DomainError
-from .model import NodeRef, PathPair
+from .model import NodeRef, PathPair, validate_path_rules
 
 __all__ = [
     "DegreeReport",
@@ -31,53 +35,57 @@ __all__ = [
 ]
 
 
-def _interference_adjacency(pair: PathPair, nodes: tuple[NodeRef, ...]) -> dict[NodeRef, set[NodeRef]]:
-    bits = [1 << pair.index_of(n) for n in nodes]
-    adj: dict[NodeRef, set[NodeRef]] = {}
-    for a, bit in zip(nodes, bits):
-        conflicts = pair.conflicts_of(bit)
-        adj[a] = {b for b, other in zip(nodes, bits) if conflicts & other}
-    return adj
+def _bits(mask: int) -> Iterator[int]:
+    """Dense indices of a mask's members, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _complement(adj: Mapping[NodeRef, set[NodeRef]]) -> dict[NodeRef, set[NodeRef]]:
-    nodes = list(adj)
-    return {
-        a: {b for b in nodes if b != a and b not in adj[a]}
-        for a in nodes
-    }
+def _members(pair: PathPair, nodes: Iterable[NodeRef] | None) -> int:
+    return pair.mask_of(pair.nodes if nodes is None else nodes)
 
 
-def _maximal_cliques(adj: Mapping[NodeRef, set[NodeRef]]):
-    """Yield all maximal cliques (Bron-Kerbosch with pivoting), deterministically."""
+def _interference_adjacency(pair: PathPair, members: int) -> dict[int, int]:
+    """Each member's interfering partners inside the set, by dense index."""
+    return {i: pair.conflicts_of(1 << i) & members for i in _bits(members)}
 
-    def expand(clique: set, candidates: set, excluded: set):
+
+def _complement(adj: Mapping[int, int], members: int) -> dict[int, int]:
+    return {i: members & ~(neighbours | 1 << i) for i, neighbours in adj.items()}
+
+
+def _max_degree(adj: Mapping[int, int]) -> int:
+    return max(neighbours.bit_count() for neighbours in adj.values())
+
+
+def _maximal_cliques(adj: Mapping[int, int], members: int) -> Iterator[int]:
+    """Yield all maximal cliques as masks (Bron-Kerbosch with pivoting), deterministically."""
+
+    def expand(clique: int, candidates: int, excluded: int):
         if not candidates and not excluded:
-            yield frozenset(clique)
+            yield clique
             return
-        pivot = max(sorted(candidates | excluded), key=lambda u: len(candidates & adj[u]))
-        for v in sorted(candidates - adj[pivot]):
-            yield from expand(clique | {v}, candidates & adj[v], excluded & adj[v])
-            candidates = candidates - {v}
-            excluded = excluded | {v}
+        pivot = max(_bits(candidates | excluded), key=lambda u: (candidates & adj[u]).bit_count())
+        for v in _bits(candidates & ~adj[pivot]):
+            yield from expand(clique | 1 << v, candidates & adj[v], excluded & adj[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
 
-    yield from expand(set(), set(adj), set())
+    yield from expand(0, members, 0)
 
 
-def _best_clique(adj: Mapping[NodeRef, set[NodeRef]]) -> tuple[NodeRef, ...]:
-    """Maximum clique; ties broken by lexicographically smallest sorted member tuple."""
-    best: tuple[NodeRef, ...] | None = None
-    for clique in _maximal_cliques(adj):
-        cand = tuple(sorted(clique))
-        if best is None or len(cand) > len(best) or (len(cand) == len(best) and cand < best):
-            best = cand
-    if best is None:  # empty node set is rejected upstream
-        raise DomainError("node set is empty")
+def _best_clique(adj: Mapping[int, int], members: int) -> int:
+    """Maximum clique; ties go to the lexicographically smallest member tuple."""
+    best = 0
+    for clique in _maximal_cliques(adj, members):
+        size, best_size = clique.bit_count(), best.bit_count()
+        # between equal-sized sets, the smaller tuple owns the lowest differing index
+        differ = clique ^ best
+        if size > best_size or (size == best_size and differ & -differ & clique):
+            best = clique
     return best
-
-
-def _resolve(pair: PathPair, nodes: Iterable[NodeRef] | None) -> tuple[NodeRef, ...]:
-    return pair.validate_nodes(pair.nodes if nodes is None else nodes)
 
 
 def interference_intensity(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> tuple[int, tuple[NodeRef, ...]]:
@@ -85,16 +93,17 @@ def interference_intensity(pair: PathPair, nodes: Iterable[NodeRef] | None = Non
 
     1 with a singleton witness when no pair in the set interferes.
     """
-    members = _resolve(pair, nodes)
-    witness = _best_clique(_interference_adjacency(pair, members))
+    members = _members(pair, nodes)
+    witness = pair.nodes_of(_best_clique(_interference_adjacency(pair, members), members))
     return len(witness), witness
 
 
 def concurrency_intensity(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> tuple[int, tuple[NodeRef, ...]]:
     """Size of a maximum concurrency subset (independent set of the
     interference graph), with a witness; 1 when every pair interferes."""
-    members = _resolve(pair, nodes)
-    witness = _best_clique(_complement(_interference_adjacency(pair, members)))
+    members = _members(pair, nodes)
+    adj = _complement(_interference_adjacency(pair, members), members)
+    witness = pair.nodes_of(_best_clique(adj, members))
     return len(witness), witness
 
 
@@ -108,13 +117,10 @@ class DegreeReport:
     intrinsic_interference_degree: int
 
 
-def connection_degrees(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> DegreeReport:
-    """Count, for each member, its concurrent and interfering partners inside
-    the set (the node itself excluded). The intrinsic degrees are the maxima."""
-    members = _resolve(pair, nodes)
-    adj = _interference_adjacency(pair, members)
-    interference = {n: len(adj[n]) for n in members}
-    concurrency = {n: len(members) - 1 - len(adj[n]) for n in members}
+def _degree_report(pair: PathPair, adj: Mapping[int, int]) -> DegreeReport:
+    senders = pair.nodes
+    interference = {senders[i]: neighbours.bit_count() for i, neighbours in adj.items()}
+    concurrency = {node: len(adj) - 1 - count for node, count in interference.items()}
     return DegreeReport(
         concurrency=concurrency,
         interference=interference,
@@ -123,12 +129,18 @@ def connection_degrees(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -
     )
 
 
+def connection_degrees(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> DegreeReport:
+    """Count, for each member, its concurrent and interfering partners inside
+    the set (the node itself excluded). The intrinsic degrees are the maxima."""
+    return _degree_report(pair, _interference_adjacency(pair, _members(pair, nodes)))
+
+
 def is_dominant(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> bool:
     """A set is dominant when its worst interference degree is still below the
     interference intensity; dominant sets split cleanly (see split_dominant)."""
-    members = _resolve(pair, nodes)
-    istar, _ = interference_intensity(pair, members)
-    return connection_degrees(pair, members).intrinsic_interference_degree < istar
+    members = _members(pair, nodes)
+    adj = _interference_adjacency(pair, members)
+    return _max_degree(adj) < _best_clique(adj, members).bit_count()
 
 
 def split_dominant(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> list[tuple[NodeRef, ...]]:
@@ -140,49 +152,43 @@ def split_dominant(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> li
     it does not conflict with. Dominance guarantees a group always accepts:
     a node interferes with fewer members than there are groups.
     """
-    members = _resolve(pair, nodes)
-    istar, witness = interference_intensity(pair, members)
-    degrees = connection_degrees(pair, members)
-    if degrees.intrinsic_interference_degree >= istar:
+    members = _members(pair, nodes)
+    adj = _interference_adjacency(pair, members)
+    witness = _best_clique(adj, members)
+    istar, degree = witness.bit_count(), _max_degree(adj)
+    if degree >= istar:
         raise DomainError(
-            "set is not dominant: max interference degree "
-            f"{degrees.intrinsic_interference_degree} >= intensity {istar}"
+            f"set is not dominant: max interference degree {degree} >= intensity {istar}"
         )
-    groups: list[list[NodeRef]] = [[seed] for seed in witness]
-    for node in members:
-        if node in set(witness):
-            continue
-        for group in groups:
-            if all(pair.relation.concurrent(node, member) for member in group):
-                group.append(node)
+    groups = [1 << seed for seed in _bits(witness)]
+    for i in _bits(members & ~witness):
+        for k, group in enumerate(groups):
+            if not adj[i] & group:
+                groups[k] |= 1 << i
                 break
         else:
-            raise ConsistencyError(f"dominant set split failed to place {node}")
-    return [tuple(sorted(g)) for g in groups]
+            raise ConsistencyError(f"dominant set split failed to place {pair.nodes[i]}")
+    return [pair.nodes_of(group) for group in groups]
 
 
 def check_continuity(pair: PathPair, path_id: int) -> bool:
     """True when every maximum interference set of the chain occupies
     consecutive positions. Requires the chain monotonicity rules to hold;
     vacuously true when nothing on the chain interferes."""
-    from .model import validate_path_rules
-
     report = validate_path_rules(pair, path_id)
     if not report.ok:
         raise DomainError(
             f"path {path_id} violates the chain monotonicity rules; "
             "continuity of maximum interference sets is only meaningful under them"
         )
-    members = pair.path_nodes(path_id)
+    members = pair.seq_mask(path_id, range(1, pair.path(path_id).n_senders + 1))
     adj = _interference_adjacency(pair, members)
-    istar = len(_best_clique(adj))
-    if istar == 1:
-        return True
-    for clique in _maximal_cliques(adj):
-        if len(clique) != istar:
-            continue
-        seqs = sorted(n.seq for n in clique)
-        if seqs[-1] - seqs[0] + 1 != len(seqs):
+    istar = _best_clique(adj, members).bit_count()
+    for clique in _maximal_cliques(adj, members):
+        # a chain's senders have consecutive dense indices, so consecutive
+        # positions are one run of set bits
+        run = clique // (clique & -clique)
+        if clique.bit_count() == istar and run & (run + 1):
             return False
     return True
 
@@ -202,17 +208,18 @@ class IntensityReport:
 
 
 def analyze(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> IntensityReport:
-    members = _resolve(pair, nodes)
-    istar, iwit = interference_intensity(pair, members)
-    cstar, cwit = concurrency_intensity(pair, members)
-    degrees = connection_degrees(pair, members)
+    members = _members(pair, nodes)
+    adj = _interference_adjacency(pair, members)
+    iwit = pair.nodes_of(_best_clique(adj, members))
+    cwit = pair.nodes_of(_best_clique(_complement(adj, members), members))
+    degrees = _degree_report(pair, adj)
     return IntensityReport(
-        n_nodes=len(members),
-        interference_intensity=istar,
+        n_nodes=members.bit_count(),
+        interference_intensity=len(iwit),
         interference_witness=iwit,
-        concurrency_intensity=cstar,
+        concurrency_intensity=len(cwit),
         concurrency_witness=cwit,
         intrinsic_interference_degree=degrees.intrinsic_interference_degree,
         intrinsic_concurrency_degree=degrees.intrinsic_concurrency_degree,
-        dominant=degrees.intrinsic_interference_degree < istar,
+        dominant=degrees.intrinsic_interference_degree < len(iwit),
     )

@@ -62,6 +62,14 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_bit(value: Any) -> bool:
+    return _is_int(value) and value in (0, 1)
+
+
 def _as_number(value: Any, path: str) -> float:
     _expect(_is_number(value), path, "expected a number")
     try:
@@ -119,9 +127,9 @@ def _parse_paths(data: dict) -> tuple[PrimaryPath, PrimaryPath | None]:
         _expect(isinstance(entry, dict), path_str, "expected an object")
         pid = entry.get("id")
         n = entry.get("n_senders")
-        _expect(isinstance(pid, int), f"{path_str}.id", "expected an integer path id")
+        _expect(_is_int(pid), f"{path_str}.id", "expected an integer path id")
         _expect(
-            isinstance(n, int) and n >= 1,
+            _is_int(n) and n >= 1,
             f"{path_str}.n_senders",
             "expected a positive integer",
         )
@@ -169,10 +177,7 @@ def _parse_topology(raw: Any, paths: Sequence[PrimaryPath]) -> GeometricTopology
 def _parse_relation(raw: Any, paths: Sequence[PrimaryPath]) -> InterferenceRelation:
     _expect(isinstance(raw, dict), "$.relation", "expected an object")
     matrix = raw.get("matrix")
-    order: list[NodeRef] = []
-    for path in paths:
-        order.extend(NodeRef(path.id, seq) for seq in range(1, path.n_senders + 1))
-    n = len(order)
+    n = sum(path.n_senders for path in paths)
     _expect(
         isinstance(matrix, list) and len(matrix) == n,
         "$.relation.matrix",
@@ -185,7 +190,8 @@ def _parse_relation(raw: Any, paths: Sequence[PrimaryPath]) -> InterferenceRelat
             f"expected {n} entries",
         )
         for j, cell in enumerate(row):
-            _expect(cell in (0, 1), f"$.relation.matrix[{i}][{j}]", "expected 0 or 1")
+            _expect(_is_bit(cell), f"$.relation.matrix[{i}][{j}]", "expected 0 or 1")
+    order = [NodeRef(path.id, seq) for path in paths for seq in range(1, path.n_senders + 1)]
     try:
         return InterferenceRelation.from_matrix(order, matrix)
     except DomainError as exc:
@@ -233,7 +239,11 @@ def _parse_graph_routes(raw: Any, which: int) -> tuple[RouteCandidate, ...]:
         )
         a, b = edge
         for v in (a, b):
-            _expect(v in positions, f"{base}.edges[{k}]", f"unknown vertex {v!r}")
+            _expect(
+                isinstance(v, str) and v in positions,
+                f"{base}.edges[{k}]",
+                f"unknown vertex {v!r}",
+            )
         adjacency[a].append(b)
         adjacency[b].append(a)
     spec = raw.get(f"route{which}")
@@ -249,7 +259,7 @@ def _parse_graph_routes(raw: Any, which: int) -> tuple[RouteCandidate, ...]:
         "expected a known vertex name",
     )
     _expect(
-        isinstance(max_hops, int) and max_hops >= 1,
+        _is_int(max_hops) and max_hops >= 1,
         f"{spec_path}.max_hops",
         "expected an integer >= 1",
     )
@@ -268,7 +278,7 @@ def _parse_period_range(raw: Any, path: str) -> tuple[int, int] | None:
     _expect(
         isinstance(raw, list)
         and len(raw) == 2
-        and all(isinstance(v, int) and v >= 1 for v in raw)
+        and all(_is_int(v) and v >= 1 for v in raw)
         and raw[0] <= raw[1],
         path,
         "expected [lo, hi] with 1 <= lo <= hi",
@@ -307,7 +317,7 @@ def _parse_optimize(raw: Any, topology: GeometricTopology | None) -> OptimizeCon
         routes2 = _parse_route_list(raw["routes2"], f"{base}.routes2")
     max_traversals = raw.get("max_traversals", 4)
     _expect(
-        isinstance(max_traversals, int) and max_traversals >= 1,
+        _is_int(max_traversals) and max_traversals >= 1,
         f"{base}.max_traversals",
         "expected an integer >= 1",
     )
@@ -429,6 +439,15 @@ def support_grid(matrix: list[list[int]], witness) -> str:
 # ------------------------------------------------------------- commands
 
 
+def _pair_spacings(pair: PathPair, args) -> tuple[int, int]:
+    """The --spacing1/--spacing2 values, each defaulting to its path's
+    intrinsic period; an explicit 0 is passed on and rejected downstream."""
+    return tuple(
+        intrinsic_period(pair, path_id) if given is None else given
+        for path_id, given in ((1, args.spacing1), (2, args.spacing2))
+    )
+
+
 def _build_schedule(scenario: Scenario, args) -> Schedule:
     pair = scenario.pair
     mode = args.mode
@@ -436,12 +455,9 @@ def _build_schedule(scenario: Scenario, args) -> Schedule:
         mode = "equal" if pair.has_pair() else "primary"
     if mode == "primary":
         return schedule_primary(pair, args.path, args.spacing1)
+    spacing1, spacing2 = _pair_spacings(pair, args)
     if mode == "equal":
-        spacing1 = args.spacing1 or intrinsic_period(pair, 1)
-        spacing2 = args.spacing2 or intrinsic_period(pair, 2)
         return schedule_pair_equal(pair, spacing1, spacing2, args.traversals)
-    spacing1 = args.spacing1 or intrinsic_period(pair, 1)
-    spacing2 = args.spacing2 or intrinsic_period(pair, 2)
     return schedule_pair_unequal(
         pair, spacing1, spacing2, args.traversals1, args.traversals2
     )
@@ -482,8 +498,7 @@ def cmd_matrix(args, out) -> int:
     scenario = load_scenario(args.scenario)
     pair = scenario.pair
     pair.require_pair()
-    spacing1 = args.spacing1 or intrinsic_period(pair, 1)
-    spacing2 = args.spacing2 or intrinsic_period(pair, 2)
+    spacing1, spacing2 = _pair_spacings(pair, args)
     matrix = build_matrix(pair, spacing1, spacing2)
     payload = {
         "spacing1": spacing1,
@@ -518,7 +533,7 @@ def _read_matrix_input(filename: str) -> list[list[int]]:
         _expect(isinstance(data, list) and data, "$", "expected a list of rows")
         for i, row in enumerate(data):
             _expect(
-                isinstance(row, list) and all(v in (0, 1) for v in row),
+                isinstance(row, list) and all(_is_bit(v) for v in row),
                 f"$[{i}]",
                 "expected a row of 0/1 entries",
             )
@@ -614,7 +629,9 @@ def cmd_optimize(args, out) -> int:
         routes2=config.routes2,
         period_range1=args.period_range1 or config.period_range1,
         period_range2=args.period_range2 or config.period_range2,
-        max_traversals=args.max_traversals or config.max_traversals,
+        max_traversals=(
+            config.max_traversals if args.max_traversals is None else args.max_traversals
+        ),
     )
     result = optimize(config.disk, space)
     payload = {

@@ -225,8 +225,7 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
     if not space.routes1 or not space.routes2:
         raise DomainError("search space has no route candidates")
     log: list[LoggedCandidate] = []
-    best_key: tuple | None = None
-    best: tuple | None = None
+    best: tuple | None = None  # (key, log entry, pair, route1, route2)
 
     for index1, route1 in enumerate(space.routes1):
         for index2, route2 in enumerate(space.routes2):
@@ -274,20 +273,19 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                                 - support_size
                             )
                             rate = Fraction(traversals1 + traversals2, period)
-                            log.append(
-                                LoggedCandidate(
-                                    route1=index1,
-                                    route2=index2,
-                                    period1=period1,
-                                    period2=period2,
-                                    traversals1=traversals1,
-                                    traversals2=traversals2,
-                                    support_size=support_size,
-                                    period=period,
-                                    throughput=rate,
-                                    note="evaluated",
-                                )
+                            entry = LoggedCandidate(
+                                route1=index1,
+                                route2=index2,
+                                period1=period1,
+                                period2=period2,
+                                traversals1=traversals1,
+                                traversals2=traversals2,
+                                support_size=support_size,
+                                period=period,
+                                throughput=rate,
+                                note="evaluated",
                             )
+                            log.append(entry)
                             key = (
                                 -rate,
                                 period,
@@ -298,53 +296,30 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                                 traversals1,
                                 traversals2,
                             )
-                            if best_key is None or key < best_key:
-                                best_key = key
-                                best = (
-                                    index1,
-                                    index2,
-                                    period1,
-                                    period2,
-                                    traversals1,
-                                    traversals2,
-                                    support_size,
-                                    rate,
-                                    pair,
-                                    route1,
-                                    route2,
-                                )
+                            if best is None or key < best[0]:
+                                best = (key, entry, pair, route1, route2)
     if best is None:
         raise DomainError(
             "no candidate in the search space has reachable spacings on "
             "both paths"
         )
-    (
-        index1,
-        index2,
-        period1,
-        period2,
-        traversals1,
-        traversals2,
-        support_size,
-        rate,
-        pair,
-        route1,
-        route2,
-    ) = best
-    schedule = schedule_pair_unequal(pair, period1, period2, traversals1, traversals2)
-    if schedule.period != traversals1 * period1 + traversals2 * period2 - support_size:
+    _, entry, pair, route1, route2 = best
+    schedule = schedule_pair_unequal(
+        pair, entry.period1, entry.period2, entry.traversals1, entry.traversals2
+    )
+    if schedule.period != entry.period:
         raise ConsistencyError(
             "winning schedule's period disagrees with the evaluated grid point"
         )
     return OptimizationResult(
         best_routes=(route1, route2),
-        best_route_indices=(index1, index2),
-        best_period1=period1,
-        best_period2=period2,
-        best_traversals1=traversals1,
-        best_traversals2=traversals2,
-        best_support_size=support_size,
-        best_throughput=rate,
+        best_route_indices=(entry.route1, entry.route2),
+        best_period1=entry.period1,
+        best_period2=entry.period2,
+        best_traversals1=entry.traversals1,
+        best_traversals2=entry.traversals2,
+        best_support_size=entry.support_size,
+        best_throughput=entry.throughput,
         schedule=schedule,
         pair=pair,
         search_log=log,

@@ -44,13 +44,8 @@ def subset_members(path: PrimaryPath, phase: int, spacing: int) -> tuple[NodeRef
 
 
 def _phase_masks(pair: PathPair, path_id: int, spacing: int) -> list[int]:
-    """Dense masks of the phase subsets 1..spacing at this spacing.
-
-    A spacing below 1 has no phases, so every check over them passes.
-    """
+    """Dense masks of the phase subsets 1..spacing at this spacing."""
     path = pair.path(path_id)
-    if spacing < 1:
-        return []
     _check_phase(path, 1, spacing)
     chain = pair.seq_mask(path_id, range(1, path.n_senders + 1))
     first = pair.seq_mask(path_id, range(1, path.n_senders + 1, spacing))

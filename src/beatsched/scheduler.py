@@ -6,20 +6,22 @@ activated in a beat must be a concurrency subset. Single-path schedules
 cycle through all phases of the intrinsic period. Pair schedules
 interleave joint beats (both paths active, paired through the joint
 concurrency matrix) with leftover single-path beats, which is what makes
-the short joint periods possible.
+the short joint periods possible. One builder makes every pair cycle from
+a maximum support set of the tiled joint matrix; an equal-opportunity
+schedule is its cycle with one traversal per path, repeated.
 
-Beat ordering convention: within one traversal the joint beats come
-first, then the unmatched path-1 phases in ascending order, then the
-unmatched path-2 phases in ascending order. Any order that keeps the
-per-beat unions valid would give the same throughput; tests pin this
-one so schedules are reproducible.
+Beat ordering convention: within one cycle the joint beats come first,
+then the unmatched path-1 phases in ascending order, then the unmatched
+path-2 phases in ascending order. Any order that keeps the per-beat
+unions valid would give the same throughput; tests pin this one so
+schedules are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ConsistencyError, DomainError
 from .matching import max_support_set
@@ -192,40 +194,40 @@ def schedule_primary(
     return schedule
 
 
-def _pair_beats(
-    pair: PathPair,
-    period1: int,
-    period2: int,
-    joint_pairs: Iterable[tuple[int, int]],
-    leftover1: Iterable[int],
-    leftover2: Iterable[int],
-) -> tuple[Beat, ...]:
-    beats: list[Beat] = []
-    for phase1, phase2 in joint_pairs:
-        beats.append(
-            Beat(
-                category=CATEGORY_JOINT,
-                activations=(
-                    _phase_activation(pair, 1, period1, phase1),
-                    _phase_activation(pair, 2, period2, phase2),
-                ),
-            )
-        )
-    for phase1 in leftover1:
-        beats.append(
-            Beat(
-                category=CATEGORY_PATH1,
-                activations=(_phase_activation(pair, 1, period1, phase1),),
-            )
-        )
-    for phase2 in leftover2:
-        beats.append(
-            Beat(
-                category=CATEGORY_PATH2,
-                activations=(_phase_activation(pair, 2, period2, phase2),),
-            )
-        )
-    return tuple(beats)
+def _pair_cycle(
+    pair: PathPair, period1: int, period2: int, l1: int, l2: int
+) -> tuple[tuple[Beat, ...], int]:
+    """Beats and support size of one cycle in which path 1 makes l1
+    traversals and path 2 makes l2.
+
+    Joint beats come from a maximum support set of the l1 x l2 tiling of
+    the joint matrix. Row i of the tiling stands for phase
+    ((i-1) mod period1)+1 and column j for phase ((j-1) mod period2)+1;
+    rows and columns the support set leaves free become single-path beats.
+    """
+    tiled = continuation(build_matrix(pair, period1, period2), l1, l2)
+    support, support_size = max_support_set(tiled)
+    matched_rows = {i for i, _ in support}
+    matched_cols = {j for _, j in support}
+
+    def act(path_id: int, period: int, index: int) -> SubsetActivation:
+        return _phase_activation(pair, path_id, period, (index - 1) % period + 1)
+
+    beats = [
+        Beat(CATEGORY_JOINT, (act(1, period1, i), act(2, period2, j)))
+        for i, j in support
+    ]
+    beats += [
+        Beat(CATEGORY_PATH1, (act(1, period1, i),))
+        for i in range(1, l1 * period1 + 1)
+        if i not in matched_rows
+    ]
+    beats += [
+        Beat(CATEGORY_PATH2, (act(2, period2, j),))
+        for j in range(1, l2 * period2 + 1)
+        if j not in matched_cols
+    ]
+    return tuple(beats), support_size
 
 
 def schedule_pair_equal(
@@ -233,23 +235,17 @@ def schedule_pair_equal(
 ) -> Schedule:
     """Equal-opportunity pair schedule: one traversal repeated.
 
-    A traversal pairs a maximum support set of the joint concurrency
-    matrix into joint beats, then runs the unmatched phases of each path
-    one beat each. Both paths complete `traversals` cycles per period.
+    A traversal is the unequal cycle with one traversal per path: it pairs
+    a maximum support set of the joint concurrency matrix into joint
+    beats, then runs the unmatched phases of each path one beat each.
+    Both paths complete `traversals` cycles per period.
     """
     if traversals < 1:
         raise DomainError(f"traversal count must be >= 1, got {traversals}")
-    matrix = build_matrix(pair, period1, period2)
-    support, support_size = max_support_set(matrix.rows)
-    matched_rows = {i for i, _ in support}
-    matched_cols = {j for _, j in support}
-    leftover1 = [p for p in range(1, period1 + 1) if p not in matched_rows]
-    leftover2 = [p for p in range(1, period2 + 1) if p not in matched_cols]
-    traversal = _pair_beats(pair, period1, period2, support, leftover1, leftover2)
-    beats = traversal * traversals
+    traversal, support_size = _pair_cycle(pair, period1, period2, 1, 1)
     schedule = Schedule(
         period=traversals * (period1 + period2 - support_size),
-        beats=beats,
+        beats=traversal * traversals,
         path_periods={1: period1, 2: period2},
         activation_counts={1: traversals, 2: traversals},
         kind="pair-equal",
@@ -268,34 +264,14 @@ def schedule_pair_unequal(
     """Pair schedule with independent per-path traversal counts.
 
     Joint beats come from a maximum support set of the tiled joint
-    matrix. Row i of the tiling stands for phase ((i-1) mod period1)+1
-    and column j for phase ((j-1) mod period2)+1, so each path-1 phase
-    appears traversals1 times over the cycle and each path-2 phase
-    traversals2 times.
+    matrix, so each path-1 phase appears traversals1 times over the
+    cycle and each path-2 phase traversals2 times.
     """
     if traversals1 < 1 or traversals2 < 1:
         raise DomainError(
             f"traversal counts must be >= 1, got {traversals1} and {traversals2}"
         )
-    matrix = build_matrix(pair, period1, period2)
-    tiled = continuation(matrix, traversals1, traversals2)
-    support, support_size = max_support_set(tiled)
-    joint_pairs = [
-        (((i - 1) % period1) + 1, ((j - 1) % period2) + 1) for i, j in support
-    ]
-    matched_rows = {i for i, _ in support}
-    matched_cols = {j for _, j in support}
-    leftover1 = [
-        ((i - 1) % period1) + 1
-        for i in range(1, traversals1 * period1 + 1)
-        if i not in matched_rows
-    ]
-    leftover2 = [
-        ((j - 1) % period2) + 1
-        for j in range(1, traversals2 * period2 + 1)
-        if j not in matched_cols
-    ]
-    beats = _pair_beats(pair, period1, period2, joint_pairs, leftover1, leftover2)
+    beats, support_size = _pair_cycle(pair, period1, period2, traversals1, traversals2)
     schedule = Schedule(
         period=traversals1 * period1 + traversals2 * period2 - support_size,
         beats=beats,

@@ -16,7 +16,38 @@ from beatsched.analysis import (
 )
 from beatsched.errors import DomainError
 from beatsched.model import is_concurrency_subset, validate_path_rules
+from beatsched.verify import line_corpus, pair_corpus
 from helpers import line_pair, n, relation_pair
+
+
+def random_two_path_pair(rng: random.Random):
+    """Two chains over a random explicit relation, with a random density."""
+    n1, n2 = rng.randint(1, 6), rng.randint(1, 6)
+    names = [f"1.{s}" for s in range(1, n1 + 1)] + [f"2.{s}" for s in range(1, n2 + 1)]
+    density = rng.uniform(0.1, 0.9)
+    edges = [
+        (a, b)
+        for i, a in enumerate(names)
+        for b in names[i + 1:]
+        if rng.random() < density
+    ]
+    return relation_pair(n1, n2, edges)
+
+
+def node_sets(pair, rng: random.Random):
+    """Each path, the joint set, and one random non-empty subset."""
+    sets = [pair.path_nodes(p.id) for p in pair.paths] + [pair.nodes]
+    sets.append(tuple(rng.sample(pair.nodes, rng.randint(1, len(pair.nodes)))))
+    return sets
+
+
+def cliques_by_pairs(pair, nodes):
+    """Every pairwise-interfering subset of `nodes`, empty set included, as
+    ascending tuples; built from relation.interferes alone."""
+    out = [()]
+    for node in sorted(nodes):
+        out += [c + (node,) for c in out if all(pair.relation.interferes(node, m) for m in c)]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +126,41 @@ class TestIntensities:
             assert interference_intensity(pair)[0] == expected_istar
             assert concurrency_intensity(pair)[0] == expected_cstar
 
+    def test_two_path_witnesses_against_networkx(self):
+        # per-path and joint sets of random two-chain relations: sizes and
+        # the lexicographically smallest maximum set, for cliques of the
+        # interference graph and of its complement
+        rng = random.Random(4242)
+        for _ in range(150):
+            pair = random_two_path_pair(rng)
+            for nodes in node_sets(pair, rng):
+                graph = nx.Graph()
+                graph.add_nodes_from(nodes)
+                graph.add_edges_from(
+                    (a, b) for a in nodes for b in nodes if pair.relation.interferes(a, b)
+                )
+                for found, oracle in (
+                    (interference_intensity(pair, nodes), graph),
+                    (concurrency_intensity(pair, nodes), nx.complement(graph)),
+                ):
+                    cliques = [tuple(sorted(c)) for c in nx.find_cliques(oracle)]
+                    size = max(map(len, cliques))
+                    assert found == (size, min(c for c in cliques if len(c) == size))
+
+    def test_joint_tie_break_crosses_paths(self):
+        # two maximum triples, one per path; (path_id, seq) order picks path 1's
+        pair = relation_pair(
+            3,
+            3,
+            [
+                ("1.1", "1.2"), ("1.1", "1.3"), ("1.2", "1.3"),
+                ("2.1", "2.2"), ("2.1", "2.3"), ("2.2", "2.3"),
+            ],
+        )
+        assert interference_intensity(pair) == (3, (n(1, 1), n(1, 2), n(1, 3)))
+        assert interference_intensity(pair, pair.path_nodes(2)) == (3, (n(2, 1), n(2, 2), n(2, 3)))
+        assert concurrency_intensity(pair) == (2, (n(1, 1), n(2, 1)))
+
 
 class TestDegrees:
     def test_unit_chain_degree_profile(self, chain6):
@@ -111,6 +177,24 @@ class TestDegrees:
         report = connection_degrees(chain6)
         for node in chain6.nodes:
             assert report.interference[node] + report.concurrency[node] == 5
+
+    def test_against_pairwise_oracle(self):
+        rng = random.Random(31)
+        for _ in range(120):
+            pair = random_two_path_pair(rng)
+            for nodes in node_sets(pair, rng):
+                interference = {
+                    a: sum(pair.relation.interferes(a, b) for b in nodes) for a in nodes
+                }
+                report = connection_degrees(pair, nodes)
+                assert report.interference == interference
+                assert report.concurrency == {
+                    a: len(nodes) - 1 - count for a, count in interference.items()
+                }
+                assert report.intrinsic_interference_degree == max(interference.values())
+                assert report.intrinsic_concurrency_degree == len(nodes) - 1 - min(
+                    interference.values()
+                )
 
 
 class TestDominance:
@@ -151,6 +235,35 @@ class TestDominance:
                 assert is_concurrency_subset(pair, group)
         assert found >= 20  # the corpus really exercised the property
 
+    def test_split_against_pairwise_oracle(self):
+        # the documented construction restated on relation.interferes:
+        # seed with the smallest maximum witness, place the rest first-fit
+        rng = random.Random(17)
+        dominant = 0
+        for _ in range(200):
+            pair = random_two_path_pair(rng)
+            for nodes in node_sets(pair, rng):
+                witness = min(cliques_by_pairs(pair, nodes), key=lambda c: (-len(c), c))
+                degree = max(
+                    sum(pair.relation.interferes(a, b) for b in nodes) for a in nodes
+                )
+                assert is_dominant(pair, nodes) == (degree < len(witness))
+                if degree >= len(witness):
+                    with pytest.raises(DomainError, match="not dominant"):
+                        split_dominant(pair, nodes)
+                    continue
+                dominant += 1
+                groups = [[seed] for seed in witness]
+                for node in sorted(nodes):
+                    if node in witness:
+                        continue
+                    next(
+                        g for g in groups
+                        if not any(pair.relation.interferes(node, m) for m in g)
+                    ).append(node)
+                assert split_dominant(pair, nodes) == [tuple(sorted(g)) for g in groups]
+        assert dominant >= 100
+
 
 class TestContinuity:
     def test_uniform_lines_have_consecutive_witnesses(self):
@@ -180,6 +293,21 @@ class TestContinuity:
             pair = relation_pair(size, 0, edges)
             assert validate_path_rules(pair, 1).ok
             assert check_continuity(pair, 1)
+
+    def test_against_pairwise_oracle(self):
+        # every maximum pairwise-interfering set of a chain, enumerated from
+        # relation.interferes, spans consecutive positions; chains on random
+        # lines and both chains of random pairs, all rule-compliant
+        chains = [(pair, 1) for pair in line_corpus(9, 80)]
+        chains += [(c.pair, p) for c in pair_corpus(9, 40) for p in (1, 2)]
+        for pair, path_id in chains:
+            assert validate_path_rules(pair, path_id).ok
+            cliques = cliques_by_pairs(pair, pair.path_nodes(path_id))
+            size = max(map(len, cliques))
+            for clique in cliques:
+                if len(clique) == size:
+                    assert clique[-1].seq - clique[0].seq + 1 == size
+            assert check_continuity(pair, path_id)
 
 
 class TestAnalyzeBundle:

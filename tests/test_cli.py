@@ -605,3 +605,107 @@ class TestNonFiniteNumbers:
         assert result.returncode == 1
         assert result.stdout == ""
         assert result.stderr == "error: $.topology.positions.1[1]: expected a finite number\n"
+
+
+ZERO_FLAG_CASES = [
+    (("matrix", CROSSING, "--spacing1", "0"), "spacing must be in 1..6, got 0"),
+    (("matrix", CROSSING, "--spacing2", "0"), "spacing must be in 1..4, got 0"),
+    (("optimize", CROSSING, "--max-traversals", "0"), "max_traversals must be >= 1, got 0"),
+] + [
+    ((command, CROSSING, "--mode", mode, flag, "0"), f"spacing must be in 1..{n}, got 0")
+    for command in ("schedule", "simulate", "delay")
+    for mode in ("equal", "unequal")
+    for flag, n in (("--spacing1", 6), ("--spacing2", 4))
+]
+
+
+class TestZeroFlags:
+    @pytest.mark.parametrize("argv,error", ZERO_FLAG_CASES)
+    def test_zero_reaches_the_library(self, capsys, argv, error):
+        # 0 is a value the user gave, not a request for the default
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+def with_field(doc, path, value):
+    """Deep copy of `doc` with the field at `path` (keys and indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+RELATION_SCENARIO = {"paths": [{"id": 1, "n_senders": 2}], "relation": {"matrix": [[0, 1], [1, 0]]}}
+
+
+class TestBooleansAreNotIntegers:
+    @pytest.mark.parametrize(
+        "doc,error",
+        [
+            (
+                with_field(RELATION_SCENARIO, ("paths", 0, "id"), True),
+                "$.paths[0].id: expected an integer path id",
+            ),
+            (
+                with_field(RELATION_SCENARIO, ("paths", 0, "n_senders"), True),
+                "$.paths[0].n_senders: expected a positive integer",
+            ),
+            (
+                with_field(RELATION_SCENARIO, ("relation", "matrix", 0, 1), True),
+                "$.relation.matrix[0][1]: expected 0 or 1",
+            ),
+            (
+                with_field(GRAPH_SCENARIO, ("optimize", "graph", "route1", "max_hops"), True),
+                "$.optimize.graph.route1.max_hops: expected an integer >= 1",
+            ),
+            (
+                with_field(GRAPH_SCENARIO, ("optimize", "max_traversals"), True),
+                "$.optimize.max_traversals: expected an integer >= 1",
+            ),
+            (
+                with_field(GRAPH_SCENARIO, ("optimize", "period_range1"), [True, 2]),
+                "$.optimize.period_range1: expected [lo, hi] with 1 <= lo <= hi",
+            ),
+            (
+                with_field(GRAPH_SCENARIO, ("optimize", "period_range2"), [1, True]),
+                "$.optimize.period_range2: expected [lo, hi] with 1 <= lo <= hi",
+            ),
+        ],
+    )
+    def test_boolean_is_rejected_at_its_path(self, capsys, tmp_path, doc, error):
+        code, out, err = run(capsys, "analyze", write_scenario(tmp_path, doc))
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
+    def test_support_rejects_boolean_entries(self, capsys, tmp_path):
+        grid = tmp_path / "matrix.json"
+        grid.write_text("[[true, false], [false, true]]")
+        code, out, err = run(capsys, "support", str(grid))
+        assert (code, out, err) == (1, "", "error: $[0]: expected a row of 0/1 entries\n")
+
+
+class TestRelationSize:
+    def test_row_count_is_checked_before_senders_are_listed(self, capsys, tmp_path):
+        doc = with_field(RELATION_SCENARIO, ("paths", 0, "n_senders"), 10**6)
+        code, out, err = run(capsys, "analyze", write_scenario(tmp_path, doc))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: $.relation.matrix: expected 1000000 rows "
+            "(senders of path 1 then path 2, in order)\n"
+        )
+
+
+class TestGraphEdges:
+    @pytest.mark.parametrize(
+        "edge,error",
+        [
+            ([["p0"], "p1"], "unknown vertex ['p0']"),
+            (["p0", {"v": 1}], "unknown vertex {'v': 1}"),
+            (["p0", "zz"], "unknown vertex 'zz'"),
+        ],
+    )
+    def test_edge_ends_must_name_vertices(self, capsys, tmp_path, edge, error):
+        doc = with_field(GRAPH_SCENARIO, ("optimize", "graph", "edges", 0), edge)
+        code, out, err = run(capsys, "optimize", write_scenario(tmp_path, doc))
+        assert (code, out, err) == (1, "", f"error: $.optimize.graph.edges[0]: {error}\n")

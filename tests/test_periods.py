@@ -121,6 +121,16 @@ class TestJointMatrix:
         with pytest.raises(DomainError):
             build_matrix(chain6, 3, 3)
 
+    def test_spacing_below_one_is_rejected(self):
+        # a spacing of 0 has no phases; it must not pass as an empty matrix
+        pair = two_line_pair(6, 4, dy=50.0)
+        with pytest.raises(DomainError, match=r"spacing must be in 1\.\.6, got 0"):
+            build_matrix(pair, 0, 3)
+        with pytest.raises(DomainError, match=r"spacing must be in 1\.\.4, got 0"):
+            build_matrix(pair, 3, 0)
+        with pytest.raises(DomainError, match=r"spacing must be in 1\.\.6, got -1"):
+            is_reachable_period(pair, 1, -1)
+
 
 class TestContinuation:
     def test_dimensions_and_indexing(self):

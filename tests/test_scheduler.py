@@ -19,7 +19,7 @@ from beatsched.scheduler import (
     schedule_pair_unequal,
     schedule_primary,
 )
-from beatsched.verify import pair_from_joint_matrix
+from beatsched.verify import pair_corpus, pair_from_joint_matrix
 from helpers import OBSTRUCTION_C, line_pair, two_line_pair
 
 
@@ -163,6 +163,26 @@ class TestPairUnequal:
             schedule_pair_unequal(far_pair, 3, 3, 0, 1)
         with pytest.raises(DomainError):
             schedule_pair_unequal(far_pair, 3, 3, 1, -1)
+
+
+class TestOneCycleBuilder:
+    def test_equal_repeats_the_one_traversal_unequal_cycle(self):
+        for case in pair_corpus(7, 80):
+            pair, t1, t2 = case.pair, case.period1, case.period2
+            k = case.traversals_equal
+            equal = schedule_pair_equal(pair, t1, t2, k)
+            assert equal.beats == schedule_pair_unequal(pair, t1, t2, 1, 1).beats * k
+
+    def test_zero_spacing_is_rejected_in_both_modes(self, far_pair):
+        # a spacing of 0 names no phases, so no pair cycle can be built on it
+        for build in (
+            lambda t1, t2: schedule_pair_equal(far_pair, t1, t2, 1),
+            lambda t1, t2: schedule_pair_unequal(far_pair, t1, t2, 1, 1),
+        ):
+            with pytest.raises(DomainError, match="spacing must be in 1..6, got 0"):
+                build(0, 3)
+            with pytest.raises(DomainError, match="spacing must be in 1..4, got 0"):
+                build(3, 0)
 
 
 class TestScheduleType:
