@@ -61,19 +61,36 @@ def _max_degree(adj: Mapping[int, int]) -> int:
 
 
 def _maximal_cliques(adj: Mapping[int, int], members: int) -> Iterator[int]:
-    """Yield all maximal cliques as masks (Bron-Kerbosch with pivoting), deterministically."""
+    """Yield all maximal cliques as masks (Bron-Kerbosch with pivoting), deterministically.
 
-    def expand(clique: int, candidates: int, excluded: int):
-        if not candidates and not excluded:
-            yield clique
-            return
+    The search runs over an explicit stack, so a clique may be longer than
+    the interpreter's recursion limit. A frame is [clique, candidates,
+    excluded, branches left]; the branches are the candidates outside the
+    pivot's neighbourhood, tried in ascending order.
+    """
+
+    def branches(candidates: int, excluded: int) -> int:
         pivot = max(_bits(candidates | excluded), key=lambda u: (candidates & adj[u]).bit_count())
-        for v in _bits(candidates & ~adj[pivot]):
-            yield from expand(clique | 1 << v, candidates & adj[v], excluded & adj[v])
-            candidates &= ~(1 << v)
-            excluded |= 1 << v
+        return candidates & ~adj[pivot]
 
-    yield from expand(0, members, 0)
+    if not members:
+        yield 0
+        return
+    stack = [[0, members, 0, branches(members, 0)]]
+    while stack:
+        frame = stack[-1]
+        clique, candidates, excluded, left = frame
+        if not left:
+            stack.pop()
+            continue
+        low = left & -left
+        v = low.bit_length() - 1
+        frame[1:] = candidates & ~low, excluded | low, left ^ low
+        inner, outer = candidates & adj[v], excluded & adj[v]
+        if inner:
+            stack.append([clique | low, inner, outer, branches(inner, outer)])
+        elif not outer:
+            yield clique | low
 
 
 def _best_clique(adj: Mapping[int, int], members: int) -> int:

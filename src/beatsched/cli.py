@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .analysis import analyze
-from .errors import ConfigurationError, DomainError, SchemaError
+from .errors import ConfigurationError, ConsistencyError, DomainError, SchemaError
 from .matching import max_support_set, validate_support_set
 from .model import (
     GeometricTopology,
@@ -807,7 +807,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (SchemaError, ConfigurationError, DomainError) as exc:
+    except (SchemaError, ConfigurationError, DomainError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

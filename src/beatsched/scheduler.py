@@ -352,10 +352,11 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
                     f"{act.path_id}, schedule declares {spacing}",
                 )
                 continue
-            path = pair.path(act.path_id)
-            expected = tuple(
-                ref.seq for ref in subset_members(path, act.phase, act.spacing)
-            )
+            n = pair.path(act.path_id).n_senders
+            if not 1 <= spacing <= n:
+                raise DomainError(f"spacing must be in 1..{n}, got {spacing}")
+            # a phase outside 1..spacing is reported with the phase counts
+            expected = tuple(range(act.phase, n + 1, spacing))
             if act.members != expected:
                 problem(
                     "uniqueness_ok",

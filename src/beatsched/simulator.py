@@ -16,6 +16,16 @@ cycles, repeated-traversal pair schedules) a buffer never holds more
 than one block. Schedules built from a tiled support set can briefly
 park a few blocks at one relay; the bound is the per-path traversal
 count. Throughput accounting is exact integers and rationals throughout.
+
+A run does not have to step every beat it covers. The whole state that
+decides the future is the buffer contents, because the schedule repeats
+with its period. At each period boundary the buffers are keyed relative
+to the boundary: each block by how many blocks its path injected after
+it and by its age in beats. When a key recurs, boundary j first and
+boundary k now, the run is proven periodic from j on, and the rest of
+the delivery log is the j..k deliveries repeated with shifted serials
+and beats (see `run`). Warmup periods only place the measured window;
+the periodic regime is proven, not assumed.
 """
 
 from __future__ import annotations
@@ -25,13 +35,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
-from .model import NodeRef, PathPair, is_concurrency_subset
+from .model import PathPair
 from .scheduler import Schedule
 
 
 @dataclass
 class SimReport:
-    """Measured outcome of one simulation run."""
+    """Measured outcome of one simulation run.
+
+    `steady_state_after` is the period boundary at which the run was
+    proven periodic (the first of two boundaries with equal buffer
+    states), or None when no boundary state repeated within the run.
+    """
 
     window_start: int
     window_beats: int
@@ -44,10 +59,16 @@ class SimReport:
     violation_examples: list[str] = field(default_factory=list)
     max_buffer_depth: int = 0
     trace: list[dict] | None = None
+    steady_state_after: int | None = None
 
     @property
     def ok(self) -> bool:
         return self.violations == 0
+
+
+# What a period boundary leaves behind: per-path injections, per-path
+# deliveries, and every buffer's depth.
+_Mark = tuple[dict[int, int], dict[int, int], list[int]]
 
 
 class _ChainState:
@@ -85,6 +106,23 @@ class _ChainState:
                     f"in flight {in_flight}, delivered "
                     f"{len(self.delivered_log[path_id])} do not balance"
                 )
+
+    def boundary_key(self, beat: int) -> tuple[int, ...]:
+        """The buffers as seen from the end of `beat`: every buffered block,
+        in buffer and queue order, as its buffer's index, the blocks its
+        path injected after it, and the beats since it was injected."""
+        key: list[int] = []
+        for i, queue in enumerate(self.buffers):
+            for serial, born in queue:
+                key += (i, self.injected[self.path_of[i]] - serial, beat - born)
+        return tuple(key)
+
+    def mark(self) -> _Mark:
+        return (
+            dict(self.injected),
+            {pid: len(log) for pid, log in self.delivered_log.items()},
+            list(map(len, self.buffers)),
+        )
 
     def step(
         self, beat_index: int, activated: tuple[int, ...], record: bool = False
@@ -132,13 +170,69 @@ def _check_fifo(state: _ChainState) -> None:
             )
 
 
-def default_warmup_periods(pair: PathPair, schedule: Schedule) -> int:
-    """Periods to run before measuring.
+def _dense_beats(
+    pair: PathPair, schedule: Schedule
+) -> tuple[list[tuple[int, ...]], list[bool]]:
+    """Each schedule beat's senders as dense indices, in activation and
+    member order, and whether together they form a concurrency subset."""
+    first = {path.id: (pair.offset(path.id), path.n_senders) for path in pair.paths}
+    dense: list[tuple[int, ...]] = []
+    legal: list[bool] = []
+    for beat in schedule.beats:
+        indices: list[int] = []
+        for act in beat.activations:
+            start, n = first.get(act.path_id, (0, 0))
+            if not all(1 <= seq <= n for seq in act.members):
+                # a member that is no sender: the node-level check names it
+                pair.mask_of(beat.nodes())
+            indices.extend(start - 1 + seq for seq in act.members)
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        dense.append(tuple(indices))
+        legal.append(pair.is_concurrent_mask(mask))
+    return dense, legal
 
-    The pipeline fills within one hop per phase activation and the
-    buffers settle into an exactly periodic regime within about one
-    period per hop, so the longest involved chain plus two periods is
-    always on the safe side.
+
+def _repeat_cycle(
+    state: _ChainState, marks: list[_Mark], first: int, last: int,
+    period: int, total_periods: int,
+) -> None:
+    """Extend every delivery log to the end of the run by repeating the
+    deliveries between boundaries `first` and `last`, whose keys are
+    equal, then balance the books of the run's last beat."""
+    cycle_periods = last - first
+    cycle_beats = cycle_periods * period
+    total_beats = total_periods * period
+    injected_first, delivered_first, _ = marks[first]
+    # the run's last boundary repeats boundary `rest`, `repeats` cycles on
+    rest = first + (total_periods - first) % cycle_periods
+    repeats = (total_periods - rest) // cycle_periods
+    injected_rest, _, depths_rest = marks[rest]
+    injected_end: dict[int, int] = {}
+    for path_id, log in state.delivered_log.items():
+        gain = state.injected[path_id] - injected_first[path_id]
+        cycle = log[delivered_first[path_id]:]
+        for c in range(1, -(-(total_periods - first) // cycle_periods)):
+            serials, beats = c * gain, c * cycle_beats
+            log.extend(
+                (serial + serials, injected + beats, arrived + beats)
+                for serial, injected, arrived in cycle
+                if arrived + beats <= total_beats
+            )
+        injected_end[path_id] = injected_rest[path_id] + repeats * gain
+    state.injected = injected_end
+    state.check_conservation(depths_rest)
+
+
+def default_warmup_periods(pair: PathPair, schedule: Schedule) -> int:
+    """Periods to run before the measured window opens.
+
+    The warmup only places the window: `run` proves the regime periodic
+    from `steady_state_after` on. The pipeline fills within one hop per
+    phase activation, so the longest involved chain plus two periods puts
+    the window inside the periodic regime; the tests check
+    `steady_state_after` against this bound on seeded corpora.
     """
     longest = max(
         pair.path(pid).n_senders for pid in schedule.path_periods
@@ -160,6 +254,28 @@ def run(
     repeats a failing one is recorded as a violation. The transmissions
     still happen, so a broken schedule can be inspected end to end
     rather than aborting on first contact.
+
+    The run steps beats only until a period boundary's buffer key (see
+    `_ChainState.boundary_key`) repeats one seen at an earlier boundary,
+    then extends the delivery log to the end of the run. That is exact:
+    - Every choice a beat makes (which senders fire, whether a relay's
+      queue is empty, which block leaves) reads only the buffers and the
+      beat's slot, and each boundary starts the same slots. Equal keys
+      at boundaries j < k therefore give, by induction over the beats,
+      a run after k that is the run after j with each block's serial
+      raised by its path's injections over the cycle and each beat
+      raised by (k - j) periods. The deliveries after k are the j..k
+      deliveries shifted cycle by cycle, which is how the log grows.
+    - Each skipped beat's state equals a stepped beat's state up to that
+      shift, so it has the same depths (the maximum depth is already
+      seen) and balances its books whenever the stepped one did: equal
+      depths at j and k mean a path injects exactly as many blocks as it
+      delivers over the cycle. `_repeat_cycle` checks the balance once
+      more on the extended totals of the last beat.
+    - Every period simulates the same illegal slots, so the violation
+      count is the number of periods times the illegal slots.
+    With `collect_trace` the run steps every beat anyway, because the
+    trace lists every beat's moves; it still reports the first repeat.
     """
     if n_periods < 1:
         raise DomainError(f"need at least one measured period, got {n_periods}")
@@ -170,58 +286,56 @@ def run(
 
     state = _ChainState(pair)
     period = schedule.period
+    total_periods = warmup_periods + n_periods
     window_start = warmup_periods * period + 1
-    total_beats = (warmup_periods + n_periods) * period
-
-    # A schedule and its beats are immutable, so each beat's legality is
-    # decided once; violations are still counted per simulated beat.
-    activated_refs: list[tuple[NodeRef, ...]] = []
-    legal: list[bool] = []
-    for beat in schedule.beats:
-        refs = beat.nodes()
-        legal.append(not refs or is_concurrency_subset(pair, refs))
-        activated_refs.append(refs)
-    dense = [tuple(map(pair.index_of, refs)) for refs in activated_refs]
-
-    violations = 0
-    violation_examples: list[str] = []
+    dense, legal = _dense_beats(pair, schedule)
     trace: list[dict] | None = [] if collect_trace else None
-    delivered_before: dict[int, int] = {}
 
-    for beat_index in range(1, total_beats + 1):
-        if beat_index == window_start:
-            delivered_before = {
-                pid: len(log) for pid, log in state.delivered_log.items()
-            }
-        slot = (beat_index - 1) % period
-        if not legal[slot]:
-            violations += 1
-            if len(violation_examples) < 5:
-                names = ", ".join(str(ref) for ref in activated_refs[slot])
-                violation_examples.append(
-                    f"beat {beat_index}: activated set {{{names}}} is not "
-                    "a concurrency subset"
+    seen: dict[tuple[int, ...], int] = {}
+    marks: list[_Mark] = []
+    steady_state_after: int | None = None
+    for boundary in range(total_periods + 1):
+        if steady_state_after is None:
+            first = seen.setdefault(state.boundary_key(boundary * period), boundary)
+            marks.append(state.mark())
+            if first < boundary:
+                steady_state_after = first
+                if trace is None:
+                    _repeat_cycle(state, marks, first, boundary, period, total_periods)
+                    break
+        if boundary == total_periods:
+            break
+        for slot in range(period):
+            beat_index = boundary * period + slot + 1
+            moves = state.step(beat_index, dense[slot], record=trace is not None)
+            if trace is not None:
+                trace.append(
+                    {
+                        "beat": beat_index,
+                        "category": schedule.beats[slot].category,
+                        "activated": [state.labels[i] for i in dense[slot]],
+                        "moves": moves,
+                    }
                 )
-        moves = state.step(beat_index, dense[slot], record=trace is not None)
-        if trace is not None:
-            trace.append(
-                {
-                    "beat": beat_index,
-                    "category": schedule.beats[slot].category,
-                    "activated": [str(ref) for ref in activated_refs[slot]],
-                    "moves": moves,
-                }
-            )
-
     _check_fifo(state)
-    if not delivered_before:
-        delivered_before = {pid: 0 for pid in state.delivered_log}
+
+    illegal = [slot for slot, ok in enumerate(legal) if not ok]
+    violations = total_periods * len(illegal)
+    violation_examples: list[str] = []
+    for count in range(min(violations, 5)):
+        periods_before, position = divmod(count, len(illegal))
+        slot = illegal[position]
+        names = ", ".join(state.labels[i] for i in dense[slot])
+        violation_examples.append(
+            f"beat {periods_before * period + slot + 1}: activated set "
+            f"{{{names}}} is not a concurrency subset"
+        )
 
     window_beats = n_periods * period
     delivered: dict[int, int] = {}
     delays: dict[int, list[int]] = {}
     for path_id, log in state.delivered_log.items():
-        tail = log[delivered_before.get(path_id, 0):]
+        tail = [record for record in log if record[2] >= window_start]
         delivered[path_id] = len(tail)
         delays[path_id] = [
             arrived - injected + 1 for _, injected, arrived in tail
@@ -243,6 +357,7 @@ def run(
         violation_examples=violation_examples,
         max_buffer_depth=state.max_depth,
         trace=trace,
+        steady_state_after=steady_state_after,
     )
 
 
@@ -265,7 +380,7 @@ def measure_delay(
         for pid in path_ids
     )
     beat_budget = math.ceil(slowest * (block_count + total_senders + 8))
-    dense = [tuple(map(pair.index_of, beat.nodes())) for beat in schedule.beats]
+    dense, _ = _dense_beats(pair, schedule)
     for beat_index in range(1, beat_budget + 1):
         state.step(beat_index, dense[(beat_index - 1) % schedule.period])
         if all(

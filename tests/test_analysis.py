@@ -1,6 +1,7 @@
 """Intensities, degrees, dominance, and continuity of interference sets."""
 
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -160,6 +161,20 @@ class TestIntensities:
         assert interference_intensity(pair) == (3, (n(1, 1), n(1, 2), n(1, 3)))
         assert interference_intensity(pair, pair.path_nodes(2)) == (3, (n(2, 1), n(2, 2), n(2, 3)))
         assert concurrency_intensity(pair) == (2, (n(1, 1), n(2, 1)))
+
+
+    def test_long_interfering_chain_needs_no_recursion(self):
+        # Every sender interferes with every other, so the only maximal
+        # clique is the whole chain and the search goes 300 levels deep.
+        pair = line_pair(300, radius=5000.0)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            size, witness = interference_intensity(pair)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert size == 300
+        assert witness == pair.nodes
 
 
 class TestDegrees:

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from beatsched import cli
+from beatsched.errors import ConsistencyError
 from beatsched.scheduler import schedule_from_dict
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -453,6 +454,15 @@ class TestVerify:
 
 
 class TestErrors:
+    def test_internal_check_failure_is_one_error_line(self, capsys, monkeypatch):
+        def broken(args, out):
+            raise ConsistencyError("path 1: injected 4, in flight 1, delivered 2 do not balance")
+
+        monkeypatch.setattr(cli, "cmd_simulate", broken)
+        code, out, err = run(capsys, "simulate", CHAIN6)
+        assert (code, out) == (1, "")
+        assert err == "error: path 1: injected 4, in flight 1, delivered 2 do not balance\n"
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "analyze", "/nonexistent/scenario.json")
         assert code == 1 and out == ""

@@ -346,3 +346,28 @@ class TestAudit:
         report = audit_schedule(chain6, schedule)
         assert not report.uniqueness_ok
         assert any("declares" in p for p in report.problems)
+
+    @staticmethod
+    def _with_extra_beat(phase: int, members: list[int]) -> Schedule:
+        beats = [
+            {"category": CATEGORY_PATH1, "activations": [
+                {"path": 1, "spacing": 3, "phase": p, "members": m}
+            ]}
+            for p, m in ((1, [1, 4]), (2, [2, 5]), (3, [3, 6]), (phase, members))
+        ]
+        return schedule_from_dict({
+            "kind": "primary", "period": 4, "beats": beats,
+            "path_periods": {"1": 3}, "activation_counts": {"1": 1},
+        })
+
+    def test_phase_above_the_spacing_is_a_problem(self, chain6):
+        report = audit_schedule(chain6, self._with_extra_beat(5, [5]))
+        assert report.uniqueness_ok and report.concurrency_ok
+        assert report.problems == ["path 1 fires phases [5] outside 1..3"]
+
+    def test_phase_zero_is_a_problem(self, chain6):
+        report = audit_schedule(chain6, self._with_extra_beat(0, [3, 6]))
+        assert report.problems == [
+            "beat 4 path 1 phase 0 members (3, 6) do not match the phase subset",
+            "path 1 fires phases [0] outside 1..3",
+        ]

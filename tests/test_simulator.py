@@ -1,10 +1,13 @@
 """Exact beat-by-beat execution: rates, delays, ordering, violations."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from beatsched import simulator
 from beatsched.errors import DomainError
+from beatsched.model import is_concurrency_subset
 from beatsched.scheduler import (
     CATEGORY_PATH1,
     Beat,
@@ -15,9 +18,118 @@ from beatsched.scheduler import (
     schedule_pair_unequal,
     schedule_primary,
 )
-from beatsched.simulator import default_warmup_periods, measure_delay, run
-from beatsched.verify import pair_from_joint_matrix
+from beatsched.simulator import SimReport, default_warmup_periods, measure_delay, run
+from beatsched.verify import line_corpus, pair_corpus, pair_from_joint_matrix
 from helpers import OBSTRUCTION_C, line_pair, two_line_pair
+
+
+def reference_run(pair, schedule, n_periods, warmup_periods=None, collect_trace=False):
+    """Step every beat of the run and measure the window; the loop `run`
+    used before it learned to stop at a proven steady state."""
+    if warmup_periods is None:
+        warmup_periods = default_warmup_periods(pair, schedule)
+    state = simulator._ChainState(pair)
+    period = schedule.period
+    window_start = warmup_periods * period + 1
+    total_beats = (warmup_periods + n_periods) * period
+    activated_refs = [beat.nodes() for beat in schedule.beats]
+    legal = [not refs or is_concurrency_subset(pair, refs) for refs in activated_refs]
+    dense = [tuple(map(pair.index_of, refs)) for refs in activated_refs]
+    violations = 0
+    violation_examples = []
+    trace = [] if collect_trace else None
+    delivered_before = {}
+    for beat_index in range(1, total_beats + 1):
+        if beat_index == window_start:
+            delivered_before = {pid: len(log) for pid, log in state.delivered_log.items()}
+        slot = (beat_index - 1) % period
+        if not legal[slot]:
+            violations += 1
+            if len(violation_examples) < 5:
+                names = ", ".join(str(ref) for ref in activated_refs[slot])
+                violation_examples.append(
+                    f"beat {beat_index}: activated set {{{names}}} is not "
+                    "a concurrency subset"
+                )
+        moves = state.step(beat_index, dense[slot], record=trace is not None)
+        if trace is not None:
+            trace.append(
+                {
+                    "beat": beat_index,
+                    "category": schedule.beats[slot].category,
+                    "activated": [str(ref) for ref in activated_refs[slot]],
+                    "moves": moves,
+                }
+            )
+    simulator._check_fifo(state)
+    window_beats = n_periods * period
+    delivered, delays = {}, {}
+    for path_id, log in state.delivered_log.items():
+        tail = log[delivered_before.get(path_id, 0):]
+        delivered[path_id] = len(tail)
+        delays[path_id] = [arrived - injected + 1 for _, injected, arrived in tail]
+    return SimReport(
+        window_start=window_start,
+        window_beats=window_beats,
+        periods_measured=n_periods,
+        delivered=delivered,
+        per_path_throughput={pid: Fraction(c, window_beats) for pid, c in delivered.items()},
+        measured_throughput=Fraction(sum(delivered.values()), window_beats),
+        delays=delays,
+        violations=violations,
+        violation_examples=violation_examples,
+        max_buffer_depth=state.max_depth,
+        trace=trace,
+    )
+
+
+def assert_matches_reference(pair, schedule, n_periods, warmup_periods=None, collect_trace=False):
+    """Every field but `steady_state_after` equals the stepped reference;
+    returns the report."""
+    report = run(pair, schedule, n_periods, warmup_periods, collect_trace)
+    expected = reference_run(pair, schedule, n_periods, warmup_periods, collect_trace)
+    assert dataclasses.replace(report, steady_state_after=None) == expected
+    return report
+
+
+def all_at_once_schedule() -> Schedule:
+    """A one-beat cycle that fires all six senders of a chain at once."""
+    return Schedule(
+        period=1,
+        beats=(
+            Beat(
+                category=CATEGORY_PATH1,
+                activations=(
+                    SubsetActivation(
+                        path_id=1, spacing=1, phase=1,
+                        members=(1, 2, 3, 4, 5, 6),
+                    ),
+                ),
+            ),
+        ),
+        path_periods={1: 1},
+        activation_counts={1: 1},
+        kind="primary",
+    )
+
+
+# (n_periods, warmup_periods): the default window, no warmup, one period
+RUN_SHAPES = [(3, None), (1, 0), (5, 2), (2, 0), (1, None)]
+
+
+def corpus_schedules():
+    """Seeded single-chain, equal and unequal (multi-traversal) schedules."""
+    cases = []
+    for pair in line_corpus(11, 25):
+        cases.append((pair, schedule_primary(pair, 1)))
+    for case in pair_corpus(11, 25):
+        t1, t2 = case.period1, case.period2
+        cases.append((case.pair, schedule_pair_equal(case.pair, t1, t2, case.traversals_equal)))
+        cases.append((
+            case.pair,
+            schedule_pair_unequal(case.pair, t1, t2, case.traversals1, case.traversals2),
+        ))
+    return cases
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +310,103 @@ class TestViolationHandling:
             if move["to"] == "dest1" and move["block"].startswith("p1")
         ]
         assert serials == sorted(serials)
+
+
+class TestProvenSteadyState:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return corpus_schedules()
+
+    def test_corpus_reports_equal_the_stepped_reference(self, corpus):
+        for pair, schedule in corpus:
+            for n_periods, warmup in RUN_SHAPES:
+                assert_matches_reference(pair, schedule, n_periods, warmup)
+
+    def test_traced_runs_equal_the_stepped_reference(self, corpus):
+        for pair, schedule in corpus[::5]:
+            report = assert_matches_reference(pair, schedule, 2, 1, collect_trace=True)
+            assert report.steady_state_after == run(pair, schedule, 2, 1).steady_state_after
+
+    def test_steady_state_comes_within_the_default_warmup(self, corpus):
+        for pair, schedule in corpus:
+            report = run(pair, schedule, n_periods=3)
+            assert report.steady_state_after is not None
+            assert report.steady_state_after <= default_warmup_periods(pair, schedule)
+
+    def test_queueing_schedule_matches_the_reference(self):
+        pair = pair_from_joint_matrix(OBSTRUCTION_C)
+        schedule = schedule_pair_unequal(pair, 2, 3, 3, 2)
+        for n_periods, warmup in RUN_SHAPES:
+            report = assert_matches_reference(pair, schedule, n_periods, warmup)
+        assert report.max_buffer_depth == 2
+
+    def test_illegal_schedule_matches_the_reference(self, chain6):
+        schedule = all_at_once_schedule()
+        for n_periods, warmup in RUN_SHAPES + [(4, 8)]:
+            report = assert_matches_reference(chain6, schedule, n_periods, warmup)
+            assert report.violations == (n_periods + (warmup if warmup is not None else 8))
+        assert report.violation_examples == [
+            f"beat {b}: activated set {{n1.1, n1.2, n1.3, n1.4, n1.5, n1.6}} "
+            "is not a concurrency subset"
+            for b in range(1, 6)
+        ]
+
+    def test_partly_illegal_schedule_numbers_its_examples_by_beat(self, chain6):
+        legal = schedule_primary(chain6, 1)
+        packed = all_at_once_schedule().beats[0]
+        schedule = dataclasses.replace(
+            legal, period=4, beats=(legal.beats[0], packed, legal.beats[1], legal.beats[2])
+        )
+        report = assert_matches_reference(chain6, schedule, 3, 0)
+        assert report.violations == 3
+        assert [text.split(":")[0] for text in report.violation_examples] == [
+            "beat 2", "beat 6", "beat 10"
+        ]
+
+    def test_run_stops_stepping_once_periodic(self, chain6, monkeypatch):
+        stepped = []
+        step = simulator._ChainState.step
+
+        def counting(state, beat_index, activated, record=False):
+            stepped.append(beat_index)
+            return step(state, beat_index, activated, record)
+
+        monkeypatch.setattr(simulator._ChainState, "step", counting)
+        schedule = schedule_primary(chain6, 1)
+        report = run(chain6, schedule, n_periods=50)
+        assert report.delivered == {1: 50}
+        # the boundary after period 2 repeats the one after period 1
+        assert report.steady_state_after == 1
+        assert stepped == list(range(1, 7))
+        stepped.clear()
+        run(chain6, schedule, n_periods=50, collect_trace=True)
+        assert len(stepped) == 58 * 3
+
+    def test_single_sender_is_periodic_from_the_start(self):
+        pair = line_pair(1)
+        report = run(pair, schedule_primary(pair, 1), n_periods=4)
+        assert report.steady_state_after == 0
+
+    def test_short_run_without_a_repeat_reports_none(self, chain6):
+        report = run(chain6, schedule_primary(chain6, 1), n_periods=1, warmup_periods=0)
+        assert report.steady_state_after is None
+
+    def test_member_outside_its_path_is_a_domain_error(self, chain6):
+        schedule = schedule_primary(chain6, 1)
+        stranger = SubsetActivation(path_id=1, spacing=3, phase=1, members=(1, 7))
+        broken = dataclasses.replace(
+            schedule, beats=(Beat(CATEGORY_PATH1, (stranger,)),) + schedule.beats[1:]
+        )
+        for call in (lambda: run(chain6, broken, 2), lambda: measure_delay(chain6, broken, 1)):
+            with pytest.raises(DomainError, match=r"^n1\.7 is not a sender of this pair$"):
+                call()
+
+    def test_second_path_on_a_single_chain_is_a_domain_error(self, chain6):
+        schedule = schedule_primary(chain6, 1)
+        stranger = SubsetActivation(path_id=2, spacing=1, phase=1, members=(1,))
+        broken = dataclasses.replace(
+            schedule, beats=(Beat(CATEGORY_PATH1, (stranger,)),) + schedule.beats[1:]
+        )
+        for call in (lambda: run(chain6, broken, 2), lambda: measure_delay(chain6, broken, 1)):
+            with pytest.raises(DomainError, match=r"^n2\.1 is not a sender of this pair$"):
+                call()
