@@ -364,6 +364,8 @@ def load_scenario(filename: str) -> Scenario:
         raise ConfigurationError(f"cannot read scenario file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("$", "invalid JSON: nested too deeply to parse") from None
     return parse_scenario(data)
 
 
@@ -528,6 +530,8 @@ def _read_matrix_input(filename: str) -> list[list[int]]:
             data = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"invalid JSON matrix: {exc}") from None
+        except RecursionError:
+            raise SchemaError("$", "invalid JSON matrix: nested too deeply to parse") from None
         if isinstance(data, dict):
             data = data.get("rows")
         _expect(isinstance(data, list) and data, "$", "expected a list of rows")

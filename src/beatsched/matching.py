@@ -38,6 +38,23 @@ exceeds l1 * |U| + l2 * |C|. When the augmenting search stops, the rows it
 did not reach and the columns it reached form such a cover, and its weight
 equals the flow (Ford-Fulkerson's min cut; König's theorem when l1 = l2 = 1),
 which proves the flow maximum, not only maximal.
+
+Checking covers, not entries: the bound above holds for every cover and
+every feasible flow, at any capacities, so a cover checked once against the
+matrix proves maximum every later entry whose flow equals l1 * |U| + l2 * |C|,
+by arithmetic alone. tiled_support_sizes checks each distinct cover (U, C)
+against the matrix once, and checks the flow's feasibility (no negative
+unit, no unit off a 1-entry, loads equal to its row and column sums and
+within capacity) after every search that changed it. Before searching at
+(l1, l2) it tests the held flow's loads against the new capacities, the only
+part of feasibility that depends on them, and then every checked cover: if
+one's weight equals the flow, the entry is proved maximum with no search.
+The held flow passed its feasibility check when it last changed, since each
+new l1 restarts from a flow kept after a check. So every entry is still
+proved maximum by a checked cover, not only maximal. The rows and columns
+reachable from the rows with spare capacity are the same for every maximum
+flow, so the covers found, like the table, do not depend on which maximum
+flow the search holds.
 """
 
 from __future__ import annotations
@@ -112,46 +129,50 @@ def _violations(rows: list[list[int]], elements: Iterable[Element]) -> list[str]
     return violations
 
 
+def _row_masks(rows: list[list[int]]) -> list[int]:
+    """Each row as an integer mask: bit j is set iff the row has a 1 in column j."""
+    return [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
+
+
 def max_support_set(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Element, ...], int]:
     """Maximum support set via augmenting paths, plus its size.
 
     Deterministic: rows are processed ascending and each search explores
     columns ascending, so equal inputs give identical witnesses. The search
     is a depth-first walk over an explicit stack, so its depth is bounded by
-    memory, not by the interpreter's recursion limit.
+    memory, not by the interpreter's recursion limit. Each row is a column
+    mask, and a row's next column is the lowest bit of its mask outside the
+    columns the search has seen.
     """
     rows = _normalize(matrix)
-    n, o = len(rows), len(rows[0]) if rows else 0
-    adjacent = [[c for c in range(o) if row[c] == 1] for row in rows]
+    o = len(rows[0]) if rows else 0
+    adjacent = _row_masks(rows)
     match_col: list[int | None] = [None] * o  # column -> matched row
 
-    for root in range(n):
-        seen = [False] * o
-        # stack[k] = [row, next index into adjacent[row]]; via[k] is the
-        # column through which stack[k] descended to stack[k + 1]
-        stack = [[root, 0]]
+    for root in range(len(rows)):
+        seen = 0
+        # stack holds the rows of the current path; via[k] is the column
+        # through which stack[k] descended to stack[k + 1]
+        stack = [root]
         via: list[int] = []
         while stack:
-            frame = stack[-1]
-            row, k = frame
-            candidates = adjacent[row]
-            while k < len(candidates) and seen[candidates[k]]:
-                k += 1
-            if k == len(candidates):
+            row = stack[-1]
+            free = adjacent[row] & ~seen
+            if not free:
                 stack.pop()
                 if via:
                     via.pop()
                 continue
-            c = candidates[k]
-            seen[c] = True
-            frame[1] = k + 1
+            low = free & -free
+            c = low.bit_length() - 1
+            seen |= low
             if match_col[c] is None:
                 match_col[c] = row
-                for (path_row, _), col in zip(stack, via):
+                for path_row, col in zip(stack, via):
                     match_col[col] = path_row
                 break
             via.append(c)
-            stack.append([match_col[c], 0])
+            stack.append(match_col[c])
     elems = sorted((match_col[c] + 1, c + 1) for c in range(o) if match_col[c] is not None)
     # Exchange pass: among matchings over the same rows and columns, pair
     # earlier rows with earlier columns whenever the four entries involved
@@ -165,7 +186,7 @@ def max_support_set(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Element, ...
             r1, c1 = elems[a]
             for b in range(a + 1, len(elems)):
                 r2, c2 = elems[b]
-                if c1 > c2 and rows[r1 - 1][c2 - 1] == 1 and rows[r2 - 1][c1 - 1] == 1:
+                if c1 > c2 and adjacent[r1 - 1] >> (c2 - 1) & 1 and adjacent[r2 - 1] >> (c1 - 1) & 1:
                     elems[a], elems[b] = (r1, c2), (r2, c1)
                     c1 = c2
                     changed = True
@@ -184,15 +205,23 @@ def tiled_support_sizes(
     Entry [l1 - 1][l2 - 1] equals max_support_set(continuation(matrix, l1,
     l2))[1], computed without tiling: it is the maximum flow on the untiled
     matrix with row capacity l1 and column capacity l2 (see the module
-    docstring). A flow feasible for (l1, l2) stays feasible for larger
-    capacities, so each step of l2 continues from the previous flow and each
-    new l1 restarts from the flow kept at (l1 - 1, 1). Every entry is checked
-    against its cover certificate; a failed check is a ConsistencyError.
+    docstring). Every entry is proved maximum by a checked cover; a failed
+    check is a ConsistencyError.
     """
     if max_traversals < 1:
         raise DomainError(f"max_traversals must be >= 1, got {max_traversals}")
     rows = _normalize(matrix)
-    network = _FlowNetwork(rows)
+    return _tiled_sizes(_row_masks(rows), len(rows[0]) if rows else 0, max_traversals)
+
+
+def _tiled_sizes(ones: Sequence[int], width: int, max_traversals: int) -> tuple[tuple[int, ...], ...]:
+    """tiled_support_sizes on row masks over `width` columns, max_traversals >= 1.
+
+    A flow feasible for (l1, l2) stays feasible for larger capacities, so
+    each step of l2 continues from the previous flow and each new l1
+    restarts from the flow kept at (l1 - 1, 1).
+    """
+    network = _FlowNetwork(ones, width)
     table = []
     for l1 in range(1, max_traversals + 1):
         line = []
@@ -206,61 +235,116 @@ def tiled_support_sizes(
 
 
 class _FlowNetwork:
-    """A flow over the 1-entries of a binary matrix, with its row and column
-    loads, that tiled_support_sizes grows under rising capacities."""
+    """A flow over the 1-entries of a binary matrix given as row masks, with
+    its row and column loads, that _tiled_sizes grows under rising
+    capacities.
 
-    def __init__(self, rows: list[list[int]]) -> None:
-        n, o = len(rows), len(rows[0]) if rows else 0
-        self.ones = [[j for j in range(o) if row[j]] for row in rows]
-        self.zeros = [[j for j in range(o) if not row[j]] for row in rows]
-        self.col_ones = [[i for i in range(n) if rows[i][j]] for j in range(o)]
-        self.flow = [[0] * o for _ in range(n)]
+    `carriers[j]` is the mask of the rows that send flow into column j; every
+    push keeps it up to date. `covers` maps each cover (unreached rows,
+    reached columns) already checked against the matrix to its row and
+    column counts.
+    """
+
+    def __init__(self, ones: Sequence[int], width: int) -> None:
+        n = len(ones)
+        self.ones = list(ones)
+        self.zeros = [[j for j in range(width) if not row >> j & 1] for row in ones]
+        self.width = width
+        self.flow = [[0] * width for _ in range(n)]
+        self.carriers = [0] * width
         self.row_load = [0] * n
-        self.col_load = [0] * o
+        self.col_load = [0] * width
+        self.covers: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def snapshot(self) -> tuple[list[list[int]], list[int], list[int]]:
-        """A copy of the flow and its loads, for restore."""
-        return [r[:] for r in self.flow], self.row_load[:], self.col_load[:]
+    def snapshot(self) -> tuple[list[list[int]], list[int], list[int], list[int]]:
+        """A copy of the flow, its carriers and its loads, for restore."""
+        return [r[:] for r in self.flow], self.carriers[:], self.row_load[:], self.col_load[:]
 
-    def restore(self, state: tuple[list[list[int]], list[int], list[int]]) -> None:
+    def restore(self, state: tuple[list[list[int]], list[int], list[int], list[int]]) -> None:
         """Continue from a snapshot, which the network takes over."""
-        self.flow, self.row_load, self.col_load = state
+        self.flow, self.carriers, self.row_load, self.col_load = state
 
     def saturate(self, cap_row: int, cap_col: int) -> int:
-        """Augment the flow until it is maximum for these capacities, check
-        its certificate, and return its size.
+        """Augment the flow until it is maximum for these capacities, prove
+        it maximum by a checked cover, and return its size.
+
+        The flow passed its feasibility check when it last changed (a
+        snapshot is taken only of such a flow), so once its loads fit these
+        capacities, a checked cover whose weight here equals the flow proves
+        it maximum with no search. Otherwise _augment runs; a flow it
+        changed is checked again, its cover is checked against the matrix
+        unless an earlier search found the same one, and the cover's weight
+        must equal the flow.
+        """
+        row_load, col_load = self.row_load, self.col_load
+        total = sum(row_load)
+        if max(row_load, default=0) <= cap_row and max(col_load, default=0) <= cap_col:
+            for n_rows, n_cols in self.covers.values():
+                if cap_row * n_rows + cap_col * n_cols == total:
+                    return total
+        changed, unreached_rows, reached_cols = self._augment(cap_row, cap_col)
+        if changed:
+            self._check_flow(cap_row, cap_col)
+        cover = (unreached_rows, reached_cols)
+        sizes = self.covers.get(cover)
+        if sizes is None:
+            self._check_cover(*cover)
+            sizes = self.covers[cover] = (unreached_rows.bit_count(), reached_cols.bit_count())
+        weight = cap_row * sizes[0] + cap_col * sizes[1]
+        total = sum(row_load)
+        if weight != total:
+            raise ConsistencyError(
+                f"capacitated flow failed its certificate: cover weight {weight} "
+                f"differs from flow {total}"
+            )
+        return total
+
+    def _augment(self, cap_row: int, cap_col: int) -> tuple[bool, int, int]:
+        """Push flow along augmenting paths until none is left; return
+        whether any was pushed, the mask of the rows the last search did not
+        reach and the mask of the columns it reached.
 
         Breadth-first search over the residual graph: a row with spare
-        capacity starts a path, a 1-entry leads from its row to its column, a
-        column leads back to every row that sends it flow, and a column with
-        spare capacity ends the path. When no path is left, the rows not
-        reached and the columns reached form the certificate's cover.
+        capacity starts a path, a 1-entry leads from its row to its column,
+        a column leads back to every row that sends it flow, and a column
+        with spare capacity ends the path.
         """
-        flow, row_load, col_load = self.flow, self.row_load, self.col_load
-        n, o = len(row_load), len(col_load)
+        ones, flow, carriers = self.ones, self.flow, self.carriers
+        row_load, col_load = self.row_load, self.col_load
+        n, o = len(row_load), self.width
+        changed = False
         while True:
             # via_col[i]: the column row i was reached from, o for a start
             # row, -1 if unreached; via_row[j]: the row column j was reached from
             via_col = [o if load < cap_row else -1 for load in row_load]
             via_row = [-1] * o
             queue = [i for i in range(n) if via_col[i] == o]
+            reached_rows = sum(1 << i for i in queue)
+            reached_cols = 0
             end = -1
             for i in queue:
-                for j in self.ones[i]:
-                    if via_row[j] < 0:
-                        via_row[j] = i
-                        if col_load[j] < cap_col:
-                            end = j
-                            break
-                        for k in self.col_ones[j]:
-                            if flow[k][j] and via_col[k] < 0:
-                                via_col[k] = j
-                                queue.append(k)
+                new = ones[i] & ~reached_cols
+                reached_cols |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    j = low.bit_length() - 1
+                    via_row[j] = i
+                    if col_load[j] < cap_col:
+                        end = j
+                        break
+                    back = carriers[j] & ~reached_rows
+                    reached_rows |= back
+                    while back:
+                        low = back & -back
+                        back ^= low
+                        k = low.bit_length() - 1
+                        via_col[k] = j
+                        queue.append(k)
                 if end >= 0:
                     break
             if end < 0:
-                self._check_certificate(cap_row, cap_col, via_col, via_row)
-                return sum(row_load)
+                return changed, (1 << n) - 1 & ~reached_rows, reached_cols
             # Walk the path back from its end: column j was reached from row
             # via_row[j] over a forward entry, and a row i that is not a start
             # from column via_col[i] over a backward entry, whose flow bounds
@@ -277,35 +361,41 @@ class _FlowNetwork:
             while True:
                 i = via_row[j]
                 flow[i][j] += delta
+                carriers[j] |= 1 << i
                 j = via_col[i]
                 if j == o:
                     row_load[i] += delta
                     break
                 flow[i][j] -= delta
+                if not flow[i][j]:
+                    carriers[j] &= ~(1 << i)
+            changed = True
 
-    def _check_certificate(self, cap_row, cap_col, via_col, via_row) -> None:
-        """Raise ConsistencyError unless the flow is feasible and maximum.
+    def _check_cover(self, unreached_rows: int, reached_cols: int) -> None:
+        """Raise ConsistencyError unless every 1-entry lies in a row of
+        unreached_rows or a column of reached_cols."""
+        problems = [
+            f"row {i + 1} has a 1-entry outside the cover"
+            for i, row in enumerate(self.ones)
+            if not unreached_rows >> i & 1 and row & ~reached_cols
+        ]
+        if problems:
+            raise ConsistencyError(f"capacitated flow failed its certificate: {problems}")
 
-        Feasible: the flow is non-negative, sits only on 1-entries, and its
-        row and column sums equal the loads, which stay within capacity.
-        Maximum: the unreached rows and the reached columns cover every
-        1-entry, and cap_row * |unreached rows| + cap_col * |reached columns|
-        equals the flow, which no flow can exceed.
-        """
+    def _check_flow(self, cap_row: int, cap_col: int) -> None:
+        """Raise ConsistencyError unless the flow is feasible: non-negative,
+        only on 1-entries, with row and column sums equal to the loads, which
+        stay within capacity."""
         flow, row_load, col_load = self.flow, self.row_load, self.col_load
         problems = []
         for i, row in enumerate(flow):
             if min(row, default=0) < 0 or any(row[j] for j in self.zeros[i]):
                 problems.append(f"row {i + 1} has flow off its 1-entries or below 0")
-            if via_col[i] >= 0 and any(via_row[j] < 0 for j in self.ones[i]):
-                problems.append(f"row {i + 1} has a 1-entry outside the cover")
         if [sum(row) for row in flow] != row_load or max(row_load, default=0) > cap_row:
             problems.append(f"row loads {row_load} are wrong or exceed {cap_row}")
-        if [sum(col) for col in zip(*flow)] != col_load or max(col_load, default=0) > cap_col:
+        col_sums = [sum(col) for col in zip(*flow)] if flow else [0] * self.width
+        if col_sums != col_load or max(col_load, default=0) > cap_col:
             problems.append(f"column loads {col_load} are wrong or exceed {cap_col}")
-        cover = cap_row * via_col.count(-1) + cap_col * (len(via_row) - via_row.count(-1))
-        if cover != sum(row_load):
-            problems.append(f"cover weight {cover} differs from flow {sum(row_load)}")
         if problems:
             raise ConsistencyError(f"capacitated flow failed its certificate: {problems}")
 

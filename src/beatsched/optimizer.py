@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .analysis import interference_intensity
 from .errors import ConsistencyError, DomainError
-from .matching import tiled_support_sizes
+from .matching import _tiled_sizes
 from .model import (
     GeometricTopology,
     InterferenceRelation,
@@ -29,7 +29,7 @@ from .model import (
     _as_point,
     derive_relation,
 )
-from .periods import build_matrix, is_reachable_period
+from .periods import _joint_rows, _phase_masks, is_reachable_period
 from .scheduler import Schedule, schedule_pair_unequal
 
 
@@ -215,34 +215,56 @@ def _clamped_range(
     return max(lo, intensity), min(hi, n_senders)
 
 
+def _path_profile(
+    pair: PathPair, path_id: int, given: tuple[int, int] | None
+) -> tuple[int, dict[int, bool]]:
+    """Interference intensity of one path and reachability of each spacing
+    in its clamped range. derive_relation relates two senders of one path
+    through that path's positions only, so both depend on the path's route
+    alone, not on the route it is paired with."""
+    istar, _ = interference_intensity(pair, pair.path_nodes(path_id))
+    lo, hi = _clamped_range(given, istar, pair.path(path_id).n_senders)
+    return istar, {t: is_reachable_period(pair, path_id, t) for t in range(lo, hi + 1)}
+
+
 def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
     """Walk the whole grid and return the best candidate, fully logged.
 
     Rate ties fall to the shorter period, then to the lexicographically
     smallest (route indices, spacings, traversal counts), so reruns pick
     the same winner.
+
+    Each route's intensity and reachable spacings are computed once (see
+    _path_profile). Path 2's phase masks are built once per route pair and
+    path 1's conflicts once per spacing, joint rows are column masks built
+    from them directly, and grid points with the same joint matrix share
+    one tiled-size table.
     """
     if not space.routes1 or not space.routes2:
         raise DomainError("search space has no route candidates")
+    cap = space.max_traversals
     log: list[LoggedCandidate] = []
-    best: tuple | None = None  # (key, log entry, pair, route1, route2)
+    # (rate numerator, rate denominator = period, log entry, pair, route1, route2)
+    best: tuple | None = None
+    profiles1: dict[int, tuple[int, dict[int, bool]]] = {}
+    profiles2: dict[int, tuple[int, dict[int, bool]]] = {}
+    tables: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
 
     for index1, route1 in enumerate(space.routes1):
         for index2, route2 in enumerate(space.routes2):
             pair = materialize_pair(scenario, route1, route2)
-            istar1, _ = interference_intensity(pair, pair.path_nodes(1))
-            istar2, _ = interference_intensity(pair, pair.path_nodes(2))
-            lo1, hi1 = _clamped_range(space.period_range1, istar1, route1.n_senders)
-            lo2, hi2 = _clamped_range(space.period_range2, istar2, route2.n_senders)
-            reachable2 = {
-                period2: is_reachable_period(pair, 2, period2)
-                for period2 in range(lo2, hi2 + 1)
-            }
-            for period1 in range(lo1, hi1 + 1):
-                reachable1 = is_reachable_period(pair, 1, period1)
-                for period2 in range(lo2, hi2 + 1):
-                    if not reachable1 or not reachable2[period2]:
-                        which = 1 if not reachable1 else 2
+            if index1 not in profiles1:
+                profiles1[index1] = _path_profile(pair, 1, space.period_range1)
+            if index2 not in profiles2:
+                profiles2[index2] = _path_profile(pair, 2, space.period_range2)
+            reachable1 = profiles1[index1][1]
+            reachable2 = profiles2[index2][1]
+            masks2 = {t: _phase_masks(pair, 2, t) for t, ok in reachable2.items() if ok}
+            for period1, ok1 in reachable1.items():
+                conflicts1 = [pair.conflicts_of(m) for m in _phase_masks(pair, 1, period1)] if ok1 else []
+                for period2, ok2 in reachable2.items():
+                    if not ok1 or not ok2:
+                        which = 1 if not ok1 else 2
                         spacing = period1 if which == 1 else period2
                         log.append(
                             LoggedCandidate(
@@ -262,17 +284,20 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                             )
                         )
                         continue
-                    matrix = build_matrix(pair, period1, period2)
-                    sizes = tiled_support_sizes(matrix.rows, space.max_traversals)
-                    for traversals1 in range(1, space.max_traversals + 1):
-                        for traversals2 in range(1, space.max_traversals + 1):
+                    rows = _joint_rows(conflicts1, masks2[period2])
+                    key = (rows, period2)
+                    sizes = tables.get(key)
+                    if sizes is None:
+                        sizes = tables[key] = _tiled_sizes(rows, period2, cap)
+                    for traversals1 in range(1, cap + 1):
+                        for traversals2 in range(1, cap + 1):
                             support_size = sizes[traversals1 - 1][traversals2 - 1]
                             period = (
                                 traversals1 * period1
                                 + traversals2 * period2
                                 - support_size
                             )
-                            rate = Fraction(traversals1 + traversals2, period)
+                            blocks = traversals1 + traversals2
                             entry = LoggedCandidate(
                                 route1=index1,
                                 route2=index2,
@@ -282,28 +307,24 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                                 traversals2=traversals2,
                                 support_size=support_size,
                                 period=period,
-                                throughput=rate,
+                                throughput=Fraction(blocks, period),
                                 note="evaluated",
                             )
                             log.append(entry)
-                            key = (
-                                -rate,
-                                period,
-                                index1,
-                                index2,
-                                period1,
-                                period2,
-                                traversals1,
-                                traversals2,
-                            )
-                            if best is None or key < best[0]:
-                                best = (key, entry, pair, route1, route2)
+                            # The grid is walked in ascending (indices,
+                            # spacings, traversals) order, so a later point
+                            # wins only on a higher rate, compared by
+                            # cross-multiplying, or on an equal rate with a
+                            # shorter period.
+                            ahead = 1 if best is None else blocks * best[1] - best[0] * period
+                            if ahead > 0 or (ahead == 0 and period < best[1]):
+                                best = (blocks, period, entry, pair, route1, route2)
     if best is None:
         raise DomainError(
             "no candidate in the search space has reachable spacings on "
             "both paths"
         )
-    _, entry, pair, route1, route2 = best
+    _, _, entry, pair, route1, route2 = best
     schedule = schedule_pair_unequal(
         pair, entry.period1, entry.period2, entry.traversals1, entry.traversals2
     )

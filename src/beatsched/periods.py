@@ -119,14 +119,30 @@ def build_matrix(pair: PathPair, t1: int, t2: int) -> ConcurrencyMatrix:
                 f"spacing {spacing} is not reachable on path {path_id}: "
                 f"phase {bad} subset is not a concurrency subset"
             )
-    # Each phase subset is a concurrency subset on its own, so a union is
-    # one exactly when no path-1 member interferes with a path-2 member.
-    masks2 = _phase_masks(pair, 2, t2)
+    conflicts1 = [pair.conflicts_of(mask1) for mask1 in _phase_masks(pair, 1, t1)]
+    rows = _joint_rows(conflicts1, _phase_masks(pair, 2, t2))
+    return ConcurrencyMatrix(t1, t2, tuple([tuple([row >> j & 1 for j in range(t2)]) for row in rows]))
+
+
+def _joint_rows(conflicts1: Sequence[int], masks2: Sequence[int]) -> tuple[int, ...]:
+    """Joint matrix rows as column masks, from the conflict masks of path 1's
+    phase subsets and the masks of path 2's: bit j of row i is set iff
+    conflicts1[i] misses masks2[j].
+
+    Each phase subset of a reachable spacing is a concurrency subset on its
+    own, so a union is one exactly when no path-1 member interferes with a
+    path-2 member.
+    """
     rows = []
-    for mask1 in _phase_masks(pair, 1, t1):
-        reach1 = pair.conflicts_of(mask1)
-        rows.append(tuple(0 if reach1 & mask2 else 1 for mask2 in masks2))
-    return ConcurrencyMatrix(t1, t2, tuple(rows))
+    for conflicts in conflicts1:
+        row = 0
+        bit = 1
+        for mask2 in masks2:
+            if not conflicts & mask2:
+                row |= bit
+            bit <<= 1
+        rows.append(row)
+    return tuple(rows)
 
 
 def continuation(matrix: ConcurrencyMatrix | Sequence[Sequence[int]], l1: int, l2: int) -> tuple[tuple[int, ...], ...]:

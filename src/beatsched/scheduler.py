@@ -357,7 +357,8 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
                 raise DomainError(f"spacing must be in 1..{n}, got {spacing}")
             # a phase outside 1..spacing is reported with the phase counts
             expected = tuple(range(act.phase, n + 1, spacing))
-            if act.members != expected:
+            matches = act.members == expected
+            if not matches:
                 problem(
                     "uniqueness_ok",
                     f"beat {index} path {act.path_id} phase {act.phase} "
@@ -365,6 +366,15 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
                 )
             counts = phase_counts[act.path_id]
             counts[act.phase] = counts.get(act.phase, 0) + 1
+            # a phase subset from phase 1 on names senders only; a member
+            # below 1 names none, so it stays out of the union test
+            if (not matches or act.phase < 1) and min(act.members, default=1) < 1:
+                problem(
+                    "uniqueness_ok",
+                    f"beat {index} path {act.path_id} phase {act.phase} "
+                    f"has member {min(act.members)} below 1",
+                )
+                continue
             counted.append(act)
         union = 0
         for act in counted:

@@ -616,6 +616,30 @@ class TestNonFiniteNumbers:
         assert result.stdout == ""
         assert result.stderr == "error: $.topology.positions.1[1]: expected a finite number\n"
 
+    @pytest.mark.parametrize(
+        "argv, stdin, message",
+        [
+            (("analyze", "{file}"), "", "error: $: invalid JSON: nested too deeply to parse\n"),
+            (("support", "-"), "{deep}", "error: $: invalid JSON matrix: nested too deeply to parse\n"),
+        ],
+    )
+    def test_deep_nesting_exits_with_one_error_line(self, tmp_path, argv, stdin, message):
+        deep = "[" * 100_000
+        target = tmp_path / "deep.json"
+        target.write_text(deep)
+        src = Path(cli.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "beatsched.cli", *(a.format(file=target) for a in argv)],
+            input=stdin.format(deep=deep),
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src)},
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == message
+
 
 ZERO_FLAG_CASES = [
     (("matrix", CROSSING, "--spacing1", "0"), "spacing must be in 1..6, got 0"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from beatsched.errors import ConsistencyError, DomainError
 from beatsched.matching import (
     _FlowNetwork,
+    _tiled_sizes,
     brute_force_max_support,
     max_support_set,
     tiled_support_sizes,
@@ -188,6 +189,12 @@ class TestIterativeSearch:
             matrix = random_matrix(rng, 8, 8)
             assert max_support_set(matrix) == recursive_max_support_set(matrix), (case, matrix)
 
+    def test_witnesses_match_the_recursive_search_up_to_nine_square(self):
+        rng = random.Random("matching/iterative-9x9")
+        for case in range(3000):
+            matrix = random_matrix(rng, 9, 9)
+            assert max_support_set(matrix) == recursive_max_support_set(matrix), (case, matrix)
+
     @pytest.mark.parametrize("matrix", [[[1, 0], [1]], [[1, 2]], [[1, -1]]])
     def test_malformed_input_is_a_domain_error(self, matrix):
         with pytest.raises(DomainError):
@@ -256,17 +263,110 @@ class TestTiledSupportSizes:
     def test_certificate_rejects_a_flow_that_is_not_maximum(self):
         # an empty flow on [[1]]: the search reached row 1 but not column 1,
         # so the cover misses entry (1, 1) and the flow is not proved maximum
-        network = _FlowNetwork([[1]])
+        network = _FlowNetwork([0b1], 1)
         with pytest.raises(ConsistencyError, match="outside the cover"):
-            network._check_certificate(1, 1, via_col=[1], via_row=[-1])
+            network._check_cover(unreached_rows=0, reached_cols=0)
 
     def test_certificate_rejects_an_infeasible_flow(self):
-        network = _FlowNetwork([[1, 0]])
+        network = _FlowNetwork([0b01], 2)
         network.flow[0][1] = 1
         network.row_load[0] = 1
         network.col_load[1] = 1
         with pytest.raises(ConsistencyError, match="off its 1-entries"):
-            network._check_certificate(1, 1, via_col=[-1], via_row=[-1, -1])
+            network._check_flow(1, 1)
+
+
+def row_masks(matrix):
+    return [int("".join(str(v) for v in reversed(row)), 2) for row in matrix]
+
+
+class TestMaskKernel:
+    """_tiled_sizes on row masks, against tiled_support_sizes on lists, the
+    tiled matching and brute force, and its certificate under forged
+    searches."""
+
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = []
+        search = _FlowNetwork._augment
+
+        def counted(self, cap_row, cap_col):
+            calls.append((cap_row, cap_col))
+            return search(self, cap_row, cap_col)
+
+        monkeypatch.setattr(_FlowNetwork, "_augment", counted)
+        return calls
+
+    def test_matches_the_list_entry_point_and_the_oracles(self):
+        rng = random.Random("matching/mask-kernel")
+        cases = [([[1] * o for _ in range(n)], cap) for n, o in ((1, 4), (3, 2), (4, 4), (2, 5)) for cap in (2, 4)]
+        for _ in range(300):
+            matrix = random_matrix(rng, 6, 6)
+            if rng.random() < 0.3:
+                # an all-ones block of rows on top of a random matrix
+                block = rng.randint(1, len(matrix))
+                matrix[:block] = [[1] * len(matrix[0]) for _ in range(block)]
+            cases.append((matrix, rng.randint(1, 4)))
+        brute_forced = 0
+        for matrix, cap in cases:
+            sizes = _tiled_sizes(row_masks(matrix), len(matrix[0]), cap)
+            assert sizes == tiled_support_sizes(matrix, cap), (matrix, cap)
+            assert sizes == TestTiledSupportSizes.tiled_reference(matrix, cap), (matrix, cap)
+            for l1 in range(1, cap + 1):
+                for l2 in range(1, cap + 1):
+                    tiled = continuation(matrix, l1, l2)
+                    if len(tiled) * len(tiled[0]) <= 30:
+                        assert sizes[l1 - 1][l2 - 1] == brute_force_max_support(tiled)
+                        brute_forced += 1
+        assert brute_forced > 600
+
+    def test_an_earlier_cover_proves_later_entries(self, monkeypatch):
+        # All rows saturate at once: the cover of every row proves each
+        # (l1, l2 > 1) from the flow left at (l1, 1), with no search.
+        calls = self.count_searches(monkeypatch)
+        assert _tiled_sizes([0b111, 0b111], 3, 4) == (
+            (2, 2, 2, 2),
+            (3, 4, 4, 4),
+            (3, 6, 6, 6),
+            (3, 6, 8, 8),
+        )
+        assert len(calls) < 16
+        assert (1, 3) not in calls and (1, 4) not in calls
+
+    def test_every_entry_is_searched_when_no_cover_repeats(self, monkeypatch):
+        # a single 1-entry: at every (l1, l2) the flow grows to min(l1, l2),
+        # and only a cover that was checked can skip a search
+        calls = self.count_searches(monkeypatch)
+        assert _tiled_sizes([0b1], 1, 3) == ((1, 1, 1), (1, 2, 2), (1, 2, 3))
+        assert len(calls) == len(set(calls))
+
+    def test_a_forged_cover_is_rejected(self, monkeypatch):
+        # the search claims the empty cover, which misses entry (1, 1)
+        monkeypatch.setattr(_FlowNetwork, "_augment", lambda self, r, c: (False, 0, 0))
+        with pytest.raises(ConsistencyError, match="outside the cover"):
+            _tiled_sizes([0b1], 1, 1)
+
+    def test_a_cover_heavier_than_the_flow_is_rejected(self, monkeypatch):
+        # a true cover (row 1), but the search stopped at the empty flow
+        monkeypatch.setattr(_FlowNetwork, "_augment", lambda self, r, c: (False, 0b1, 0))
+        with pytest.raises(ConsistencyError, match="cover weight 1 differs from flow 0"):
+            _tiled_sizes([0b1], 1, 1)
+
+    @pytest.mark.parametrize(
+        "entry, units, message",
+        [((0, 1), 1, "off its 1-entries"), ((0, 0), 2, "exceed 1"), ((0, 0), -1, "below 0")],
+    )
+    def test_a_forged_flow_is_rejected(self, monkeypatch, entry, units, message):
+        def forged(self, cap_row, cap_col):
+            i, j = entry
+            self.flow[i][j] += units
+            self.row_load[i] += units
+            self.col_load[j] += units
+            return True, 0, 0b11
+
+        monkeypatch.setattr(_FlowNetwork, "_augment", forged)
+        with pytest.raises(ConsistencyError, match=message):
+            _tiled_sizes([0b01], 2, 1)
 
 
 class TestBruteForce:

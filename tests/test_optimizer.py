@@ -1,5 +1,6 @@
 """Exhaustive grid search over routes, spacings, and traversal counts."""
 
+import math
 import random
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from beatsched.optimizer import (
     DiskScenario,
     RouteCandidate,
     SearchSpace,
+    _path_profile,
     materialize_pair,
     optimize,
     routes_from_graph,
@@ -241,6 +243,132 @@ class TestSearchLog:
         notes = {c.note for c in result.search_log}
         assert "skipped: spacing 5 not reachable on path 1" in notes
         assert "skipped: spacing 5 not reachable on path 2" in notes
+
+
+def bent_route(rng: random.Random, n_senders: int, origin: tuple[float, float], label: str) -> RouteCandidate:
+    """A route of unit hops whose heading turns by up to 2 rad per hop, so
+    some routes fold back and leave spacings unreachable."""
+    x, y = origin
+    heading = rng.uniform(-0.4, 0.4)
+    points = [(x, y)]
+    for _ in range(n_senders):
+        heading += rng.uniform(-2.0, 2.0)
+        x, y = round(x + math.cos(heading), 3), round(y + math.sin(heading), 3)
+        points.append((x, y))
+    return RouteCandidate(points=tuple(points), label=label)
+
+
+def reference_search(scenario, space):
+    """The grid walked point by point from the public functions: every
+    intensity, reachability test and joint matrix taken on its own route
+    pair, and every support size from a maximum matching of the tiled
+    joint matrix. Returns the log as tuples and the winning tuple."""
+    log = []
+    best = None
+    for index1, route1 in enumerate(space.routes1):
+        for index2, route2 in enumerate(space.routes2):
+            pair = materialize_pair(scenario, route1, route2)
+            spans = []
+            for path_id, route, given in (
+                (1, route1, space.period_range1),
+                (2, route2, space.period_range2),
+            ):
+                istar, _ = interference_intensity(pair, pair.path_nodes(path_id))
+                lo, hi = given or (istar, route.n_senders)
+                spans.append(range(max(lo, istar), min(hi, route.n_senders) + 1))
+            for period1 in spans[0]:
+                for period2 in spans[1]:
+                    point = (index1, index2, period1, period2)
+                    for path_id, spacing in ((1, period1), (2, period2)):
+                        if not is_reachable_period(pair, path_id, spacing):
+                            note = f"skipped: spacing {spacing} not reachable on path {path_id}"
+                            log.append((*point, 0, 0, None, None, None, note))
+                            break
+                    else:
+                        matrix = build_matrix(pair, period1, period2)
+                        for l1 in range(1, space.max_traversals + 1):
+                            for l2 in range(1, space.max_traversals + 1):
+                                _, size = max_support_set(continuation(matrix, l1, l2))
+                                period = l1 * period1 + l2 * period2 - size
+                                rate = Fraction(l1 + l2, period)
+                                entry = (*point, l1, l2, size, period, rate, "evaluated")
+                                log.append(entry)
+                                key = (-rate, period, *point, l1, l2)
+                                if best is None or key < best[0]:
+                                    best = (key, entry)
+    return log, best[1]
+
+
+class TestSeededSearchLogs:
+    """Multi-route searches against reference_search, entry by entry."""
+
+    @staticmethod
+    def searches():
+        rng = random.Random("optimizer/seeded-logs")
+        for case in range(12):
+            routes1 = tuple(
+                bent_route(rng, rng.randint(2, 6), (0.0, 0.0), f"a{k}")
+                for k in range(rng.randint(2, 3))
+            )
+            if case % 3 == 0:
+                routes2 = routes1  # both chains choose among the same routes
+            else:
+                routes2 = tuple(
+                    bent_route(rng, rng.randint(2, 6), (rng.uniform(-1, 1), rng.uniform(1, 2.5)), f"b{k}")
+                    for k in range(rng.randint(2, 3))
+                )
+            ranges = [None, None]
+            if case % 2 == 1:
+                for side in (0, 1):
+                    lo = rng.randint(1, 3)
+                    ranges[side] = (lo, lo + rng.randint(1, 3))
+            space = SearchSpace(
+                routes1=routes1,
+                routes2=routes2,
+                period_range1=ranges[0],
+                period_range2=ranges[1],
+                max_traversals=1 + case % 4,
+            )
+            yield DiskScenario(interference_radius=rng.uniform(0.8, 1.6)), space
+
+    def test_every_log_entry_and_the_winner_match_the_reference(self):
+        skipped_paths = set()
+        for scenario, space in self.searches():
+            log, best = reference_search(scenario, space)
+            result = optimize(scenario, space)
+            actual = [tuple(vars(c).values()) for c in result.search_log]
+            assert actual == log
+            winner = (
+                *result.best_route_indices,
+                result.best_period1,
+                result.best_period2,
+                result.best_traversals1,
+                result.best_traversals2,
+                result.best_support_size,
+                result.schedule.period,
+                result.best_throughput,
+                "evaluated",
+            )
+            assert winner == best
+            skipped_paths |= {c.note[-1] for c in result.search_log if c.note != "evaluated"}
+        assert skipped_paths == {"1", "2"}
+
+    def test_route_profiles_do_not_depend_on_the_other_route(self):
+        for scenario, space in self.searches():
+            for index1, route1 in enumerate(space.routes1):
+                for index2, route2 in enumerate(space.routes2):
+                    pair = materialize_pair(scenario, route1, route2)
+                    first1 = materialize_pair(scenario, route1, space.routes2[0])
+                    first2 = materialize_pair(scenario, space.routes1[0], route2)
+                    for path_id, first, given in (
+                        (1, first1, space.period_range1),
+                        (2, first2, space.period_range2),
+                    ):
+                        istar, reachable = _path_profile(first, path_id, given)
+                        assert istar == interference_intensity(pair, pair.path_nodes(path_id))[0]
+                        assert reachable == {
+                            t: is_reachable_period(pair, path_id, t) for t in reachable
+                        }
 
 
 class TestTieBreaks:

@@ -371,3 +371,20 @@ class TestAudit:
             "beat 4 path 1 phase 0 members (3, 6) do not match the phase subset",
             "path 1 fires phases [0] outside 1..3",
         ]
+
+    def test_member_below_one_is_a_problem(self, chain6):
+        report = audit_schedule(chain6, self._with_extra_beat(1, [0, 1]))
+        assert not report.uniqueness_ok and report.concurrency_ok
+        assert report.problems == [
+            "beat 4 path 1 phase 1 members (0, 1) do not match the phase subset",
+            "beat 4 path 1 phase 1 has member 0 below 1",
+            "path 1 phase 1 fires 2 times per cycle, expected 1",
+        ]
+
+    def test_member_below_one_in_a_matching_phase_is_a_problem(self, chain6):
+        # phase 0 at spacing 3 spans (0, 3, 6), so only the member check sees 0
+        report = audit_schedule(chain6, self._with_extra_beat(0, [0, 3, 6]))
+        assert report.problems == [
+            "beat 4 path 1 phase 0 has member 0 below 1",
+            "path 1 fires phases [0] outside 1..3",
+        ]
