@@ -17,10 +17,10 @@ smallest by (path_id, seq) is returned, which is ascending dense-index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .model import NodeRef, PathPair, validate_path_rules
+from .model import NodeRef, PathPair, _bits, validate_path_rules
 
 __all__ = [
     "DegreeReport",
@@ -35,21 +35,14 @@ __all__ = [
 ]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Dense indices of a mask's members, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _members(pair: PathPair, nodes: Iterable[NodeRef] | None) -> int:
     return pair.mask_of(pair.nodes if nodes is None else nodes)
 
 
-def _interference_adjacency(pair: PathPair, members: int) -> dict[int, int]:
-    """Each member's interfering partners inside the set, by dense index."""
-    return {i: pair.conflicts_of(1 << i) & members for i in _bits(members)}
+def _interference_adjacency(conflicts: Sequence[int], members: int) -> dict[int, int]:
+    """Each member's interfering partners inside the set, from the conflict
+    masks of every index."""
+    return {i: conflicts[i] & members for i in _bits(members)}
 
 
 def _complement(adj: Mapping[int, int], members: int) -> dict[int, int]:
@@ -105,13 +98,18 @@ def _best_clique(adj: Mapping[int, int], members: int) -> int:
     return best
 
 
+def _interference_witness(conflicts: Sequence[int], members: int) -> int:
+    """interference_intensity's witness as a mask, on conflict masks alone,
+    for callers that hold masks but no PathPair."""
+    return _best_clique(_interference_adjacency(conflicts, members), members)
+
+
 def interference_intensity(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> tuple[int, tuple[NodeRef, ...]]:
     """Size of a maximum set of pairwise-interfering senders, with a witness.
 
     1 with a singleton witness when no pair in the set interferes.
     """
-    members = _members(pair, nodes)
-    witness = pair.nodes_of(_best_clique(_interference_adjacency(pair, members), members))
+    witness = pair.nodes_of(_interference_witness(pair._conflicts, _members(pair, nodes)))
     return len(witness), witness
 
 
@@ -119,7 +117,7 @@ def concurrency_intensity(pair: PathPair, nodes: Iterable[NodeRef] | None = None
     """Size of a maximum concurrency subset (independent set of the
     interference graph), with a witness; 1 when every pair interferes."""
     members = _members(pair, nodes)
-    adj = _complement(_interference_adjacency(pair, members), members)
+    adj = _complement(_interference_adjacency(pair._conflicts, members), members)
     witness = pair.nodes_of(_best_clique(adj, members))
     return len(witness), witness
 
@@ -149,14 +147,14 @@ def _degree_report(pair: PathPair, adj: Mapping[int, int]) -> DegreeReport:
 def connection_degrees(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> DegreeReport:
     """Count, for each member, its concurrent and interfering partners inside
     the set (the node itself excluded). The intrinsic degrees are the maxima."""
-    return _degree_report(pair, _interference_adjacency(pair, _members(pair, nodes)))
+    return _degree_report(pair, _interference_adjacency(pair._conflicts, _members(pair, nodes)))
 
 
 def is_dominant(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> bool:
     """A set is dominant when its worst interference degree is still below the
     interference intensity; dominant sets split cleanly (see split_dominant)."""
     members = _members(pair, nodes)
-    adj = _interference_adjacency(pair, members)
+    adj = _interference_adjacency(pair._conflicts, members)
     return _max_degree(adj) < _best_clique(adj, members).bit_count()
 
 
@@ -170,7 +168,7 @@ def split_dominant(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> li
     a node interferes with fewer members than there are groups.
     """
     members = _members(pair, nodes)
-    adj = _interference_adjacency(pair, members)
+    adj = _interference_adjacency(pair._conflicts, members)
     witness = _best_clique(adj, members)
     istar, degree = witness.bit_count(), _max_degree(adj)
     if degree >= istar:
@@ -199,7 +197,7 @@ def check_continuity(pair: PathPair, path_id: int) -> bool:
             "continuity of maximum interference sets is only meaningful under them"
         )
     members = pair.seq_mask(path_id, range(1, pair.path(path_id).n_senders + 1))
-    adj = _interference_adjacency(pair, members)
+    adj = _interference_adjacency(pair._conflicts, members)
     istar = _best_clique(adj, members).bit_count()
     for clique in _maximal_cliques(adj, members):
         # a chain's senders have consecutive dense indices, so consecutive
@@ -226,7 +224,7 @@ class IntensityReport:
 
 def analyze(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> IntensityReport:
     members = _members(pair, nodes)
-    adj = _interference_adjacency(pair, members)
+    adj = _interference_adjacency(pair._conflicts, members)
     iwit = pair.nodes_of(_best_clique(adj, members))
     cwit = pair.nodes_of(_best_clique(_complement(adj, members), members))
     degrees = _degree_report(pair, adj)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -621,6 +622,29 @@ def cmd_simulate(args, out) -> int:
     return 0 if report.ok else 1
 
 
+# The most grid points `optimize` may walk. Each evaluated point is one entry
+# of the printed search log (about 300 bytes), so this also bounds the output.
+MAX_GRID_POINTS = 250_000
+
+
+def _grid_points(space: SearchSpace) -> int:
+    """Grid points of a search before any geometry is looked at: route
+    pairs x spacings of each route x traversal pairs. A spacing counts when
+    it lies in the route's period range and in 1..n_senders; the search
+    drops those below a route's interference intensity, so this bounds its
+    grid from above."""
+
+    def spacings(routes, given):
+        lo, hi = given if given is not None else (1, math.inf)
+        return sum(max(0, min(hi, route.n_senders) - max(lo, 1) + 1) for route in routes)
+
+    return (
+        spacings(space.routes1, space.period_range1)
+        * spacings(space.routes2, space.period_range2)
+        * space.max_traversals ** 2
+    )
+
+
 def cmd_optimize(args, out) -> int:
     scenario = load_scenario(args.scenario)
     config = scenario.optimize_config
@@ -631,12 +655,19 @@ def cmd_optimize(args, out) -> int:
     space = SearchSpace(
         routes1=config.routes1,
         routes2=config.routes2,
-        period_range1=args.period_range1 or config.period_range1,
-        period_range2=args.period_range2 or config.period_range2,
+        period_range1=_parse_period_range(args.period_range1, "--period-range1") or config.period_range1,
+        period_range2=_parse_period_range(args.period_range2, "--period-range2") or config.period_range2,
         max_traversals=(
             config.max_traversals if args.max_traversals is None else args.max_traversals
         ),
     )
+    points = _grid_points(space)
+    if points > MAX_GRID_POINTS:
+        raise ConfigurationError(
+            f"the optimize grid has up to {points} points (route pairs x spacings x "
+            f"traversal pairs), more than the limit of {MAX_GRID_POINTS}; lower "
+            "max_traversals or narrow the period ranges"
+        )
     result = optimize(config.disk, space)
     payload = {
         "best": {
@@ -810,9 +841,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
     except (SchemaError, ConfigurationError, DomainError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away (as with `| head`). Point stdout at devnull so
+        # that the interpreter's final flush does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -234,6 +234,24 @@ def _tiled_sizes(ones: Sequence[int], width: int, max_traversals: int) -> tuple[
     return tuple(table)
 
 
+def _core(ones: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Row masks with every all-zero row and column dropped and the columns
+    left renumbered in order, plus their width.
+
+    _tiled_sizes gives the same table on the core as on the whole matrix: a
+    zero row or column carries no flow, and a cover of the core's 1-entries
+    covers every 1-entry of the matrix.
+    """
+    rows = [row for row in ones if row]
+    used = 0
+    for row in rows:
+        used |= row
+    if used & (used + 1):  # a zero column below the last used one
+        columns = [j for j in range(used.bit_length()) if used >> j & 1]
+        rows = [sum(1 << k for k, j in enumerate(columns) if row >> j & 1) for row in rows]
+    return tuple(rows), used.bit_count()
+
+
 class _FlowNetwork:
     """A flow over the 1-entries of a binary matrix given as row masks, with
     its row and column loads, that _tiled_sizes grows under rising

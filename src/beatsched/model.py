@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError
 
@@ -262,13 +262,7 @@ class PathPair:
 
     def conflicts_of(self, mask: int) -> int:
         """Mask of every sender that interferes with some member of `mask`."""
-        conflicts = self._conflicts
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= conflicts[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return _union(self._conflicts, mask)
 
     def is_concurrent_mask(self, mask: int) -> bool:
         """True when no member's conflicts meet the set itself."""
@@ -294,10 +288,7 @@ class GeometricTopology:
     _norm: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        if isinstance(self.interference_radius, float) and not math.isfinite(self.interference_radius):
-            raise ConfigurationError(f"interference_radius must be finite, got {self.interference_radius}")
-        if self.interference_radius < 0:
-            raise DomainError(f"interference_radius must be >= 0, got {self.interference_radius}")
+        _check_radius(self.interference_radius)
         norm = {}
         for key, value in self.positions.items():
             norm[tuple(key)] = _as_point(value, key)
@@ -326,6 +317,68 @@ def _as_point(value, key) -> tuple[float, float]:
     raise ConfigurationError(f"position of node {key} must have 1 or 2 coordinates, got {len(coords)}")
 
 
+def _check_radius(radius: float) -> None:
+    if isinstance(radius, float) and not math.isfinite(radius):
+        raise ConfigurationError(f"interference_radius must be finite, got {radius}")
+    if radius < 0:
+        raise DomainError(f"interference_radius must be >= 0, got {radius}")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of a mask's members, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(conflicts: Sequence[int], mask: int) -> int:
+    """OR of conflicts[i] over the members i of `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= conflicts[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+_Ends = tuple[tuple[float, float], tuple[float, float]]  # (sender position, receiver position)
+
+
+def _disk_row(tx: tuple[float, float], rx: tuple[float, float], others: Sequence[_Ends], radius: float) -> int:
+    """The disk test: bit k is set when the sender at tx, sending to rx, and
+    the sender of others[k] interfere because one of them lies within the
+    radius of the other's receiver. derive_relation and the optimizer both
+    test geometry through it."""
+    dist = math.dist
+    row = 0
+    bit = 1
+    for tx_b, rx_b in others:
+        if dist(tx, rx_b) <= radius or dist(tx_b, rx) <= radius:
+            row |= bit
+        bit <<= 1
+    return row
+
+
+def _disk_rows(ends: Sequence[_Ends], radius: float, chained: int) -> list[int]:
+    """Upper conflict rows of senders given by their ends: bit j of row i,
+    j > i, is set when senders i and j interfere under the disk test or
+    under half-duplex, where bit i of `chained` says that sender i+1
+    receives from sender i."""
+    return [
+        (_disk_row(tx, rx, ends[i + 1:], radius) | chained >> i & 1) << i + 1
+        for i, (tx, rx) in enumerate(ends)
+    ]
+
+
+def _relation_of(senders: Sequence[NodeRef], conflicts: Sequence[int]) -> InterferenceRelation:
+    """The relation holding senders[i] and senders[j], i < j, when bit j of
+    conflicts[i] is set; bits at or below i are ignored."""
+    return InterferenceRelation(
+        (a, senders[j]) for i, a in enumerate(senders) for j in _bits(conflicts[i] & -(2 << i))
+    )
+
+
 def derive_relation(topology: GeometricTopology, pair: PathPair) -> InterferenceRelation:
     """Disk model: distinct senders a and b interfere iff
 
@@ -337,26 +390,13 @@ def derive_relation(topology: GeometricTopology, pair: PathPair) -> Interference
     Every sender and every receiver must have a position.
     """
     senders = pair.nodes
-    r = topology.interference_radius
-    pairs = []
-    for i, a in enumerate(senders):
-        pos_a = topology.position(a.path_id, a.seq)
-        recv_a = topology.position(a.path_id, a.seq + 1)
-        for b in senders[i + 1:]:
-            pos_b = topology.position(b.path_id, b.seq)
-            recv_b = topology.position(b.path_id, b.seq + 1)
-            hit = (
-                math.dist(pos_a, recv_b) <= r
-                or math.dist(pos_b, recv_a) <= r
-                or (
-                    topology.half_duplex
-                    and a.path_id == b.path_id
-                    and abs(a.seq - b.seq) == 1
-                )
-            )
-            if hit:
-                pairs.append((a, b))
-    return InterferenceRelation(pairs)
+    ends = [(topology.position(a.path_id, a.seq), topology.position(a.path_id, a.seq + 1)) for a in senders]
+    chained = 0
+    if topology.half_duplex:
+        for i in range(len(senders) - 1):
+            if senders[i].path_id == senders[i + 1].path_id:
+                chained |= 1 << i
+    return _relation_of(senders, _disk_rows(ends, topology.interference_radius, chained))
 
 
 def is_concurrency_subset(pair: PathPair, nodes: Iterable[NodeRef]) -> bool:

@@ -8,28 +8,35 @@ so a run documents the whole grid it covered.
 
 Route candidates either come fixed from the caller or are enumerated as
 simple paths through a connectivity graph with known vertex positions.
-Every candidate pair gets its own disk-model interference relation, so
-routes that bend closer to each other genuinely pay for it.
+Each route's own interference, reachable spacings and phase subsets are
+worked out once, as bitmasks over its senders; each candidate pair adds
+only the disk-model conflicts between its two routes, so routes that bend
+closer to each other genuinely pay for it. Only the winning pair is built
+as a PathPair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .analysis import interference_intensity
+from .analysis import _interference_witness
 from .errors import ConsistencyError, DomainError
-from .matching import _tiled_sizes
+from .matching import _core, _tiled_sizes
 from .model import (
-    GeometricTopology,
-    InterferenceRelation,
     PathPair,
     PrimaryPath,
+    _Ends,
     _as_point,
-    derive_relation,
+    _bits,
+    _check_radius,
+    _disk_row,
+    _disk_rows,
+    _relation_of,
+    _union,
 )
-from .periods import _joint_rows, _phase_masks, is_reachable_period
+from .periods import _first_bad, _joint_rows, _local_phases
 from .scheduler import Schedule, schedule_pair_unequal
 
 
@@ -184,28 +191,63 @@ class OptimizationResult:
     search_log: list[LoggedCandidate] = field(default_factory=list)
 
 
+class _RouteProfile(NamedTuple):
+    """What the search needs of one route, whatever it is paired with.
+
+    `ends` holds each sender's position and its receiver's. `conflicts[k]`
+    is the route-local mask of the senders that interfere with sender k+1:
+    the disk model relates two senders of one route through that route's
+    points only. `phases` maps each spacing of the clamped range to its
+    route-local phase masks, or to None when the spacing is not reachable.
+    """
+
+    ends: list[_Ends]
+    conflicts: list[int]
+    intensity: int
+    phases: dict[int, list[int] | None]
+
+
+def _route_masks(
+    scenario: DiskScenario, route: RouteCandidate, path_id: int
+) -> tuple[list[_Ends], list[int]]:
+    """A route's sender ends and route-local conflict masks. Its points are
+    checked under the node keys (path_id, seq) a topology would give them."""
+    points = [_as_point(point, (path_id, seq)) for seq, point in enumerate(route.points, start=1)]
+    ends = list(zip(points, points[1:]))
+    chained = (1 << len(ends) - 1) - 1 if scenario.half_duplex else 0
+    upper = _disk_rows(ends, scenario.interference_radius, chained)
+    conflicts = upper[:]
+    for i, row in enumerate(upper):
+        for j in _bits(row):
+            conflicts[j] |= 1 << i
+    return ends, conflicts
+
+
+def _cross_masks(radius: float, ends1: Sequence[_Ends], ends2: Sequence[_Ends]) -> list[int]:
+    """cross[i] is the route-2-local mask of the senders that interfere with
+    route-1 sender i+1; half-duplex links never cross routes."""
+    return [_disk_row(tx, rx, ends2, radius) for tx, rx in ends1]
+
+
+def _pair_from_masks(conflicts1: list[int], conflicts2: list[int], cross: list[int]) -> PathPair:
+    """The chain pair whose relation the route-local and cross masks describe."""
+    path1 = PrimaryPath(id=1, n_senders=len(conflicts1))
+    path2 = PrimaryPath(id=2, n_senders=len(conflicts2))
+    n1 = len(conflicts1)
+    dense = [mask | across << n1 for mask, across in zip(conflicts1, cross)]
+    dense += [mask << n1 for mask in conflicts2]
+    return PathPair(path1=path1, path2=path2, relation=_relation_of(path1.senders + path2.senders, dense))
+
+
 def materialize_pair(
     scenario: DiskScenario, route1: RouteCandidate, route2: RouteCandidate
 ) -> PathPair:
-    """Concrete chain pair for one candidate route combination."""
-    positions: dict[tuple[int, int], tuple[float, float]] = {}
-    for seq, point in enumerate(route1.points, start=1):
-        positions[(1, seq)] = point
-    for seq, point in enumerate(route2.points, start=1):
-        positions[(2, seq)] = point
-    topology = GeometricTopology(
-        positions,
-        interference_radius=scenario.interference_radius,
-        half_duplex=scenario.half_duplex,
-    )
-    path1 = PrimaryPath(id=1, n_senders=route1.n_senders)
-    path2 = PrimaryPath(id=2, n_senders=route2.n_senders)
-    skeleton = PathPair(path1=path1, path2=path2, relation=InterferenceRelation())
-    return PathPair(
-        path1=path1,
-        path2=path2,
-        relation=derive_relation(topology, skeleton),
-    )
+    """Concrete chain pair for one candidate route combination, related by
+    the disk model as derive_relation relates a topology of both routes."""
+    _check_radius(scenario.interference_radius)
+    ends1, conflicts1 = _route_masks(scenario, route1, 1)
+    ends2, conflicts2 = _route_masks(scenario, route2, 2)
+    return _pair_from_masks(conflicts1, conflicts2, _cross_masks(scenario.interference_radius, ends1, ends2))
 
 
 def _clamped_range(
@@ -215,16 +257,18 @@ def _clamped_range(
     return max(lo, intensity), min(hi, n_senders)
 
 
-def _path_profile(
-    pair: PathPair, path_id: int, given: tuple[int, int] | None
-) -> tuple[int, dict[int, bool]]:
-    """Interference intensity of one path and reachability of each spacing
-    in its clamped range. derive_relation relates two senders of one path
-    through that path's positions only, so both depend on the path's route
-    alone, not on the route it is paired with."""
-    istar, _ = interference_intensity(pair, pair.path_nodes(path_id))
-    lo, hi = _clamped_range(given, istar, pair.path(path_id).n_senders)
-    return istar, {t: is_reachable_period(pair, path_id, t) for t in range(lo, hi + 1)}
+def _route_profile(
+    scenario: DiskScenario, route: RouteCandidate, path_id: int, given: tuple[int, int] | None
+) -> _RouteProfile:
+    ends, conflicts = _route_masks(scenario, route, path_id)
+    n = len(ends)
+    intensity = _interference_witness(conflicts, (1 << n) - 1).bit_count()
+    lo, hi = _clamped_range(given, intensity, n)
+    phases: dict[int, list[int] | None] = {}
+    for spacing in range(lo, hi + 1):
+        masks = _local_phases(n, spacing)
+        phases[spacing] = masks if _first_bad(conflicts, masks) is None else None
+    return _RouteProfile(ends, conflicts, intensity, phases)
 
 
 def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
@@ -234,37 +278,36 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
     smallest (route indices, spacings, traversal counts), so reruns pick
     the same winner.
 
-    Each route's intensity and reachable spacings are computed once (see
-    _path_profile). Path 2's phase masks are built once per route pair and
-    path 1's conflicts once per spacing, joint rows are column masks built
-    from them directly, and grid points with the same joint matrix share
-    one tiled-size table.
+    Each route is profiled once (see _RouteProfile). A route pair adds only
+    its cross masks: a path-1 phase conflicts with the OR of its members'
+    cross masks, and joint rows are column masks over path 2's phase
+    masks. Grid points whose joint matrices have the same core (see
+    matching._core) share one tiled-size table. Only the winner becomes a
+    PathPair.
     """
     if not space.routes1 or not space.routes2:
         raise DomainError("search space has no route candidates")
+    _check_radius(scenario.interference_radius)
     cap = space.max_traversals
     log: list[LoggedCandidate] = []
-    # (rate numerator, rate denominator = period, log entry, pair, route1, route2)
+    # (rate numerator, rate denominator = period, log entry, profile1, profile2, cross)
     best: tuple | None = None
-    profiles1: dict[int, tuple[int, dict[int, bool]]] = {}
-    profiles2: dict[int, tuple[int, dict[int, bool]]] = {}
-    tables: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], ...]] = {}
+    profiles2: list[_RouteProfile] = []
+    tables: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
     for index1, route1 in enumerate(space.routes1):
+        profile1 = _route_profile(scenario, route1, 1, space.period_range1)
         for index2, route2 in enumerate(space.routes2):
-            pair = materialize_pair(scenario, route1, route2)
-            if index1 not in profiles1:
-                profiles1[index1] = _path_profile(pair, 1, space.period_range1)
-            if index2 not in profiles2:
-                profiles2[index2] = _path_profile(pair, 2, space.period_range2)
-            reachable1 = profiles1[index1][1]
-            reachable2 = profiles2[index2][1]
-            masks2 = {t: _phase_masks(pair, 2, t) for t, ok in reachable2.items() if ok}
-            for period1, ok1 in reachable1.items():
-                conflicts1 = [pair.conflicts_of(m) for m in _phase_masks(pair, 1, period1)] if ok1 else []
-                for period2, ok2 in reachable2.items():
-                    if not ok1 or not ok2:
-                        which = 1 if not ok1 else 2
+            # profiled in the first pass, so a bad route is met in pair order
+            if index1 == 0:
+                profiles2.append(_route_profile(scenario, route2, 2, space.period_range2))
+            profile2 = profiles2[index2]
+            cross = _cross_masks(scenario.interference_radius, profile1.ends, profile2.ends)
+            for period1, masks1 in profile1.phases.items():
+                conflicts1 = None if masks1 is None else [_union(cross, mask) for mask in masks1]
+                for period2, masks2 in profile2.phases.items():
+                    if conflicts1 is None or masks2 is None:
+                        which = 1 if conflicts1 is None else 2
                         spacing = period1 if which == 1 else period2
                         log.append(
                             LoggedCandidate(
@@ -284,11 +327,10 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                             )
                         )
                         continue
-                    rows = _joint_rows(conflicts1, masks2[period2])
-                    key = (rows, period2)
-                    sizes = tables.get(key)
+                    core, width = _core(_joint_rows(conflicts1, masks2))
+                    sizes = tables.get(core)
                     if sizes is None:
-                        sizes = tables[key] = _tiled_sizes(rows, period2, cap)
+                        sizes = tables[core] = _tiled_sizes(core, width, cap)
                     for traversals1 in range(1, cap + 1):
                         for traversals2 in range(1, cap + 1):
                             support_size = sizes[traversals1 - 1][traversals2 - 1]
@@ -318,13 +360,14 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                             # shorter period.
                             ahead = 1 if best is None else blocks * best[1] - best[0] * period
                             if ahead > 0 or (ahead == 0 and period < best[1]):
-                                best = (blocks, period, entry, pair, route1, route2)
+                                best = (blocks, period, entry, profile1, profile2, cross)
     if best is None:
         raise DomainError(
             "no candidate in the search space has reachable spacings on "
             "both paths"
         )
-    _, _, entry, pair, route1, route2 = best
+    _, _, entry, profile1, profile2, cross = best
+    pair = _pair_from_masks(profile1.conflicts, profile2.conflicts, cross)
     schedule = schedule_pair_unequal(
         pair, entry.period1, entry.period2, entry.traversals1, entry.traversals2
     )
@@ -333,7 +376,7 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
             "winning schedule's period disagrees with the evaluated grid point"
         )
     return OptimizationResult(
-        best_routes=(route1, route2),
+        best_routes=(space.routes1[entry.route1], space.routes2[entry.route2]),
         best_route_indices=(entry.route1, entry.route2),
         best_period1=entry.period1,
         best_period2=entry.period2,

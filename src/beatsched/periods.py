@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .analysis import interference_intensity
 from .errors import ConsistencyError, DomainError
-from .model import NodeRef, PathPair, PrimaryPath, validate_path_rules
+from .model import NodeRef, PathPair, PrimaryPath, _union, validate_path_rules
 
 __all__ = [
     "ConcurrencyMatrix",
@@ -43,22 +43,35 @@ def subset_members(path: PrimaryPath, phase: int, spacing: int) -> tuple[NodeRef
     return tuple(NodeRef(path.id, j) for j in range(phase, path.n_senders + 1, spacing))
 
 
-def _phase_masks(pair: PathPair, path_id: int, spacing: int) -> list[int]:
-    """Dense masks of the phase subsets 1..spacing at this spacing."""
-    path = pair.path(path_id)
-    _check_phase(path, 1, spacing)
-    chain = pair.seq_mask(path_id, range(1, path.n_senders + 1))
-    first = pair.seq_mask(path_id, range(1, path.n_senders + 1, spacing))
+def _local_phases(n_senders: int, spacing: int) -> list[int]:
+    """Masks of the phase subsets 1..spacing of a chain of n_senders, bit
+    k standing for sender k+1."""
+    chain = (1 << n_senders) - 1
+    first = sum(1 << k for k in range(0, n_senders, spacing))
     # phase p's subset is phase 1's moved p-1 senders downstream
     return [(first << shift) & chain for shift in range(spacing)]
 
 
+def _phase_masks(pair: PathPair, path_id: int, spacing: int) -> list[int]:
+    """Dense masks of the phase subsets 1..spacing at this spacing."""
+    path = pair.path(path_id)
+    _check_phase(path, 1, spacing)
+    offset = pair.offset(path_id)
+    return [mask << offset for mask in _local_phases(path.n_senders, spacing)]
+
+
+def _first_bad(conflicts: Sequence[int], masks: Sequence[int]) -> int | None:
+    """1-based position of the first mask that is not a concurrency subset
+    under these conflict masks, or None."""
+    for position, mask in enumerate(masks, start=1):
+        if _union(conflicts, mask) & mask:
+            return position
+    return None
+
+
 def _first_bad_phase(pair: PathPair, path_id: int, spacing: int) -> int | None:
     """First phase whose subset is not a concurrency subset, or None."""
-    for phase, mask in enumerate(_phase_masks(pair, path_id, spacing), start=1):
-        if not pair.is_concurrent_mask(mask):
-            return phase
-    return None
+    return _first_bad(pair._conflicts, _phase_masks(pair, path_id, spacing))
 
 
 def is_reachable_period(pair: PathPair, path_id: int, spacing: int) -> bool:

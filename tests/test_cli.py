@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -417,6 +418,52 @@ class TestOptimize:
         _, first, _ = run(capsys, "optimize", CROSSING)
         _, second, _ = run(capsys, "optimize", CROSSING)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "flag, bounds",
+        [("--period-range1", ("-5", "-1")), ("--period-range2", ("0", "3")), ("--period-range1", ("4", "2"))],
+    )
+    def test_period_range_flags_are_checked_like_the_file(self, capsys, flag, bounds):
+        code, out, err = run(capsys, "optimize", CROSSING, flag, *bounds)
+        assert (code, out, err) == (1, "", f"error: {flag}: expected [lo, hi] with 1 <= lo <= hi\n")
+
+    def test_huge_grids_are_refused_with_their_size(self, capsys):
+        # crossing_pair: spacings 1..4 on its route 1 and 1..3 on each of its
+        # two routes 2, so 4 * 6 spacing pairs per traversal pair
+        rng = random.Random("cli/grid-bound")
+        for _ in range(5):
+            traversals = rng.randint(cli.MAX_GRID_POINTS, 10**15)
+            code, out, err = run(capsys, "optimize", CROSSING, "--max-traversals", str(traversals))
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: the optimize grid has up to {24 * traversals**2} points (route pairs x "
+                f"spacings x traversal pairs), more than the limit of {cli.MAX_GRID_POINTS}; "
+                "lower max_traversals or narrow the period ranges\n"
+            )
+
+    def test_grid_limit_is_inclusive_and_sees_the_period_ranges(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 24 * 3**2)
+        assert run(capsys, "optimize", CROSSING, "--max-traversals", "3")[0] == 0
+        assert run(capsys, "optimize", CROSSING, "--max-traversals", "4")[0] == 1
+        # spacings 3..4 on route 1 leave 2 * 6 spacing pairs
+        assert run(capsys, "optimize", CROSSING, "--max-traversals", "4", "--period-range1", "3", "9")[0] == 0
+
+    def test_closed_pipe_exits_without_a_traceback(self):
+        # The output (about 240 kB) outgrows the pipe, so the process is
+        # still writing when the reader closes it after 300 bytes.
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "beatsched.cli", "optimize", CROSSING, "--max-traversals", "12"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={"PYTHONPATH": str(src)},
+        )
+        head = proc.stdout.read(300)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert head.startswith(b"{") and err == b""
 
     def test_scenario_without_optimize_section(self, capsys):
         code, _, err = run(capsys, "optimize", FAR_PAIR)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from beatsched.errors import ConsistencyError, DomainError
 from beatsched.matching import (
     _FlowNetwork,
+    _core,
     _tiled_sizes,
     brute_force_max_support,
     max_support_set,
@@ -367,6 +368,65 @@ class TestMaskKernel:
         monkeypatch.setattr(_FlowNetwork, "_augment", forged)
         with pytest.raises(ConsistencyError, match=message):
             _tiled_sizes([0b01], 2, 1)
+
+
+class TestCore:
+    """_tiled_sizes on the core, with all-zero rows and columns dropped,
+    against the whole matrix."""
+
+    @staticmethod
+    def with_zero_lines(rng, matrix):
+        """The matrix with all-zero rows and columns inserted at random places."""
+        rows = [row[:] for row in matrix]
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(0, len(rows[0]))
+            rows = [row[:at] + [0] + row[at:] for row in rows]
+        for _ in range(rng.randint(0, 3)):
+            rows.insert(rng.randint(0, len(rows)), [0] * len(rows[0]))
+        return rows
+
+    @staticmethod
+    def stripped(matrix):
+        """The core as lists: the nonzero rows, restricted to the nonzero columns."""
+        used = [j for j in range(len(matrix[0])) if any(row[j] for row in matrix)]
+        return [[row[j] for j in used] for row in matrix if any(row)]
+
+    def cases(self):
+        rng = random.Random("matching/core")
+        special = [
+            [[0] * 4 for _ in range(3)],
+            [[0]],
+            [[0, 1, 0, 0, 1, 1, 0]],
+            [[0], [1], [1], [0], [1]],
+            [[1, 0, 1], [0, 0, 0], [1, 0, 0]],
+        ]
+        return special + [self.with_zero_lines(rng, random_matrix(rng, 5, 5)) for _ in range(150)]
+
+    def test_core_drops_zero_rows_and_columns(self):
+        for matrix in self.cases():
+            core, width = _core(row_masks(matrix))
+            expected = self.stripped(matrix)
+            assert width == (len(expected[0]) if expected else 0)
+            assert list(core) == row_masks(expected), matrix
+
+    def test_core_table_equals_the_whole_matrix_and_brute_force(self):
+        brute_forced = 0
+        for matrix in self.cases():
+            core, width = _core(row_masks(matrix))
+            for cap in range(1, 5):
+                sizes = _tiled_sizes(core, width, cap)
+                assert sizes == tiled_support_sizes(matrix, cap), (matrix, cap)
+                for l1 in range(1, cap + 1):
+                    for l2 in range(1, cap + 1):
+                        tiled = continuation(matrix, l1, l2)
+                        if len(tiled) * len(tiled[0]) <= 30:
+                            assert sizes[l1 - 1][l2 - 1] == brute_force_max_support(tiled)
+                            brute_forced += 1
+        assert brute_forced > 200
+
+    def test_an_all_zero_matrix_has_an_empty_core(self):
+        assert _core([0, 0, 0]) == ((), 0)
+        assert _tiled_sizes((), 0, 3) == ((0, 0, 0),) * 3
 
 
 class TestBruteForce:

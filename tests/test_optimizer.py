@@ -1,5 +1,6 @@
 """Exhaustive grid search over routes, spacings, and traversal counts."""
 
+import itertools
 import math
 import random
 import subprocess
@@ -14,16 +15,26 @@ import beatsched
 from beatsched.analysis import interference_intensity
 from beatsched.errors import ConfigurationError, DomainError
 from beatsched.matching import max_support_set
+from beatsched.model import (
+    GeometricTopology,
+    InterferenceRelation,
+    NodeRef,
+    PathPair,
+    PrimaryPath,
+    derive_relation,
+)
 from beatsched.optimizer import (
     DiskScenario,
     RouteCandidate,
     SearchSpace,
-    _path_profile,
+    _cross_masks,
+    _route_masks,
+    _route_profile,
     materialize_pair,
     optimize,
     routes_from_graph,
 )
-from beatsched.periods import build_matrix, continuation, is_reachable_period
+from beatsched.periods import build_matrix, continuation, is_reachable_period, subset_members
 from beatsched.scheduler import schedule_pair_unequal
 from beatsched.simulator import run
 
@@ -353,22 +364,115 @@ class TestSeededSearchLogs:
             skipped_paths |= {c.note[-1] for c in result.search_log if c.note != "evaluated"}
         assert skipped_paths == {"1", "2"}
 
+    def test_winner_pair_equals_its_materialized_pair(self):
+        for scenario, space in self.searches():
+            result = optimize(scenario, space)
+            assert result.pair == materialize_pair(scenario, *result.best_routes)
+
     def test_route_profiles_do_not_depend_on_the_other_route(self):
         for scenario, space in self.searches():
+            profiles1 = [_route_profile(scenario, r, 1, space.period_range1) for r in space.routes1]
+            profiles2 = [_route_profile(scenario, r, 2, space.period_range2) for r in space.routes2]
             for index1, route1 in enumerate(space.routes1):
                 for index2, route2 in enumerate(space.routes2):
                     pair = materialize_pair(scenario, route1, route2)
-                    first1 = materialize_pair(scenario, route1, space.routes2[0])
-                    first2 = materialize_pair(scenario, space.routes1[0], route2)
-                    for path_id, first, given in (
-                        (1, first1, space.period_range1),
-                        (2, first2, space.period_range2),
-                    ):
-                        istar, reachable = _path_profile(first, path_id, given)
-                        assert istar == interference_intensity(pair, pair.path_nodes(path_id))[0]
-                        assert reachable == {
-                            t: is_reachable_period(pair, path_id, t) for t in reachable
+                    for path_id, profile in ((1, profiles1[index1]), (2, profiles2[index2])):
+                        assert profile.intensity == interference_intensity(pair, pair.path_nodes(path_id))[0]
+                        assert {t: masks is not None for t, masks in profile.phases.items()} == {
+                            t: is_reachable_period(pair, path_id, t) for t in profile.phases
                         }
+                        offset = pair.offset(path_id)
+                        for t, masks in profile.phases.items():
+                            if masks is not None:
+                                assert [mask << offset for mask in masks] == [
+                                    pair.mask_of(subset_members(pair.path(path_id), phase, t))
+                                    for phase in range(1, t + 1)
+                                ]
+
+
+def disk_reference(scenario, route1, route2):
+    """Interfering sender pairs of two routes, from the disk model's
+    definition pair by pair."""
+    senders = [
+        (NodeRef(path_id, seq), route.points[seq - 1], route.points[seq])
+        for path_id, route in ((1, route1), (2, route2))
+        for seq in range(1, route.n_senders + 1)
+    ]
+    r = scenario.interference_radius
+    pairs = set()
+    for (a, tx_a, rx_a), (b, tx_b, rx_b) in itertools.combinations(senders, 2):
+        near = math.dist(tx_a, rx_b) <= r or math.dist(tx_b, rx_a) <= r
+        linked = scenario.half_duplex and a.path_id == b.path_id and abs(a.seq - b.seq) == 1
+        if near or linked:
+            pairs.add(frozenset((a, b)))
+    return pairs
+
+
+def mask_bits(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+class TestRouteMasks:
+    # Sender 2.1 stands exactly 1.5 from receiver 1.2 (the point (2, 0)) and
+    # further than that from every other receiver.
+    TIE1 = RouteCandidate(points=((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), label="tie1")
+    TIE2 = RouteCandidate(points=((2.0, 1.5), (4.0, 3.0)), label="tie2")
+
+    def cases(self):
+        rng = random.Random("optimizer/route-masks")
+        for case in range(40):
+            route1 = bent_route(rng, rng.randint(1, 7), (0.0, 0.0), "a")
+            route2 = bent_route(rng, rng.randint(1, 7), (rng.uniform(-1, 1), rng.uniform(0.5, 2.5)), "b")
+            scenario = DiskScenario(interference_radius=rng.uniform(0.6, 1.8), half_duplex=case % 4 != 3)
+            yield scenario, route1, route2
+        yield DiskScenario(interference_radius=1.5), self.TIE1, self.TIE2
+
+    def test_route_and_cross_masks_equal_the_disk_model(self):
+        for scenario, route1, route2 in self.cases():
+            expected = disk_reference(scenario, route1, route2)
+            ends1, local1 = _route_masks(scenario, route1, 1)
+            ends2, local2 = _route_masks(scenario, route2, 2)
+            cross = _cross_masks(scenario.interference_radius, ends1, ends2)
+            found = set()
+            for path_id, local in ((1, local1), (2, local2)):
+                for i, mask in enumerate(local):
+                    assert all(local[j] >> i & 1 for j in mask_bits(mask))
+                    found |= {frozenset((NodeRef(path_id, i + 1), NodeRef(path_id, j + 1))) for j in mask_bits(mask)}
+            for i, mask in enumerate(cross):
+                found |= {frozenset((NodeRef(1, i + 1), NodeRef(2, j + 1))) for j in mask_bits(mask)}
+            assert found == expected
+            assert materialize_pair(scenario, route1, route2).relation.pairs == expected
+            positions = {
+                (path_id, seq): point
+                for path_id, route in ((1, route1), (2, route2))
+                for seq, point in enumerate(route.points, start=1)
+            }
+            topology = GeometricTopology(positions, scenario.interference_radius, scenario.half_duplex)
+            skeleton = PathPair(
+                path1=PrimaryPath(id=1, n_senders=route1.n_senders),
+                path2=PrimaryPath(id=2, n_senders=route2.n_senders),
+                relation=InterferenceRelation(),
+            )
+            assert derive_relation(topology, skeleton).pairs == expected
+
+    def test_a_sender_exactly_one_radius_from_a_receiver_interferes(self):
+        at = materialize_pair(DiskScenario(interference_radius=1.5), self.TIE1, self.TIE2)
+        assert at.relation.interferes(NodeRef(1, 2), NodeRef(2, 1))
+        below = materialize_pair(DiskScenario(interference_radius=math.nextafter(1.5, 0.0)), self.TIE1, self.TIE2)
+        assert not below.relation.interferes(NodeRef(1, 2), NodeRef(2, 1))
+
+    def test_bad_routes_are_reported_in_pair_order(self):
+        # Route pair (0, 0) is met first, so route2[0]'s point is reported
+        # before the bad route1[1], as when every pair was built in turn.
+        good = straight_route(2, 0.0)
+        space = SearchSpace(
+            routes1=(good, RouteCandidate(points=((0.0, 0.0), (1.0, math.nan)))),
+            routes2=(RouteCandidate(points=((0.0, 5.0), (1.0, 5.0, 9.0))), good),
+        )
+        with pytest.raises(ConfigurationError, match=r"node \(2, 2\) must have 1 or 2 coordinates"):
+            optimize(DiskScenario(interference_radius=1.0), space)
+        with pytest.raises(DomainError, match="interference_radius must be >= 0"):
+            optimize(DiskScenario(interference_radius=-1.0), space)
 
 
 class TestTieBreaks:
