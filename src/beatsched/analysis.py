@@ -198,14 +198,16 @@ def check_continuity(pair: PathPair, path_id: int) -> bool:
         )
     members = pair.seq_mask(path_id, range(1, pair.path(path_id).n_senders + 1))
     adj = _interference_adjacency(pair._conflicts, members)
-    istar = _best_clique(adj, members).bit_count()
+    # one pass: every clique of the largest size must be one run of set bits,
+    # which on a chain's consecutive dense indices means consecutive positions
+    istar, runs = 0, True
     for clique in _maximal_cliques(adj, members):
-        # a chain's senders have consecutive dense indices, so consecutive
-        # positions are one run of set bits
-        run = clique // (clique & -clique)
-        if clique.bit_count() == istar and run & (run + 1):
-            return False
-    return True
+        size, run = clique.bit_count(), clique // (clique & -clique)
+        if size > istar:
+            istar, runs = size, True
+        if size == istar:
+            runs = runs and not run & (run + 1)
+    return runs
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A scenario is a JSON object declaring one or two chains plus either a
 geometric topology (positions and a disk radius, the relation is
 derived) or an explicit interference matrix. Scenarios may also carry
-an `optimize` section with candidate routes for the grid search.
+an `optimize` section with candidate routes for the grid search, which
+only the `optimize` subcommand reads.
 
 All emitted JSON is deterministic: keys are sorted, exact rationals are
 written as {"num": ..., "den": ...} objects, and any randomness in the
@@ -17,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -102,20 +103,9 @@ def _as_point(value: Any, path: str) -> tuple[float, float]:
 
 
 @dataclass
-class OptimizeConfig:
-    disk: DiskScenario
-    routes1: tuple[RouteCandidate, ...]
-    routes2: tuple[RouteCandidate, ...]
-    period_range1: tuple[int, int] | None
-    period_range2: tuple[int, int] | None
-    max_traversals: int
-
-
-@dataclass
 class Scenario:
     pair: PathPair
     topology: GeometricTopology | None
-    optimize_config: OptimizeConfig | None
 
 
 def _parse_paths(data: dict) -> tuple[PrimaryPath, PrimaryPath | None]:
@@ -220,7 +210,8 @@ def _parse_route_list(raw: Any, path: str) -> tuple[RouteCandidate, ...]:
     return tuple(routes)
 
 
-def _parse_graph_routes(raw: Any, which: int) -> tuple[RouteCandidate, ...]:
+def _parse_graph_routes(raw: Any) -> list[tuple[RouteCandidate, ...]]:
+    """Routes 1 and 2 through one graph, whose vertices and edges are read once."""
     base = "$.optimize.graph"
     _expect(isinstance(raw, dict), base, "expected an object")
     vertices = raw.get("vertices")
@@ -247,30 +238,33 @@ def _parse_graph_routes(raw: Any, which: int) -> tuple[RouteCandidate, ...]:
             )
         adjacency[a].append(b)
         adjacency[b].append(a)
-    spec = raw.get(f"route{which}")
-    spec_path = f"{base}.route{which}"
-    _expect(isinstance(spec, dict), spec_path, "expected an object with source/destination/max_hops")
-    source = spec.get("source")
-    destination = spec.get("destination")
-    max_hops = spec.get("max_hops", 8)
-    _expect(isinstance(source, str) and source in positions, f"{spec_path}.source", "expected a known vertex name")
-    _expect(
-        isinstance(destination, str) and destination in positions,
-        f"{spec_path}.destination",
-        "expected a known vertex name",
-    )
-    _expect(
-        _is_int(max_hops) and max_hops >= 1,
-        f"{spec_path}.max_hops",
-        "expected an integer >= 1",
-    )
-    routes = routes_from_graph(adjacency, positions, source, destination, max_hops)
-    _expect(
-        bool(routes),
-        spec_path,
-        f"no simple path from {source!r} to {destination!r} within {max_hops} hops",
-    )
-    return routes
+    sides = []
+    for which in (1, 2):
+        spec = raw.get(f"route{which}")
+        spec_path = f"{base}.route{which}"
+        _expect(isinstance(spec, dict), spec_path, "expected an object with source/destination/max_hops")
+        source = spec.get("source")
+        destination = spec.get("destination")
+        max_hops = spec.get("max_hops", 8)
+        _expect(isinstance(source, str) and source in positions, f"{spec_path}.source", "expected a known vertex name")
+        _expect(
+            isinstance(destination, str) and destination in positions,
+            f"{spec_path}.destination",
+            "expected a known vertex name",
+        )
+        _expect(
+            _is_int(max_hops) and max_hops >= 1,
+            f"{spec_path}.max_hops",
+            "expected an integer >= 1",
+        )
+        found = routes_from_graph(adjacency, positions, source, destination, max_hops)
+        _expect(
+            bool(found),
+            spec_path,
+            f"no simple path from {source!r} to {destination!r} within {max_hops} hops",
+        )
+        sides.append(found)
+    return sides
 
 
 def _parse_period_range(raw: Any, path: str) -> tuple[int, int] | None:
@@ -287,7 +281,7 @@ def _parse_period_range(raw: Any, path: str) -> tuple[int, int] | None:
     return (raw[0], raw[1])
 
 
-def _parse_optimize(raw: Any, topology: GeometricTopology | None) -> OptimizeConfig:
+def _parse_optimize(raw: Any, topology: GeometricTopology | None) -> tuple[DiskScenario, SearchSpace]:
     base = "$.optimize"
     _expect(isinstance(raw, dict), base, "expected an object")
     radius = raw.get("interference_radius")
@@ -306,8 +300,7 @@ def _parse_optimize(raw: Any, topology: GeometricTopology | None) -> OptimizeCon
             base,
             "give either a graph or fixed routes, not both",
         )
-        routes1 = _parse_graph_routes(raw["graph"], 1)
-        routes2 = _parse_graph_routes(raw["graph"], 2)
+        routes1, routes2 = _parse_graph_routes(raw["graph"])
     else:
         _expect(
             "routes1" in raw and "routes2" in raw,
@@ -322,8 +315,7 @@ def _parse_optimize(raw: Any, topology: GeometricTopology | None) -> OptimizeCon
         f"{base}.max_traversals",
         "expected an integer >= 1",
     )
-    return OptimizeConfig(
-        disk=DiskScenario(interference_radius=radius, half_duplex=half_duplex),
+    return DiskScenario(interference_radius=radius, half_duplex=half_duplex), SearchSpace(
         routes1=routes1,
         routes2=routes2,
         period_range1=_parse_period_range(raw.get("period_range1"), f"{base}.period_range1"),
@@ -351,23 +343,33 @@ def parse_scenario(data: Any) -> Scenario:
     else:
         relation = _parse_relation(data["relation"], paths)
     pair = PathPair(path1=path1, path2=path2, relation=relation)
-    config = None
-    if "optimize" in data:
-        config = _parse_optimize(data["optimize"], topology)
-    return Scenario(pair=pair, topology=topology, optimize_config=config)
+    return Scenario(pair=pair, topology=topology)
+
+
+def _read_text(filename: str, kind: str) -> str:
+    try:
+        with open(filename, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {kind} file: {exc}") from None
+
+
+def _decode_json(text: str, invalid: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"{invalid}: {exc}") from None
+    except RecursionError:
+        raise SchemaError("$", f"{invalid}: nested too deeply to parse") from None
+
+
+def _load_scenario_json(filename: str) -> Any:
+    return _decode_json(_read_text(filename, "scenario"), "invalid JSON")
 
 
 def load_scenario(filename: str) -> Scenario:
-    try:
-        with open(filename, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read scenario file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"invalid JSON: {exc}") from None
-    except RecursionError:
-        raise SchemaError("$", "invalid JSON: nested too deeply to parse") from None
-    return parse_scenario(data)
+    """The pair and topology; only `cmd_optimize` reads the optimize section."""
+    return parse_scenario(_load_scenario_json(filename))
 
 
 # ------------------------------------------------------------- rendering
@@ -457,7 +459,9 @@ def _build_schedule(scenario: Scenario, args) -> Schedule:
     if mode == "auto":
         mode = "equal" if pair.has_pair() else "primary"
     if mode == "primary":
-        return schedule_primary(pair, args.path, args.spacing1)
+        # the chosen path's own flag; an unknown path is rejected downstream
+        spacing = {1: args.spacing1, 2: args.spacing2}.get(args.path)
+        return schedule_primary(pair, args.path, spacing)
     spacing1, spacing2 = _pair_spacings(pair, args)
     if mode == "equal":
         return schedule_pair_equal(pair, spacing1, spacing2, args.traversals)
@@ -515,24 +519,12 @@ def cmd_matrix(args, out) -> int:
 
 
 def _read_matrix_input(filename: str) -> list[list[int]]:
-    if filename == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(filename, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read matrix file: {exc}") from None
+    text = sys.stdin.read() if filename == "-" else _read_text(filename, "matrix")
     stripped = text.strip()
     if not stripped:
         raise SchemaError("$", "matrix input is empty")
     if stripped[0] in "[{":
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"invalid JSON matrix: {exc}") from None
-        except RecursionError:
-            raise SchemaError("$", "invalid JSON matrix: nested too deeply to parse") from None
+        data = _decode_json(stripped, "invalid JSON matrix")
         if isinstance(data, dict):
             data = data.get("rows")
         _expect(isinstance(data, list) and data, "$", "expected a list of rows")
@@ -542,6 +534,7 @@ def _read_matrix_input(filename: str) -> list[list[int]]:
                 f"$[{i}]",
                 "expected a row of 0/1 entries",
             )
+            _expect(len(row) == len(data[0]), f"$[{i}]", f"expected {len(data[0])} entries, as in row 0")
         return [list(row) for row in data]
     rows = []
     for line in stripped.splitlines():
@@ -646,20 +639,18 @@ def _grid_points(space: SearchSpace) -> int:
 
 
 def cmd_optimize(args, out) -> int:
-    scenario = load_scenario(args.scenario)
-    config = scenario.optimize_config
-    if config is None:
-        raise ConfigurationError(
-            "scenario has no optimize section (routes or graph needed)"
-        )
-    space = SearchSpace(
-        routes1=config.routes1,
-        routes2=config.routes2,
-        period_range1=_parse_period_range(args.period_range1, "--period-range1") or config.period_range1,
-        period_range2=_parse_period_range(args.period_range2, "--period-range2") or config.period_range2,
-        max_traversals=(
-            config.max_traversals if args.max_traversals is None else args.max_traversals
-        ),
+    data = _load_scenario_json(args.scenario)
+    topology = parse_scenario(data).topology
+    # presence, not truth: `"optimize": null` is a section to reject
+    if "optimize" not in data:
+        raise ConfigurationError("scenario has no optimize section (routes or graph needed)")
+    disk, space = _parse_optimize(data["optimize"], topology)
+    # replace() runs SearchSpace's own checks on the flags' values again
+    space = replace(
+        space,
+        period_range1=_parse_period_range(args.period_range1, "--period-range1") or space.period_range1,
+        period_range2=_parse_period_range(args.period_range2, "--period-range2") or space.period_range2,
+        max_traversals=space.max_traversals if args.max_traversals is None else args.max_traversals,
     )
     points = _grid_points(space)
     if points > MAX_GRID_POINTS:
@@ -668,7 +659,7 @@ def cmd_optimize(args, out) -> int:
             f"traversal pairs), more than the limit of {MAX_GRID_POINTS}; lower "
             "max_traversals or narrow the period ranges"
         )
-    result = optimize(config.disk, space)
+    result = optimize(disk, space)
     payload = {
         "best": {
             "routes": [

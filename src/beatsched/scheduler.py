@@ -26,13 +26,7 @@ from typing import Mapping
 from .errors import ConsistencyError, DomainError
 from .matching import max_support_set
 from .model import NodeRef, PathPair
-from .periods import (
-    build_matrix,
-    continuation,
-    intrinsic_period,
-    is_reachable_period,
-    subset_members,
-)
+from .periods import _check_phase, build_matrix, continuation, intrinsic_period, is_reachable_period
 
 CATEGORY_JOINT = "joint"
 CATEGORY_PATH1 = "path1-only"
@@ -151,7 +145,8 @@ def schedule_from_dict(data: dict) -> Schedule:
 
 def _phase_activation(pair: PathPair, path_id: int, spacing: int, phase: int) -> SubsetActivation:
     path = pair.path(path_id)
-    members = tuple(ref.seq for ref in subset_members(path, phase, spacing))
+    _check_phase(path, phase, spacing)
+    members = tuple(range(phase, path.n_senders + 1, spacing))
     return SubsetActivation(path_id=path_id, spacing=spacing, phase=phase, members=members)
 
 

@@ -88,11 +88,14 @@ class _ChainState:
         self.spans: dict[int, slice] = {}
         self.injected: dict[int, int] = {}
         self.delivered_log: dict[int, list[tuple[int, int, int]]] = {}
+        # deliveries that the books count but the log skips (see _repeat_cycle)
+        self.unlogged: dict[int, int] = {}
         for path in pair.paths:
             start = pair.offset(path.id)
             self.spans[path.id] = slice(start, start + path.n_senders)
             self.injected[path.id] = 0
             self.delivered_log[path.id] = []
+            self.unlogged[path.id] = 0
         self.max_depth = 0
 
     def check_conservation(self, depths: list[int]) -> None:
@@ -100,11 +103,11 @@ class _ChainState:
         for path_id, span in self.spans.items():
             in_flight = sum(depths[span])
             balance = self.injected[path_id] - in_flight
-            if balance != len(self.delivered_log[path_id]):
+            delivered = self.unlogged[path_id] + len(self.delivered_log[path_id])
+            if balance != delivered:
                 raise ConsistencyError(
                     f"path {path_id}: injected {self.injected[path_id]}, "
-                    f"in flight {in_flight}, delivered "
-                    f"{len(self.delivered_log[path_id])} do not balance"
+                    f"in flight {in_flight}, delivered {delivered} do not balance"
                 )
 
     def boundary_key(self, beat: int) -> tuple[int, ...]:
@@ -196,14 +199,18 @@ def _dense_beats(
 
 def _repeat_cycle(
     state: _ChainState, marks: list[_Mark], first: int, last: int,
-    period: int, total_periods: int,
+    period: int, total_periods: int, window_start: int,
 ) -> None:
     """Extend every delivery log to the end of the run by repeating the
     deliveries between boundaries `first` and `last`, whose keys are
-    equal, then balance the books of the run's last beat."""
+    equal, then balance the books of the run's last beat. Copies of the
+    cycle that end before `window_start` are counted, not logged."""
     cycle_periods = last - first
     cycle_beats = cycle_periods * period
     total_beats = total_periods * period
+    # copy c of the cycle ends with beat last * period + c * cycle_beats, so
+    # the first `skipped` copies end before the window
+    skipped = max(0, -(-(window_start - last * period) // cycle_beats) - 1)
     injected_first, delivered_first, _ = marks[first]
     # the run's last boundary repeats boundary `rest`, `repeats` cycles on
     rest = first + (total_periods - first) % cycle_periods
@@ -213,7 +220,8 @@ def _repeat_cycle(
     for path_id, log in state.delivered_log.items():
         gain = state.injected[path_id] - injected_first[path_id]
         cycle = log[delivered_first[path_id]:]
-        for c in range(1, -(-(total_periods - first) // cycle_periods)):
+        state.unlogged[path_id] += skipped * len(cycle)
+        for c in range(1 + skipped, -(-(total_periods - first) // cycle_periods)):
             serials, beats = c * gain, c * cycle_beats
             log.extend(
                 (serial + serials, injected + beats, arrived + beats)
@@ -257,7 +265,8 @@ def run(
 
     The run steps beats only until a period boundary's buffer key (see
     `_ChainState.boundary_key`) repeats one seen at an earlier boundary,
-    then extends the delivery log to the end of the run. That is exact:
+    then extends the delivery log to the end of the run, logging only the
+    cycles that reach the measured window. That is exact:
     - Every choice a beat makes (which senders fire, whether a relay's
       queue is empty, which block leaves) reads only the buffers and the
       beat's slot, and each boundary starts the same slots. Equal keys
@@ -301,7 +310,7 @@ def run(
             if first < boundary:
                 steady_state_after = first
                 if trace is None:
-                    _repeat_cycle(state, marks, first, boundary, period, total_periods)
+                    _repeat_cycle(state, marks, first, boundary, period, total_periods, window_start)
                     break
         if boundary == total_periods:
             break

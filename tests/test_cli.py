@@ -14,6 +14,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,13 @@ class TestSupport:
         assert code == 1
         assert "unequal lengths" in err
 
+    @pytest.mark.parametrize("rows", ["[[1, 0], [0]]", '{"rows": [[1, 0], [0, 1, 1]]}'])
+    def test_ragged_json_rows_rejected_at_their_path(self, capsys, tmp_path, rows):
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(rows)
+        code, out, err = run(capsys, "support", str(matrix))
+        assert (code, out, err) == (1, "", "error: $[1]: expected 2 entries, as in row 0\n")
+
 
 class TestSchedule:
     def test_pair_golden_timeline(self, capsys):
@@ -251,6 +259,15 @@ class TestSchedule:
             "      n2.3  ..X",
             "      n2.4  X..",
         ]
+
+    @pytest.mark.parametrize("flags, period", [(("--spacing2", "4"), 4), (("--spacing1", "4"), 3)])
+    def test_primary_mode_reads_the_chosen_paths_spacing(self, capsys, flags, period):
+        # path 2 has intrinsic period 3; --spacing1 belongs to path 1
+        code, out, _ = run(capsys, "schedule", FAR_PAIR, "--mode", "primary", "--path", "2", *flags)
+        assert code == 0
+        doc, _ = leading_json(out)
+        assert doc["schedule"]["period"] == period
+        assert doc["schedule"]["path_periods"] == {"2": period}
 
     def test_unreachable_spacing_fails(self, capsys):
         code, out, err = run(capsys, "schedule", CHAIN6, "--spacing1", "2")
@@ -756,7 +773,9 @@ class TestBooleansAreNotIntegers:
         ],
     )
     def test_boolean_is_rejected_at_its_path(self, capsys, tmp_path, doc, error):
-        code, out, err = run(capsys, "analyze", write_scenario(tmp_path, doc))
+        # only `optimize` reads the optimize section
+        command = "optimize" if error.startswith("$.optimize") else "analyze"
+        code, out, err = run(capsys, command, write_scenario(tmp_path, doc))
         assert (code, out, err) == (1, "", f"error: {error}\n")
 
     def test_support_rejects_boolean_entries(self, capsys, tmp_path):
@@ -790,3 +809,36 @@ class TestGraphEdges:
         doc = with_field(GRAPH_SCENARIO, ("optimize", "graph", "edges", 0), edge)
         code, out, err = run(capsys, "optimize", write_scenario(tmp_path, doc))
         assert (code, out, err) == (1, "", f"error: $.optimize.graph.edges[0]: {error}\n")
+
+
+def complete_graph(n: int) -> dict:
+    names = [f"v{k}" for k in range(n)]
+    return {
+        "vertices": {name: [k, k % 3] for k, name in enumerate(names)},
+        "edges": [[a, b] for i, a in enumerate(names) for b in names[i + 1:]],
+        "route1": {"source": names[0], "destination": names[-1], "max_hops": n - 1},
+        "route2": {"source": names[1], "destination": names[-2], "max_hops": n - 1},
+    }
+
+
+class TestOptimizeSectionIsLazy:
+    @pytest.mark.parametrize("command", ["analyze", "matrix", "schedule", "simulate", "delay"])
+    def test_other_commands_ignore_the_section(self, capsys, tmp_path, command):
+        doc = json.loads(Path(FAR_PAIR).read_text())
+        expected = run(capsys, command, FAR_PAIR)
+        assert expected[0] == 0
+        assert run(capsys, command, write_scenario(tmp_path, {**doc, "optimize": 5})) == expected
+
+    def test_analyze_does_not_enumerate_routes(self, capsys, tmp_path):
+        # a complete graph on 12 vertices has about 10 million routes per side
+        doc = {**json.loads(Path(FAR_PAIR).read_text()), "optimize": {"graph": complete_graph(12)}}
+        scenario = write_scenario(tmp_path, doc)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", scenario)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == run(capsys, "analyze", FAR_PAIR)[:2]
+
+    def test_null_section_is_rejected_by_optimize(self, capsys, tmp_path):
+        doc = {**json.loads(Path(FAR_PAIR).read_text()), "optimize": None}
+        code, out, err = run(capsys, "optimize", write_scenario(tmp_path, doc))
+        assert (code, out, err) == (1, "", "error: $.optimize: expected an object\n")

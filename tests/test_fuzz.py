@@ -1,7 +1,8 @@
 """Seeded fuzz of the scenario parser and the command line over JSON-shaped input.
 
 Each example starts from a valid scenario and replaces a few of its fields
-(or the whole document) with arbitrary JSON values. `parse_scenario` may
+(or the whole document) with arbitrary JSON values. `parse_scenario`, and
+the optimize-section parser where the document has that section, may
 accept the result or reject it with SchemaError, ConfigurationError or
 DomainError; `main` turns those into `error: ...` and exit code 1. Any other
 exception is a defect. Integers stay small so that an accepted scenario
@@ -122,7 +123,9 @@ FUZZ = settings(
 @given(scenarios())
 def test_parse_scenario_raises_only_input_errors(doc):
     try:
-        cli.parse_scenario(doc)
+        scenario = cli.parse_scenario(doc)
+        if "optimize" in doc:
+            cli._parse_optimize(doc["optimize"], scenario.topology)
     except (SchemaError, ConfigurationError, DomainError):
         pass
 

@@ -1,6 +1,7 @@
 """Exact beat-by-beat execution: rates, delays, ordering, violations."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -381,6 +382,27 @@ class TestProvenSteadyState:
         stepped.clear()
         run(chain6, schedule, n_periods=50, collect_trace=True)
         assert len(stepped) == 58 * 3
+
+    def test_long_warmups_equal_the_stepped_reference(self, corpus):
+        # the cycles before the window are counted, not logged
+        for pair, schedule in corpus[::7]:
+            for warmup in (3, 6, 11, 17):
+                assert_matches_reference(pair, schedule, 2, warmup)
+
+    def test_long_warmup_logs_only_the_window(self, far_pair):
+        schedule = schedule_pair_equal(far_pair, 3, 3, 1)
+        expected = dataclasses.asdict(run(far_pair, schedule, n_periods=5))
+        tracemalloc.start()
+        try:
+            report = run(far_pair, schedule, n_periods=5, warmup_periods=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.window_start == 3 * 10**6 + 1
+        got = dataclasses.asdict(report)
+        del got["window_start"], expected["window_start"]
+        assert got == expected
+        assert peak < 20 * 2**20
 
     def test_single_sender_is_periodic_from_the_start(self):
         pair = line_pair(1)
