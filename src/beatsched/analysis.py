@@ -17,7 +17,7 @@ smallest by (path_id, seq) is returned, which is ascending dense-index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConsistencyError, DomainError
 from .model import NodeRef, PathPair, _bits, validate_path_rules
@@ -53,48 +53,34 @@ def _max_degree(adj: Mapping[int, int]) -> int:
     return max(neighbours.bit_count() for neighbours in adj.values())
 
 
-def _maximal_cliques(adj: Mapping[int, int], members: int) -> Iterator[int]:
-    """Yield all maximal cliques as masks (Bron-Kerbosch with pivoting), deterministically.
-
-    The search runs over an explicit stack, so a clique may be longer than
-    the interpreter's recursion limit. A frame is [clique, candidates,
-    excluded, branches left]; the branches are the candidates outside the
-    pivot's neighbourhood, tried in ascending order.
-    """
-
-    def branches(candidates: int, excluded: int) -> int:
-        pivot = max(_bits(candidates | excluded), key=lambda u: (candidates & adj[u]).bit_count())
-        return candidates & ~adj[pivot]
-
-    if not members:
-        yield 0
-        return
-    stack = [[0, members, 0, branches(members, 0)]]
-    while stack:
-        frame = stack[-1]
-        clique, candidates, excluded, left = frame
-        if not left:
-            stack.pop()
-            continue
-        low = left & -left
-        v = low.bit_length() - 1
-        frame[1:] = candidates & ~low, excluded | low, left ^ low
-        inner, outer = candidates & adj[v], excluded & adj[v]
-        if inner:
-            stack.append([clique | low, inner, outer, branches(inner, outer)])
-        elif not outer:
-            yield clique | low
-
-
 def _best_clique(adj: Mapping[int, int], members: int) -> int:
-    """Maximum clique; ties go to the lexicographically smallest member tuple."""
-    best = 0
-    for clique in _maximal_cliques(adj, members):
-        size, best_size = clique.bit_count(), best.bit_count()
-        # between equal-sized sets, the smaller tuple owns the lowest differing index
-        differ = clique ^ best
-        if size > best_size or (size == best_size and differ & -differ & clique):
-            best = clique
+    """Maximum clique; ties go to the lexicographically smallest member tuple.
+
+    Depth-first branch and bound (Carraghan & Pardalos 1990) over an explicit
+    stack of (clique, size, candidates), so a clique may be longer than the
+    interpreter's recursion limit. Each frame branches on its lowest
+    candidate, and "include it" runs before "exclude it". A frame whose
+    candidates cannot lift it above the best size found is dropped, and a
+    frame with no candidates left is a new best.
+
+    Cliques are met in lexicographic order. Take two cliques and let d be the
+    lowest index in one of them only. Both search paths agree below d, d is
+    adjacent to every member chosen before it, so it is a candidate there,
+    and its include branch runs first. The smallest maximum clique is
+    therefore met before every other maximum clique and is never pruned.
+    """
+    best, best_size = 0, 0
+    stack = [(0, 0, members)]
+    while stack:
+        clique, size, candidates = stack.pop()
+        if size + candidates.bit_count() <= best_size:
+            continue
+        if not candidates:
+            best, best_size = clique, size
+            continue
+        low = candidates & -candidates
+        stack.append((clique, size, candidates ^ low))
+        stack.append((clique | low, size + 1, candidates & adj[low.bit_length() - 1]))
     return best
 
 
@@ -132,7 +118,10 @@ class DegreeReport:
     intrinsic_interference_degree: int
 
 
-def _degree_report(pair: PathPair, adj: Mapping[int, int]) -> DegreeReport:
+def connection_degrees(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> DegreeReport:
+    """Count, for each member, its concurrent and interfering partners inside
+    the set (the node itself excluded). The intrinsic degrees are the maxima."""
+    adj = _interference_adjacency(pair._conflicts, _members(pair, nodes))
     senders = pair.nodes
     interference = {senders[i]: neighbours.bit_count() for i, neighbours in adj.items()}
     concurrency = {node: len(adj) - 1 - count for node, count in interference.items()}
@@ -142,12 +131,6 @@ def _degree_report(pair: PathPair, adj: Mapping[int, int]) -> DegreeReport:
         intrinsic_concurrency_degree=max(concurrency.values()),
         intrinsic_interference_degree=max(interference.values()),
     )
-
-
-def connection_degrees(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> DegreeReport:
-    """Count, for each member, its concurrent and interfering partners inside
-    the set (the node itself excluded). The intrinsic degrees are the maxima."""
-    return _degree_report(pair, _interference_adjacency(pair._conflicts, _members(pair, nodes)))
 
 
 def is_dominant(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> bool:
@@ -188,26 +171,23 @@ def split_dominant(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> li
 
 def check_continuity(pair: PathPair, path_id: int) -> bool:
     """True when every maximum interference set of the chain occupies
-    consecutive positions. Requires the chain monotonicity rules to hold;
-    vacuously true when nothing on the chain interferes."""
-    report = validate_path_rules(pair, path_id)
-    if not report.ok:
+    consecutive positions, which the chain monotonicity rules guarantee; a
+    chain that breaks the rules raises DomainError.
+
+    Lemma: under the rules, a sender's interfering partners on its chain,
+    together with the sender itself, are one run of consecutive positions.
+    In contrapositive the rules say that if j < k - 1 interfere, then so do
+    j and k - 1, and so do j + 1 and k. So an interfering pair j < k forces
+    the whole stretch j..k to interfere pairwise, and a maximal clique, which
+    holds its lowest and highest members, holds every position between
+    them: every maximal clique is a run. The rules check is the whole check.
+    """
+    if not validate_path_rules(pair, path_id).ok:
         raise DomainError(
             f"path {path_id} violates the chain monotonicity rules; "
             "continuity of maximum interference sets is only meaningful under them"
         )
-    members = pair.seq_mask(path_id, range(1, pair.path(path_id).n_senders + 1))
-    adj = _interference_adjacency(pair._conflicts, members)
-    # one pass: every clique of the largest size must be one run of set bits,
-    # which on a chain's consecutive dense indices means consecutive positions
-    istar, runs = 0, True
-    for clique in _maximal_cliques(adj, members):
-        size, run = clique.bit_count(), clique // (clique & -clique)
-        if size > istar:
-            istar, runs = size, True
-        if size == istar:
-            runs = runs and not run & (run + 1)
-    return runs
+    return True
 
 
 @dataclass(frozen=True)
@@ -229,14 +209,14 @@ def analyze(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> Intensity
     adj = _interference_adjacency(pair._conflicts, members)
     iwit = pair.nodes_of(_best_clique(adj, members))
     cwit = pair.nodes_of(_best_clique(_complement(adj, members), members))
-    degrees = _degree_report(pair, adj)
+    degree = _max_degree(adj)
     return IntensityReport(
         n_nodes=members.bit_count(),
         interference_intensity=len(iwit),
         interference_witness=iwit,
         concurrency_intensity=len(cwit),
         concurrency_witness=cwit,
-        intrinsic_interference_degree=degrees.intrinsic_interference_degree,
-        intrinsic_concurrency_degree=degrees.intrinsic_concurrency_degree,
-        dominant=degrees.intrinsic_interference_degree < len(iwit),
+        intrinsic_interference_degree=degree,
+        intrinsic_concurrency_degree=len(adj) - 1 - min(neighbours.bit_count() for neighbours in adj.values()),
+        dominant=degree < len(iwit),
     )

@@ -350,8 +350,15 @@ def _read_text(filename: str, kind: str) -> str:
     try:
         with open(filename, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {kind} file: {exc}") from None
+
+
+def _read_stdin(kind: str) -> str:
+    try:
+        return sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {kind} from stdin: {exc}") from None
 
 
 def _decode_json(text: str, invalid: str) -> Any:
@@ -519,7 +526,7 @@ def cmd_matrix(args, out) -> int:
 
 
 def _read_matrix_input(filename: str) -> list[list[int]]:
-    text = sys.stdin.read() if filename == "-" else _read_text(filename, "matrix")
+    text = _read_stdin("matrix") if filename == "-" else _read_text(filename, "matrix")
     stripped = text.strip()
     if not stripped:
         raise SchemaError("$", "matrix input is empty")

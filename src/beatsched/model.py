@@ -305,7 +305,11 @@ def _as_point(value, key) -> tuple[float, float]:
     if isinstance(value, (int, float)):
         value = (value,)
     try:
-        coords = tuple(float(c) for c in value)
+        coords = tuple(value)
+        # bool is a subclass of int, but True is no coordinate
+        if bool in map(type, coords):
+            raise TypeError
+        coords = tuple(map(float, coords))
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"position of node {key} must be a number or an (x, y) pair")
     if not all(math.isfinite(c) for c in coords):
@@ -318,6 +322,8 @@ def _as_point(value, key) -> tuple[float, float]:
 
 
 def _check_radius(radius: float) -> None:
+    if isinstance(radius, bool):
+        raise ConfigurationError(f"interference_radius must be a number, got {radius}")
     if isinstance(radius, float) and not math.isfinite(radius):
         raise ConfigurationError(f"interference_radius must be finite, got {radius}")
     if radius < 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .analysis import interference_intensity
+from .analysis import _interference_witness
 from .errors import ConsistencyError, DomainError
 from .model import NodeRef, PathPair, PrimaryPath, _union, validate_path_rules
 
@@ -94,7 +94,8 @@ def intrinsic_period(pair: PathPair, path_id: int) -> int:
             break
     assert tstar is not None
     if validate_path_rules(pair, path_id).ok:
-        istar, _ = interference_intensity(pair, pair.path_nodes(path_id))
+        members = ((1 << path.n_senders) - 1) << pair.offset(path_id)
+        istar = _interference_witness(pair._conflicts, members).bit_count()
         if tstar != istar:
             raise ConsistencyError(
                 f"period scan found {tstar} but interference intensity is {istar} "

@@ -7,12 +7,15 @@ code they are checking any more than necessary.
 
 from __future__ import annotations
 
+from typing import Iterator, Mapping
+
 from beatsched.model import (
     GeometricTopology,
     InterferenceRelation,
     NodeRef,
     PathPair,
     PrimaryPath,
+    _bits,
     derive_relation,
 )
 
@@ -75,3 +78,50 @@ def relation_pair(n1: int, n2: int, interfering: list[tuple[str, str]]) -> PathP
 
 def n(path_id: int, seq: int) -> NodeRef:
     return NodeRef(path_id, seq)
+
+
+def maximal_cliques(adj: Mapping[int, int], members: int) -> Iterator[int]:
+    """Yield all maximal cliques as masks (Bron-Kerbosch with pivoting), deterministically.
+
+    The reference oracle for analysis._best_clique, kept from the enumerator
+    that search replaced. The search runs over an explicit stack, so a clique
+    may be longer than the interpreter's recursion limit. A frame is
+    [clique, candidates, excluded, branches left]; the branches are the
+    candidates outside the pivot's neighbourhood, tried in ascending order.
+    """
+
+    def branches(candidates: int, excluded: int) -> int:
+        pivot = max(_bits(candidates | excluded), key=lambda u: (candidates & adj[u]).bit_count())
+        return candidates & ~adj[pivot]
+
+    if not members:
+        yield 0
+        return
+    stack = [[0, members, 0, branches(members, 0)]]
+    while stack:
+        frame = stack[-1]
+        clique, candidates, excluded, left = frame
+        if not left:
+            stack.pop()
+            continue
+        low = left & -left
+        v = low.bit_length() - 1
+        frame[1:] = candidates & ~low, excluded | low, left ^ low
+        inner, outer = candidates & adj[v], excluded & adj[v]
+        if inner:
+            stack.append([clique | low, inner, outer, branches(inner, outer)])
+        elif not outer:
+            yield clique | low
+
+
+def reference_best_clique(adj: Mapping[int, int], members: int) -> int:
+    """Maximum clique; ties go to the lexicographically smallest member tuple.
+    Enumerates every maximal clique and keeps the best."""
+    best = 0
+    for clique in maximal_cliques(adj, members):
+        size, best_size = clique.bit_count(), best.bit_count()
+        # between equal-sized sets, the smaller tuple owns the lowest differing index
+        differ = clique ^ best
+        if size > best_size or (size == best_size and differ & -differ & clique):
+            best = clique
+    return best

@@ -7,6 +7,9 @@ import networkx as nx
 import pytest
 
 from beatsched.analysis import (
+    _best_clique,
+    _complement,
+    _interference_adjacency,
     analyze,
     check_continuity,
     concurrency_intensity,
@@ -18,7 +21,7 @@ from beatsched.analysis import (
 from beatsched.errors import DomainError
 from beatsched.model import is_concurrency_subset, validate_path_rules
 from beatsched.verify import line_corpus, pair_corpus
-from helpers import line_pair, n, relation_pair
+from helpers import line_pair, maximal_cliques, n, reference_best_clique, relation_pair
 
 
 def random_two_path_pair(rng: random.Random):
@@ -177,6 +180,56 @@ class TestIntensities:
         assert witness == pair.nodes
 
 
+def random_graph(rng: random.Random, size: int, density: float) -> tuple[dict[int, int], int]:
+    """Adjacency masks and member mask of a G(n, p) graph on 0..size-1."""
+    adj = dict.fromkeys(range(size), 0)
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj, (1 << size) - 1
+
+
+def assert_search_matches_reference(adj, members):
+    # the interference witness and, on the complement, the concurrency witness
+    for graph in (adj, _complement(adj, members)):
+        assert _best_clique(graph, members) == reference_best_clique(graph, members)
+
+
+class TestCliqueSearch:
+    """The branch-and-bound search against the enumerating reference oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_corpus_witnesses_match_reference(self, seed):
+        pairs = line_corpus(seed, 120) + [case.pair for case in pair_corpus(seed, 60)]
+        for pair in pairs:
+            for nodes in [pair.path_nodes(p.id) for p in pair.paths] + [pair.nodes]:
+                members = pair.mask_of(nodes)
+                assert_search_matches_reference(
+                    _interference_adjacency(pair._conflicts, members), members
+                )
+
+    def test_random_graphs_match_reference(self):
+        rng = random.Random(90)
+        for size in (1, 2, 5, 10, 20, 30, 40):
+            for density in (0.2, 0.5, 0.7, 0.9):
+                for _ in range(3):
+                    assert_search_matches_reference(*random_graph(rng, size, density))
+
+    def test_moon_moser_graph(self):
+        # the complement of eight disjoint triangles has 3**8 maximum
+        # cliques, one vertex per triangle; the smallest takes each first
+        size = 24
+        members = (1 << size) - 1
+        adj = {i: members & ~(0b111 << (i - i % 3)) for i in range(size)}
+        assert _best_clique(adj, members) == sum(1 << i for i in range(0, size, 3))
+        assert_search_matches_reference(adj, members)
+
+    def test_empty_member_set(self):
+        assert _best_clique({}, 0) == 0 == reference_best_clique({}, 0)
+
+
 class TestDegrees:
     def test_unit_chain_degree_profile(self, chain6):
         report = connection_degrees(chain6)
@@ -307,6 +360,29 @@ class TestContinuity:
             ]
             pair = relation_pair(size, 0, edges)
             assert validate_path_rules(pair, 1).ok
+            assert check_continuity(pair, 1)
+
+    def test_lemma_every_maximal_clique_is_a_run(self):
+        # Window relations with non-decreasing ends m_j >= j (j < k interfere
+        # iff k <= m_j) are exactly the rule-compliant chains. On each, every
+        # maximal clique the reference enumerates is a run of set bits, which
+        # on a chain's consecutive dense indices means consecutive positions.
+        rng = random.Random(1275)
+        for _ in range(400):
+            size = rng.randint(1, 12)
+            ends, end = [], 1
+            for j in range(1, size + 1):
+                end = max(end, min(size, j + rng.randint(0, size // 2)))
+                ends.append(end)
+            edges = [
+                (f"1.{j}", f"1.{k}") for j, last in enumerate(ends, 1) for k in range(j + 1, last + 1)
+            ]
+            pair = relation_pair(size, 0, edges)
+            assert validate_path_rules(pair, 1).ok
+            members = pair.mask_of(pair.path_nodes(1))
+            for clique in maximal_cliques(_interference_adjacency(pair._conflicts, members), members):
+                run = clique // (clique & -clique)
+                assert not run & (run + 1)
             assert check_continuity(pair, 1)
 
     def test_against_pairwise_oracle(self):

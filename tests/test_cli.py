@@ -704,6 +704,37 @@ class TestNonFiniteNumbers:
         assert result.stdout == ""
         assert result.stderr == message
 
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (
+                ("analyze", "{file}"),
+                b'{"paths": [{"id": 1, "n_senders": 1}], "note": "\xff"}',
+                "error: cannot read scenario file: ",
+            ),
+            (("support", "{file}"), b"\xff1\n01\n", "error: cannot read matrix file: "),
+            (("support", "-"), b"\xff1\n01\n", "error: cannot read matrix from stdin: "),
+        ],
+        ids=["analyze", "support-file", "support-stdin"],
+    )
+    def test_input_that_is_not_utf8_exits_with_one_error_line(self, tmp_path, argv, content, message):
+        target = tmp_path / "input"
+        target.write_bytes(content)
+        src = Path(cli.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "beatsched.cli", *(a.format(file=target) for a in argv)],
+            input=content,
+            capture_output=True,
+            env={"PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8"},
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.decode("utf-8") == (
+            f"{message}'utf-8' codec can't decode byte 0xff in position "
+            f"{content.index(0xFF)}: invalid start byte\n"
+        )
+
 
 ZERO_FLAG_CASES = [
     (("matrix", CROSSING, "--spacing1", "0"), "spacing must be in 1..6, got 0"),

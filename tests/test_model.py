@@ -173,6 +173,16 @@ class TestGeometry:
         with pytest.raises(ConfigurationError, match=r"position of node \(1, 2\)"):
             GeometricTopology({(1, 1): 0.0, (1, 2): point}, interference_radius=1.0)
 
+    @pytest.mark.parametrize("point", [True, [True, False], (0.0, False), [1, True]])
+    def test_boolean_position_rejected(self, point):
+        with pytest.raises(ConfigurationError, match=r"position of node \(1, 2\) must be a number or an \(x, y\) pair"):
+            GeometricTopology({(1, 1): 0.0, (1, 2): point}, interference_radius=1.0)
+
+    @pytest.mark.parametrize("radius", [True, False])
+    def test_boolean_radius_rejected(self, radius):
+        with pytest.raises(ConfigurationError, match=f"^interference_radius must be a number, got {radius}$"):
+            GeometricTopology({(1, 1): 0.0}, interference_radius=radius)
+
     def test_scalar_positions_mean_a_line(self):
         topology = GeometricTopology(
             {(1, 1): 0, (1, 2): 3}, interference_radius=1.0

@@ -474,6 +474,17 @@ class TestRouteMasks:
         with pytest.raises(DomainError, match="interference_radius must be >= 0"):
             optimize(DiskScenario(interference_radius=-1.0), space)
 
+    def test_boolean_radius_and_points_are_rejected(self):
+        good = straight_route(2, 0.0)
+        space = SearchSpace(routes1=(good,), routes2=(straight_route(2, 5.0),))
+        with pytest.raises(ConfigurationError, match="^interference_radius must be a number, got True$"):
+            optimize(DiskScenario(interference_radius=True), space)
+        with pytest.raises(ConfigurationError, match="^interference_radius must be a number, got True$"):
+            materialize_pair(DiskScenario(interference_radius=True), good, good)
+        flagged = RouteCandidate(points=((0.0, 0.0), (True, 5.0)))
+        with pytest.raises(ConfigurationError, match=r"node \(2, 2\) must be a number or an \(x, y\) pair"):
+            optimize(DiskScenario(interference_radius=1.0), SearchSpace(routes1=(good,), routes2=(flagged,)))
+
 
 class TestTieBreaks:
     def test_prefers_shorter_period_at_equal_rate(self):
@@ -548,6 +559,8 @@ class TestGraphRoutes:
             ([], "must have 1 or 2 coordinates, got 0"),
             ("far", "must be a number or an"),
             ([0, float("nan")], "must be finite"),
+            (True, "must be a number or an"),
+            ([True, 0], "must be a number or an"),
         ],
     )
     def test_malformed_positions_rejected(self, position, message):
