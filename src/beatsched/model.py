@@ -301,14 +301,22 @@ class GeometricTopology:
             raise ConfigurationError(f"no position for node {path_id}.{seq}") from None
 
 
+_TEXT = (str, bytes, bytearray)
+_NOT_COORDINATE = (bool, *_TEXT)
+
+
 def _as_point(value, key) -> tuple[float, float]:
     if isinstance(value, (int, float)):
         value = (value,)
     try:
-        coords = tuple(value)
-        # bool is a subclass of int, but True is no coordinate
-        if bool in map(type, coords):
+        # text iterates, but "12" is no point; bool is a subclass of int,
+        # but True is no coordinate
+        if isinstance(value, _TEXT):
             raise TypeError
+        coords = tuple(value)
+        for c in coords:
+            if isinstance(c, _NOT_COORDINATE):
+                raise TypeError
         coords = tuple(map(float, coords))
     except (TypeError, ValueError, OverflowError):
         raise ConfigurationError(f"position of node {key} must be a number or an (x, y) pair")
@@ -322,11 +330,15 @@ def _as_point(value, key) -> tuple[float, float]:
 
 
 def _check_radius(radius: float) -> None:
-    if isinstance(radius, bool):
-        raise ConfigurationError(f"interference_radius must be a number, got {radius}")
+    try:
+        if isinstance(radius, bool):
+            raise TypeError
+        negative = radius < 0
+    except TypeError:
+        raise ConfigurationError(f"interference_radius must be a number, got {radius!r}") from None
     if isinstance(radius, float) and not math.isfinite(radius):
         raise ConfigurationError(f"interference_radius must be finite, got {radius}")
-    if radius < 0:
+    if negative:
         raise DomainError(f"interference_radius must be >= 0, got {radius}")
 
 

@@ -290,18 +290,16 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
     _check_radius(scenario.interference_radius)
     cap = space.max_traversals
     log: list[LoggedCandidate] = []
-    # (rate numerator, rate denominator = period, log entry, profile1, profile2, cross)
-    best: tuple | None = None
-    profiles2: list[_RouteProfile] = []
+    # in the order pairs meet the routes, so a bad route is met in pair order
+    profiles1 = [_route_profile(scenario, space.routes1[0], 1, space.period_range1)]
+    profiles2 = [_route_profile(scenario, route, 2, space.period_range2) for route in space.routes2]
+    profiles1 += [_route_profile(scenario, route, 1, space.period_range1) for route in space.routes1[1:]]
+    # (rate numerator, rate denominator = period, log entry)
+    best: tuple[int, int, LoggedCandidate] | None = None
     tables: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
 
-    for index1, route1 in enumerate(space.routes1):
-        profile1 = _route_profile(scenario, route1, 1, space.period_range1)
-        for index2, route2 in enumerate(space.routes2):
-            # profiled in the first pass, so a bad route is met in pair order
-            if index1 == 0:
-                profiles2.append(_route_profile(scenario, route2, 2, space.period_range2))
-            profile2 = profiles2[index2]
+    for index1, profile1 in enumerate(profiles1):
+        for index2, profile2 in enumerate(profiles2):
             cross = _cross_masks(scenario.interference_radius, profile1.ends, profile2.ends)
             for period1, masks1 in profile1.phases.items():
                 conflicts1 = None if masks1 is None else [_union(cross, mask) for mask in masks1]
@@ -360,13 +358,15 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                             # shorter period.
                             ahead = 1 if best is None else blocks * best[1] - best[0] * period
                             if ahead > 0 or (ahead == 0 and period < best[1]):
-                                best = (blocks, period, entry, profile1, profile2, cross)
+                                best = (blocks, period, entry)
     if best is None:
         raise DomainError(
             "no candidate in the search space has reachable spacings on "
             "both paths"
         )
-    _, _, entry, profile1, profile2, cross = best
+    entry = best[2]
+    profile1, profile2 = profiles1[entry.route1], profiles2[entry.route2]
+    cross = _cross_masks(scenario.interference_radius, profile1.ends, profile2.ends)
     pair = _pair_from_masks(profile1.conflicts, profile2.conflicts, cross)
     schedule = schedule_pair_unequal(
         pair, entry.period1, entry.period2, entry.traversals1, entry.traversals2

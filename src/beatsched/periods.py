@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .analysis import _interference_witness
 from .errors import ConsistencyError, DomainError
+from .matching import _normalize
 from .model import NodeRef, PathPair, PrimaryPath, _union, validate_path_rules
 
 __all__ = [
@@ -168,7 +169,7 @@ def continuation(matrix: ConcurrencyMatrix | Sequence[Sequence[int]], l1: int, l
     """
     if l1 < 1 or l2 < 1:
         raise DomainError(f"traversal counts must be >= 1, got ({l1}, {l2})")
-    rows = matrix.rows if isinstance(matrix, ConcurrencyMatrix) else tuple(tuple(r) for r in matrix)
+    rows = matrix.rows if isinstance(matrix, ConcurrencyMatrix) else tuple(map(tuple, _normalize(matrix)))
     if not rows or not rows[0]:
         raise DomainError("cannot tile an empty matrix")
     n, o = len(rows), len(rows[0])

@@ -143,11 +143,25 @@ def schedule_from_dict(data: dict) -> Schedule:
     )
 
 
-def _phase_activation(pair: PathPair, path_id: int, spacing: int, phase: int) -> SubsetActivation:
+def _phase_activations(pair: PathPair, path_id: int, spacing: int) -> tuple[SubsetActivation, ...]:
+    """The activations of phases 1..spacing of a path; phase k at index k-1."""
     path = pair.path(path_id)
-    _check_phase(path, phase, spacing)
-    members = tuple(range(phase, path.n_senders + 1, spacing))
-    return SubsetActivation(path_id=path_id, spacing=spacing, phase=phase, members=members)
+    _check_phase(path, 1, spacing)
+    return tuple(
+        SubsetActivation(path_id, spacing, phase, tuple(range(phase, path.n_senders + 1, spacing)))
+        for phase in range(1, spacing + 1)
+    )
+
+
+def _audited(pair: PathPair, schedule: Schedule) -> Schedule:
+    """The schedule, once it passes its own validity audit."""
+    report = audit_schedule(pair, schedule)
+    if not report.ok:
+        raise ConsistencyError(
+            "constructed schedule failed its own validity audit: "
+            + "; ".join(report.problems[:4])
+        )
+    return schedule
 
 
 def schedule_primary(
@@ -171,22 +185,15 @@ def schedule_primary(
             raise DomainError(
                 f"period {period} is not reachable on path {path_id}"
             )
-    beats = tuple(
-        Beat(
-            category=CATEGORY_PATH1 if path_id == 1 else CATEGORY_PATH2,
-            activations=(_phase_activation(pair, path_id, period, k),),
-        )
-        for k in range(1, period + 1)
-    )
-    schedule = Schedule(
+    category = CATEGORY_PATH1 if path_id == 1 else CATEGORY_PATH2
+    beats = tuple(Beat(category, (act,)) for act in _phase_activations(pair, path_id, period))
+    return _audited(pair, Schedule(
         period=period,
         beats=beats,
         path_periods={path_id: period},
         activation_counts={path_id: 1},
         kind="primary",
-    )
-    _audit_or_raise(pair, schedule)
-    return schedule
+    ))
 
 
 def _pair_cycle(
@@ -202,26 +209,21 @@ def _pair_cycle(
     """
     tiled = continuation(build_matrix(pair, period1, period2), l1, l2)
     support, support_size = max_support_set(tiled)
-    matched_rows = {i for i, _ in support}
-    matched_cols = {j for _, j in support}
-
-    def act(path_id: int, period: int, index: int) -> SubsetActivation:
-        return _phase_activation(pair, path_id, period, (index - 1) % period + 1)
-
+    acts1 = _phase_activations(pair, 1, period1)
+    acts2 = _phase_activations(pair, 2, period2)
     beats = [
-        Beat(CATEGORY_JOINT, (act(1, period1, i), act(2, period2, j)))
+        Beat(CATEGORY_JOINT, (acts1[(i - 1) % period1], acts2[(j - 1) % period2]))
         for i, j in support
     ]
-    beats += [
-        Beat(CATEGORY_PATH1, (act(1, period1, i),))
-        for i in range(1, l1 * period1 + 1)
-        if i not in matched_rows
-    ]
-    beats += [
-        Beat(CATEGORY_PATH2, (act(2, period2, j),))
-        for j in range(1, l2 * period2 + 1)
-        if j not in matched_cols
-    ]
+    for category, acts, count, matched in (
+        (CATEGORY_PATH1, acts1, l1, {i for i, _ in support}),
+        (CATEGORY_PATH2, acts2, l2, {j for _, j in support}),
+    ):
+        beats += [
+            Beat(category, (acts[(index - 1) % len(acts)],))
+            for index in range(1, count * len(acts) + 1)
+            if index not in matched
+        ]
     return tuple(beats), support_size
 
 
@@ -238,15 +240,13 @@ def schedule_pair_equal(
     if traversals < 1:
         raise DomainError(f"traversal count must be >= 1, got {traversals}")
     traversal, support_size = _pair_cycle(pair, period1, period2, 1, 1)
-    schedule = Schedule(
+    return _audited(pair, Schedule(
         period=traversals * (period1 + period2 - support_size),
         beats=traversal * traversals,
         path_periods={1: period1, 2: period2},
         activation_counts={1: traversals, 2: traversals},
         kind="pair-equal",
-    )
-    _audit_or_raise(pair, schedule)
-    return schedule
+    ))
 
 
 def schedule_pair_unequal(
@@ -267,15 +267,13 @@ def schedule_pair_unequal(
             f"traversal counts must be >= 1, got {traversals1} and {traversals2}"
         )
     beats, support_size = _pair_cycle(pair, period1, period2, traversals1, traversals2)
-    schedule = Schedule(
+    return _audited(pair, Schedule(
         period=traversals1 * period1 + traversals2 * period2 - support_size,
         beats=beats,
         path_periods={1: period1, 2: period2},
         activation_counts={1: traversals1, 2: traversals2},
         kind="pair-unequal",
-    )
-    _audit_or_raise(pair, schedule)
-    return schedule
+    ))
 
 
 def predicted_throughput(schedule: Schedule) -> Fraction:
@@ -347,10 +345,11 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
                     f"{act.path_id}, schedule declares {spacing}",
                 )
                 continue
-            n = pair.path(act.path_id).n_senders
-            if not 1 <= spacing <= n:
-                raise DomainError(f"spacing must be in 1..{n}, got {spacing}")
-            # a phase outside 1..spacing is reported with the phase counts
+            path = pair.path(act.path_id)
+            # only the spacing is checked here; a phase outside 1..spacing
+            # is reported with the phase counts
+            _check_phase(path, 1, spacing)
+            n = path.n_senders
             expected = tuple(range(act.phase, n + 1, spacing))
             matches = act.members == expected
             if not matches:
@@ -406,11 +405,3 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
             )
     return report
 
-
-def _audit_or_raise(pair: PathPair, schedule: Schedule) -> None:
-    report = audit_schedule(pair, schedule)
-    if not report.ok:
-        raise ConsistencyError(
-            "constructed schedule failed its own validity audit: "
-            + "; ".join(report.problems[:4])
-        )

@@ -14,6 +14,8 @@ matrices for the matching claims.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import math
 import time
@@ -206,154 +208,146 @@ class CriterionResult:
         return f"{status}  criterion {self.number:2d}  {self.title} ({self.details}, {self.seconds:.2f}s)"
 
 
-def _timed(
-    number: int, title: str, body: Callable[[], tuple[bool, str]]
-) -> CriterionResult:
-    started = time.perf_counter()
-    passed, details = body()
-    return CriterionResult(
-        number=number,
-        title=title,
-        passed=passed,
-        details=details,
-        seconds=time.perf_counter() - started,
-    )
+def _criterion(
+    number: int, title: str
+) -> Callable[[Callable[..., tuple[bool, str]]], Callable[..., CriterionResult]]:
+    """Register a check body under its criterion number and title.
+
+    The body returns (passed, details); the registered check times it and
+    returns its CriterionResult. A randomized check's `instances` default
+    is its corpus floor (see run_criteria).
+    """
+
+    def register(body: Callable[..., tuple[bool, str]]) -> Callable[..., CriterionResult]:
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CriterionResult:
+            started = time.perf_counter()
+            passed, details = body(*args, **kwargs)
+            return CriterionResult(number, title, passed, details, time.perf_counter() - started)
+
+        check.number = number
+        return check
+
+    return register
 
 
 # ---------------------------------------------------------------- checks
 
 
+@_criterion(1, "intrinsic period equals interference intensity")
 def check_intrinsic_equals_intensity(
     seed: int = DEFAULT_SEED, instances: int = 200
-) -> CriterionResult:
+) -> tuple[bool, str]:
     """Smallest reachable spacing always equals the max clique size."""
-
-    def body() -> tuple[bool, str]:
-        bad = 0
-        for pair in line_corpus(seed, instances):
-            istar, _ = interference_intensity(pair, pair.path_nodes(1))
-            if intrinsic_period(pair, 1) != istar:
-                bad += 1
-        return bad == 0, f"{instances} random chains, {bad} mismatches"
-
-    return _timed(1, "intrinsic period equals interference intensity", body)
+    bad = 0
+    for pair in line_corpus(seed, instances):
+        istar, _ = interference_intensity(pair, pair.path_nodes(1))
+        if intrinsic_period(pair, 1) != istar:
+            bad += 1
+    return bad == 0, f"{instances} random chains, {bad} mismatches"
 
 
+@_criterion(2, "reachable spacings are exactly intensity..N")
 def check_reachability_window(
     seed: int = DEFAULT_SEED, instances: int = 200
-) -> CriterionResult:
+) -> tuple[bool, str]:
     """Spacings below the intensity are unreachable, the rest up to N reachable."""
-
-    def body() -> tuple[bool, str]:
-        bad = 0
-        for pair in line_corpus(seed, instances):
-            n = pair.path(1).n_senders
-            istar, _ = interference_intensity(pair, pair.path_nodes(1))
-            for spacing in range(1, n + 1):
-                if is_reachable_period(pair, 1, spacing) != (spacing >= istar):
-                    bad += 1
-        return bad == 0, f"{instances} chains, every spacing tried, {bad} misses"
-
-    return _timed(2, "reachable spacings are exactly intensity..N", body)
+    bad = 0
+    for pair in line_corpus(seed, instances):
+        n = pair.path(1).n_senders
+        istar, _ = interference_intensity(pair, pair.path_nodes(1))
+        for spacing in range(1, n + 1):
+            if is_reachable_period(pair, 1, spacing) != (spacing >= istar):
+                bad += 1
+    return bad == 0, f"{instances} chains, every spacing tried, {bad} misses"
 
 
+@_criterion(3, "single-chain rate is exactly 1 over the period")
 def check_single_path_throughput(
     seed: int = DEFAULT_SEED, instances: int = 200
-) -> CriterionResult:
+) -> tuple[bool, str]:
     """Simulated single-chain rate is exactly one block per intrinsic period."""
-
-    def body() -> tuple[bool, str]:
-        bad = 0
-        violations = 0
-        for pair in line_corpus(seed, instances):
-            schedule = schedule_primary(pair, 1)
-            report = run(pair, schedule, n_periods=5)
-            violations += report.violations
-            if report.measured_throughput != Fraction(1, schedule.period):
-                bad += 1
-        ok = bad == 0 and violations == 0
-        return ok, f"{instances} chains, {bad} rate misses, {violations} violations"
-
-    return _timed(3, "single-chain rate is exactly 1 over the period", body)
+    bad = 0
+    violations = 0
+    for pair in line_corpus(seed, instances):
+        schedule = schedule_primary(pair, 1)
+        report = run(pair, schedule, n_periods=5)
+        violations += report.violations
+        if report.measured_throughput != Fraction(1, schedule.period):
+            bad += 1
+    ok = bad == 0 and violations == 0
+    return ok, f"{instances} chains, {bad} rate misses, {violations} violations"
 
 
+@_criterion(4, "first block delay equals the chain length")
 def check_first_block_delay(
     seed: int = DEFAULT_SEED, instances: int = 200
-) -> CriterionResult:
+) -> tuple[bool, str]:
     """Cold-start first delivery takes exactly one beat per sender."""
-
-    def body() -> tuple[bool, str]:
-        bad = 0
-        for pair in line_corpus(seed, instances):
-            schedule = schedule_primary(pair, 1)
-            delays = measure_delay(pair, schedule, 1)
-            if delays[1][0] != pair.path(1).n_senders:
-                bad += 1
-        return bad == 0, f"{instances} chains, {bad} delay misses"
-
-    return _timed(4, "first block delay equals the chain length", body)
+    bad = 0
+    for pair in line_corpus(seed, instances):
+        schedule = schedule_primary(pair, 1)
+        delays = measure_delay(pair, schedule, 1)
+        if delays[1][0] != pair.path(1).n_senders:
+            bad += 1
+    return bad == 0, f"{instances} chains, {bad} delay misses"
 
 
+@_criterion(5, "support sets match the exhaustive oracle")
 def check_support_oracle(
     seed: int = DEFAULT_SEED, instances: int = 500
-) -> CriterionResult:
+) -> tuple[bool, str]:
     """Augmenting-path support size matches exhaustive search, witnesses valid."""
-
-    def body() -> tuple[bool, str]:
-        rng = Random(seed + 2)
-        bad = 0
-        for _ in range(instances):
-            matrix = random_binary_matrix(rng)
-            witness, size = max_support_set(matrix)
-            ok_witness, problems = validate_support_set(matrix, witness)
-            if size != brute_force_max_support(matrix) or not ok_witness or problems:
-                bad += 1
-        return bad == 0, f"{instances} random matrices, {bad} disagreements"
-
-    return _timed(5, "support sets match the exhaustive oracle", body)
+    rng = Random(seed + 2)
+    bad = 0
+    for _ in range(instances):
+        matrix = random_binary_matrix(rng)
+        witness, size = max_support_set(matrix)
+        ok_witness, problems = validate_support_set(matrix, witness)
+        if size != brute_force_max_support(matrix) or not ok_witness or problems:
+            bad += 1
+    return bad == 0, f"{instances} random matrices, {bad} disagreements"
 
 
+@_criterion(6, "joint schedules deliver their exact predicted rate")
 def check_pair_throughput(
     seed: int = DEFAULT_SEED, instances: int = 100
-) -> CriterionResult:
+) -> tuple[bool, str]:
     """Both joint schedules hit their predicted rational rate exactly."""
-
-    def body() -> tuple[bool, str]:
-        bad = 0
-        violations = 0
-        for case in pair_corpus(seed, instances):
-            equal = schedule_pair_equal(
-                case.pair, case.period1, case.period2, case.traversals_equal
-            )
-            unequal = schedule_pair_unequal(
-                case.pair,
-                case.period1,
-                case.period2,
-                case.traversals1,
-                case.traversals2,
-            )
-            for schedule in (equal, unequal):
-                if not audit_schedule(case.pair, schedule).ok:
-                    bad += 1
-                    continue
-                report = run(case.pair, schedule, n_periods=3)
-                violations += report.violations
-                counts = schedule.activation_counts
-                expected = Fraction(counts[1] + counts[2], schedule.period)
-                if (
-                    report.measured_throughput != expected
-                    or predicted_throughput(schedule) != expected
-                ):
-                    bad += 1
-        ok = bad == 0 and violations == 0
-        return ok, f"{instances} pairs x 2 schedules, {bad} misses, {violations} violations"
-
-    return _timed(6, "joint schedules deliver their exact predicted rate", body)
+    bad = 0
+    violations = 0
+    for case in pair_corpus(seed, instances):
+        equal = schedule_pair_equal(
+            case.pair, case.period1, case.period2, case.traversals_equal
+        )
+        unequal = schedule_pair_unequal(
+            case.pair,
+            case.period1,
+            case.period2,
+            case.traversals1,
+            case.traversals2,
+        )
+        for schedule in (equal, unequal):
+            if not audit_schedule(case.pair, schedule).ok:
+                bad += 1
+                continue
+            report = run(case.pair, schedule, n_periods=3)
+            violations += report.violations
+            counts = schedule.activation_counts
+            expected = Fraction(counts[1] + counts[2], schedule.period)
+            if (
+                report.measured_throughput != expected
+                or predicted_throughput(schedule) != expected
+            ):
+                bad += 1
+    ok = bad == 0 and violations == 0
+    return ok, f"{instances} pairs x 2 schedules, {bad} misses, {violations} violations"
 
 
+@_criterion(7, "single-traversal joint schedule has optimal period")
 def check_equal_schedule_is_shortest(
     seed: int = DEFAULT_SEED, max_phase_sum: int = 7
-) -> CriterionResult:
+) -> tuple[bool, str]:
     """No valid single-traversal beat arrangement beats the emitted period.
 
     With one traversal per path, an arrangement is a multiset of beats in
@@ -364,84 +358,74 @@ def check_equal_schedule_is_shortest(
     covers the whole arrangement space, and the shortest length is the
     phase total minus the largest pairing found by exhaustive search.
     """
-
-    def body() -> tuple[bool, str]:
-        checked = 0
-        bad = 0
-        for t1 in range(1, max_phase_sum):
-            for t2 in range(1, max_phase_sum - t1 + 1):
-                for bits in itertools.product((0, 1), repeat=t1 * t2):
-                    rows = [
-                        list(bits[i * t2:(i + 1) * t2]) for i in range(t1)
-                    ]
-                    pair = pair_from_joint_matrix(rows)
-                    emitted = schedule_pair_equal(pair, t1, t2, 1).period
-                    shortest = t1 + t2 - brute_force_max_support(rows)
-                    checked += 1
-                    if emitted != shortest:
-                        bad += 1
-        return bad == 0, f"{checked} exhaustive instances, {bad} longer than optimal"
-
-    return _timed(7, "single-traversal joint schedule has optimal period", body)
+    checked = 0
+    bad = 0
+    for t1 in range(1, max_phase_sum):
+        for t2 in range(1, max_phase_sum - t1 + 1):
+            for bits in itertools.product((0, 1), repeat=t1 * t2):
+                rows = [
+                    list(bits[i * t2:(i + 1) * t2]) for i in range(t1)
+                ]
+                pair = pair_from_joint_matrix(rows)
+                emitted = schedule_pair_equal(pair, t1, t2, 1).period
+                shortest = t1 + t2 - brute_force_max_support(rows)
+                checked += 1
+                if emitted != shortest:
+                    bad += 1
+    return bad == 0, f"{checked} exhaustive instances, {bad} longer than optimal"
 
 
+@_criterion(8, "intensity and rate bounds hold on random pairs")
 def check_joint_bounds(
     seed: int = DEFAULT_SEED, instances: int = 100
-) -> CriterionResult:
+) -> tuple[bool, str]:
     """Intensity and rate bounds hold on every randomized pair scenario."""
-
-    def body() -> tuple[bool, str]:
-        bad = 0
-        for case in pair_corpus(seed, instances):
-            pair = case.pair
-            istar1, _ = interference_intensity(pair, pair.path_nodes(1))
-            istar2, _ = interference_intensity(pair, pair.path_nodes(2))
-            istar12, _ = interference_intensity(pair)
-            if not max(istar1, istar2) <= istar12 <= istar1 + istar2:
-                bad += 1
-                continue
-            t1, t2 = case.period1, case.period2
-            matrix = build_matrix(pair, t1, t2)
-            _, usize = max_support_set(matrix.rows)
-            if usize > t1 + t2 - istar12:
-                bad += 1
-                continue
-            rate_equal = Fraction(2, t1 + t2 - usize)
-            if rate_equal > Fraction(2, istar12):
-                bad += 1
-                continue
-            if usize == t1 + t2 - istar12 and rate_equal != Fraction(2, istar12):
-                bad += 1
-                continue
-            tiled = continuation(matrix, case.traversals1, case.traversals2)
-            _, tiled_size = max_support_set(tiled)
-            period = case.traversals1 * t1 + case.traversals2 * t2 - tiled_size
-            rate_unequal = Fraction(case.traversals1 + case.traversals2, period)
-            if rate_unequal > Fraction(1, t1) + Fraction(1, t2):
-                bad += 1
-        return bad == 0, f"{instances} pairs, {bad} bound violations"
-
-    return _timed(8, "intensity and rate bounds hold on random pairs", body)
+    bad = 0
+    for case in pair_corpus(seed, instances):
+        pair = case.pair
+        istar1, _ = interference_intensity(pair, pair.path_nodes(1))
+        istar2, _ = interference_intensity(pair, pair.path_nodes(2))
+        istar12, _ = interference_intensity(pair)
+        if not max(istar1, istar2) <= istar12 <= istar1 + istar2:
+            bad += 1
+            continue
+        t1, t2 = case.period1, case.period2
+        matrix = build_matrix(pair, t1, t2)
+        _, usize = max_support_set(matrix.rows)
+        if usize > t1 + t2 - istar12:
+            bad += 1
+            continue
+        rate_equal = Fraction(2, t1 + t2 - usize)
+        if rate_equal > Fraction(2, istar12):
+            bad += 1
+            continue
+        if usize == t1 + t2 - istar12 and rate_equal != Fraction(2, istar12):
+            bad += 1
+            continue
+        tiled = continuation(matrix, case.traversals1, case.traversals2)
+        _, tiled_size = max_support_set(tiled)
+        period = case.traversals1 * t1 + case.traversals2 * t2 - tiled_size
+        rate_unequal = Fraction(case.traversals1 + case.traversals2, period)
+        if rate_unequal > Fraction(1, t1) + Fraction(1, t2):
+            bad += 1
+    return bad == 0, f"{instances} pairs, {bad} bound violations"
 
 
+@_criterion(9, "square tiling scales the support size linearly")
 def check_tiled_support_scaling(
     seed: int = DEFAULT_SEED, instances: int = 100
-) -> CriterionResult:
+) -> tuple[bool, str]:
     """Tiling a matrix k times in both directions scales its support k-fold."""
-
-    def body() -> tuple[bool, str]:
-        rng = Random(seed + 3)
-        bad = 0
-        for _ in range(instances):
-            matrix = random_binary_matrix(rng, max_rows=4, max_cols=4)
-            _, base = max_support_set(matrix)
-            for scale in (1, 2, 3):
-                _, tiled = max_support_set(continuation(matrix, scale, scale))
-                if tiled != scale * base:
-                    bad += 1
-        return bad == 0, f"{instances} matrices x 3 scales, {bad} misses"
-
-    return _timed(9, "square tiling scales the support size linearly", body)
+    rng = Random(seed + 3)
+    bad = 0
+    for _ in range(instances):
+        matrix = random_binary_matrix(rng, max_rows=4, max_cols=4)
+        _, base = max_support_set(matrix)
+        for scale in (1, 2, 3):
+            _, tiled = max_support_set(continuation(matrix, scale, scale))
+            if tiled != scale * base:
+                bad += 1
+    return bad == 0, f"{instances} matrices x 3 scales, {bad} misses"
 
 
 def _window_pair(n: int, width: int) -> PathPair:
@@ -481,39 +465,36 @@ def _partitions_into(n: int, groups: int):
     yield from go(1, [])
 
 
+@_criterion(10, "worst-case chains split into equal groups uniquely")
 def check_unique_equal_split(
     seed: int = DEFAULT_SEED, max_senders: int = 9
-) -> CriterionResult:
+) -> tuple[bool, str]:
     """Worst-case windows split into intensity groups in exactly one way.
 
     For the chain where all senders closer than the intensity interfere,
     exhaustive partition enumeration must find exactly one split into
     that many concurrency groups: the equally spaced residue classes.
     """
-
-    def body() -> tuple[bool, str]:
-        checked = 0
-        bad = 0
-        for n in range(1, max_senders + 1):
-            for width in range(1, n + 1):
-                pair = _window_pair(n, width)
-                expected = [
-                    tuple(range(r, n + 1, width)) for r in range(1, width + 1)
-                ]
-                found = []
-                for partition in _partitions_into(n, width):
-                    if all(
-                        b - a >= width
-                        for block in partition
-                        for a, b in itertools.combinations(block, 2)
-                    ):
-                        found.append(sorted(partition))
-                checked += 1
-                if found != [sorted(tuple(b) for b in expected)]:
-                    bad += 1
-        return bad == 0, f"{checked} window chains, {bad} non-unique splits"
-
-    return _timed(10, "worst-case chains split into equal groups uniquely", body)
+    checked = 0
+    bad = 0
+    for n in range(1, max_senders + 1):
+        for width in range(1, n + 1):
+            pair = _window_pair(n, width)
+            expected = [
+                tuple(range(r, n + 1, width)) for r in range(1, width + 1)
+            ]
+            found = []
+            for partition in _partitions_into(n, width):
+                if all(
+                    b - a >= width
+                    for block in partition
+                    for a, b in itertools.combinations(block, 2)
+                ):
+                    found.append(sorted(partition))
+            checked += 1
+            if found != [sorted(tuple(b) for b in expected)]:
+                bad += 1
+    return bad == 0, f"{checked} window chains, {bad} non-unique splits"
 
 
 CRITERIA: tuple[Callable[..., CriterionResult], ...] = (
@@ -537,19 +518,26 @@ def run_criteria(
 ) -> list[CriterionResult]:
     """Run the selected checks (all by default) and return their results.
 
-    `instances` scales the randomized corpora; exhaustive checks ignore
-    it. Each check draws its own rng stream from the seed, so subsets
-    produce the same results as the full run.
+    `instances` scales the randomized corpora but never below a check's
+    own `instances` default; exhaustive checks ignore it. Each check draws
+    its own rng stream from the seed, so subsets produce the same results
+    as the full run. A number no check is registered under is an error.
     """
-    minimum_instances = {1: 200, 2: 200, 3: 200, 4: 200, 5: 500, 6: 100, 8: 100, 9: 100}
-    wanted = set(numbers) if numbers is not None else None
+    registered = {check.number for check in CRITERIA}
+    wanted = registered if numbers is None else set(numbers)
+    unknown = sorted(wanted - registered)
+    if unknown:
+        raise DomainError(
+            f"no check is numbered {', '.join(map(str, unknown))}; "
+            f"checks are numbered 1..{len(CRITERIA)}"
+        )
     results = []
-    for index, check in enumerate(CRITERIA, start=1):
-        if wanted is not None and index not in wanted:
+    for check in CRITERIA:
+        if check.number not in wanted:
             continue
-        floor = minimum_instances.get(index)
+        floor = inspect.signature(check).parameters.get("instances")
         if instances is not None and floor is not None:
-            results.append(check(seed, max(instances, floor)))
+            results.append(check(seed, max(instances, floor.default)))
         else:
             results.append(check(seed))
     return results

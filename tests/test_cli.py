@@ -516,6 +516,12 @@ class TestVerify:
         assert lines[1].startswith("PASS  criterion  9")
         assert lines[-1] == "2/2 checks passed (seed 7)"
 
+    @pytest.mark.parametrize("only, unknown", [("99", "99"), ("3,99", "99"), ("11,3,0", "0, 11")])
+    def test_unknown_check_number_is_one_error_line(self, capsys, only, unknown):
+        code, out, err = run(capsys, "verify", "--only", only, "--instances", "5")
+        assert (code, out) == (1, "")
+        assert err == f"error: no check is numbered {unknown}; checks are numbered 1..10\n"
+
 
 class TestErrors:
     def test_internal_check_failure_is_one_error_line(self, capsys, monkeypatch):
@@ -632,6 +638,11 @@ class TestNonFiniteNumbers:
             (
                 {"interference_radius": 1.0, "positions": {"1": [0, 1, 2, "1e999"]}},
                 "error: $.topology.positions.1[3]: expected a finite number",
+            ),
+            (
+                # an integer too large for a float
+                {"interference_radius": 1.0, "positions": {"1": [0, int("9" * 400), 2, 3]}},
+                "error: $.topology.positions.1[1]: expected a finite number",
             ),
         ],
     )

@@ -1,5 +1,8 @@
 """Node identities, chains, relations, geometry, and the chain rules."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 
 from beatsched.errors import ConfigurationError, DomainError
@@ -182,6 +185,24 @@ class TestGeometry:
     def test_boolean_radius_rejected(self, radius):
         with pytest.raises(ConfigurationError, match=f"^interference_radius must be a number, got {radius}$"):
             GeometricTopology({(1, 1): 0.0}, interference_radius=radius)
+
+    @pytest.mark.parametrize("point", ["12", b"12", bytearray(b"12"), ("1", 2), [0, b"2"], "7"])
+    def test_text_position_rejected(self, point):
+        with pytest.raises(ConfigurationError, match=r"position of node \(1, 2\) must be a number or an \(x, y\) pair"):
+            GeometricTopology({(1, 1): 0.0, (1, 2): point}, interference_radius=1.0)
+
+    @pytest.mark.parametrize("radius, shown", [("1", "'1'"), (None, "None"), ([1], r"\[1\]"), (b"1", "b'1'")])
+    def test_radius_that_is_no_number_rejected(self, radius, shown):
+        with pytest.raises(ConfigurationError, match=f"^interference_radius must be a number, got {shown}$"):
+            GeometricTopology({(1, 1): 0.0}, interference_radius=radius)
+
+    def test_exact_numbers_keep_their_coordinates(self):
+        topology = GeometricTopology(
+            {(1, 1): (Fraction(1, 2),), (1, 2): (Decimal("1.5"), Fraction(3, 4))},
+            interference_radius=Fraction(1, 3),
+        )
+        assert topology.position(1, 1) == (0.5, 0.0)
+        assert topology.position(1, 2) == (1.5, 0.75)
 
     def test_scalar_positions_mean_a_line(self):
         topology = GeometricTopology(

@@ -485,6 +485,25 @@ class TestRouteMasks:
         with pytest.raises(ConfigurationError, match=r"node \(2, 2\) must be a number or an \(x, y\) pair"):
             optimize(DiskScenario(interference_radius=1.0), SearchSpace(routes1=(good,), routes2=(flagged,)))
 
+    @pytest.mark.parametrize("radius", ["1", None, [1]])
+    def test_radius_that_is_no_number_is_rejected(self, radius):
+        good = straight_route(2, 0.0)
+        space = SearchSpace(routes1=(good,), routes2=(straight_route(2, 5.0),))
+        with pytest.raises(ConfigurationError, match=r"^interference_radius must be a number, got "):
+            optimize(DiskScenario(interference_radius=radius), space)
+        with pytest.raises(ConfigurationError, match=r"^interference_radius must be a number, got "):
+            materialize_pair(DiskScenario(interference_radius=radius), good, good)
+
+    @pytest.mark.parametrize("point", ["10", b"10", ("1", 0.0)])
+    def test_text_points_are_rejected(self, point):
+        good = straight_route(2, 0.0)
+        texty = RouteCandidate(points=((0.0, 5.0), point))
+        message = r"node \(2, 2\) must be a number or an \(x, y\) pair"
+        with pytest.raises(ConfigurationError, match=message):
+            optimize(DiskScenario(interference_radius=1.0), SearchSpace(routes1=(good,), routes2=(texty,)))
+        with pytest.raises(ConfigurationError, match=message):
+            materialize_pair(DiskScenario(interference_radius=1.0), good, texty)
+
 
 class TestTieBreaks:
     def test_prefers_shorter_period_at_equal_rate(self):
@@ -561,6 +580,9 @@ class TestGraphRoutes:
             ([0, float("nan")], "must be finite"),
             (True, "must be a number or an"),
             ([True, 0], "must be a number or an"),
+            ("10", "must be a number or an"),
+            (b"10", "must be a number or an"),
+            (["1", "0"], "must be a number or an"),
         ],
     )
     def test_malformed_positions_rejected(self, position, message):

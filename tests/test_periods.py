@@ -1,5 +1,7 @@
 """Phase subsets, reachable spacings, and the joint concurrency matrix."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -167,6 +169,19 @@ class TestContinuation:
         for i in range(rows * l1):
             for j in range(cols * l2):
                 assert tiled[i][j] == base[i % rows][j % cols]
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[1], [1, 0]], "matrix rows have unequal lengths"),
+            ([[1, 0], [1]], "matrix rows have unequal lengths"),
+            ([[2, 0], [0, 1]], "matrix entries must be 0 or 1, got 2"),
+            ([["1"]], "matrix entries must be 0 or 1, got '1'"),
+        ],
+    )
+    def test_rejects_malformed_sequences(self, matrix, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            continuation(matrix, 1, 2)
 
     def test_rejects_non_positive_counts(self):
         base = ConcurrencyMatrix(t1=1, t2=1, rows=((1,),))

@@ -1,10 +1,12 @@
 """The property-check suite itself: corpora, realization, reporting."""
 
+import inspect
 import random
 
 import pytest
 
 from beatsched.analysis import interference_intensity
+from beatsched.errors import DomainError
 from beatsched.model import validate_path_rules
 from beatsched.periods import build_matrix, intrinsic_period
 from beatsched.verify import (
@@ -87,6 +89,23 @@ class TestReporting:
         results = run_criteria(seed=DEFAULT_SEED, numbers=[5, 9])
         assert [r.number for r in results] == [5, 9]
         assert all(r.passed for r in results)
+
+    def test_checks_are_numbered_one_to_ten(self):
+        assert [check.number for check in CRITERIA] == list(range(1, 11))
+
+    def test_corpus_floors_are_the_instances_defaults(self):
+        # run_criteria never scales a randomized corpus below these
+        floors = {
+            check.number: inspect.signature(check).parameters["instances"].default
+            for check in CRITERIA
+            if "instances" in inspect.signature(check).parameters
+        }
+        assert floors == {1: 200, 2: 200, 3: 200, 4: 200, 5: 500, 6: 100, 8: 100, 9: 100}
+
+    @pytest.mark.parametrize("numbers, unknown", [([99], "99"), ([3, 99], "99"), ([11, 0, 4], "0, 11")])
+    def test_unknown_numbers_are_an_error(self, numbers, unknown):
+        with pytest.raises(DomainError, match=f"^no check is numbered {unknown}; checks are numbered 1..10$"):
+            run_criteria(seed=DEFAULT_SEED, numbers=numbers)
 
     def test_instances_never_drop_below_contract(self):
         result = run_criteria(seed=DEFAULT_SEED, numbers=[5], instances=10)[0]
