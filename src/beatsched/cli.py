@@ -28,10 +28,9 @@ from .matching import max_support_set, validate_support_set
 from .model import (
     GeometricTopology,
     InterferenceRelation,
-    NodeRef,
     PathPair,
     PrimaryPath,
-    derive_relation,
+    _derive_pair,
     validate_path_rules,
 )
 from .optimizer import DiskScenario, RouteCandidate, SearchSpace, optimize, routes_from_graph
@@ -182,7 +181,7 @@ def _parse_relation(raw: Any, paths: Sequence[PrimaryPath]) -> InterferenceRelat
         )
         for j, cell in enumerate(row):
             _expect(_is_bit(cell), f"$.relation.matrix[{i}][{j}]", "expected 0 or 1")
-    order = [NodeRef(path.id, seq) for path in paths for seq in range(1, path.n_senders + 1)]
+    order = [ref for path in paths for ref in path.senders]
     try:
         return InterferenceRelation.from_matrix(order, matrix)
     except DomainError as exc:
@@ -338,11 +337,9 @@ def parse_scenario(data: Any) -> Scenario:
     topology = None
     if has_topology:
         topology = _parse_topology(data["topology"], paths)
-        skeleton = PathPair(path1=path1, path2=path2, relation=InterferenceRelation())
-        relation = derive_relation(topology, skeleton)
+        pair = _derive_pair(topology, path1, path2)
     else:
-        relation = _parse_relation(data["relation"], paths)
-    pair = PathPair(path1=path1, path2=path2, relation=relation)
+        pair = PathPair(path1=path1, path2=path2, relation=_parse_relation(data["relation"], paths))
     return Scenario(pair=pair, topology=topology)
 
 

@@ -438,7 +438,7 @@ def brute_force_max_support(matrix: Sequence[Sequence[int]]) -> int:
         if len(chosen) + (n - r) <= best:
             return
         if r == n:
-            if len(chosen) > best and validate_support_set(rows, chosen)[0]:
+            if len(chosen) > best and not _violations(rows, chosen):
                 best = len(chosen)
             return
         for c in range(o):

@@ -12,12 +12,18 @@ pairs or derived from disk geometry: sender a disturbs sender b whenever a
 sits within the interference radius of b's receiver (and vice versa), and
 under half-duplex operation a node cannot send and receive in the same beat,
 which makes adjacent senders of one chain interfere.
+
+Inside the library a relation is held one way only, as a `PathPair`'s
+conflict masks, one integer per sender. `InterferenceRelation` and `NodeRef`
+pairs are its form at the API and I/O boundary; `PathPair.relation` is that
+view of the masks, built on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError
@@ -69,7 +75,7 @@ class PrimaryPath:
         if self.n_senders < 1:
             raise DomainError(f"path needs at least one sender, got {self.n_senders}")
 
-    @property
+    @cached_property
     def senders(self) -> tuple[NodeRef, ...]:
         return tuple(NodeRef(self.id, j) for j in range(1, self.n_senders + 1))
 
@@ -137,69 +143,106 @@ class InterferenceRelation:
         return cls(pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class PathPair:
     """One or two primary paths plus the interference relation over their senders.
 
     Single-chain scenarios use path2=None; operations that genuinely need a
     second path raise DomainError on such a pair.
 
-    Every concurrency question is answered on a dense sender index built
-    once here: path 1's senders take indices 0..n1-1 and path 2's follow,
-    which is also (path_id, seq) order. A set of senders is an integer mask
-    over that index, and `_conflicts[i]` is the mask of the senders that
-    interfere with sender i. The cached fields take no part in equality,
-    hashing or repr.
+    The relation is held as conflict masks: path 1's senders take dense
+    indices 0..n1-1 and path 2's follow, which is also (path_id, seq) order,
+    a set of senders is an integer mask over that index, and `_conflicts[i]`
+    is the mask of the senders that interfere with sender i. Equality and
+    hashing compare (path1, path2, _conflicts). `relation` is a view of the
+    masks, built on first use or kept from `PathPair(path1, path2, relation)`;
+    pairs that already have masks are built by `_from_conflicts`.
     """
 
     path1: PrimaryPath
     path2: PrimaryPath | None
-    relation: InterferenceRelation
-    _senders: tuple[NodeRef, ...] = field(init=False, repr=False, compare=False)
-    _index: dict = field(init=False, repr=False, compare=False)
-    _conflicts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _conflicts: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.path1.id != 1:
-            raise DomainError("path1 must have id 1")
-        if self.path2 is not None and self.path2.id != 2:
-            raise DomainError("path2 must have id 2")
-        senders = tuple(ref for p in self.paths for ref in p.senders)
-        index = {ref: i for i, ref in enumerate(senders)}
-        conflicts = [0] * len(senders)
-        for pair in self.relation.pairs:
-            for node in pair:
-                if node not in index:
-                    raise DomainError(f"relation mentions {node}, which is not a sender of this pair")
-            a, b = (index[node] for node in pair)
-            conflicts[a] |= 1 << b
-            conflicts[b] |= 1 << a
-        object.__setattr__(self, "_senders", senders)
-        object.__setattr__(self, "_index", index)
+    def __init__(self, path1: PrimaryPath, path2: PrimaryPath | None, relation: InterferenceRelation):
+        n = self._set_paths(path1, path2)
+        # an empty relation, as in a bare pair handed to derive_relation, needs no index
+        index = self._index if relation.pairs else {}
+        conflicts = [0] * n
+        for a, b in relation.pairs:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                raise DomainError(f"relation mentions {a if i is None else b}, which is not a sender of this pair")
+            conflicts[i] |= 1 << j
+            conflicts[j] |= 1 << i
         object.__setattr__(self, "_conflicts", tuple(conflicts))
+        self.__dict__["relation"] = relation
+
+    @classmethod
+    def _from_conflicts(cls, path1: PrimaryPath, path2: PrimaryPath | None, conflicts: Sequence[int]) -> "PathPair":
+        """The pair whose relation is one conflict mask per sender, in dense
+        order; the masks must be symmetric, irreflexive and in range."""
+        pair = cls.__new__(cls)
+        n = pair._set_paths(path1, path2)
+        if len(conflicts) != n:
+            raise DomainError(f"expected {n} conflict masks, one per sender, got {len(conflicts)}")
+        for i, row in enumerate(conflicts):
+            if row >> n or row >> i & 1:
+                raise DomainError(f"conflict mask of {pair.nodes[i]} names itself or a sender past the last one")
+            for j in _bits(row):
+                if not conflicts[j] >> i & 1:
+                    raise DomainError(f"conflict masks must be symmetric, differ at {pair.nodes[i]}/{pair.nodes[j]}")
+        object.__setattr__(pair, "_conflicts", tuple(conflicts))
+        return pair
+
+    def _set_paths(self, path1: PrimaryPath, path2: PrimaryPath | None) -> int:
+        """Set the paths after checking their ids; returns the sender count."""
+        if path1.id != 1:
+            raise DomainError("path1 must have id 1")
+        if path2 is not None and path2.id != 2:
+            raise DomainError("path2 must have id 2")
+        object.__setattr__(self, "path1", path1)
+        object.__setattr__(self, "path2", path2)
+        return path1.n_senders + (path2.n_senders if path2 else 0)
+
+    @cached_property
+    def relation(self) -> InterferenceRelation:
+        """The interfering sender pairs, for the API and I/O boundary."""
+        senders = self.nodes
+        return InterferenceRelation(
+            (a, senders[j]) for i, a in enumerate(senders) for j in _bits(self._conflicts[i] & -(2 << i))
+        )
+
+    @cached_property
+    def _index(self) -> dict[NodeRef, int]:
+        return {ref: i for i, ref in enumerate(self.nodes)}
+
+    def __repr__(self) -> str:
+        return f"PathPair(path1={self.path1!r}, path2={self.path2!r}, relation={self.relation!r})"
 
     @property
     def paths(self) -> tuple[PrimaryPath, ...]:
         return (self.path1,) if self.path2 is None else (self.path1, self.path2)
 
     def path(self, path_id: int) -> PrimaryPath:
-        for p in self.paths:
-            if p.id == path_id:
-                return p
+        if path_id == 1:
+            return self.path1
+        if path_id == 2 and self.path2 is not None:
+            return self.path2
         raise DomainError(f"pair has no path {path_id}")
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[NodeRef, ...]:
         """Every sender, in dense-index order."""
-        return self._senders
+        senders = self.path1.senders
+        return senders if self.path2 is None else senders + self.path2.senders
 
     def path_nodes(self, path_id: int) -> tuple[NodeRef, ...]:
         start = self.offset(path_id)
-        return self._senders[start:start + self.path(path_id).n_senders]
+        return self.nodes[start:start + self.path(path_id).n_senders]
 
     @property
     def total_senders(self) -> int:
-        return len(self._senders)
+        return len(self._conflicts)
 
     def has_pair(self) -> bool:
         return self.path2 is not None
@@ -252,7 +295,7 @@ class PathPair:
 
     def nodes_of(self, mask: int) -> tuple[NodeRef, ...]:
         """Members of a mask, sorted."""
-        senders = self._senders
+        senders = self.nodes
         out = []
         while mask:
             low = mask & -mask
@@ -306,14 +349,15 @@ _NOT_COORDINATE = (bool, *_TEXT)
 
 
 def _as_point(value, key) -> tuple[float, float]:
-    if isinstance(value, (int, float)):
-        value = (value,)
     try:
         # text iterates, but "12" is no point; bool is a subclass of int,
         # but True is no coordinate
         if isinstance(value, _TEXT):
             raise TypeError
-        coords = tuple(value)
+        try:
+            coords = tuple(value)
+        except TypeError:
+            coords = (value,)  # a single number is a point on the line
         for c in coords:
             if isinstance(c, _NOT_COORDINATE):
                 raise TypeError
@@ -379,22 +423,41 @@ def _disk_row(tx: tuple[float, float], rx: tuple[float, float], others: Sequence
 
 
 def _disk_rows(ends: Sequence[_Ends], radius: float, chained: int) -> list[int]:
-    """Upper conflict rows of senders given by their ends: bit j of row i,
-    j > i, is set when senders i and j interfere under the disk test or
-    under half-duplex, where bit i of `chained` says that sender i+1
-    receives from sender i."""
-    return [
+    """Conflict masks of senders given by their ends: senders i and j
+    interfere under the disk test or under half-duplex, where bit i of
+    `chained` says that sender i+1 receives from sender i."""
+    rows = [
         (_disk_row(tx, rx, ends[i + 1:], radius) | chained >> i & 1) << i + 1
         for i, (tx, rx) in enumerate(ends)
     ]
+    for i, row in enumerate(rows):
+        for j in _bits(row & -(2 << i)):
+            rows[j] |= 1 << i
+    return rows
 
 
-def _relation_of(senders: Sequence[NodeRef], conflicts: Sequence[int]) -> InterferenceRelation:
-    """The relation holding senders[i] and senders[j], i < j, when bit j of
-    conflicts[i] is set; bits at or below i are ignored."""
-    return InterferenceRelation(
-        (a, senders[j]) for i, a in enumerate(senders) for j in _bits(conflicts[i] & -(2 << i))
-    )
+def _derive_pair(topology: GeometricTopology, path1: PrimaryPath, path2: PrimaryPath | None = None) -> PathPair:
+    """The pair of these paths under derive_relation's disk model, built from masks."""
+    ends = []
+    chained = 0
+    for path in (path1,) if path2 is None else (path1, path2):
+        if topology.half_duplex:
+            chained |= ((1 << path.n_senders - 1) - 1) << len(ends)
+        points = [topology.position(path.id, seq) for seq in range(1, path.n_senders + 2)]
+        ends += zip(points, points[1:])
+    return PathPair._from_conflicts(path1, path2, _disk_rows(ends, topology.interference_radius, chained))
+
+
+def _pair_from_masks(conflicts1: Sequence[int], conflicts2: Sequence[int], cross: Sequence[int]) -> PathPair:
+    """The two-path pair with path-local conflict masks `conflicts1` and `conflicts2`,
+    where cross[i] is the path-2-local mask of the senders meeting path-1 sender i+1."""
+    n1 = len(conflicts1)
+    dense = [mask | across << n1 for mask, across in zip(conflicts1, cross)]
+    dense += [mask << n1 for mask in conflicts2]
+    for i, across in enumerate(cross):
+        for j in _bits(across):
+            dense[n1 + j] |= 1 << i
+    return PathPair._from_conflicts(PrimaryPath(1, n1), PrimaryPath(2, len(conflicts2)), dense)
 
 
 def derive_relation(topology: GeometricTopology, pair: PathPair) -> InterferenceRelation:
@@ -405,16 +468,10 @@ def derive_relation(topology: GeometricTopology, pair: PathPair) -> Interference
     - half-duplex and one of them IS the other's receiver (adjacent senders
       of the same chain: a node cannot send and receive in one beat).
 
-    Every sender and every receiver must have a position.
+    Every sender and every receiver must have a position. Only the pair's
+    paths are read, not its relation.
     """
-    senders = pair.nodes
-    ends = [(topology.position(a.path_id, a.seq), topology.position(a.path_id, a.seq + 1)) for a in senders]
-    chained = 0
-    if topology.half_duplex:
-        for i in range(len(senders) - 1):
-            if senders[i].path_id == senders[i + 1].path_id:
-                chained |= 1 << i
-    return _relation_of(senders, _disk_rows(ends, topology.interference_radius, chained))
+    return _derive_pair(topology, pair.path1, pair.path2).relation
 
 
 def is_concurrency_subset(pair: PathPair, nodes: Iterable[NodeRef]) -> bool:

@@ -26,14 +26,12 @@ from .errors import ConsistencyError, DomainError
 from .matching import _core, _tiled_sizes
 from .model import (
     PathPair,
-    PrimaryPath,
     _Ends,
     _as_point,
-    _bits,
     _check_radius,
     _disk_row,
     _disk_rows,
-    _relation_of,
+    _pair_from_masks,
     _union,
 )
 from .periods import _first_bad, _joint_rows, _local_phases
@@ -215,28 +213,13 @@ def _route_masks(
     points = [_as_point(point, (path_id, seq)) for seq, point in enumerate(route.points, start=1)]
     ends = list(zip(points, points[1:]))
     chained = (1 << len(ends) - 1) - 1 if scenario.half_duplex else 0
-    upper = _disk_rows(ends, scenario.interference_radius, chained)
-    conflicts = upper[:]
-    for i, row in enumerate(upper):
-        for j in _bits(row):
-            conflicts[j] |= 1 << i
-    return ends, conflicts
+    return ends, _disk_rows(ends, scenario.interference_radius, chained)
 
 
 def _cross_masks(radius: float, ends1: Sequence[_Ends], ends2: Sequence[_Ends]) -> list[int]:
     """cross[i] is the route-2-local mask of the senders that interfere with
     route-1 sender i+1; half-duplex links never cross routes."""
     return [_disk_row(tx, rx, ends2, radius) for tx, rx in ends1]
-
-
-def _pair_from_masks(conflicts1: list[int], conflicts2: list[int], cross: list[int]) -> PathPair:
-    """The chain pair whose relation the route-local and cross masks describe."""
-    path1 = PrimaryPath(id=1, n_senders=len(conflicts1))
-    path2 = PrimaryPath(id=2, n_senders=len(conflicts2))
-    n1 = len(conflicts1)
-    dense = [mask | across << n1 for mask, across in zip(conflicts1, cross)]
-    dense += [mask << n1 for mask in conflicts2]
-    return PathPair(path1=path1, path2=path2, relation=_relation_of(path1.senders + path2.senders, dense))
 
 
 def materialize_pair(

@@ -70,14 +70,9 @@ def _first_bad(conflicts: Sequence[int], masks: Sequence[int]) -> int | None:
     return None
 
 
-def _first_bad_phase(pair: PathPair, path_id: int, spacing: int) -> int | None:
-    """First phase whose subset is not a concurrency subset, or None."""
-    return _first_bad(pair._conflicts, _phase_masks(pair, path_id, spacing))
-
-
 def is_reachable_period(pair: PathPair, path_id: int, spacing: int) -> bool:
     """True when every phase subset at this spacing is a concurrency subset."""
-    return _first_bad_phase(pair, path_id, spacing) is None
+    return _first_bad(pair._conflicts, _phase_masks(pair, path_id, spacing)) is None
 
 
 def intrinsic_period(pair: PathPair, path_id: int) -> int:
@@ -127,15 +122,16 @@ class ConcurrencyMatrix:
 def build_matrix(pair: PathPair, t1: int, t2: int) -> ConcurrencyMatrix:
     """Joint concurrency matrix for spacings (t1, t2); both must be reachable."""
     pair.require_pair()
+    masks = []
     for path_id, spacing in ((1, t1), (2, t2)):
-        bad = _first_bad_phase(pair, path_id, spacing)
+        masks.append(_phase_masks(pair, path_id, spacing))
+        bad = _first_bad(pair._conflicts, masks[-1])
         if bad is not None:
             raise DomainError(
                 f"spacing {spacing} is not reachable on path {path_id}: "
                 f"phase {bad} subset is not a concurrency subset"
             )
-    conflicts1 = [pair.conflicts_of(mask1) for mask1 in _phase_masks(pair, 1, t1)]
-    rows = _joint_rows(conflicts1, _phase_masks(pair, 2, t2))
+    rows = _joint_rows([pair.conflicts_of(mask1) for mask1 in masks[0]], masks[1])
     return ConcurrencyMatrix(t1, t2, tuple([tuple([row >> j & 1 for j in range(t2)]) for row in rows]))
 
 
@@ -172,8 +168,4 @@ def continuation(matrix: ConcurrencyMatrix | Sequence[Sequence[int]], l1: int, l
     rows = matrix.rows if isinstance(matrix, ConcurrencyMatrix) else tuple(map(tuple, _normalize(matrix)))
     if not rows or not rows[0]:
         raise DomainError("cannot tile an empty matrix")
-    n, o = len(rows), len(rows[0])
-    return tuple(
-        tuple(rows[i % n][j % o] for j in range(o * l2))
-        for i in range(n * l1)
-    )
+    return tuple(tuple(row) * l2 for row in rows) * l1

@@ -375,17 +375,14 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
             union |= pair.seq_mask(act.path_id, act.members)
         if pair.is_concurrent_mask(union):
             continue
-        # list every interfering pair, in activation and member order
-        members = [node for act in counted for node in act.nodes()]
-        relation = pair.relation
-        for a_pos in range(len(members)):
-            for b_pos in range(a_pos + 1, len(members)):
-                if relation.interferes(members[a_pos], members[b_pos]):
-                    problem(
-                        "concurrency_ok",
-                        f"beat {index}: {members[a_pos]} and "
-                        f"{members[b_pos]} interfere",
-                    )
+        # list every interfering pair, in activation and member order; a
+        # position past a chain's end names no sender, so its mask is 0
+        members = [(node, pair.seq_mask(node.path_id, (node.seq,))) for act in counted for node in act.nodes()]
+        for a_pos, (a, bit) in enumerate(members):
+            reach = pair.conflicts_of(bit)
+            for b, other in members[a_pos + 1:]:
+                if reach & other:
+                    problem("concurrency_ok", f"beat {index}: {a} and {b} interfere")
     for path_id, spacing in schedule.path_periods.items():
         counts = phase_counts[path_id]
         expected_count = schedule.activation_counts[path_id]

@@ -27,14 +27,7 @@ from typing import Callable, Iterable, Sequence
 from .analysis import interference_intensity
 from .errors import DomainError
 from .matching import brute_force_max_support, max_support_set, validate_support_set
-from .model import (
-    GeometricTopology,
-    InterferenceRelation,
-    NodeRef,
-    PathPair,
-    PrimaryPath,
-    derive_relation,
-)
+from .model import GeometricTopology, PathPair, PrimaryPath, _derive_pair, _pair_from_masks
 from .periods import build_matrix, continuation, intrinsic_period, is_reachable_period
 from .scheduler import (
     audit_schedule,
@@ -73,9 +66,7 @@ def random_line_scenario(rng: Random, max_senders: int = 12) -> PathPair:
         positions[(1, seq)] = (x, 0.0)
         x += rng.uniform(0.6, 1.6)
     topology = GeometricTopology(positions, interference_radius=rng.uniform(0.2, 3.2))
-    path = PrimaryPath(id=1, n_senders=n)
-    skeleton = PathPair(path1=path, path2=None, relation=InterferenceRelation())
-    return PathPair(path1=path, path2=None, relation=derive_relation(topology, skeleton))
+    return _derive_pair(topology, PrimaryPath(id=1, n_senders=n))
 
 
 def random_pair_scenario(rng: Random, max_total: int = 16) -> PathPair:
@@ -106,12 +97,7 @@ def random_pair_scenario(rng: Random, max_total: int = 16) -> PathPair:
         px += step * dx
         py += step * dy
     topology = GeometricTopology(positions, interference_radius=rng.uniform(0.2, 2.2))
-    path1 = PrimaryPath(id=1, n_senders=n1)
-    path2 = PrimaryPath(id=2, n_senders=n2)
-    skeleton = PathPair(path1=path1, path2=path2, relation=InterferenceRelation())
-    return PathPair(
-        path1=path1, path2=path2, relation=derive_relation(topology, skeleton)
-    )
+    return _derive_pair(topology, PrimaryPath(id=1, n_senders=n1), PrimaryPath(id=2, n_senders=n2))
 
 
 def random_binary_matrix(
@@ -134,22 +120,15 @@ def pair_from_joint_matrix(c_rows: Sequence[Sequence[int]]) -> PathPair:
     returned pair (at spacings = chain lengths) is exactly `c_rows`:
     cross pairs interfere wherever the requested entry is 0.
     """
-    n1, n2 = len(c_rows), len(c_rows[0])
-    pairs: list[tuple[NodeRef, NodeRef]] = []
-    for a, b in itertools.combinations(range(1, n1 + 1), 2):
-        pairs.append((NodeRef(1, a), NodeRef(1, b)))
-    for a, b in itertools.combinations(range(1, n2 + 1), 2):
-        pairs.append((NodeRef(2, a), NodeRef(2, b)))
-    for i in range(n1):
-        if len(c_rows[i]) != n2:
-            raise DomainError("joint matrix rows must have equal length")
-        for j in range(n2):
-            if not c_rows[i][j]:
-                pairs.append((NodeRef(1, i + 1), NodeRef(2, j + 1)))
-    return PathPair(
-        path1=PrimaryPath(id=1, n_senders=n1),
-        path2=PrimaryPath(id=2, n_senders=n2),
-        relation=InterferenceRelation(pairs),
+    n1, n2 = len(c_rows), len(c_rows[0]) if c_rows else 0
+    if not n2:
+        raise DomainError("joint matrix needs at least one row and one column")
+    if any(len(row) != n2 for row in c_rows):
+        raise DomainError("joint matrix rows must have equal length")
+    return _pair_from_masks(
+        [((1 << n1) - 1) ^ (1 << i) for i in range(n1)],
+        [((1 << n2) - 1) ^ (1 << j) for j in range(n2)],
+        [sum(1 << j for j, entry in enumerate(row) if not entry) for row in c_rows],
     )
 
 
@@ -430,16 +409,8 @@ def check_tiled_support_scaling(
 
 def _window_pair(n: int, width: int) -> PathPair:
     """Single chain where senders interfere iff their distance is < width."""
-    pairs = [
-        (NodeRef(1, a), NodeRef(1, b))
-        for a, b in itertools.combinations(range(1, n + 1), 2)
-        if b - a < width
-    ]
-    return PathPair(
-        path1=PrimaryPath(id=1, n_senders=n),
-        path2=None,
-        relation=InterferenceRelation(pairs),
-    )
+    conflicts = [sum(1 << k for k in range(max(0, i - width + 1), min(n, i + width)) if k != i) for i in range(n)]
+    return PathPair._from_conflicts(PrimaryPath(id=1, n_senders=n), None, conflicts)
 
 
 def _partitions_into(n: int, groups: int):

@@ -16,7 +16,7 @@ from beatsched.model import (
     PathPair,
     PrimaryPath,
     _bits,
-    derive_relation,
+    _derive_pair,
 )
 
 # A joint concurrency matrix with no stall-free single-buffer schedule at
@@ -35,8 +35,7 @@ def line_pair(
     topology = GeometricTopology(
         positions, interference_radius=radius, half_duplex=half_duplex
     )
-    skeleton = PathPair(path1=path, path2=None, relation=InterferenceRelation())
-    return PathPair(path1=path, path2=None, relation=derive_relation(topology, skeleton))
+    return _derive_pair(topology, path)
 
 
 def two_line_pair(
@@ -55,10 +54,7 @@ def two_line_pair(
     for seq in range(1, n2 + 2):
         positions[(2, seq)] = (gap * (seq - 1), dy)
     topology = GeometricTopology(positions, interference_radius=radius)
-    skeleton = PathPair(path1=path1, path2=path2, relation=InterferenceRelation())
-    return PathPair(
-        path1=path1, path2=path2, relation=derive_relation(topology, skeleton)
-    )
+    return _derive_pair(topology, path1, path2)
 
 
 def relation_pair(n1: int, n2: int, interfering: list[tuple[str, str]]) -> PathPair:

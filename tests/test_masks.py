@@ -11,18 +11,22 @@ import random
 
 import pytest
 
+import beatsched.verify
 from beatsched.errors import DomainError
 from beatsched.model import (
     InterferenceRelation,
     NodeRef,
     PathPair,
     PrimaryPath,
+    _derive_pair,
+    derive_relation,
     is_concurrency_subset,
     validate_path_rules,
 )
 from beatsched.periods import build_matrix, is_reachable_period
 from beatsched.scheduler import Beat, Schedule, SubsetActivation, audit_schedule
 from beatsched.simulator import run
+from beatsched.verify import line_corpus, pair_corpus
 
 SEEDS = range(60)
 
@@ -225,3 +229,66 @@ class TestPathPairIdentity:
             assert [pair.index_of(ref) for ref in pair.nodes] == list(range(pair.total_senders))
             for path in pair.paths:
                 assert pair.path_nodes(path.id) == path.senders
+
+
+def masks_of(pair: PathPair) -> list[int]:
+    """Conflict masks of a pair's relation, worked out pair by pair."""
+    index = {ref: i for i, ref in enumerate(ref for p in pair.paths for ref in p.senders)}
+    masks = [0] * len(index)
+    for a, b in (tuple(p) for p in pair.relation.pairs):
+        masks[index[a]] |= 1 << index[b]
+        masks[index[b]] |= 1 << index[a]
+    return masks
+
+
+class TestMaskConstructor:
+    def test_a_pair_from_masks_equals_the_pair_from_its_relation(self):
+        for _, pair in cases():
+            twin = PathPair._from_conflicts(pair.path1, pair.path2, masks_of(pair))
+            assert twin == pair and hash(twin) == hash(pair)
+            assert repr(twin) == repr(pair)
+            assert twin.relation == pair.relation
+
+    def test_the_given_relation_is_the_view(self):
+        for _, pair in cases():
+            relation = InterferenceRelation(tuple(p) for p in pair.relation.pairs)
+            assert PathPair(pair.path1, pair.path2, relation).relation is relation
+
+    @pytest.mark.parametrize(
+        "masks, message",
+        [
+            ([0b010, 0b000, 0b000], "^conflict masks must be symmetric, differ at n1.1/n1.2$"),
+            ([0b000, 0b001, 0b000], "^conflict masks must be symmetric, differ at n1.2/n1.1$"),
+            ([0b001, 0b000, 0b000], "^conflict mask of n1.1 names itself or a sender past the last one$"),
+            ([0b000, 0b000, 0b1000], "^conflict mask of n1.3 names itself or a sender past the last one$"),
+            ([0b000, 0b000], "^expected 3 conflict masks, one per sender, got 2$"),
+        ],
+    )
+    def test_malformed_masks_are_rejected(self, masks, message):
+        with pytest.raises(DomainError, match=message):
+            PathPair._from_conflicts(PrimaryPath(id=1, n_senders=3), None, masks)
+
+    def test_masks_cover_both_paths(self):
+        path1, path2 = PrimaryPath(id=1, n_senders=1), PrimaryPath(id=2, n_senders=1)
+        pair = PathPair._from_conflicts(path1, path2, [0b10, 0b01])
+        assert pair.relation.interferes(NodeRef(1, 1), NodeRef(2, 1))
+        with pytest.raises(DomainError, match="^conflict masks must be symmetric, differ at n1.1/n2.1$"):
+            PathPair._from_conflicts(path1, path2, [0b10, 0b00])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_public_derive_relation_equals_the_core(self, seed, monkeypatch):
+        derived = []
+
+        def recording(topology, path1, path2=None):
+            pair = _derive_pair(topology, path1, path2)
+            derived.append((topology, pair))
+            return pair
+
+        monkeypatch.setattr(beatsched.verify, "_derive_pair", recording)
+        line_corpus(seed, 60)
+        pair_corpus(seed, 40)
+        assert len(derived) == 100
+        for topology, pair in derived:
+            bare = PathPair._from_conflicts(pair.path1, pair.path2, [0] * pair.total_senders)
+            assert derive_relation(topology, bare) == pair.relation
+            assert PathPair(pair.path1, pair.path2, derive_relation(topology, bare)) == pair

@@ -203,6 +203,10 @@ class TestGeometry:
         )
         assert topology.position(1, 1) == (0.5, 0.0)
         assert topology.position(1, 2) == (1.5, 0.75)
+        # a scalar is a point on the line, whatever kind of number it is
+        scalars = GeometricTopology({(1, 1): Fraction(1, 2), (1, 2): Decimal("1.5")}, interference_radius=1.0)
+        assert scalars.position(1, 1) == (0.5, 0.0)
+        assert scalars.position(1, 2) == (1.5, 0.0)
 
     def test_scalar_positions_mean_a_line(self):
         topology = GeometricTopology(

@@ -69,6 +69,15 @@ class TestJointMatrixRealization:
         istar, _ = interference_intensity(pair, pair.path_nodes(1))
         assert istar == 2
 
+    @pytest.mark.parametrize("matrix", [[], [[]], [[], []]])
+    def test_empty_matrix_is_rejected(self, matrix):
+        with pytest.raises(DomainError, match="^joint matrix needs at least one row and one column$"):
+            pair_from_joint_matrix(matrix)
+
+    def test_ragged_matrix_is_rejected(self):
+        with pytest.raises(DomainError, match="^joint matrix rows must have equal length$"):
+            pair_from_joint_matrix([[1, 0], [1]])
+
 
 class TestReporting:
     def test_result_line_format(self):
