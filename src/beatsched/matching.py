@@ -41,24 +41,25 @@ which proves the flow maximum, not only maximal.
 
 Checking covers, not entries: the bound above holds for every cover and
 every feasible flow, at any capacities, so a cover checked once against the
-matrix proves maximum every later entry whose flow equals l1 * |U| + l2 * |C|,
-by arithmetic alone. tiled_support_sizes checks each distinct cover (U, C)
-against the matrix once, and checks the flow's feasibility (no negative
-unit, no unit off a 1-entry, loads equal to its row and column sums and
-within capacity) after every search that changed it. Before searching at
-(l1, l2) it tests the held flow's loads against the new capacities, the only
-part of feasibility that depends on them, and then every checked cover: if
-one's weight equals the flow, the entry is proved maximum with no search.
-The held flow passed its feasibility check when it last changed, since each
-new l1 restarts from a flow kept after a check. So every entry is still
-proved maximum by a checked cover, not only maximal. The rows and columns
-reachable from the rows with spare capacity are the same for every maximum
-flow, so the covers found, like the table, do not depend on which maximum
-flow the search holds.
+matrix bounds every later entry by arithmetic alone. tiled_support_sizes
+checks each distinct cover (U, C) once, the two every matrix has (all rows;
+all columns) first, and checks the flow's feasibility (no negative unit, no
+unit off a 1-entry, loads equal to its row and column sums, within capacity
+and summing to its size) after every search that changed it. At (l1, l2)
+it first tests the held flow's loads against the new capacities, the only
+part of feasibility that depends on them, then searches only until the
+flow reaches the lightest checked cover's weight, which proves it maximum;
+a search that falls short fails, and the cover it leaves is checked and
+must weigh what the flow does. Each new l1 restarts from a flow kept after
+a check, so every entry is proved maximum by a checked cover, not only
+maximal. The rows and columns reachable from the rows with spare capacity
+are the same for every maximum flow, so the covers found, like the table,
+do not depend on which maximum flow the search holds.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
@@ -197,9 +198,7 @@ def max_support_set(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Element, ...
     return elements, len(elements)
 
 
-def tiled_support_sizes(
-    matrix: Sequence[Sequence[int]], max_traversals: int
-) -> tuple[tuple[int, ...], ...]:
+def tiled_support_sizes(matrix: Sequence[Sequence[int]], max_traversals: int) -> tuple[tuple[int, ...], ...]:
     """Maximum support size of every l1 x l2 tiling, l1, l2 in 1..max_traversals.
 
     Entry [l1 - 1][l2 - 1] equals max_support_set(continuation(matrix, l1,
@@ -208,10 +207,17 @@ def tiled_support_sizes(
     docstring). Every entry is proved maximum by a checked cover; a failed
     check is a ConsistencyError.
     """
-    if max_traversals < 1:
-        raise DomainError(f"max_traversals must be >= 1, got {max_traversals}")
+    _check_max_traversals(max_traversals)
     rows = _normalize(matrix)
     return _tiled_sizes(_row_masks(rows), len(rows[0]) if rows else 0, max_traversals)
+
+
+def _check_max_traversals(value: int) -> None:
+    """Raise DomainError unless value is an int >= 1 (a bool is not)."""
+    if type(value) is not int:
+        raise DomainError(f"max_traversals must be an int, got {value!r}")
+    if value < 1:
+        raise DomainError(f"max_traversals must be >= 1, got {value}")
 
 
 def _tiled_sizes(ones: Sequence[int], width: int, max_traversals: int) -> tuple[tuple[int, ...], ...]:
@@ -219,16 +225,17 @@ def _tiled_sizes(ones: Sequence[int], width: int, max_traversals: int) -> tuple[
 
     A flow feasible for (l1, l2) stays feasible for larger capacities, so
     each step of l2 continues from the previous flow and each new l1
-    restarts from the flow kept at (l1 - 1, 1).
+    restarts from the flow kept at (l1 - 1, 1). A matrix without columns
+    has no 1-entry, so nothing pairs.
     """
+    if not width:
+        return ((0,) * max_traversals,) * max_traversals
     network = _FlowNetwork(ones, width)
     table = []
     for l1 in range(1, max_traversals + 1):
-        line = []
-        for l2 in range(1, max_traversals + 1):
-            line.append(network.saturate(l1, l2))
-            if l2 == 1:
-                kept = network.snapshot()
+        line = [network.saturate(l1, 1)]
+        kept = network.snapshot()
+        line += [network.saturate(l1, l2) for l2 in range(2, max_traversals + 1)]
         table.append(tuple(line))
         network.restore(kept)
     return tuple(table)
@@ -254,140 +261,153 @@ def _core(ones: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 class _FlowNetwork:
     """A flow over the 1-entries of a binary matrix given as row masks, with
-    its row and column loads, that _tiled_sizes grows under rising
-    capacities.
-
-    `carriers[j]` is the mask of the rows that send flow into column j; every
-    push keeps it up to date. `covers` maps each cover (unreached rows,
-    reached columns) already checked against the matrix to its row and
-    column counts.
+    its row and column loads and its size, that _tiled_sizes grows under
+    rising capacities. `off` marks the 0-entries, row after row. `covers`
+    maps each cover (unreached rows, reached columns) checked against the
+    matrix to its row and column counts; the all-rows and the all-columns
+    covers are checked and entered first.
     """
+
+    __slots__ = ("ones", "width", "off", "flow", "row_load", "col_load", "total", "covers")
 
     def __init__(self, ones: Sequence[int], width: int) -> None:
         n = len(ones)
-        self.ones = list(ones)
-        self.zeros = [[j for j in range(width) if not row >> j & 1] for row in ones]
-        self.width = width
+        self.ones, self.width = ones, width
+        self.off = [not row >> j & 1 for row in ones for j in range(width)]
         self.flow = [[0] * width for _ in range(n)]
-        self.carriers = [0] * width
         self.row_load = [0] * n
         self.col_load = [0] * width
+        self.total = 0
         self.covers: dict[tuple[int, int], tuple[int, int]] = {}
+        self._cover_sizes(((1 << n) - 1, 0))
+        self._cover_sizes((0, (1 << width) - 1))
 
-    def snapshot(self) -> tuple[list[list[int]], list[int], list[int], list[int]]:
-        """A copy of the flow, its carriers and its loads, for restore."""
-        return [r[:] for r in self.flow], self.carriers[:], self.row_load[:], self.col_load[:]
+    def snapshot(self) -> tuple[list[list[int]], list[int], list[int], int]:
+        """A copy of the flow, its loads and its size, for restore."""
+        return [r[:] for r in self.flow], self.row_load[:], self.col_load[:], self.total
 
-    def restore(self, state: tuple[list[list[int]], list[int], list[int], list[int]]) -> None:
+    def restore(self, state: tuple[list[list[int]], list[int], list[int], int]) -> None:
         """Continue from a snapshot, which the network takes over."""
-        self.flow, self.carriers, self.row_load, self.col_load = state
+        self.flow, self.row_load, self.col_load, self.total = state
 
     def saturate(self, cap_row: int, cap_col: int) -> int:
         """Augment the flow until it is maximum for these capacities, prove
         it maximum by a checked cover, and return its size.
 
-        The flow passed its feasibility check when it last changed (a
-        snapshot is taken only of such a flow), so once its loads fit these
-        capacities, a checked cover whose weight here equals the flow proves
-        it maximum with no search. Otherwise _augment runs; a flow it
-        changed is checked again, its cover is checked against the matrix
-        unless an earlier search found the same one, and the cover's weight
-        must equal the flow.
+        The flow passed its feasibility check when it last changed, and a
+        flow whose loads do not fit these capacities fails it here. _augment
+        then searches only up to the lightest checked cover's weight, which
+        no feasible flow exceeds; a flow it changed is checked again, and
+        the cover that bounded it, or the one its failed search left, must
+        weigh what the flow does.
         """
-        row_load, col_load = self.row_load, self.col_load
-        total = sum(row_load)
-        if max(row_load, default=0) <= cap_row and max(col_load, default=0) <= cap_col:
-            for n_rows, n_cols in self.covers.values():
-                if cap_row * n_rows + cap_col * n_cols == total:
-                    return total
-        changed, unreached_rows, reached_cols = self._augment(cap_row, cap_col)
+        if max(self.row_load) > cap_row or max(self.col_load) > cap_col:
+            self._check_flow(cap_row, cap_col)
+        bound = min([cap_row * n_rows + cap_col * n_cols for n_rows, n_cols in self.covers.values()])
+        if self.total == bound:
+            return bound
+        changed, cover = self._augment(cap_row, cap_col, bound)
         if changed:
             self._check_flow(cap_row, cap_col)
-        cover = (unreached_rows, reached_cols)
+        weight = bound
+        if cover is not None:
+            n_rows, n_cols = self._cover_sizes(cover)
+            weight = cap_row * n_rows + cap_col * n_cols
+        if weight != self.total:
+            message = f"cover weight {weight} differs from flow {self.total}"
+            raise ConsistencyError(f"capacitated flow failed its certificate: {message}")
+        return weight
+
+    def _cover_sizes(self, cover: tuple[int, int]) -> tuple[int, int]:
+        """The row and column counts of a cover, checked against the matrix
+        unless it was checked before."""
         sizes = self.covers.get(cover)
         if sizes is None:
             self._check_cover(*cover)
-            sizes = self.covers[cover] = (unreached_rows.bit_count(), reached_cols.bit_count())
-        weight = cap_row * sizes[0] + cap_col * sizes[1]
-        total = sum(row_load)
-        if weight != total:
-            raise ConsistencyError(
-                f"capacitated flow failed its certificate: cover weight {weight} "
-                f"differs from flow {total}"
-            )
-        return total
+            sizes = self.covers[cover] = (cover[0].bit_count(), cover[1].bit_count())
+        return sizes
 
-    def _augment(self, cap_row: int, cap_col: int) -> tuple[bool, int, int]:
-        """Push flow along augmenting paths until none is left; return
-        whether any was pushed, the mask of the rows the last search did not
-        reach and the mask of the columns it reached.
+    def _augment(self, cap_row: int, cap_col: int, bound: int) -> tuple[bool, tuple[int, int] | None]:
+        """Push flow until it reaches bound or no augmenting path is left;
+        return whether any was pushed, and None if it reached bound, else
+        the failed search's cover: the rows it did not reach and the columns
+        it reached, as masks.
 
-        Breadth-first search over the residual graph: a row with spare
-        capacity starts a path, a 1-entry leads from its row to its column,
-        a column leads back to every row that sends it flow, and a column
-        with spare capacity ends the path.
+        Each row first fills its open columns (those with spare capacity)
+        directly. Then breadth-first search over the residual graph: a row
+        with spare capacity starts a path, a 1-entry leads from its row to
+        its column, a column leads back to every row that sends it flow, and
+        an open column ends the path.
         """
-        ones, flow, carriers = self.ones, self.flow, self.carriers
-        row_load, col_load = self.row_load, self.col_load
-        n, o = len(row_load), self.width
-        changed = False
-        while True:
-            # via_col[i]: the column row i was reached from, o for a start
-            # row, -1 if unreached; via_row[j]: the row column j was reached from
-            via_col = [o if load < cap_row else -1 for load in row_load]
+        ones, flow, row_load, col_load = self.ones, self.flow, self.row_load, self.col_load
+        n, o, total = len(ones), self.width, self.total
+        open_cols = sum(1 << j for j, load in enumerate(col_load) if load < cap_col)
+        for i, row in enumerate(ones):
+            spare, hit = cap_row - row_load[i], row & open_cols
+            while spare and hit:
+                low = hit & -hit
+                hit ^= low
+                j = low.bit_length() - 1
+                delta = min(spare, cap_col - col_load[j])
+                flow[i][j] += delta
+                col_load[j] += delta
+                if col_load[j] == cap_col:
+                    open_cols ^= low
+                spare -= delta
+                total += delta
+            row_load[i] = cap_row - spare
+        while total < bound:
+            # via_col[i]: the column a reached row i came from, -1 for a start
+            # row; via_row[j]: the row a reached column j came from
+            via_col = [-1] * n
             via_row = [-1] * o
-            queue = [i for i in range(n) if via_col[i] == o]
-            reached_rows = sum(1 << i for i in queue)
-            reached_cols = 0
-            end = -1
+            queue = [i for i, load in enumerate(row_load) if load < cap_row]
+            reached_rows, reached_cols, end = sum(1 << i for i in queue), 0, -1
             for i in queue:
                 new = ones[i] & ~reached_cols
                 reached_cols |= new
+                ends = new & open_cols
+                if ends:
+                    end = (ends & -ends).bit_length() - 1
+                    via_row[end] = i
+                    break
                 while new:
                     low = new & -new
                     new ^= low
                     j = low.bit_length() - 1
                     via_row[j] = i
-                    if col_load[j] < cap_col:
-                        end = j
-                        break
-                    back = carriers[j] & ~reached_rows
-                    reached_rows |= back
-                    while back:
-                        low = back & -back
-                        back ^= low
-                        k = low.bit_length() - 1
-                        via_col[k] = j
-                        queue.append(k)
-                if end >= 0:
-                    break
+                    for k in range(n):
+                        if flow[k][j] > 0 and not reached_rows >> k & 1:
+                            reached_rows |= 1 << k
+                            via_col[k] = j
+                            queue.append(k)
             if end < 0:
-                return changed, (1 << n) - 1 & ~reached_rows, reached_cols
+                changed, self.total = total > self.total, total
+                return changed, ((1 << n) - 1 & ~reached_rows, reached_cols)
             # Walk the path back from its end: column j was reached from row
             # via_row[j] over a forward entry, and a row i that is not a start
             # from column via_col[i] over a backward entry, whose flow bounds
             # the push. Push the bottleneck through.
             delta = cap_col - col_load[end]
-            j = end
-            while via_col[via_row[j]] != o:
-                i = via_row[j]
-                j = via_col[i]
+            i = via_row[end]
+            while (j := via_col[i]) >= 0:
                 delta = min(delta, flow[i][j])
-            delta = min(delta, cap_row - row_load[via_row[j]])
+                i = via_row[j]
+            delta = min(delta, cap_row - row_load[i])
+            row_load[i] += delta
             col_load[end] += delta
+            if col_load[end] == cap_col:
+                open_cols ^= 1 << end
             j = end
-            while True:
+            while j >= 0:
                 i = via_row[j]
                 flow[i][j] += delta
-                carriers[j] |= 1 << i
                 j = via_col[i]
-                if j == o:
-                    row_load[i] += delta
-                    break
-                flow[i][j] -= delta
-                if not flow[i][j]:
-                    carriers[j] &= ~(1 << i)
-            changed = True
+                if j >= 0:
+                    flow[i][j] -= delta
+            total += delta
+        changed, self.total = total > self.total, total
+        return changed, None
 
     def _check_cover(self, unreached_rows: int, reached_cols: int) -> None:
         """Raise ConsistencyError unless every 1-entry lies in a row of
@@ -402,18 +422,19 @@ class _FlowNetwork:
 
     def _check_flow(self, cap_row: int, cap_col: int) -> None:
         """Raise ConsistencyError unless the flow is feasible: non-negative,
-        only on 1-entries, with row and column sums equal to the loads, which
-        stay within capacity."""
+        none on a 0-entry, with row and column sums equal to the loads, which
+        stay within capacity and sum to the flow's size."""
         flow, row_load, col_load = self.flow, self.row_load, self.col_load
+        cells = list(chain.from_iterable(flow))
         problems = []
-        for i, row in enumerate(flow):
-            if min(row, default=0) < 0 or any(row[j] for j in self.zeros[i]):
-                problems.append(f"row {i + 1} has flow off its 1-entries or below 0")
-        if [sum(row) for row in flow] != row_load or max(row_load, default=0) > cap_row:
+        if min(cells) < 0 or any(compress(cells, self.off)):
+            problems.append(f"flow {flow} has units off its 1-entries or below 0")
+        if list(map(sum, flow)) != row_load or max(row_load) > cap_row:
             problems.append(f"row loads {row_load} are wrong or exceed {cap_row}")
-        col_sums = [sum(col) for col in zip(*flow)] if flow else [0] * self.width
-        if col_sums != col_load or max(col_load, default=0) > cap_col:
+        if list(map(sum, zip(*flow))) != col_load or max(col_load) > cap_col:
             problems.append(f"column loads {col_load} are wrong or exceed {cap_col}")
+        if sum(row_load) != self.total:
+            problems.append(f"row loads {row_load} do not sum to the flow's size {self.total}")
         if problems:
             raise ConsistencyError(f"capacitated flow failed its certificate: {problems}")
 

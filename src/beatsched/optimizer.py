@@ -17,13 +17,13 @@ as a PathPair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .analysis import _interference_witness
 from .errors import ConsistencyError, DomainError
-from .matching import _core, _tiled_sizes
+from .matching import _check_max_traversals, _core, _tiled_sizes
 from .model import (
     PathPair,
     _Ends,
@@ -149,13 +149,15 @@ class SearchSpace:
     max_traversals: int = 4
 
     def __post_init__(self) -> None:
-        if self.max_traversals < 1:
-            raise DomainError(
-                f"max_traversals must be >= 1, got {self.max_traversals}"
-            )
-        for given in (self.period_range1, self.period_range2):
-            if given is not None and given[0] > given[1]:
-                raise DomainError(f"empty period range {given}")
+        _check_max_traversals(self.max_traversals)
+        for name in ("period_range1", "period_range2"):
+            given = getattr(self, name)
+            if given is None:
+                continue
+            if not isinstance(given, (tuple, list)) or len(given) != 2 or not all(type(v) is int for v in given):
+                raise DomainError(f"{name} must be a pair of ints (lo, hi), got {given!r}")
+            if given[0] > given[1]:
+                raise DomainError(f"{name} is an empty period range {given}")
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,17 @@ class LoggedCandidate:
     period: int | None
     throughput: Fraction | None
     note: str
+
+
+_LOG_FIELDS = tuple(f.name for f in fields(LoggedCandidate))
+
+
+def _logged(*values) -> LoggedCandidate:
+    """LoggedCandidate(*values), attributes set in the same order, without
+    the frozen __init__'s object.__setattr__ per field."""
+    entry = object.__new__(LoggedCandidate)
+    entry.__dict__.update(zip(_LOG_FIELDS, values))
+    return entry
 
 
 @dataclass
@@ -265,8 +278,8 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
     its cross masks: a path-1 phase conflicts with the OR of its members'
     cross masks, and joint rows are column masks over path 2's phase
     masks. Grid points whose joint matrices have the same core (see
-    matching._core) share one tiled-size table. Only the winner becomes a
-    PathPair.
+    matching._core) share one tiled-size table, and log entries with the
+    same rate share one Fraction. Only the winner becomes a PathPair.
     """
     if not space.routes1 or not space.routes2:
         raise DomainError("search space has no route candidates")
@@ -277,9 +290,13 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
     profiles1 = [_route_profile(scenario, space.routes1[0], 1, space.period_range1)]
     profiles2 = [_route_profile(scenario, route, 2, space.period_range2) for route in space.routes2]
     profiles1 += [_route_profile(scenario, route, 1, space.period_range1) for route in space.routes1[1:]]
-    # (rate numerator, rate denominator = period, log entry)
+    # (rate numerator, rate denominator = period, log entry). The grid is
+    # walked in ascending (indices, spacings, traversals) order, so a later
+    # point wins only on a higher rate, compared by cross-multiplying, or on
+    # an equal rate with a shorter period.
     best: tuple[int, int, LoggedCandidate] | None = None
     tables: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    rates: dict[tuple[int, int], Fraction] = {}  # (blocks, period) -> blocks / period
 
     for index1, profile1 in enumerate(profiles1):
         for index2, profile2 in enumerate(profiles2):
@@ -288,76 +305,38 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                 conflicts1 = None if masks1 is None else [_union(cross, mask) for mask in masks1]
                 for period2, masks2 in profile2.phases.items():
                     if conflicts1 is None or masks2 is None:
-                        which = 1 if conflicts1 is None else 2
-                        spacing = period1 if which == 1 else period2
-                        log.append(
-                            LoggedCandidate(
-                                route1=index1,
-                                route2=index2,
-                                period1=period1,
-                                period2=period2,
-                                traversals1=0,
-                                traversals2=0,
-                                support_size=None,
-                                period=None,
-                                throughput=None,
-                                note=(
-                                    f"skipped: spacing {spacing} not reachable "
-                                    f"on path {which}"
-                                ),
-                            )
-                        )
+                        which, spacing = (1, period1) if conflicts1 is None else (2, period2)
+                        note = f"skipped: spacing {spacing} not reachable on path {which}"
+                        log.append(_logged(index1, index2, period1, period2, 0, 0, None, None, None, note))
                         continue
                     core, width = _core(_joint_rows(conflicts1, masks2))
                     sizes = tables.get(core)
                     if sizes is None:
                         sizes = tables[core] = _tiled_sizes(core, width, cap)
-                    for traversals1 in range(1, cap + 1):
-                        for traversals2 in range(1, cap + 1):
-                            support_size = sizes[traversals1 - 1][traversals2 - 1]
-                            period = (
-                                traversals1 * period1
-                                + traversals2 * period2
-                                - support_size
-                            )
+                    for traversals1, line in enumerate(sizes, start=1):
+                        for traversals2, support_size in enumerate(line, start=1):
+                            period = traversals1 * period1 + traversals2 * period2 - support_size
                             blocks = traversals1 + traversals2
-                            entry = LoggedCandidate(
-                                route1=index1,
-                                route2=index2,
-                                period1=period1,
-                                period2=period2,
-                                traversals1=traversals1,
-                                traversals2=traversals2,
-                                support_size=support_size,
-                                period=period,
-                                throughput=Fraction(blocks, period),
-                                note="evaluated",
+                            rate = rates.get((blocks, period))
+                            if rate is None:
+                                rate = rates[blocks, period] = Fraction(blocks, period)
+                            entry = _logged(
+                                index1, index2, period1, period2, traversals1, traversals2,
+                                support_size, period, rate, "evaluated",
                             )
                             log.append(entry)
-                            # The grid is walked in ascending (indices,
-                            # spacings, traversals) order, so a later point
-                            # wins only on a higher rate, compared by
-                            # cross-multiplying, or on an equal rate with a
-                            # shorter period.
                             ahead = 1 if best is None else blocks * best[1] - best[0] * period
                             if ahead > 0 or (ahead == 0 and period < best[1]):
                                 best = (blocks, period, entry)
     if best is None:
-        raise DomainError(
-            "no candidate in the search space has reachable spacings on "
-            "both paths"
-        )
+        raise DomainError("no candidate in the search space has reachable spacings on both paths")
     entry = best[2]
     profile1, profile2 = profiles1[entry.route1], profiles2[entry.route2]
     cross = _cross_masks(scenario.interference_radius, profile1.ends, profile2.ends)
     pair = _pair_from_masks(profile1.conflicts, profile2.conflicts, cross)
-    schedule = schedule_pair_unequal(
-        pair, entry.period1, entry.period2, entry.traversals1, entry.traversals2
-    )
+    schedule = schedule_pair_unequal(pair, entry.period1, entry.period2, entry.traversals1, entry.traversals2)
     if schedule.period != entry.period:
-        raise ConsistencyError(
-            "winning schedule's period disagrees with the evaluated grid point"
-        )
+        raise ConsistencyError("winning schedule's period disagrees with the evaluated grid point")
     return OptimizationResult(
         best_routes=(space.routes1[entry.route1], space.routes2[entry.route2]),
         best_route_indices=(entry.route1, entry.route2),

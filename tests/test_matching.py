@@ -256,6 +256,11 @@ class TestTiledSupportSizes:
         with pytest.raises(DomainError, match="max_traversals"):
             tiled_support_sizes([[1]], cap)
 
+    @pytest.mark.parametrize("cap", [2.5, True, "2"])
+    def test_traversal_cap_must_be_an_int(self, cap):
+        with pytest.raises(DomainError, match="max_traversals"):
+            tiled_support_sizes([[1]], cap)
+
     @pytest.mark.parametrize("matrix", [[[1, 0], [1]], [[2]]])
     def test_malformed_input_is_a_domain_error(self, matrix):
         with pytest.raises(DomainError):
@@ -288,12 +293,15 @@ class TestMaskKernel:
 
     @staticmethod
     def count_searches(monkeypatch):
+        """Record (cap_row, cap_col, failed) for every search, failed when it
+        ended without a path rather than at its bound."""
         calls = []
         search = _FlowNetwork._augment
 
-        def counted(self, cap_row, cap_col):
-            calls.append((cap_row, cap_col))
-            return search(self, cap_row, cap_col)
+        def counted(self, cap_row, cap_col, bound):
+            changed, cover = search(self, cap_row, cap_col, bound)
+            calls.append((cap_row, cap_col, cover is not None))
+            return changed, cover
 
         monkeypatch.setattr(_FlowNetwork, "_augment", counted)
         return calls
@@ -331,25 +339,57 @@ class TestMaskKernel:
             (3, 6, 6, 6),
             (3, 6, 8, 8),
         )
-        assert len(calls) < 16
-        assert (1, 3) not in calls and (1, 4) not in calls
+        searched = [(r, c) for r, c, _ in calls]
+        assert len(searched) < 16
+        assert (1, 3) not in searched and (1, 4) not in searched
 
     def test_every_entry_is_searched_when_no_cover_repeats(self, monkeypatch):
         # a single 1-entry: at every (l1, l2) the flow grows to min(l1, l2),
         # and only a cover that was checked can skip a search
         calls = self.count_searches(monkeypatch)
         assert _tiled_sizes([0b1], 1, 3) == ((1, 1, 1), (1, 2, 2), (1, 2, 3))
-        assert len(calls) == len(set(calls))
+        searched = [(r, c) for r, c, _ in calls]
+        assert len(searched) == len(set(searched))
+
+    def test_a_search_stops_at_the_lightest_checked_cover(self, monkeypatch):
+        # Each search that reaches the lightest checked cover's weight ends
+        # there: the entry is proved without the failed search that would
+        # find a cover, so fewer searches fail than there are entries.
+        calls = self.count_searches(monkeypatch)
+        rng = random.Random("matching/stop-at-bound")
+        entries = 0
+        for _ in range(60):
+            matrix = random_matrix(rng, 5, 5)
+            cap = rng.randint(1, 4)
+            assert _tiled_sizes(row_masks(matrix), len(matrix[0]), cap) == (
+                TestTiledSupportSizes.tiled_reference(matrix, cap)
+            ), (matrix, cap)
+            entries += cap * cap
+        failed = sum(1 for _, _, fails in calls if fails)
+        assert failed < len(calls) and failed < entries
+
+    def test_a_flow_that_does_not_fit_never_stops_at_a_cover(self, monkeypatch):
+        # A feasible flow at (1, 2) that sends both rows into column 1. At
+        # (2, 1) the cover of every column weighs 2, equal to the flow, but
+        # column 1's load exceeds 1: the entry must fail its check, not stop.
+        calls = self.count_searches(monkeypatch)
+        network = _FlowNetwork([0b11, 0b11], 2)
+        network.flow = [[1, 0], [1, 0]]
+        network.row_load, network.col_load, network.total = [1, 1], [2, 0], 2
+        assert network.saturate(1, 2) == 2
+        with pytest.raises(ConsistencyError, match="exceed 1"):
+            network.saturate(2, 1)
+        assert calls == []
 
     def test_a_forged_cover_is_rejected(self, monkeypatch):
         # the search claims the empty cover, which misses entry (1, 1)
-        monkeypatch.setattr(_FlowNetwork, "_augment", lambda self, r, c: (False, 0, 0))
+        monkeypatch.setattr(_FlowNetwork, "_augment", lambda self, r, c, bound: (False, (0, 0)))
         with pytest.raises(ConsistencyError, match="outside the cover"):
             _tiled_sizes([0b1], 1, 1)
 
     def test_a_cover_heavier_than_the_flow_is_rejected(self, monkeypatch):
         # a true cover (row 1), but the search stopped at the empty flow
-        monkeypatch.setattr(_FlowNetwork, "_augment", lambda self, r, c: (False, 0b1, 0))
+        monkeypatch.setattr(_FlowNetwork, "_augment", lambda self, r, c, bound: (False, (0b1, 0)))
         with pytest.raises(ConsistencyError, match="cover weight 1 differs from flow 0"):
             _tiled_sizes([0b1], 1, 1)
 
@@ -358,12 +398,13 @@ class TestMaskKernel:
         [((0, 1), 1, "off its 1-entries"), ((0, 0), 2, "exceed 1"), ((0, 0), -1, "below 0")],
     )
     def test_a_forged_flow_is_rejected(self, monkeypatch, entry, units, message):
-        def forged(self, cap_row, cap_col):
+        def forged(self, cap_row, cap_col, bound):
             i, j = entry
             self.flow[i][j] += units
             self.row_load[i] += units
             self.col_load[j] += units
-            return True, 0, 0b11
+            self.total += units
+            return True, (0, 0b11)
 
         monkeypatch.setattr(_FlowNetwork, "_augment", forged)
         with pytest.raises(ConsistencyError, match=message):

@@ -1,5 +1,6 @@
 """Exhaustive grid search over routes, spacings, and traversal counts."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -25,6 +26,7 @@ from beatsched.model import (
 )
 from beatsched.optimizer import (
     DiskScenario,
+    LoggedCandidate,
     RouteCandidate,
     SearchSpace,
     _cross_masks,
@@ -189,6 +191,29 @@ class TestDegenerateAndInvalid:
                 routes1=(straight_route(2, 0.0),),
                 routes2=(straight_route(2, 5.0),),
                 max_traversals=0,
+            )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_traversals", 2.5),
+            ("max_traversals", True),
+            ("max_traversals", "2"),
+            ("period_range1", (1,)),
+            ("period_range1", (1, 2, 3)),
+            ("period_range1", (1.5, 3)),
+            ("period_range1", (True, 2)),
+            ("period_range2", (1, False)),
+            ("period_range2", 3),
+            ("period_range2", (4, 3)),
+        ],
+    )
+    def test_malformed_search_space_names_its_field(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            SearchSpace(
+                routes1=(straight_route(2, 0.0),),
+                routes2=(straight_route(2, 5.0),),
+                **{field: value},
             )
 
 
@@ -363,6 +388,19 @@ class TestSeededSearchLogs:
             assert winner == best
             skipped_paths |= {c.note[-1] for c in result.search_log if c.note != "evaluated"}
         assert skipped_paths == {"1", "2"}
+
+    def test_log_entries_are_the_entries_the_constructor_builds(self):
+        names = [f.name for f in dataclasses.fields(LoggedCandidate)]
+        for scenario, space in self.searches():
+            log = optimize(scenario, space).search_log
+            for entry in log:
+                built = LoggedCandidate(**vars(entry))
+                assert entry == built and hash(entry) == hash(built)
+                assert repr(entry) == repr(built)
+                assert list(vars(entry)) == list(vars(built)) == names
+            for name in ("note", "throughput"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(log[-1], name, None)
 
     def test_winner_pair_equals_its_materialized_pair(self):
         for scenario, space in self.searches():
