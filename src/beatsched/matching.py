@@ -63,6 +63,7 @@ from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
+from .model import _bits
 
 __all__ = [
     "validate_support_set",
@@ -76,16 +77,24 @@ Element = tuple[int, int]  # (row, col), 1-based
 _BRUTE_FORCE_CELL_LIMIT = 30
 
 
-def _normalize(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    rows = [list(r) for r in matrix]
-    width = len(rows[0]) if rows else 0
-    for r in rows:
-        if len(r) != width:
+def _row_masks(matrix: Iterable[Iterable[int]]) -> tuple[list[int], int]:
+    """Each row of a 0/1 matrix as an integer mask, bit j set iff the row has
+    a 1 in column j, plus the matrix's width. Every entry point reads its
+    matrix once, through here; rows are checked in order, each for its
+    length before its entries."""
+    ones, width = [], 0
+    for row in map(tuple, matrix):
+        if ones and len(row) != width:
             raise DomainError("matrix rows have unequal lengths")
-        for v in r:
+        width = len(row)
+        mask = 0
+        for j, v in enumerate(row):
             if v not in (0, 1):
                 raise DomainError(f"matrix entries must be 0 or 1, got {v!r}")
-    return rows
+            if v:
+                mask |= 1 << j
+        ones.append(mask)
+    return ones, width
 
 
 def validate_support_set(
@@ -96,43 +105,36 @@ def validate_support_set(
     Element positions are 1-based; out-of-range positions are a domain error,
     not a violation.
     """
-    violations = _violations(_normalize(matrix), elements)
+    violations = _violations(*_row_masks(matrix), elements)
     return (not violations, violations)
 
 
-def _violations(rows: list[list[int]], elements: Iterable[Element]) -> list[str]:
-    """validate_support_set's checks on rows already passed through _normalize."""
-    n, o = len(rows), len(rows[0]) if rows else 0
+def _violations(ones: Sequence[int], width: int, elements: Iterable[Element]) -> list[str]:
+    """validate_support_set's checks on a matrix given as row masks."""
+    n = len(ones)
     chosen = sorted(set((int(r), int(c)) for r, c in elements))
     for r, c in chosen:
-        if not (1 <= r <= n and 1 <= c <= o):
-            raise DomainError(f"element ({r}, {c}) outside a {n}x{o} matrix")
+        if not (1 <= r <= n and 1 <= c <= width):
+            raise DomainError(f"element ({r}, {c}) outside a {n}x{width} matrix")
     violations = []
     for r, c in chosen:
-        if rows[r - 1][c - 1] != 1:
+        if not ones[r - 1] >> (c - 1) & 1:
             violations.append(f"condition 1: element ({r}, {c}) is not a 1-entry")
-    used_rows = set()
-    used_cols = set()
+    used_rows = used_cols = 0
     for r, c in chosen:
-        if r in used_rows:
+        if used_rows >> (r - 1) & 1:
             violations.append(f"condition 3: row {r} used by more than one element")
-        if c in used_cols:
+        if used_cols >> (c - 1) & 1:
             violations.append(f"condition 3: column {c} used by more than one element")
-        used_rows.add(r)
-        used_cols.add(c)
-    for i in range(n):
-        for j in range(o):
-            if rows[i][j] == 1 and (i + 1) not in used_rows and (j + 1) not in used_cols:
-                violations.append(
-                    f"condition 2: 1-entry ({i + 1}, {j + 1}) shares no row or column "
-                    "with any element"
-                )
+        used_rows |= 1 << (r - 1)
+        used_cols |= 1 << (c - 1)
+    for i, row in enumerate(ones):
+        if not used_rows >> i & 1:
+            violations += [
+                f"condition 2: 1-entry ({i + 1}, {j + 1}) shares no row or column with any element"
+                for j in _bits(row & ~used_cols)
+            ]
     return violations
-
-
-def _row_masks(rows: list[list[int]]) -> list[int]:
-    """Each row as an integer mask: bit j is set iff the row has a 1 in column j."""
-    return [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
 
 
 def max_support_set(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Element, ...], int]:
@@ -145,12 +147,10 @@ def max_support_set(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Element, ...
     mask, and a row's next column is the lowest bit of its mask outside the
     columns the search has seen.
     """
-    rows = _normalize(matrix)
-    o = len(rows[0]) if rows else 0
-    adjacent = _row_masks(rows)
+    adjacent, o = _row_masks(matrix)
     match_col: list[int | None] = [None] * o  # column -> matched row
 
-    for root in range(len(rows)):
+    for root in range(len(adjacent)):
         seen = 0
         # stack holds the rows of the current path; via[k] is the column
         # through which stack[k] descended to stack[k + 1]
@@ -192,7 +192,7 @@ def max_support_set(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Element, ...
                     c1 = c2
                     changed = True
     elements = tuple(elems)
-    violations = _violations(rows, elements)
+    violations = _violations(adjacent, o, elements)
     if violations:
         raise ConsistencyError(f"matching produced an invalid support set: {violations}")
     return elements, len(elements)
@@ -207,17 +207,18 @@ def tiled_support_sizes(matrix: Sequence[Sequence[int]], max_traversals: int) ->
     docstring). Every entry is proved maximum by a checked cover; a failed
     check is a ConsistencyError.
     """
-    _check_max_traversals(max_traversals)
-    rows = _normalize(matrix)
-    return _tiled_sizes(_row_masks(rows), len(rows[0]) if rows else 0, max_traversals)
+    _check_counts(f"max_traversals must be >= 1, got {max_traversals}", max_traversals=max_traversals)
+    return _tiled_sizes(*_row_masks(matrix), max_traversals)
 
 
-def _check_max_traversals(value: int) -> None:
-    """Raise DomainError unless value is an int >= 1 (a bool is not)."""
-    if type(value) is not int:
-        raise DomainError(f"max_traversals must be an int, got {value!r}")
-    if value < 1:
-        raise DomainError(f"max_traversals must be >= 1, got {value}")
+def _check_counts(below_one: str, **counts: int) -> None:
+    """Raise DomainError unless every named count is an int >= 1 (a bool is
+    not); below_one is the text for an int count below 1."""
+    for name, count in counts.items():
+        if type(count) is not int:
+            raise DomainError(f"{name} must be an int, got {count!r}")
+    if min(counts.values()) < 1:
+        raise DomainError(below_one)
 
 
 def _tiled_sizes(ones: Sequence[int], width: int, max_traversals: int) -> tuple[tuple[int, ...], ...]:
@@ -446,28 +447,27 @@ def brute_force_max_support(matrix: Sequence[Sequence[int]]) -> int:
     one column or none) and keeps the largest that validates. Guarded to
     matrices of at most 30 cells.
     """
-    rows = _normalize(matrix)
-    n, o = len(rows), len(rows[0]) if rows else 0
+    ones, o = _row_masks(matrix)
+    n = len(ones)
     if n * o > _BRUTE_FORCE_CELL_LIMIT:
         raise DomainError(f"brute force limited to {_BRUTE_FORCE_CELL_LIMIT} cells, got {n}x{o}")
 
     best = -1
 
-    def recurse(r: int, used_cols: frozenset[int], chosen: list[Element]):
+    def recurse(r: int, used_cols: int, chosen: list[Element]):
         nonlocal best
         # even taking one entry in every remaining row cannot beat the best
         if len(chosen) + (n - r) <= best:
             return
         if r == n:
-            if len(chosen) > best and not _violations(rows, chosen):
+            if len(chosen) > best and not _violations(ones, o, chosen):
                 best = len(chosen)
             return
-        for c in range(o):
-            if rows[r][c] == 1 and c not in used_cols:
-                chosen.append((r + 1, c + 1))
-                recurse(r + 1, used_cols | {c}, chosen)
-                chosen.pop()
+        for c in _bits(ones[r] & ~used_cols):
+            chosen.append((r + 1, c + 1))
+            recurse(r + 1, used_cols | 1 << c, chosen)
+            chosen.pop()
         recurse(r + 1, used_cols, chosen)
 
-    recurse(0, frozenset(), [])
+    recurse(0, 0, [])
     return max(best, 0)

@@ -507,20 +507,14 @@ def validate_path_rules(pair: PathPair, path_id: int) -> RulesReport:
     relations may not, which disables period/intensity shortcuts elsewhere.
     """
     n = pair.path(path_id).n_senders
-    base = pair.offset(path_id) - 1
-    conflicts = pair._conflicts
-
-    def concurrent(j: int, k: int) -> bool:
-        return not conflicts[base + j] >> (base + k) & 1
-
-    down = []
-    up = []
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            if not concurrent(j, k):
-                continue
-            if k + 1 <= n and not concurrent(j, k + 1):
-                down.append((j, k))
-            if j - 1 >= 1 and not concurrent(j - 1, k):
-                up.append((j, k))
+    base = pair.offset(path_id)
+    chain = (1 << n) - 1
+    down, up = [], []
+    before = 0  # the chain-local conflicts of the sender before sender j+1
+    for j, conflicts in enumerate(pair._conflicts[base:base + n]):
+        local = conflicts >> base & chain  # bit k stands for sender k+1
+        later = ~local & chain & -(2 << j)  # the later senders concurrent with sender j+1
+        down += [(j + 1, k + 1) for k in _bits(later & local >> 1)]
+        up += [(j + 1, k + 1) for k in _bits(later & before)]
+        before = local
     return RulesReport(path_id, tuple(down), tuple(up))

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .analysis import _interference_witness
 from .errors import ConsistencyError, DomainError
-from .matching import _check_max_traversals, _core, _tiled_sizes
+from .matching import _check_counts, _core, _tiled_sizes
 from .model import (
     PathPair,
     _Ends,
@@ -149,7 +149,7 @@ class SearchSpace:
     max_traversals: int = 4
 
     def __post_init__(self) -> None:
-        _check_max_traversals(self.max_traversals)
+        _check_counts(f"max_traversals must be >= 1, got {self.max_traversals}", max_traversals=self.max_traversals)
         for name in ("period_range1", "period_range2"):
             given = getattr(self, name)
             if given is None:

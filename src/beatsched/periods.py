@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .analysis import _interference_witness
 from .errors import ConsistencyError, DomainError
-from .matching import _normalize
+from .matching import _check_counts, _row_masks
 from .model import NodeRef, PathPair, PrimaryPath, _union, validate_path_rules
 
 __all__ = [
@@ -32,10 +32,10 @@ __all__ = [
 
 
 def _check_phase(path: PrimaryPath, phase: int, spacing: int) -> None:
-    if not 1 <= spacing <= path.n_senders:
-        raise DomainError(f"spacing must be in 1..{path.n_senders}, got {spacing}")
-    if not 1 <= phase <= spacing:
-        raise DomainError(f"phase must be in 1..{spacing}, got {phase}")
+    if type(spacing) is not int or not 1 <= spacing <= path.n_senders:
+        raise DomainError(f"spacing must be in 1..{path.n_senders}, got {spacing!r}")
+    if type(phase) is not int or not 1 <= phase <= spacing:
+        raise DomainError(f"phase must be in 1..{spacing}, got {phase!r}")
 
 
 def subset_members(path: PrimaryPath, phase: int, spacing: int) -> tuple[NodeRef, ...]:
@@ -132,7 +132,12 @@ def build_matrix(pair: PathPair, t1: int, t2: int) -> ConcurrencyMatrix:
                 f"phase {bad} subset is not a concurrency subset"
             )
     rows = _joint_rows([pair.conflicts_of(mask1) for mask1 in masks[0]], masks[1])
-    return ConcurrencyMatrix(t1, t2, tuple([tuple([row >> j & 1 for j in range(t2)]) for row in rows]))
+    return ConcurrencyMatrix(t1, t2, _unpack(rows, t2))
+
+
+def _unpack(ones: Sequence[int], width: int) -> tuple[tuple[int, ...], ...]:
+    """Row masks as rows of 0/1 entries over `width` columns."""
+    return tuple([tuple([row >> j & 1 for j in range(width)]) for row in ones])
 
 
 def _joint_rows(conflicts1: Sequence[int], masks2: Sequence[int]) -> tuple[int, ...]:
@@ -163,9 +168,8 @@ def continuation(matrix: ConcurrencyMatrix | Sequence[Sequence[int]], l1: int, l
     j mod cols), 1-based. This is the pattern a schedule sees when path 1
     makes l1 traversals while path 2 makes l2.
     """
-    if l1 < 1 or l2 < 1:
-        raise DomainError(f"traversal counts must be >= 1, got ({l1}, {l2})")
-    rows = matrix.rows if isinstance(matrix, ConcurrencyMatrix) else tuple(map(tuple, _normalize(matrix)))
+    _check_counts(f"traversal counts must be >= 1, got ({l1}, {l2})", l1=l1, l2=l2)
+    rows = matrix.rows if isinstance(matrix, ConcurrencyMatrix) else _unpack(*_row_masks(matrix))
     if not rows or not rows[0]:
         raise DomainError("cannot tile an empty matrix")
-    return tuple(tuple(row) * l2 for row in rows) * l1
+    return tuple(row * l2 for row in rows) * l1

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ConsistencyError, DomainError
-from .matching import max_support_set
+from .matching import _check_counts, max_support_set
 from .model import NodeRef, PathPair
 from .periods import _check_phase, build_matrix, continuation, intrinsic_period, is_reachable_period
 
@@ -237,8 +237,7 @@ def schedule_pair_equal(
     beats, then runs the unmatched phases of each path one beat each.
     Both paths complete `traversals` cycles per period.
     """
-    if traversals < 1:
-        raise DomainError(f"traversal count must be >= 1, got {traversals}")
+    _check_counts(f"traversal count must be >= 1, got {traversals}", traversals=traversals)
     traversal, support_size = _pair_cycle(pair, period1, period2, 1, 1)
     return _audited(pair, Schedule(
         period=traversals * (period1 + period2 - support_size),
@@ -262,10 +261,11 @@ def schedule_pair_unequal(
     matrix, so each path-1 phase appears traversals1 times over the
     cycle and each path-2 phase traversals2 times.
     """
-    if traversals1 < 1 or traversals2 < 1:
-        raise DomainError(
-            f"traversal counts must be >= 1, got {traversals1} and {traversals2}"
-        )
+    _check_counts(
+        f"traversal counts must be >= 1, got {traversals1} and {traversals2}",
+        traversals1=traversals1,
+        traversals2=traversals2,
+    )
     beats, support_size = _pair_cycle(pair, period1, period2, traversals1, traversals2)
     return _audited(pair, Schedule(
         period=traversals1 * period1 + traversals2 * period2 - support_size,

@@ -7,8 +7,9 @@ code they are checking any more than necessary.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
+from beatsched.errors import DomainError
 from beatsched.model import (
     GeometricTopology,
     InterferenceRelation,
@@ -121,3 +122,34 @@ def reference_best_clique(adj: Mapping[int, int], members: int) -> int:
         if size > best_size or (size == best_size and differ & -differ & clique):
             best = clique
     return best
+
+
+def reference_violations(rows: list[list[int]], elements: Iterable[tuple[int, int]]) -> list[str]:
+    """The support-set conditions checked cell by cell on a list-of-lists
+    matrix: the reference for matching's checks on row masks."""
+    n, o = len(rows), len(rows[0]) if rows else 0
+    chosen = sorted(set((int(r), int(c)) for r, c in elements))
+    for r, c in chosen:
+        if not (1 <= r <= n and 1 <= c <= o):
+            raise DomainError(f"element ({r}, {c}) outside a {n}x{o} matrix")
+    violations = []
+    for r, c in chosen:
+        if rows[r - 1][c - 1] != 1:
+            violations.append(f"condition 1: element ({r}, {c}) is not a 1-entry")
+    used_rows = set()
+    used_cols = set()
+    for r, c in chosen:
+        if r in used_rows:
+            violations.append(f"condition 3: row {r} used by more than one element")
+        if c in used_cols:
+            violations.append(f"condition 3: column {c} used by more than one element")
+        used_rows.add(r)
+        used_cols.add(c)
+    for i in range(n):
+        for j in range(o):
+            if rows[i][j] == 1 and (i + 1) not in used_rows and (j + 1) not in used_cols:
+                violations.append(
+                    f"condition 2: 1-entry ({i + 1}, {j + 1}) shares no row or column "
+                    "with any element"
+                )
+    return violations

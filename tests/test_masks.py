@@ -8,6 +8,7 @@ mask-based answer with a direct pairwise `relation.interferes` check.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -23,10 +24,11 @@ from beatsched.model import (
     is_concurrency_subset,
     validate_path_rules,
 )
-from beatsched.periods import build_matrix, is_reachable_period
-from beatsched.scheduler import Beat, Schedule, SubsetActivation, audit_schedule
+from beatsched.periods import build_matrix, intrinsic_period, is_reachable_period
+from beatsched.scheduler import Beat, Schedule, SubsetActivation, audit_schedule, schedule_primary
 from beatsched.simulator import run
 from beatsched.verify import line_corpus, pair_corpus
+from helpers import line_pair
 
 SEEDS = range(60)
 
@@ -130,7 +132,14 @@ class TestPeriods:
                             assert matrix.entry(p1, p2) == int(pairwise_concurrent(pair, union))
 
     def test_path_rules_agree_with_oracle(self):
-        for _, pair in cases():
+        # random relations break the rules; chains on a line and the
+        # verify corpora keep them, at lengths up to 300 senders
+        pairs = [pair for _, pair in cases()]
+        pairs += [line_pair(n, radius=radius / 2) for n in (50, 300) for radius in range(1, 8)]
+        for seed in (1, 2, 3):
+            pairs += line_corpus(seed, 200)
+            pairs += [case.pair for case in pair_corpus(seed, 100)]
+        for pair in pairs:
             rel = pair.relation
             for path in pair.paths:
                 size = path.n_senders
@@ -147,6 +156,16 @@ class TestPeriods:
                 report = validate_path_rules(pair, path.id)
                 assert report.rule_down_violations == tuple(down)
                 assert report.rule_up_violations == tuple(up)
+
+    def test_long_chain_rules_period_and_schedule_are_fast(self):
+        # three mask operations per sender: a pairwise loop over the
+        # 3,000 senders takes seconds for each of the three calls
+        pair = line_pair(3000, radius=1.5)
+        start = time.perf_counter()
+        assert validate_path_rules(pair, 1).ok
+        assert intrinsic_period(pair, 1) == 3
+        assert schedule_primary(pair, 1).period == 3
+        assert time.perf_counter() - start < 1.0
 
 
 def random_schedule(rng: random.Random, pair: PathPair, beats: int, past_end: bool) -> Schedule:

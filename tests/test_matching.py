@@ -1,6 +1,7 @@
 """Support sets of binary matrices: validation, maximum search, oracle."""
 
 import random
+import re
 import sys
 
 import networkx as nx
@@ -19,6 +20,7 @@ from beatsched.matching import (
     validate_support_set,
 )
 from beatsched.periods import continuation
+from helpers import reference_violations
 
 matrices = st.integers(1, 5).flatmap(
     lambda rows: st.integers(1, 6).flatmap(
@@ -58,12 +60,60 @@ class TestValidate:
             validate_support_set([[1]], [(2, 1)])
 
     def test_ragged_matrix_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^matrix rows have unequal lengths$"):
             validate_support_set([[1, 0], [1]], [])
 
     def test_non_binary_entry_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^matrix entries must be 0 or 1, got 2$"):
             validate_support_set([[2]], [])
+
+    def test_violations_match_the_cell_by_cell_reference(self):
+        # random elements hit 0-entries, share rows and columns, repeat,
+        # and now and then fall outside the matrix
+        rng = random.Random("matching/violations")
+        outside = 0
+        for _ in range(3000):
+            matrix = random_matrix(rng, 6, 6)
+            n, o = len(matrix), len(matrix[0])
+            elements = [
+                (rng.randint(0, n + 1), rng.randint(0, o + 1)) if rng.random() < 0.03
+                else (rng.randint(1, n), rng.randint(1, o))
+                for _ in range(rng.randint(0, 6))
+            ]
+            try:
+                expected = reference_violations(matrix, elements)
+            except DomainError as error:
+                outside += 1
+                with pytest.raises(DomainError, match=f"^{re.escape(str(error))}$"):
+                    validate_support_set(matrix, elements)
+                continue
+            assert validate_support_set(matrix, elements) == (not expected, expected), (matrix, elements)
+        assert outside > 100
+
+
+ENTRY_POINTS = {
+    "max_support_set": max_support_set,
+    "validate_support_set": lambda matrix: validate_support_set(matrix, []),
+    "tiled_support_sizes": lambda matrix: tiled_support_sizes(matrix, 2),
+    "brute_force_max_support": brute_force_max_support,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1, 0], [1]], "matrix rows have unequal lengths"),
+        ([[1, 2]], "matrix entries must be 0 or 1, got 2"),
+        ([[0, "1"]], "matrix entries must be 0 or 1, got '1'"),
+        # rows are checked in order, each for its length before its entries
+        ([[2], [1, 0]], "matrix entries must be 0 or 1, got 2"),
+        ([[1], [1, 0], [2]], "matrix rows have unequal lengths"),
+    ],
+)
+def test_malformed_matrix_texts(entry, matrix, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        ENTRY_POINTS[entry](matrix)
 
 
 class TestMaxSupport:

@@ -43,6 +43,19 @@ class TestSubsetMembers:
         with pytest.raises(DomainError):
             subset_members(path, 1, 7)
 
+    @pytest.mark.parametrize(
+        "phase, spacing, message",
+        [
+            (1, 2.0, "spacing must be in 1..6, got 2.0"),
+            (1, True, "spacing must be in 1..6, got True"),
+            (1.0, 2, "phase must be in 1..2, got 1.0"),
+            (True, 2, "phase must be in 1..2, got True"),
+        ],
+    )
+    def test_spacing_and_phase_must_be_ints(self, chain6, phase, spacing, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            subset_members(chain6.path(1), phase, spacing)
+
     def test_every_sender_lands_in_exactly_one_phase(self, chain6):
         path = chain6.path(1)
         for spacing in range(1, 7):
@@ -189,3 +202,16 @@ class TestContinuation:
             continuation(base, 0, 1)
         with pytest.raises(DomainError):
             continuation(base, 1, -1)
+
+    @pytest.mark.parametrize(
+        "l1, l2, message",
+        [
+            (2.0, 1, "l1 must be an int, got 2.0"),
+            (1, True, "l2 must be an int, got True"),
+            (0, 1, "traversal counts must be >= 1, got (0, 1)"),
+        ],
+    )
+    def test_counts_must_be_ints_of_at_least_one(self, l1, l2, message):
+        for matrix in (ConcurrencyMatrix(t1=1, t2=1, rows=((1,),)), [[1]]):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                continuation(matrix, l1, l2)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from beatsched import scheduler
 from beatsched.errors import ConsistencyError, DomainError
 from beatsched.scheduler import (
     CATEGORY_JOINT,
@@ -68,6 +69,11 @@ class TestPrimary:
         with pytest.raises(DomainError, match="out of range"):
             schedule_primary(chain6, 1, period=0)
 
+    @pytest.mark.parametrize("period", [3.0, True])
+    def test_rejects_a_period_that_is_no_int(self, chain6, period):
+        with pytest.raises(DomainError, match=f"^spacing must be in 1..6, got {period}$"):
+            schedule_primary(chain6, 1, period)
+
     def test_second_path_of_a_pair(self, far_pair):
         schedule = schedule_primary(far_pair, 2)
         assert schedule.path_periods == {2: 3}
@@ -124,8 +130,13 @@ class TestPairEqual:
         assert joint.activation_for(2).phase == 1
 
     def test_rejects_bad_traversals(self, far_pair):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^traversal count must be >= 1, got 0$"):
             schedule_pair_equal(far_pair, 3, 3, 0)
+
+    @pytest.mark.parametrize("traversals", [2.0, True])
+    def test_rejects_traversals_that_are_no_int(self, far_pair, traversals):
+        with pytest.raises(DomainError, match=f"^traversals must be an int, got {traversals}$"):
+            schedule_pair_equal(far_pair, 3, 3, traversals)
 
     def test_needs_two_paths(self, chain6):
         with pytest.raises(DomainError):
@@ -159,10 +170,16 @@ class TestPairUnequal:
         assert lhs.period == rhs.period
 
     def test_rejects_bad_counts(self, far_pair):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^traversal counts must be >= 1, got 0 and 1$"):
             schedule_pair_unequal(far_pair, 3, 3, 0, 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^traversal counts must be >= 1, got 1 and -1$"):
             schedule_pair_unequal(far_pair, 3, 3, 1, -1)
+
+    def test_rejects_counts_that_are_no_int(self, far_pair):
+        with pytest.raises(DomainError, match="^traversals1 must be an int, got 2.0$"):
+            schedule_pair_unequal(far_pair, 3, 3, 2.0, 1)
+        with pytest.raises(DomainError, match="^traversals2 must be an int, got True$"):
+            schedule_pair_unequal(far_pair, 3, 3, 1, True)
 
 
 class TestOneCycleBuilder:
@@ -172,6 +189,25 @@ class TestOneCycleBuilder:
             k = case.traversals_equal
             equal = schedule_pair_equal(pair, t1, t2, k)
             assert equal.beats == schedule_pair_unequal(pair, t1, t2, 1, 1).beats * k
+
+    def test_both_modes_reach_the_three_spanned_stages(self, far_pair, monkeypatch):
+        # perfbench times build_matrix, continuation and max_support_set by
+        # replacing these scheduler attributes; a pair builder that skips one
+        # would leave its span reading 0
+        calls = {}
+        for name in ("build_matrix", "continuation", "max_support_set"):
+            def counted(*args, _name=name, _inner=getattr(scheduler, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _inner(*args)
+
+            monkeypatch.setattr(scheduler, name, counted)
+        for build in (
+            lambda: schedule_pair_equal(far_pair, 3, 3, 2),
+            lambda: schedule_pair_unequal(far_pair, 3, 3, 2, 1),
+        ):
+            calls.clear()
+            build()
+            assert calls == {"build_matrix": 1, "continuation": 1, "max_support_set": 1}
 
     def test_zero_spacing_is_rejected_in_both_modes(self, far_pair):
         # a spacing of 0 names no phases, so no pair cycle can be built on it
