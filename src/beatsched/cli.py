@@ -43,7 +43,7 @@ from .scheduler import (
     schedule_pair_unequal,
     schedule_primary,
 )
-from .simulator import default_warmup_periods, measure_delay, run
+from .simulator import measure_delay, run
 from .verify import DEFAULT_SEED, run_criteria
 
 

@@ -17,7 +17,7 @@ as a PathPair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -43,7 +43,10 @@ class RouteCandidate:
     """Sender positions of one route plus the final receiver position.
 
     points[k] is where the (k+1)-th sender stands; the last entry is the
-    destination. A route with m points therefore has m-1 senders.
+    destination. A route with m points therefore has m-1 senders. Points
+    are given as for GeometricTopology and converted on construction to
+    (x, y) pairs, so a bad point is reported by the route's label and its
+    1-based position.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -55,6 +58,8 @@ class RouteCandidate:
                 "a route needs at least one sender and a destination, "
                 f"got {len(self.points)} points"
             )
+        points = tuple(_as_point(point, f"{k} of route {self.label!r}") for k, point in enumerate(self.points, 1))
+        object.__setattr__(self, "points", points)
 
     @property
     def n_senders(self) -> int:
@@ -114,21 +119,23 @@ def routes_from_graph(
     found.sort(key=lambda p: (len(p), p))
     routes = []
     for path in found:
-        pts = []
         for vertex in path:
             if vertex not in positions:
                 raise DomainError(f"vertex {vertex!r} has no position")
-            pts.append(_as_point(positions[vertex], vertex))
-        routes.append(RouteCandidate(points=tuple(pts), label="-".join(path)))
+        routes.append(RouteCandidate(points=tuple(positions[vertex] for vertex in path), label="-".join(path)))
     return tuple(routes)
 
 
 @dataclass(frozen=True)
 class DiskScenario:
-    """Interference context shared by all candidate route pairs."""
+    """Interference context shared by all candidate route pairs; the radius
+    is checked on construction, as GeometricTopology checks its own."""
 
     interference_radius: float
     half_duplex: bool = True
+
+    def __post_init__(self) -> None:
+        _check_radius(self.interference_radius)
 
 
 @dataclass(frozen=True)
@@ -160,8 +167,7 @@ class SearchSpace:
                 raise DomainError(f"{name} is an empty period range {given}")
 
 
-@dataclass(frozen=True)
-class LoggedCandidate:
+class LoggedCandidate(NamedTuple):
     """One grid point: either an evaluated rate or the reason it was skipped."""
 
     route1: int
@@ -174,17 +180,6 @@ class LoggedCandidate:
     period: int | None
     throughput: Fraction | None
     note: str
-
-
-_LOG_FIELDS = tuple(f.name for f in fields(LoggedCandidate))
-
-
-def _logged(*values) -> LoggedCandidate:
-    """LoggedCandidate(*values), attributes set in the same order, without
-    the frozen __init__'s object.__setattr__ per field."""
-    entry = object.__new__(LoggedCandidate)
-    entry.__dict__.update(zip(_LOG_FIELDS, values))
-    return entry
 
 
 @dataclass
@@ -205,26 +200,21 @@ class OptimizationResult:
 class _RouteProfile(NamedTuple):
     """What the search needs of one route, whatever it is paired with.
 
-    `ends` holds each sender's position and its receiver's. `conflicts[k]`
-    is the route-local mask of the senders that interfere with sender k+1:
-    the disk model relates two senders of one route through that route's
-    points only. `phases` maps each spacing of the clamped range to its
-    route-local phase masks, or to None when the spacing is not reachable.
+    `ends` holds each sender's position and its receiver's; the disk model
+    relates two senders of one route through that route's points only.
+    `phases` maps each spacing of the clamped range to its route-local
+    phase masks, or to None when the spacing is not reachable.
     """
 
     ends: list[_Ends]
-    conflicts: list[int]
     intensity: int
     phases: dict[int, list[int] | None]
 
 
-def _route_masks(
-    scenario: DiskScenario, route: RouteCandidate, path_id: int
-) -> tuple[list[_Ends], list[int]]:
-    """A route's sender ends and route-local conflict masks. Its points are
-    checked under the node keys (path_id, seq) a topology would give them."""
-    points = [_as_point(point, (path_id, seq)) for seq, point in enumerate(route.points, start=1)]
-    ends = list(zip(points, points[1:]))
+def _route_masks(scenario: DiskScenario, route: RouteCandidate) -> tuple[list[_Ends], list[int]]:
+    """A route's sender ends and route-local conflict masks: conflicts[k] is
+    the mask of the senders that interfere with sender k+1."""
+    ends = list(zip(route.points, route.points[1:]))
     chained = (1 << len(ends) - 1) - 1 if scenario.half_duplex else 0
     return ends, _disk_rows(ends, scenario.interference_radius, chained)
 
@@ -240,9 +230,8 @@ def materialize_pair(
 ) -> PathPair:
     """Concrete chain pair for one candidate route combination, related by
     the disk model as derive_relation relates a topology of both routes."""
-    _check_radius(scenario.interference_radius)
-    ends1, conflicts1 = _route_masks(scenario, route1, 1)
-    ends2, conflicts2 = _route_masks(scenario, route2, 2)
+    ends1, conflicts1 = _route_masks(scenario, route1)
+    ends2, conflicts2 = _route_masks(scenario, route2)
     return _pair_from_masks(conflicts1, conflicts2, _cross_masks(scenario.interference_radius, ends1, ends2))
 
 
@@ -253,10 +242,8 @@ def _clamped_range(
     return max(lo, intensity), min(hi, n_senders)
 
 
-def _route_profile(
-    scenario: DiskScenario, route: RouteCandidate, path_id: int, given: tuple[int, int] | None
-) -> _RouteProfile:
-    ends, conflicts = _route_masks(scenario, route, path_id)
+def _route_profile(scenario: DiskScenario, route: RouteCandidate, given: tuple[int, int] | None) -> _RouteProfile:
+    ends, conflicts = _route_masks(scenario, route)
     n = len(ends)
     intensity = _interference_witness(conflicts, (1 << n) - 1).bit_count()
     lo, hi = _clamped_range(given, intensity, n)
@@ -264,7 +251,7 @@ def _route_profile(
     for spacing in range(lo, hi + 1):
         masks = _local_phases(n, spacing)
         phases[spacing] = masks if _first_bad(conflicts, masks) is None else None
-    return _RouteProfile(ends, conflicts, intensity, phases)
+    return _RouteProfile(ends, intensity, phases)
 
 
 def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
@@ -279,17 +266,15 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
     cross masks, and joint rows are column masks over path 2's phase
     masks. Grid points whose joint matrices have the same core (see
     matching._core) share one tiled-size table, and log entries with the
-    same rate share one Fraction. Only the winner becomes a PathPair.
+    same rate share one Fraction. Only the winner becomes a PathPair, built
+    by materialize_pair.
     """
     if not space.routes1 or not space.routes2:
         raise DomainError("search space has no route candidates")
-    _check_radius(scenario.interference_radius)
     cap = space.max_traversals
     log: list[LoggedCandidate] = []
-    # in the order pairs meet the routes, so a bad route is met in pair order
-    profiles1 = [_route_profile(scenario, space.routes1[0], 1, space.period_range1)]
-    profiles2 = [_route_profile(scenario, route, 2, space.period_range2) for route in space.routes2]
-    profiles1 += [_route_profile(scenario, route, 1, space.period_range1) for route in space.routes1[1:]]
+    profiles1 = [_route_profile(scenario, route, space.period_range1) for route in space.routes1]
+    profiles2 = [_route_profile(scenario, route, space.period_range2) for route in space.routes2]
     # (rate numerator, rate denominator = period, log entry). The grid is
     # walked in ascending (indices, spacings, traversals) order, so a later
     # point wins only on a higher rate, compared by cross-multiplying, or on
@@ -307,7 +292,7 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                     if conflicts1 is None or masks2 is None:
                         which, spacing = (1, period1) if conflicts1 is None else (2, period2)
                         note = f"skipped: spacing {spacing} not reachable on path {which}"
-                        log.append(_logged(index1, index2, period1, period2, 0, 0, None, None, None, note))
+                        log.append(LoggedCandidate(index1, index2, period1, period2, 0, 0, None, None, None, note))
                         continue
                     core, width = _core(_joint_rows(conflicts1, masks2))
                     sizes = tables.get(core)
@@ -320,7 +305,7 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                             rate = rates.get((blocks, period))
                             if rate is None:
                                 rate = rates[blocks, period] = Fraction(blocks, period)
-                            entry = _logged(
+                            entry = LoggedCandidate(
                                 index1, index2, period1, period2, traversals1, traversals2,
                                 support_size, period, rate, "evaluated",
                             )
@@ -331,14 +316,13 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
     if best is None:
         raise DomainError("no candidate in the search space has reachable spacings on both paths")
     entry = best[2]
-    profile1, profile2 = profiles1[entry.route1], profiles2[entry.route2]
-    cross = _cross_masks(scenario.interference_radius, profile1.ends, profile2.ends)
-    pair = _pair_from_masks(profile1.conflicts, profile2.conflicts, cross)
+    best_routes = (space.routes1[entry.route1], space.routes2[entry.route2])
+    pair = materialize_pair(scenario, *best_routes)
     schedule = schedule_pair_unequal(pair, entry.period1, entry.period2, entry.traversals1, entry.traversals2)
     if schedule.period != entry.period:
         raise ConsistencyError("winning schedule's period disagrees with the evaluated grid point")
     return OptimizationResult(
-        best_routes=(space.routes1[entry.route1], space.routes2[entry.route2]),
+        best_routes=best_routes,
         best_route_indices=(entry.route1, entry.route2),
         best_period1=entry.period1,
         best_period2=entry.period2,

@@ -119,28 +119,38 @@ class Schedule:
 
 
 def schedule_from_dict(data: dict) -> Schedule:
-    """Rebuild a schedule from its to_dict form (CLI round trips)."""
+    """Rebuild a schedule from its to_dict form (CLI round trips).
+
+    Every number must be an int, not a bool; mapping keys may also be the
+    decimal strings to_dict writes. A field that is neither raises
+    DomainError naming it."""
     beats = []
-    for raw_beat in data["beats"]:
-        acts = tuple(
-            SubsetActivation(
-                path_id=int(a["path"]),
-                spacing=int(a["spacing"]),
-                phase=int(a["phase"]),
-                members=tuple(int(m) for m in a["members"]),
-            )
-            for a in raw_beat["activations"]
-        )
-        beats.append(Beat(category=raw_beat["category"], activations=acts))
-    return Schedule(
-        period=int(data["period"]),
-        beats=tuple(beats),
-        path_periods={int(k): int(v) for k, v in data["path_periods"].items()},
-        activation_counts={
-            int(k): int(v) for k, v in data["activation_counts"].items()
-        },
-        kind=data["kind"],
-    )
+    for i, raw_beat in enumerate(data["beats"]):
+        acts = []
+        for j, a in enumerate(raw_beat["activations"]):
+            name = f"beats[{i}].activations[{j}]"
+            acts.append(SubsetActivation(
+                path_id=_int_field(a["path"], f"{name}.path"),
+                spacing=_int_field(a["spacing"], f"{name}.spacing"),
+                phase=_int_field(a["phase"], f"{name}.phase"),
+                members=tuple(_int_field(m, f"{name}.members[{k}]") for k, m in enumerate(a["members"])),
+            ))
+        beats.append(Beat(category=raw_beat["category"], activations=tuple(acts)))
+    counts = {
+        name: {_int_field(k, f"{name} key", keys=True): _int_field(v, f"{name}[{k!r}]") for k, v in data[name].items()}
+        for name in ("path_periods", "activation_counts")
+    }
+    return Schedule(period=_int_field(data["period"], "period"), beats=tuple(beats), **counts, kind=data["kind"])
+
+
+def _int_field(value, name: str, keys: bool = False) -> int:
+    """value if it is an int (a bool is not), or with `keys` also an int's
+    decimal string as to_dict writes it."""
+    if keys and isinstance(value, str) and value.removeprefix("-").isdecimal() and str(int(value)) == value:
+        return int(value)
+    if type(value) is not int:
+        raise DomainError(f"schedule field {name} must be an int, got {value!r}")
+    return value
 
 
 def _phase_activations(pair: PathPair, path_id: int, spacing: int) -> tuple[SubsetActivation, ...]:
@@ -349,6 +359,11 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
             # only the spacing is checked here; a phase outside 1..spacing
             # is reported with the phase counts
             _check_phase(path, 1, spacing)
+            if type(act.phase) is not int or [m for m in act.members if type(m) is not int]:
+                raise DomainError(
+                    f"beat {index} path {act.path_id}: phase and members must be ints, "
+                    f"got phase {act.phase!r} and members {act.members!r}"
+                )
             n = path.n_senders
             expected = tuple(range(act.phase, n + 1, spacing))
             matches = act.members == expected

@@ -34,7 +34,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError
+from .matching import _check_counts
 from .model import PathPair
 from .scheduler import Schedule
 
@@ -286,12 +287,11 @@ def run(
     With `collect_trace` the run steps every beat anyway, because the
     trace lists every beat's moves; it still reports the first repeat.
     """
-    if n_periods < 1:
-        raise DomainError(f"need at least one measured period, got {n_periods}")
+    _check_counts(f"need at least one measured period, got {n_periods}", n_periods=n_periods)
     if warmup_periods is None:
         warmup_periods = default_warmup_periods(pair, schedule)
-    if warmup_periods < 0:
-        raise DomainError(f"warmup must be >= 0, got {warmup_periods}")
+    elif type(warmup_periods) is not int or warmup_periods:  # a warmup of 0 is fine
+        _check_counts(f"warmup must be >= 0, got {warmup_periods}", warmup_periods=warmup_periods)
 
     state = _ChainState(pair)
     period = schedule.period
@@ -379,8 +379,7 @@ def measure_delay(
     raw pipeline traversal. Delay counts both the injection beat and the
     arrival beat, so a single-sender path has delay 1.
     """
-    if block_count < 1:
-        raise DomainError(f"block count must be >= 1, got {block_count}")
+    _check_counts(f"block count must be >= 1, got {block_count}", block_count=block_count)
     path_ids = sorted(schedule.path_periods)
     state = _ChainState(pair)
     total_senders = sum(pair.path(pid).n_senders for pid in path_ids)

@@ -178,6 +178,26 @@ class TestSupport:
         assert code == 1
         assert "unequal lengths" in err
 
+    @pytest.mark.parametrize("text", ["", " \n\t\n"])
+    def test_empty_input_is_one_error_line(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, "support", "-") == (1, "", "error: $: matrix input is empty\n")
+
+    def test_grid_line_that_is_not_bits_is_one_error_line(self, capsys, tmp_path):
+        grid = tmp_path / "matrix.txt"
+        grid.write_text("1 0\n1 2\n")
+        code, out, err = run(capsys, "support", str(grid))
+        assert (code, out, err) == (1, "", "error: $: grid lines must be 0/1 characters, got '12'\n")
+
+    def test_blank_lines_between_grid_rows_are_skipped(self, capsys, tmp_path):
+        grid = tmp_path / "matrix.txt"
+        grid.write_text("1 0 1\n\n   \n1 1 0\n")
+        code, out, _ = run(capsys, "support", str(grid))
+        assert code == 0
+        doc, ascii_part = leading_json(out)
+        assert doc == {"support_size": 2, "witness": [[1, 3], [2, 1]], "witness_valid": True}
+        assert ascii_part.splitlines() == ["1 0 *", "* 1 0"]
+
     @pytest.mark.parametrize("rows", ["[[1, 0], [0]]", '{"rows": [[1, 0], [0, 1, 1]]}'])
     def test_ragged_json_rows_rejected_at_their_path(self, capsys, tmp_path, rows):
         matrix = tmp_path / "matrix.json"
@@ -521,6 +541,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--only", only, "--instances", "5")
         assert (code, out) == (1, "")
         assert err == f"error: no check is numbered {unknown}; checks are numbered 1..10\n"
+
+
+    @pytest.mark.parametrize("only", ["1,x", "3,", "x"])
+    def test_check_numbers_that_are_no_numbers_are_one_error_line(self, capsys, only):
+        code, out, err = run(capsys, "verify", "--only", only, "--instances", "5")
+        assert (code, out) == (1, "")
+        assert err == f"error: --only expects comma-separated check numbers, got {only!r}\n"
 
 
 class TestErrors:

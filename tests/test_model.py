@@ -51,6 +51,10 @@ class TestPrimaryPath:
         with pytest.raises(DomainError):
             PrimaryPath(id=1, n_senders=0)
 
+    def test_rejects_a_third_path(self):
+        with pytest.raises(DomainError, match="^path id must be 1 or 2, got 3$"):
+            PrimaryPath(id=3, n_senders=2)
+
 
 class TestInterferenceRelation:
     def test_symmetric_and_irreflexive(self):
@@ -105,6 +109,27 @@ class TestPathPair:
         assert pair.has_pair()
         assert pair.total_senders == 5
         assert pair.path_nodes(2) == (n(2, 1), n(2, 2))
+
+    def test_paths_must_sit_in_their_slots(self):
+        with pytest.raises(DomainError, match="^path1 must have id 1$"):
+            PathPair(PrimaryPath(id=2, n_senders=2), None, InterferenceRelation())
+        with pytest.raises(DomainError, match="^path2 must have id 2$"):
+            PathPair(PrimaryPath(id=1, n_senders=2), PrimaryPath(id=1, n_senders=2), InterferenceRelation())
+
+    def test_relation_may_name_senders_only(self):
+        relation = InterferenceRelation([(n(1, 1), n(1, 3))])
+        with pytest.raises(DomainError, match=r"^relation mentions n1\.3, which is not a sender of this pair$"):
+            PathPair(PrimaryPath(id=1, n_senders=2), None, relation)
+
+    def test_index_of_and_seq_mask_reject_what_names_no_sender(self):
+        pair = line_pair(3)
+        assert pair.index_of(n(1, 3)) == 2
+        with pytest.raises(DomainError, match=r"^n2\.1 is not a sender of this pair$"):
+            pair.index_of(n(2, 1))
+        # a position past the chain's end names no sender and adds nothing
+        assert pair.seq_mask(1, [1, 4]) == 0b1
+        with pytest.raises(DomainError, match="^seq must be >= 1, got 0$"):
+            pair.seq_mask(1, [1, 0])
 
     def test_validate_nodes_rejects_foreign_and_empty(self):
         pair = line_pair(3)

@@ -1,9 +1,9 @@
 """Exhaustive grid search over routes, spacings, and traversal counts."""
 
-import dataclasses
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,6 +13,7 @@ import networkx as nx
 import pytest
 
 import beatsched
+from beatsched import optimizer
 from beatsched.analysis import interference_intensity
 from beatsched.errors import ConfigurationError, DomainError
 from beatsched.matching import max_support_set
@@ -372,8 +373,9 @@ class TestSeededSearchLogs:
         for scenario, space in self.searches():
             log, best = reference_search(scenario, space)
             result = optimize(scenario, space)
-            actual = [tuple(vars(c).values()) for c in result.search_log]
-            assert actual == log
+            assert {type(c) for c in result.search_log} == {LoggedCandidate}
+            # an entry equals the plain tuple of its values
+            assert result.search_log == log
             winner = (
                 *result.best_route_indices,
                 result.best_period1,
@@ -390,17 +392,24 @@ class TestSeededSearchLogs:
         assert skipped_paths == {"1", "2"}
 
     def test_log_entries_are_the_entries_the_constructor_builds(self):
-        names = [f.name for f in dataclasses.fields(LoggedCandidate)]
+        names = (
+            "route1", "route2", "period1", "period2", "traversals1", "traversals2",
+            "support_size", "period", "throughput", "note",
+        )
+        assert LoggedCandidate._fields == names
         for scenario, space in self.searches():
             log = optimize(scenario, space).search_log
             for entry in log:
-                built = LoggedCandidate(**vars(entry))
-                assert entry == built and hash(entry) == hash(built)
+                built = LoggedCandidate(**entry._asdict())
+                assert type(entry) is type(built) is LoggedCandidate
+                assert entry == built == tuple(built) and hash(entry) == hash(built)
                 assert repr(entry) == repr(built)
-                assert list(vars(entry)) == list(vars(built)) == names
+                assert tuple(entry._asdict()) == names
             for name in ("note", "throughput"):
-                with pytest.raises(dataclasses.FrozenInstanceError):
+                with pytest.raises(AttributeError):
                     setattr(log[-1], name, None)
+            with pytest.raises(TypeError):
+                log[-1][-1] = None
 
     def test_winner_pair_equals_its_materialized_pair(self):
         for scenario, space in self.searches():
@@ -409,8 +418,8 @@ class TestSeededSearchLogs:
 
     def test_route_profiles_do_not_depend_on_the_other_route(self):
         for scenario, space in self.searches():
-            profiles1 = [_route_profile(scenario, r, 1, space.period_range1) for r in space.routes1]
-            profiles2 = [_route_profile(scenario, r, 2, space.period_range2) for r in space.routes2]
+            profiles1 = [_route_profile(scenario, r, space.period_range1) for r in space.routes1]
+            profiles2 = [_route_profile(scenario, r, space.period_range2) for r in space.routes2]
             for index1, route1 in enumerate(space.routes1):
                 for index2, route2 in enumerate(space.routes2):
                     pair = materialize_pair(scenario, route1, route2)
@@ -468,8 +477,8 @@ class TestRouteMasks:
     def test_route_and_cross_masks_equal_the_disk_model(self):
         for scenario, route1, route2 in self.cases():
             expected = disk_reference(scenario, route1, route2)
-            ends1, local1 = _route_masks(scenario, route1, 1)
-            ends2, local2 = _route_masks(scenario, route2, 2)
+            ends1, local1 = _route_masks(scenario, route1)
+            ends2, local2 = _route_masks(scenario, route2)
             cross = _cross_masks(scenario.interference_radius, ends1, ends2)
             found = set()
             for path_id, local in ((1, local1), (2, local2)):
@@ -499,48 +508,60 @@ class TestRouteMasks:
         below = materialize_pair(DiskScenario(interference_radius=math.nextafter(1.5, 0.0)), self.TIE1, self.TIE2)
         assert not below.relation.interferes(NodeRef(1, 2), NodeRef(2, 1))
 
-    def test_bad_routes_are_reported_in_pair_order(self):
-        # Route pair (0, 0) is met first, so route2[0]'s point is reported
-        # before the bad route1[1], as when every pair was built in turn.
-        good = straight_route(2, 0.0)
-        space = SearchSpace(
-            routes1=(good, RouteCandidate(points=((0.0, 0.0), (1.0, math.nan)))),
-            routes2=(RouteCandidate(points=((0.0, 5.0), (1.0, 5.0, 9.0))), good),
-        )
-        with pytest.raises(ConfigurationError, match=r"node \(2, 2\) must have 1 or 2 coordinates"):
-            optimize(DiskScenario(interference_radius=1.0), space)
-        with pytest.raises(DomainError, match="interference_radius must be >= 0"):
-            optimize(DiskScenario(interference_radius=-1.0), space)
+    def test_bad_routes_are_rejected_on_construction(self):
+        # a route reports its first bad point, by label and 1-based position
+        with pytest.raises(ConfigurationError, match=r"^position of node 2 of route '' must be finite, got \(1\.0, nan\)$"):
+            RouteCandidate(points=((0.0, 0.0), (1.0, math.nan), (1.0, 5.0, 9.0)))
+        with pytest.raises(ConfigurationError, match=r"^position of node 3 of route 'b0' must have 1 or 2 coordinates, got 3$"):
+            RouteCandidate(points=((0.0, 5.0), [1.0], (1.0, 5.0, 9.0)), label="b0")
+        with pytest.raises(DomainError, match=r"^interference_radius must be >= 0, got -1\.0$"):
+            DiskScenario(interference_radius=-1.0)
+        with pytest.raises(ConfigurationError, match=r"^interference_radius must be finite, got inf$"):
+            DiskScenario(interference_radius=math.inf, half_duplex=False)
 
     def test_boolean_radius_and_points_are_rejected(self):
-        good = straight_route(2, 0.0)
-        space = SearchSpace(routes1=(good,), routes2=(straight_route(2, 5.0),))
         with pytest.raises(ConfigurationError, match="^interference_radius must be a number, got True$"):
-            optimize(DiskScenario(interference_radius=True), space)
-        with pytest.raises(ConfigurationError, match="^interference_radius must be a number, got True$"):
-            materialize_pair(DiskScenario(interference_radius=True), good, good)
-        flagged = RouteCandidate(points=((0.0, 0.0), (True, 5.0)))
-        with pytest.raises(ConfigurationError, match=r"node \(2, 2\) must be a number or an \(x, y\) pair"):
-            optimize(DiskScenario(interference_radius=1.0), SearchSpace(routes1=(good,), routes2=(flagged,)))
+            DiskScenario(interference_radius=True)
+        with pytest.raises(ConfigurationError, match=r"^position of node 2 of route 'flagged' must be a number or an \(x, y\) pair$"):
+            RouteCandidate(points=((0.0, 0.0), (True, 5.0)), label="flagged")
+        with pytest.raises(ConfigurationError, match=r"^position of node 1 of route 'flagged' must be a number or an \(x, y\) pair$"):
+            RouteCandidate(points=(False, 1.0), label="flagged")
 
     @pytest.mark.parametrize("radius", ["1", None, [1]])
     def test_radius_that_is_no_number_is_rejected(self, radius):
-        good = straight_route(2, 0.0)
-        space = SearchSpace(routes1=(good,), routes2=(straight_route(2, 5.0),))
-        with pytest.raises(ConfigurationError, match=r"^interference_radius must be a number, got "):
-            optimize(DiskScenario(interference_radius=radius), space)
-        with pytest.raises(ConfigurationError, match=r"^interference_radius must be a number, got "):
-            materialize_pair(DiskScenario(interference_radius=radius), good, good)
+        with pytest.raises(ConfigurationError, match=f"^interference_radius must be a number, got {re.escape(repr(radius))}$"):
+            DiskScenario(interference_radius=radius)
 
     @pytest.mark.parametrize("point", ["10", b"10", ("1", 0.0)])
     def test_text_points_are_rejected(self, point):
-        good = straight_route(2, 0.0)
-        texty = RouteCandidate(points=((0.0, 5.0), point))
-        message = r"node \(2, 2\) must be a number or an \(x, y\) pair"
+        message = r"^position of node 2 of route 'texty' must be a number or an \(x, y\) pair$"
         with pytest.raises(ConfigurationError, match=message):
-            optimize(DiskScenario(interference_radius=1.0), SearchSpace(routes1=(good,), routes2=(texty,)))
-        with pytest.raises(ConfigurationError, match=message):
-            materialize_pair(DiskScenario(interference_radius=1.0), good, texty)
+            RouteCandidate(points=((0.0, 5.0), point), label="texty")
+
+    def test_points_are_converted_once_on_construction(self, monkeypatch):
+        calls = []
+        convert = optimizer._as_point
+
+        def counted(value, key):
+            calls.append(key)
+            return convert(value, key)
+
+        monkeypatch.setattr(optimizer, "_as_point", counted)
+        route = RouteCandidate(points=[0, [1.5], (Fraction(5, 2), 1)], label="mixed")
+        assert route.points == ((0.0, 0.0), (1.5, 0.0), (2.5, 1.0))
+        assert all(type(c) is float for point in route.points for c in point)
+        assert calls == ["1 of route 'mixed'", "2 of route 'mixed'", "3 of route 'mixed'"]
+        adjacency = {"s": ["a", "b"], "a": ["d"], "b": ["c"], "c": ["d"]}
+        positions = {"s": 0, "a": (1, 1), "b": (1, -1), "c": (2, -1), "d": [3]}
+        calls.clear()
+        routes = routes_from_graph(adjacency, positions, "s", "d", 3)
+        assert len(calls) == sum(len(r.points) for r in routes) == 7
+        scenario = DiskScenario(interference_radius=1.0)
+        space = SearchSpace(routes1=routes, routes2=(straight_route(3, 9.0), straight_route(2, 8.0)))
+        calls.clear()
+        result = optimize(scenario, space)
+        materialize_pair(scenario, *result.best_routes)
+        assert calls == []
 
 
 class TestTieBreaks:
@@ -594,6 +615,11 @@ class TestGraphRoutes:
     def test_hop_limit_prunes(self):
         routes = routes_from_graph(self.ADJACENCY, self.POSITIONS, "s", "d", 2)
         assert [r.label for r in routes] == ["s-a-d"]
+
+    @pytest.mark.parametrize("max_hops", [0, -1])
+    def test_hop_limit_below_one_is_rejected(self, max_hops):
+        with pytest.raises(DomainError, match=f"^max_hops must be >= 1, got {max_hops}$"):
+            routes_from_graph(self.ADJACENCY, self.POSITIONS, "s", "d", max_hops)
 
     def test_no_route_within_limit(self):
         routes = routes_from_graph(self.ADJACENCY, self.POSITIONS, "s", "d", 1)

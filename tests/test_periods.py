@@ -127,6 +127,13 @@ class TestJointMatrix:
                     is_concurrency_subset(pair, union)
                 )
 
+    @pytest.mark.parametrize("phase1, phase2", [(0, 1), (1, 0), (3, 1), (1, 4)])
+    def test_entry_outside_the_matrix_is_rejected(self, phase1, phase2):
+        matrix = ConcurrencyMatrix(t1=2, t2=3, rows=((1, 0, 1), (0, 1, 0)))
+        assert matrix.entry(2, 3) == 0 and matrix.entry(1, 3) == 1
+        with pytest.raises(DomainError, match=rf"^phase \({phase1}, {phase2}\) outside 2x3 matrix$"):
+            matrix.entry(phase1, phase2)
+
     def test_unreachable_spacing_is_rejected(self):
         pair = two_line_pair(6, 4, dy=50.0)
         with pytest.raises(DomainError):
@@ -195,6 +202,11 @@ class TestContinuation:
     def test_rejects_malformed_sequences(self, matrix, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             continuation(matrix, 1, 2)
+
+    @pytest.mark.parametrize("matrix", [[], [[]]])
+    def test_rejects_an_empty_matrix(self, matrix):
+        with pytest.raises(DomainError, match="^cannot tile an empty matrix$"):
+            continuation(matrix, 1, 1)
 
     def test_rejects_non_positive_counts(self):
         base = ConcurrencyMatrix(t1=1, t2=1, rows=((1,),))

@@ -1,5 +1,7 @@
 """Schedule synthesis, the validity audit, and serialized round trips."""
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -252,6 +254,33 @@ class TestScheduleType:
         ):
             assert schedule_from_dict(schedule.to_dict()) == schedule
 
+    @pytest.mark.parametrize(
+        "change, field, value",
+        [
+            (lambda d: d["beats"][0]["activations"][0].update(phase=1.5), "beats[0].activations[0].phase", "1.5"),
+            (lambda d: d["beats"][1]["activations"][0].update(path=True), "beats[1].activations[0].path", "True"),
+            (lambda d: d["beats"][2]["activations"][0]["members"].__setitem__(1, 2.0),
+             "beats[2].activations[0].members[1]", "2.0"),
+            (lambda d: d.update(period=3.0), "period", "3.0"),
+            (lambda d: d["path_periods"].update({"1": "3"}), "path_periods['1']", "'3'"),
+            (lambda d: d.update(activation_counts={True: 1}), "activation_counts key", "True"),
+            (lambda d: d.update(activation_counts={"01": 1}), "activation_counts key", "'01'"),
+        ],
+    )
+    def test_dict_fields_must_be_ints(self, chain6, change, field, value):
+        # to_dict writes mapping keys as decimal strings; every other
+        # number must be an int, so 1.5 no longer loads as phase 1
+        data = schedule_primary(chain6, 1).to_dict()
+        change(data)
+        with pytest.raises(DomainError, match=f"^schedule field {re.escape(field)} must be an int, got {re.escape(value)}$"):
+            schedule_from_dict(data)
+
+    def test_dict_keys_may_be_ints_or_their_decimal_strings(self, far_pair):
+        schedule = schedule_pair_equal(far_pair, 3, 3, 2)
+        data = schedule.to_dict()
+        data["path_periods"] = {1: 3, "2": 3}
+        assert schedule_from_dict(data) == schedule
+
 
 class TestAudit:
     def _solo_beat(self, phase: int, members: tuple[int, ...]) -> Beat:
@@ -416,6 +445,24 @@ class TestAudit:
             "beat 4 path 1 phase 1 has member 0 below 1",
             "path 1 phase 1 fires 2 times per cycle, expected 1",
         ]
+
+    @pytest.mark.parametrize(
+        "phase, members, text",
+        [
+            (1.0, (1, 4), "phase 1.0 and members (1, 4)"),
+            (True, (1, 4), "phase True and members (1, 4)"),
+            (1, (1, 4.0), "phase 1 and members (1, 4.0)"),
+            (7.5, (1,), "phase 7.5 and members (1,)"),
+        ],
+    )
+    def test_phase_and_members_must_be_ints(self, chain6, phase, members, text):
+        schedule = schedule_primary(chain6, 1)
+        first = schedule.beats[0]
+        act = dataclasses.replace(first.activations[0], phase=phase, members=members)
+        broken = dataclasses.replace(schedule, beats=(Beat(first.category, (act,)), *schedule.beats[1:]))
+        message = f"^beat 1 path 1: phase and members must be ints, got {re.escape(text)}$"
+        with pytest.raises(DomainError, match=message):
+            audit_schedule(chain6, broken)
 
     def test_member_below_one_in_a_matching_phase_is_a_problem(self, chain6):
         # phase 0 at spacing 3 spans (0, 3, 6), so only the member check sees 0

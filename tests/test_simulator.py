@@ -1,6 +1,7 @@
 """Exact beat-by-beat execution: rates, delays, ordering, violations."""
 
 import dataclasses
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -227,8 +228,14 @@ class TestDelays:
         assert delays == {1: [6, 6], 2: [4, 4]}
 
     def test_block_count_validated(self, chain6):
-        with pytest.raises(DomainError):
-            measure_delay(chain6, schedule_primary(chain6, 1), 0)
+        schedule = schedule_primary(chain6, 1)
+        for block_count, message in (
+            (0, "block count must be >= 1, got 0"),
+            (1.5, "block_count must be an int, got 1.5"),
+            (True, "block_count must be an int, got True"),
+        ):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                measure_delay(chain6, schedule, block_count)
 
     def test_chain_length_delay_across_sizes(self):
         # Ascending phase order hands a fresh block one hop per beat, so
@@ -265,10 +272,17 @@ class TestReportShape:
 
     def test_bad_run_lengths_rejected(self, chain6):
         schedule = schedule_primary(chain6, 1)
-        with pytest.raises(DomainError):
-            run(chain6, schedule, n_periods=0)
-        with pytest.raises(DomainError):
-            run(chain6, schedule, n_periods=1, warmup_periods=-1)
+        for counts, message in (
+            ({"n_periods": 0}, "need at least one measured period, got 0"),
+            ({"n_periods": 1.5}, "n_periods must be an int, got 1.5"),
+            ({"n_periods": True}, "n_periods must be an int, got True"),
+            ({"n_periods": 1, "warmup_periods": -1}, "warmup must be >= 0, got -1"),
+            ({"n_periods": 1, "warmup_periods": 1.5}, "warmup_periods must be an int, got 1.5"),
+            ({"n_periods": 1, "warmup_periods": 0.0}, "warmup_periods must be an int, got 0.0"),
+            ({"n_periods": 1, "warmup_periods": False}, "warmup_periods must be an int, got False"),
+        ):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                run(chain6, schedule, **counts)
 
 
 class TestViolationHandling:
