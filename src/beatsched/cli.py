@@ -25,14 +25,7 @@ from typing import Any, Sequence
 from .analysis import analyze
 from .errors import ConfigurationError, ConsistencyError, DomainError, SchemaError
 from .matching import max_support_set, validate_support_set
-from .model import (
-    GeometricTopology,
-    InterferenceRelation,
-    PathPair,
-    PrimaryPath,
-    _derive_pair,
-    validate_path_rules,
-)
+from .model import InterferenceRelation, PathPair, PrimaryPath, _disk_masks, _real, validate_path_rules
 from .optimizer import DiskScenario, RouteCandidate, SearchSpace, optimize, routes_from_graph
 from .periods import build_matrix, intrinsic_period
 from .scheduler import (
@@ -72,11 +65,10 @@ def _is_bit(value: Any) -> bool:
 
 
 def _as_number(value: Any, path: str) -> float:
-    _expect(_is_number(value), path, "expected a number")
     try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
+        number = _real(value)
+    except TypeError:
+        raise SchemaError(path, "expected a number") from None
     _expect(math.isfinite(number), path, "expected a finite number")
     return number
 
@@ -104,7 +96,7 @@ def _as_point(value: Any, path: str) -> tuple[float, float]:
 @dataclass
 class Scenario:
     pair: PathPair
-    topology: GeometricTopology | None
+    disk: DiskScenario | None  # the radius and duplex mode of a topology scenario
 
 
 def _parse_paths(data: dict) -> tuple[PrimaryPath, PrimaryPath | None]:
@@ -129,7 +121,8 @@ def _parse_paths(data: dict) -> tuple[PrimaryPath, PrimaryPath | None]:
     return parsed[0], parsed[1] if len(parsed) == 2 else None
 
 
-def _parse_topology(raw: Any, paths: Sequence[PrimaryPath]) -> GeometricTopology:
+def _parse_topology(raw: Any, paths: Sequence[PrimaryPath]) -> tuple[DiskScenario, list[list[tuple[float, float]]]]:
+    """The disk model and each path's points, senders then destination."""
     _expect(isinstance(raw, dict), "$.topology", "expected an object")
     radius = _as_radius(
         raw.get("interference_radius"),
@@ -142,7 +135,7 @@ def _parse_topology(raw: Any, paths: Sequence[PrimaryPath]) -> GeometricTopology
     )
     positions_raw = raw.get("positions")
     _expect(isinstance(positions_raw, dict), "$.topology.positions", "expected an object keyed by path id")
-    positions: dict[tuple[int, int], tuple[float, float]] = {}
+    routes = []
     for path in paths:
         key = str(path.id)
         row = positions_raw.get(key)
@@ -155,13 +148,10 @@ def _parse_topology(raw: Any, paths: Sequence[PrimaryPath]) -> GeometricTopology
             f"{path.n_senders + 1} points are needed (senders plus destination), "
             f"got {len(row)}",
         )
-        for seq, value in enumerate(row, start=1):
-            positions[(path.id, seq)] = _as_point(value, f"{row_path}[{seq - 1}]")
+        routes.append([_as_point(value, f"{row_path}[{k}]") for k, value in enumerate(row)])
     extra = set(positions_raw) - {str(p.id) for p in paths}
     _expect(not extra, "$.topology.positions", f"unknown path keys {sorted(extra)}")
-    return GeometricTopology(
-        positions, interference_radius=radius, half_duplex=half_duplex
-    )
+    return DiskScenario(interference_radius=radius, half_duplex=half_duplex), routes
 
 
 def _parse_relation(raw: Any, paths: Sequence[PrimaryPath]) -> InterferenceRelation:
@@ -280,18 +270,18 @@ def _parse_period_range(raw: Any, path: str) -> tuple[int, int] | None:
     return (raw[0], raw[1])
 
 
-def _parse_optimize(raw: Any, topology: GeometricTopology | None) -> tuple[DiskScenario, SearchSpace]:
+def _parse_optimize(raw: Any, disk: DiskScenario | None) -> tuple[DiskScenario, SearchSpace]:
     base = "$.optimize"
     _expect(isinstance(raw, dict), base, "expected an object")
     radius = raw.get("interference_radius")
-    if radius is None and topology is not None:
-        radius = topology.interference_radius
+    if radius is None and disk is not None:
+        radius = disk.interference_radius
     radius = _as_radius(
         radius,
         f"{base}.interference_radius",
         "expected a number >= 0 (may be inherited from $.topology)",
     )
-    half_duplex = raw.get("half_duplex", topology.half_duplex if topology else True)
+    half_duplex = raw.get("half_duplex", disk.half_duplex if disk else True)
     _expect(isinstance(half_duplex, bool), f"{base}.half_duplex", "expected a boolean")
     if "graph" in raw:
         _expect(
@@ -334,13 +324,12 @@ def parse_scenario(data: Any) -> Scenario:
         "$",
         "exactly one of topology or relation must be present",
     )
-    topology = None
-    if has_topology:
-        topology = _parse_topology(data["topology"], paths)
-        pair = _derive_pair(topology, path1, path2)
-    else:
+    if not has_topology:
         pair = PathPair(path1=path1, path2=path2, relation=_parse_relation(data["relation"], paths))
-    return Scenario(pair=pair, topology=topology)
+        return Scenario(pair=pair, disk=None)
+    disk, routes = _parse_topology(data["topology"], paths)
+    conflicts = _disk_masks(routes, disk.interference_radius, disk.half_duplex)
+    return Scenario(pair=PathPair._from_conflicts(path1, path2, conflicts), disk=disk)
 
 
 def _read_text(filename: str, kind: str) -> str:
@@ -372,7 +361,7 @@ def _load_scenario_json(filename: str) -> Any:
 
 
 def load_scenario(filename: str) -> Scenario:
-    """The pair and topology; only `cmd_optimize` reads the optimize section."""
+    """The pair and disk model; only `cmd_optimize` reads the optimize section."""
     return parse_scenario(_load_scenario_json(filename))
 
 
@@ -644,11 +633,11 @@ def _grid_points(space: SearchSpace) -> int:
 
 def cmd_optimize(args, out) -> int:
     data = _load_scenario_json(args.scenario)
-    topology = parse_scenario(data).topology
+    disk = parse_scenario(data).disk
     # presence, not truth: `"optimize": null` is a section to reject
     if "optimize" not in data:
         raise ConfigurationError("scenario has no optimize section (routes or graph needed)")
-    disk, space = _parse_optimize(data["optimize"], topology)
+    disk, space = _parse_optimize(data["optimize"], disk)
     # replace() runs SearchSpace's own checks on the flags' values again
     space = replace(
         space,

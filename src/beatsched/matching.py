@@ -63,7 +63,7 @@ from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .model import _bits
+from .model import _bits, _check_counts
 
 __all__ = [
     "validate_support_set",
@@ -209,16 +209,6 @@ def tiled_support_sizes(matrix: Sequence[Sequence[int]], max_traversals: int) ->
     """
     _check_counts(f"max_traversals must be >= 1, got {max_traversals}", max_traversals=max_traversals)
     return _tiled_sizes(*_row_masks(matrix), max_traversals)
-
-
-def _check_counts(below_one: str, **counts: int) -> None:
-    """Raise DomainError unless every named count is an int >= 1 (a bool is
-    not); below_one is the text for an int count below 1."""
-    for name, count in counts.items():
-        if type(count) is not int:
-            raise DomainError(f"{name} must be an int, got {count!r}")
-    if min(counts.values()) < 1:
-        raise DomainError(below_one)
 
 
 def _tiled_sizes(ones: Sequence[int], width: int, max_traversals: int) -> tuple[tuple[int, ...], ...]:

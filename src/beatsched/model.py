@@ -16,7 +16,8 @@ which makes adjacent senders of one chain interfere.
 Inside the library a relation is held one way only, as a `PathPair`'s
 conflict masks, one integer per sender. `InterferenceRelation` and `NodeRef`
 pairs are its form at the API and I/O boundary; `PathPair.relation` is that
-view of the masks, built on demand.
+view of the masks, built on demand. `_disk_masks` builds the masks of every
+geometric pair, for derive_relation, the CLI, the corpora and the optimizer.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ class NodeRef:
     def __post_init__(self):
         if self.path_id not in (1, 2):
             raise DomainError(f"path_id must be 1 or 2, got {self.path_id}")
-        if self.seq < 1:
-            raise DomainError(f"seq must be >= 1, got {self.seq}")
+        _check_counts(f"seq must be >= 1, got {self.seq}", path_id=self.path_id, seq=self.seq)
 
     def __str__(self) -> str:
         return f"n{self.path_id}.{self.seq}"
@@ -72,8 +72,7 @@ class PrimaryPath:
     def __post_init__(self):
         if self.id not in (1, 2):
             raise DomainError(f"path id must be 1 or 2, got {self.id}")
-        if self.n_senders < 1:
-            raise DomainError(f"path needs at least one sender, got {self.n_senders}")
+        _check_counts(f"path needs at least one sender, got {self.n_senders}", id=self.id, n_senders=self.n_senders)
 
     @cached_property
     def senders(self) -> tuple[NodeRef, ...]:
@@ -345,25 +344,31 @@ class GeometricTopology:
 
 
 _TEXT = (str, bytes, bytearray)
-_NOT_COORDINATE = (bool, *_TEXT)
+_NOT_NUMBER = (bool, *_TEXT)
+
+
+def _real(value) -> float:
+    """The coordinate rule of the model and the CLI: a number as a float. A
+    bool or text is no number (TypeError); a number too large for a float
+    becomes an infinity of its sign."""
+    if isinstance(value, _NOT_NUMBER):
+        raise TypeError(f"{value!r} is no number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _as_point(value, key) -> tuple[float, float]:
     try:
-        # text iterates, but "12" is no point; bool is a subclass of int,
-        # but True is no coordinate
-        if isinstance(value, _TEXT):
-            raise TypeError
         try:
-            coords = tuple(value)
+            # text iterates, but "12" is no point
+            coords = (value,) if isinstance(value, _TEXT) else tuple(value)
         except TypeError:
             coords = (value,)  # a single number is a point on the line
-        for c in coords:
-            if isinstance(c, _NOT_COORDINATE):
-                raise TypeError
-        coords = tuple(map(float, coords))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"position of node {key} must be a number or an (x, y) pair")
+        coords = tuple(map(_real, coords))
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"position of node {key} must be a number or an (x, y) pair") from None
     if not all(math.isfinite(c) for c in coords):
         raise ConfigurationError(f"position of node {key} must be finite, got {coords}")
     if len(coords) == 1:
@@ -371,6 +376,16 @@ def _as_point(value, key) -> tuple[float, float]:
     if len(coords) == 2:
         return coords
     raise ConfigurationError(f"position of node {key} must have 1 or 2 coordinates, got {len(coords)}")
+
+
+def _check_counts(below_one: str, **counts: int) -> None:
+    """Raise DomainError unless every named count is an int >= 1 (a bool is
+    not); below_one is the text for an int count below 1."""
+    for name, count in counts.items():
+        if type(count) is not int:
+            raise DomainError(f"{name} must be an int, got {count!r}")
+    if min(counts.values()) < 1:
+        raise DomainError(below_one)
 
 
 def _check_radius(radius: float) -> None:
@@ -404,14 +419,15 @@ def _union(conflicts: Sequence[int], mask: int) -> int:
     return out
 
 
-_Ends = tuple[tuple[float, float], tuple[float, float]]  # (sender position, receiver position)
+_Point = tuple[float, float]
+_Ends = tuple[_Point, _Point]  # (sender position, receiver position)
 
 
-def _disk_row(tx: tuple[float, float], rx: tuple[float, float], others: Sequence[_Ends], radius: float) -> int:
+def _disk_row(tx: _Point, rx: _Point, others: Sequence[_Ends], radius: float) -> int:
     """The disk test: bit k is set when the sender at tx, sending to rx, and
     the sender of others[k] interfere because one of them lies within the
-    radius of the other's receiver. derive_relation and the optimizer both
-    test geometry through it."""
+    radius of the other's receiver. Every geometric relation is tested
+    through it."""
     dist = math.dist
     row = 0
     bit = 1
@@ -422,10 +438,17 @@ def _disk_row(tx: tuple[float, float], rx: tuple[float, float], others: Sequence
     return row
 
 
-def _disk_rows(ends: Sequence[_Ends], radius: float, chained: int) -> list[int]:
-    """Conflict masks of senders given by their ends: senders i and j
-    interfere under the disk test or under half-duplex, where bit i of
-    `chained` says that sender i+1 receives from sender i."""
+def _disk_masks(routes: Iterable[Sequence[_Point]], radius: float, half_duplex: bool) -> list[int]:
+    """Dense conflict masks of the senders of consecutive routes, each given
+    as its senders' points and then its destination's. Two senders interfere
+    under the disk test, or under half-duplex when one receives from the
+    other. Every geometric pair is built from these masks."""
+    ends: list[_Ends] = []
+    chained = 0  # bit i: sender i+1 receives from sender i
+    for points in routes:
+        if half_duplex:
+            chained |= ((1 << len(points) - 2) - 1) << len(ends)
+        ends += zip(points, points[1:])
     rows = [
         (_disk_row(tx, rx, ends[i + 1:], radius) | chained >> i & 1) << i + 1
         for i, (tx, rx) in enumerate(ends)
@@ -438,26 +461,10 @@ def _disk_rows(ends: Sequence[_Ends], radius: float, chained: int) -> list[int]:
 
 def _derive_pair(topology: GeometricTopology, path1: PrimaryPath, path2: PrimaryPath | None = None) -> PathPair:
     """The pair of these paths under derive_relation's disk model, built from masks."""
-    ends = []
-    chained = 0
-    for path in (path1,) if path2 is None else (path1, path2):
-        if topology.half_duplex:
-            chained |= ((1 << path.n_senders - 1) - 1) << len(ends)
-        points = [topology.position(path.id, seq) for seq in range(1, path.n_senders + 2)]
-        ends += zip(points, points[1:])
-    return PathPair._from_conflicts(path1, path2, _disk_rows(ends, topology.interference_radius, chained))
-
-
-def _pair_from_masks(conflicts1: Sequence[int], conflicts2: Sequence[int], cross: Sequence[int]) -> PathPair:
-    """The two-path pair with path-local conflict masks `conflicts1` and `conflicts2`,
-    where cross[i] is the path-2-local mask of the senders meeting path-1 sender i+1."""
-    n1 = len(conflicts1)
-    dense = [mask | across << n1 for mask, across in zip(conflicts1, cross)]
-    dense += [mask << n1 for mask in conflicts2]
-    for i, across in enumerate(cross):
-        for j in _bits(across):
-            dense[n1 + j] |= 1 << i
-    return PathPair._from_conflicts(PrimaryPath(1, n1), PrimaryPath(2, len(conflicts2)), dense)
+    paths = (path1,) if path2 is None else (path1, path2)
+    routes = [[topology.position(path.id, seq) for seq in range(1, path.n_senders + 2)] for path in paths]
+    conflicts = _disk_masks(routes, topology.interference_radius, topology.half_duplex)
+    return PathPair._from_conflicts(path1, path2, conflicts)
 
 
 def derive_relation(topology: GeometricTopology, pair: PathPair) -> InterferenceRelation:

@@ -12,7 +12,7 @@ Each route's own interference, reachable spacings and phase subsets are
 worked out once, as bitmasks over its senders; each candidate pair adds
 only the disk-model conflicts between its two routes, so routes that bend
 closer to each other genuinely pay for it. Only the winning pair is built
-as a PathPair.
+as a PathPair; its masks and each route's come from `model._disk_masks`.
 """
 
 from __future__ import annotations
@@ -23,15 +23,16 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .analysis import _interference_witness
 from .errors import ConsistencyError, DomainError
-from .matching import _check_counts, _core, _tiled_sizes
+from .matching import _core, _tiled_sizes
 from .model import (
     PathPair,
+    PrimaryPath,
     _Ends,
     _as_point,
+    _check_counts,
     _check_radius,
+    _disk_masks,
     _disk_row,
-    _disk_rows,
-    _pair_from_masks,
     _union,
 )
 from .periods import _first_bad, _joint_rows, _local_phases
@@ -102,8 +103,7 @@ def routes_from_graph(
     sorted by hop count then vertex names, so enumeration order never
     depends on dict ordering.
     """
-    if max_hops < 1:
-        raise DomainError(f"max_hops must be >= 1, got {max_hops}")
+    _check_counts(f"max_hops must be >= 1, got {max_hops}", max_hops=max_hops)
     graph: dict[str, set[str]] = {vertex: set() for vertex in adjacency}
     for vertex, neighbors in adjacency.items():
         for other in neighbors:
@@ -214,9 +214,8 @@ class _RouteProfile(NamedTuple):
 def _route_masks(scenario: DiskScenario, route: RouteCandidate) -> tuple[list[_Ends], list[int]]:
     """A route's sender ends and route-local conflict masks: conflicts[k] is
     the mask of the senders that interfere with sender k+1."""
-    ends = list(zip(route.points, route.points[1:]))
-    chained = (1 << len(ends) - 1) - 1 if scenario.half_duplex else 0
-    return ends, _disk_rows(ends, scenario.interference_radius, chained)
+    points = route.points
+    return list(zip(points, points[1:])), _disk_masks((points,), scenario.interference_radius, scenario.half_duplex)
 
 
 def _cross_masks(radius: float, ends1: Sequence[_Ends], ends2: Sequence[_Ends]) -> list[int]:
@@ -230,9 +229,8 @@ def materialize_pair(
 ) -> PathPair:
     """Concrete chain pair for one candidate route combination, related by
     the disk model as derive_relation relates a topology of both routes."""
-    ends1, conflicts1 = _route_masks(scenario, route1)
-    ends2, conflicts2 = _route_masks(scenario, route2)
-    return _pair_from_masks(conflicts1, conflicts2, _cross_masks(scenario.interference_radius, ends1, ends2))
+    conflicts = _disk_masks((route1.points, route2.points), scenario.interference_radius, scenario.half_duplex)
+    return PathPair._from_conflicts(PrimaryPath(1, route1.n_senders), PrimaryPath(2, route2.n_senders), conflicts)
 
 
 def _clamped_range(

@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .analysis import _interference_witness
 from .errors import ConsistencyError, DomainError
-from .matching import _check_counts, _row_masks
-from .model import NodeRef, PathPair, PrimaryPath, _union, validate_path_rules
+from .matching import _row_masks
+from .model import NodeRef, PathPair, PrimaryPath, _check_counts, _union, validate_path_rules
 
 __all__ = [
     "ConcurrencyMatrix",

@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ConsistencyError, DomainError
-from .matching import _check_counts, max_support_set
-from .model import NodeRef, PathPair
+from .matching import max_support_set
+from .model import NodeRef, PathPair, _check_counts
 from .periods import _check_phase, build_matrix, continuation, intrinsic_period, is_reachable_period
 
 CATEGORY_JOINT = "joint"
@@ -122,25 +122,49 @@ def schedule_from_dict(data: dict) -> Schedule:
     """Rebuild a schedule from its to_dict form (CLI round trips).
 
     Every number must be an int, not a bool; mapping keys may also be the
-    decimal strings to_dict writes. A field that is neither raises
-    DomainError naming it."""
+    decimal strings to_dict writes. A field that is missing or of the wrong
+    kind raises DomainError naming it."""
+    if not isinstance(data, dict):
+        raise DomainError(f"a schedule must be a dict, got {type(data).__name__}")
     beats = []
-    for i, raw_beat in enumerate(data["beats"]):
+    for i, beat in enumerate(_entry(data, "beats", kind=list)):
+        where = f"beats[{i}]"
+        _typed(beat, dict, where)
         acts = []
-        for j, a in enumerate(raw_beat["activations"]):
-            name = f"beats[{i}].activations[{j}]"
+        for j, a in enumerate(_entry(beat, "activations", where, list)):
+            name = f"{where}.activations[{j}]"
+            _typed(a, dict, name)
             acts.append(SubsetActivation(
-                path_id=_int_field(a["path"], f"{name}.path"),
-                spacing=_int_field(a["spacing"], f"{name}.spacing"),
-                phase=_int_field(a["phase"], f"{name}.phase"),
-                members=tuple(_int_field(m, f"{name}.members[{k}]") for k, m in enumerate(a["members"])),
+                path_id=_entry(a, "path", name),
+                spacing=_entry(a, "spacing", name),
+                phase=_entry(a, "phase", name),
+                members=tuple(
+                    _int_field(m, f"{name}.members[{k}]") for k, m in enumerate(_entry(a, "members", name, list))
+                ),
             ))
-        beats.append(Beat(category=raw_beat["category"], activations=tuple(acts)))
+        beats.append(Beat(category=_entry(beat, "category", where, str), activations=tuple(acts)))
     counts = {
-        name: {_int_field(k, f"{name} key", keys=True): _int_field(v, f"{name}[{k!r}]") for k, v in data[name].items()}
+        name: {
+            _int_field(k, f"{name} key", keys=True): _int_field(v, f"{name}[{k!r}]")
+            for k, v in _entry(data, name, kind=dict).items()
+        }
         for name in ("path_periods", "activation_counts")
     }
-    return Schedule(period=_int_field(data["period"], "period"), beats=tuple(beats), **counts, kind=data["kind"])
+    return Schedule(period=_entry(data, "period"), beats=tuple(beats), **counts, kind=_entry(data, "kind", kind=str))
+
+
+def _entry(data: dict, key: str, where: str = "", kind: type = int):
+    """data[key], the field `where.key`, which must be present and of `kind`."""
+    name = f"{where}.{key}" if where else key
+    if key not in data:
+        raise DomainError(f"schedule field {name} is missing")
+    return _int_field(data[key], name) if kind is int else _typed(data[key], kind, name)
+
+
+def _typed(value, kind: type, name: str):
+    if not isinstance(value, kind):
+        raise DomainError(f"schedule field {name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _int_field(value, name: str, keys: bool = False) -> int:

@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConsistencyError
-from .matching import _check_counts
-from .model import PathPair
+from .model import PathPair, _check_counts
 from .scheduler import Schedule
 
 

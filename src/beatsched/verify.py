@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 from .analysis import interference_intensity
 from .errors import DomainError
 from .matching import brute_force_max_support, max_support_set, validate_support_set
-from .model import GeometricTopology, PathPair, PrimaryPath, _derive_pair, _pair_from_masks
+from .model import PathPair, PrimaryPath, _disk_masks
 from .periods import build_matrix, continuation, intrinsic_period, is_reachable_period
 from .scheduler import (
     audit_schedule,
@@ -61,22 +61,22 @@ def random_line_scenario(rng: Random, max_senders: int = 12) -> PathPair:
     """One chain on a line: random sender count, gaps, and disk radius."""
     n = rng.randint(1, max_senders)
     x = 0.0
-    positions: dict[tuple[int, int], tuple[float, float]] = {}
-    for seq in range(1, n + 2):
-        positions[(1, seq)] = (x, 0.0)
+    points = []
+    for _ in range(n + 1):
+        points.append((x, 0.0))
         x += rng.uniform(0.6, 1.6)
-    topology = GeometricTopology(positions, interference_radius=rng.uniform(0.2, 3.2))
-    return _derive_pair(topology, PrimaryPath(id=1, n_senders=n))
+    conflicts = _disk_masks([points], rng.uniform(0.2, 3.2), half_duplex=True)
+    return PathPair._from_conflicts(PrimaryPath(id=1, n_senders=n), None, conflicts)
 
 
 def random_pair_scenario(rng: Random, max_total: int = 16) -> PathPair:
     """Two chains in the plane, parallel or crossing, under one disk radius."""
     n1 = rng.randint(1, min(8, max_total - 1))
     n2 = rng.randint(1, min(8, max_total - n1))
-    positions: dict[tuple[int, int], tuple[float, float]] = {}
+    points1 = []
     x = 0.0
-    for seq in range(1, n1 + 2):
-        positions[(1, seq)] = (x, 0.0)
+    for _ in range(n1 + 1):
+        points1.append((x, 0.0))
         x += rng.uniform(0.6, 1.6)
     span1 = x
     if rng.random() < 0.5:
@@ -91,13 +91,14 @@ def random_pair_scenario(rng: Random, max_total: int = 16) -> PathPair:
         cx = rng.uniform(0.2, max(span1 - 0.2, 0.4))
         start = (cx - reach * dx, -reach * dy)
     px, py = start
-    for seq in range(1, n2 + 2):
-        positions[(2, seq)] = (px, py)
+    points2 = []
+    for _ in range(n2 + 1):
+        points2.append((px, py))
         step = rng.uniform(0.6, 1.6)
         px += step * dx
         py += step * dy
-    topology = GeometricTopology(positions, interference_radius=rng.uniform(0.2, 2.2))
-    return _derive_pair(topology, PrimaryPath(id=1, n_senders=n1), PrimaryPath(id=2, n_senders=n2))
+    conflicts = _disk_masks([points1, points2], rng.uniform(0.2, 2.2), half_duplex=True)
+    return PathPair._from_conflicts(PrimaryPath(id=1, n_senders=n1), PrimaryPath(id=2, n_senders=n2), conflicts)
 
 
 def random_binary_matrix(
@@ -125,11 +126,10 @@ def pair_from_joint_matrix(c_rows: Sequence[Sequence[int]]) -> PathPair:
         raise DomainError("joint matrix needs at least one row and one column")
     if any(len(row) != n2 for row in c_rows):
         raise DomainError("joint matrix rows must have equal length")
-    return _pair_from_masks(
-        [((1 << n1) - 1) ^ (1 << i) for i in range(n1)],
-        [((1 << n2) - 1) ^ (1 << j) for j in range(n2)],
-        [sum(1 << j for j, entry in enumerate(row) if not entry) for row in c_rows],
-    )
+    own1, own2 = (1 << n1) - 1, ((1 << n2) - 1) << n1  # dense masks: path 2's senders follow path 1's
+    conflicts = [own1 ^ 1 << i | sum(1 << n1 + j for j, c in enumerate(row) if not c) for i, row in enumerate(c_rows)]
+    conflicts += [own2 ^ 1 << n1 + j | sum(1 << i for i, row in enumerate(c_rows) if not row[j]) for j in range(n2)]
+    return PathPair._from_conflicts(PrimaryPath(id=1, n_senders=n1), PrimaryPath(id=2, n_senders=n2), conflicts)
 
 
 def line_corpus(seed: int, instances: int) -> list[PathPair]:

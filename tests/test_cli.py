@@ -19,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
-from beatsched import cli
+from beatsched import cli, model
 from beatsched.errors import ConsistencyError
+from beatsched.optimizer import DiskScenario
 from beatsched.scheduler import schedule_from_dict
+from helpers import line_pair
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CHAIN6 = str(SCENARIOS / "chain6.json")
@@ -671,6 +673,19 @@ class TestNonFiniteNumbers:
                 {"interference_radius": 1.0, "positions": {"1": [0, int("9" * 400), 2, 3]}},
                 "error: $.topology.positions.1[1]: expected a finite number",
             ),
+            (
+                # an integer too large for a float is an infinity of its sign
+                {"interference_radius": 1.0, "positions": {"1": [-(10**400), 1, 2, 3]}},
+                "error: $.topology.positions.1[0]: expected a finite number",
+            ),
+            (
+                {"interference_radius": 1.0, "positions": {"1": [0, 1, [2, 10**400], 3]}},
+                "error: $.topology.positions.1[2][1]: expected a finite number",
+            ),
+            (
+                {"interference_radius": 1.0, "positions": {"1": [0, [-(10**400), 1], 2, 3]}},
+                "error: $.topology.positions.1[1][0]: expected a finite number",
+            ),
         ],
     )
     def test_topology_numbers_must_be_finite(self, capsys, tmp_path, topology, error):
@@ -784,6 +799,28 @@ ZERO_FLAG_CASES = [
     for mode in ("equal", "unequal")
     for flag, n in (("--spacing1", 6), ("--spacing2", 4))
 ]
+
+
+class TestScenarioPoints:
+    def test_points_go_straight_to_masks(self, monkeypatch):
+        expected = line_pair(6)
+        calls = []
+        real = cli._real
+
+        def counted(value):
+            calls.append(value)
+            return real(value)
+
+        def no_topology(*args, **kwargs):
+            raise AssertionError("parse_scenario built a GeometricTopology")
+
+        monkeypatch.setattr(cli, "_real", counted)
+        monkeypatch.setattr(model.GeometricTopology, "__init__", no_topology)
+        scenario = cli.load_scenario(CHAIN6)
+        # the radius, then each of the 7 coordinates once
+        assert calls == [1.0, 0, 1, 2, 3, 4, 5, 6]
+        assert scenario.pair == expected
+        assert scenario.disk == DiskScenario(interference_radius=1.0, half_duplex=True)
 
 
 class TestZeroFlags:

@@ -125,7 +125,7 @@ def test_parse_scenario_raises_only_input_errors(doc):
     try:
         scenario = cli.parse_scenario(doc)
         if "optimize" in doc:
-            cli._parse_optimize(doc["optimize"], scenario.topology)
+            cli._parse_optimize(doc["optimize"], scenario.disk)
     except (SchemaError, ConfigurationError, DomainError):
         pass
 

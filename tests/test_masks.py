@@ -7,6 +7,7 @@ mask-based answer with a direct pairwise `relation.interferes` check.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -15,11 +16,12 @@ import pytest
 import beatsched.verify
 from beatsched.errors import DomainError
 from beatsched.model import (
+    GeometricTopology,
     InterferenceRelation,
     NodeRef,
     PathPair,
     PrimaryPath,
-    _derive_pair,
+    _disk_masks,
     derive_relation,
     is_concurrency_subset,
     validate_path_rules,
@@ -296,18 +298,58 @@ class TestMaskConstructor:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_public_derive_relation_equals_the_core(self, seed, monkeypatch):
-        derived = []
+        # the corpora hand their point lists to the disk builder; the public
+        # derive_relation on a topology of the same points agrees with it
+        calls = []
 
-        def recording(topology, path1, path2=None):
-            pair = _derive_pair(topology, path1, path2)
-            derived.append((topology, pair))
-            return pair
+        def recording(routes, radius, half_duplex):
+            calls.append((routes, radius, half_duplex))
+            return _disk_masks(routes, radius, half_duplex)
 
-        monkeypatch.setattr(beatsched.verify, "_derive_pair", recording)
-        line_corpus(seed, 60)
-        pair_corpus(seed, 40)
-        assert len(derived) == 100
-        for topology, pair in derived:
+        monkeypatch.setattr(beatsched.verify, "_disk_masks", recording)
+        pairs = line_corpus(seed, 60) + [case.pair for case in pair_corpus(seed, 40)]
+        assert len(calls) == len(pairs) == 100
+        for (routes, radius, half_duplex), pair in zip(calls, pairs):
+            positions = {
+                (path_id, seq): point
+                for path_id, points in enumerate(routes, start=1)
+                for seq, point in enumerate(points, start=1)
+            }
+            topology = GeometricTopology(positions, radius, half_duplex)
             bare = PathPair._from_conflicts(pair.path1, pair.path2, [0] * pair.total_senders)
             assert derive_relation(topology, bare) == pair.relation
             assert PathPair(pair.path1, pair.path2, derive_relation(topology, bare)) == pair
+
+
+class TestDiskMasks:
+    @staticmethod
+    def oracle(routes, radius: float, half_duplex: bool) -> list[int]:
+        """Pairwise disk test over every sender pair, plus half-duplex adjacency."""
+        senders = [
+            (which, k, points[k], points[k + 1])
+            for which, points in enumerate(routes)
+            for k in range(len(points) - 1)
+        ]
+        masks = [0] * len(senders)
+        for i, (route_a, k_a, tx_a, rx_a) in enumerate(senders):
+            for j, (route_b, k_b, tx_b, rx_b) in enumerate(senders):
+                if i == j:
+                    continue
+                disk = math.dist(tx_a, rx_b) <= radius or math.dist(tx_b, rx_a) <= radius
+                adjacent = half_duplex and route_a == route_b and abs(k_a - k_b) == 1
+                if disk or adjacent:
+                    masks[i] |= 1 << j
+        return masks
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_masks_equal_the_pairwise_oracle(self, seed):
+        rng = random.Random(f"disk-masks/{seed}")
+        for n_routes in (1, 2):
+            for half_duplex in (True, False):
+                # one-sender routes come up often: two points are one sender
+                routes = [
+                    [(rng.uniform(0, 6), rng.uniform(0, 3)) for _ in range(rng.choice((2, 2, rng.randint(3, 9))))]
+                    for _ in range(n_routes)
+                ]
+                radius = rng.uniform(0.0, 3.0)
+                assert _disk_masks(routes, radius, half_duplex) == self.oracle(routes, radius, half_duplex)

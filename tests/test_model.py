@@ -1,5 +1,6 @@
 """Node identities, chains, relations, geometry, and the chain rules."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -33,6 +34,19 @@ class TestNodeRef:
         with pytest.raises(DomainError):
             NodeRef(path_id, seq)
 
+    @pytest.mark.parametrize(
+        "path_id, seq, message",
+        [
+            (1, 1.5, "seq must be an int, got 1.5"),
+            (1, True, "seq must be an int, got True"),
+            (True, 1, "path_id must be an int, got True"),
+            (2.0, 1, "path_id must be an int, got 2.0"),
+        ],
+    )
+    def test_identity_must_be_ints(self, path_id, seq, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            NodeRef(path_id, seq)
+
 
 class TestPrimaryPath:
     def test_senders_enumerate_in_order(self):
@@ -54,6 +68,19 @@ class TestPrimaryPath:
     def test_rejects_a_third_path(self):
         with pytest.raises(DomainError, match="^path id must be 1 or 2, got 3$"):
             PrimaryPath(id=3, n_senders=2)
+
+    @pytest.mark.parametrize(
+        "path_id, n_senders, message",
+        [
+            (1, 2.5, "n_senders must be an int, got 2.5"),
+            (1, True, "n_senders must be an int, got True"),
+            (True, 2, "id must be an int, got True"),
+            (1.0, 2, "id must be an int, got 1.0"),
+        ],
+    )
+    def test_id_and_sender_count_must_be_ints(self, path_id, n_senders, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            PrimaryPath(id=path_id, n_senders=n_senders)
 
 
 class TestInterferenceRelation:
@@ -200,6 +227,16 @@ class TestGeometry:
     def test_non_finite_position_rejected(self, point):
         with pytest.raises(ConfigurationError, match=r"position of node \(1, 2\)"):
             GeometricTopology({(1, 1): 0.0, (1, 2): point}, interference_radius=1.0)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_huge_int_position_is_an_infinity(self, sign):
+        # an int too large for a float is an infinity of its sign, as in the CLI
+        shown = "inf" if sign > 0 else "-inf"
+        message = rf"^position of node \(1, 2\) must be finite, got \({shown},\)$"
+        with pytest.raises(ConfigurationError, match=message):
+            GeometricTopology({(1, 1): 0.0, (1, 2): sign * 10**400}, interference_radius=1.0)
+        with pytest.raises(ConfigurationError, match=rf"^position of node \(1, 2\) must be finite, got \(0\.0, {shown}\)$"):
+            GeometricTopology({(1, 1): 0.0, (1, 2): [0, sign * 10**400]}, interference_radius=1.0)
 
     @pytest.mark.parametrize("point", [True, [True, False], (0.0, False), [1, True]])
     def test_boolean_position_rejected(self, point):

@@ -621,6 +621,11 @@ class TestGraphRoutes:
         with pytest.raises(DomainError, match=f"^max_hops must be >= 1, got {max_hops}$"):
             routes_from_graph(self.ADJACENCY, self.POSITIONS, "s", "d", max_hops)
 
+    @pytest.mark.parametrize("max_hops", [1.5, True, 2.0, "3"])
+    def test_hop_limit_must_be_an_int(self, max_hops):
+        with pytest.raises(DomainError, match=f"^max_hops must be an int, got {re.escape(repr(max_hops))}$"):
+            routes_from_graph(self.ADJACENCY, self.POSITIONS, "s", "d", max_hops)
+
     def test_no_route_within_limit(self):
         routes = routes_from_graph(self.ADJACENCY, self.POSITIONS, "s", "d", 1)
         assert routes == ()

@@ -275,6 +275,39 @@ class TestScheduleType:
         with pytest.raises(DomainError, match=f"^schedule field {re.escape(field)} must be an int, got {re.escape(value)}$"):
             schedule_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d.pop("kind"), "schedule field kind is missing"),
+            (lambda d: d.pop("beats"), "schedule field beats is missing"),
+            (lambda d: d.pop("path_periods"), "schedule field path_periods is missing"),
+            (lambda d: d["beats"][0].pop("category"), "schedule field beats[0].category is missing"),
+            (lambda d: d["beats"][1].pop("activations"), "schedule field beats[1].activations is missing"),
+            (lambda d: d["beats"][0]["activations"][0].pop("phase"),
+             "schedule field beats[0].activations[0].phase is missing"),
+            (lambda d: d["beats"][0]["activations"][0].update(members=5),
+             "schedule field beats[0].activations[0].members must be a list, got 5"),
+            (lambda d: d.update(beats=5), "schedule field beats must be a list, got 5"),
+            (lambda d: d["beats"].__setitem__(2, [1]), "schedule field beats[2] must be a dict, got [1]"),
+            (lambda d: d["beats"][0].update(activations={}), "schedule field beats[0].activations must be a list, got {}"),
+            (lambda d: d["beats"][0]["activations"].__setitem__(0, 3),
+             "schedule field beats[0].activations[0] must be a dict, got 3"),
+            (lambda d: d.update(activation_counts=[1]), "schedule field activation_counts must be a dict, got [1]"),
+            (lambda d: d.update(kind=None), "schedule field kind must be a str, got None"),
+        ],
+    )
+    def test_missing_or_misshapen_fields_are_named(self, chain6, change, message):
+        data = schedule_primary(chain6, 1).to_dict()
+        change(data)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            schedule_from_dict(data)
+
+    def test_a_schedule_that_is_no_dict_is_rejected(self, chain6):
+        data = schedule_primary(chain6, 1).to_dict()
+        for wrong, kind in (([data], "list"), ("schedule", "str"), (None, "NoneType")):
+            with pytest.raises(DomainError, match=f"^a schedule must be a dict, got {kind}$"):
+                schedule_from_dict(wrong)
+
     def test_dict_keys_may_be_ints_or_their_decimal_strings(self, far_pair):
         schedule = schedule_pair_equal(far_pair, 3, 3, 2)
         data = schedule.to_dict()

@@ -1,5 +1,6 @@
 """The property-check suite itself: corpora, realization, reporting."""
 
+import hashlib
 import inspect
 import random
 
@@ -22,6 +23,20 @@ from beatsched.verify import (
 
 
 class TestCorpora:
+    def test_corpora_are_pinned(self):
+        # each pair's paths and conflict masks, and each case's spacings and
+        # traversal counts, at the seed `beatsched verify` uses by default
+        def shape(pair):
+            return (tuple((p.id, p.n_senders) for p in pair.paths), pair._conflicts)
+
+        digest = hashlib.sha256()
+        for pair in line_corpus(42, 200):
+            digest.update(repr(shape(pair)).encode())
+        for case in pair_corpus(42, 100):
+            fields = (case.period1, case.period2, case.traversals_equal, case.traversals1, case.traversals2)
+            digest.update(repr((shape(case.pair), *fields)).encode())
+        assert digest.hexdigest() == "0955b6c0942b5aaf0d646f681b5864e01fbce32890b92185e48bd06ea4fdb3ae"
+
     def test_line_corpus_is_seed_deterministic(self):
         first = line_corpus(7, 20)
         second = line_corpus(7, 20)
