@@ -37,29 +37,39 @@ row in U (at most l1 each) or a column in C (at most l2 each); no flow
 exceeds l1 * |U| + l2 * |C|. When the augmenting search stops, the rows it
 did not reach and the columns it reached form such a cover, and its weight
 equals the flow (Ford-Fulkerson's min cut; König's theorem when l1 = l2 = 1),
-which proves the flow maximum, not only maximal.
+which proves the flow maximum, not only maximal. So each entry is the least
+cover weight, and only the covers on the lower convex hull of the points
+(|U|, |C|) matter, at most min(rows, cols) + 1.
 
-Checking covers, not entries: the bound above holds for every cover and
-every feasible flow, at any capacities, so a cover checked once against the
-matrix bounds every later entry by arithmetic alone. tiled_support_sizes
-checks each distinct cover (U, C) once, the two every matrix has (all rows;
-all columns) first, and checks the flow's feasibility (no negative unit, no
-unit off a 1-entry, loads equal to its row and column sums, within capacity
-and summing to its size) after every search that changed it. At (l1, l2)
-it first tests the held flow's loads against the new capacities, the only
-part of feasibility that depends on them, then searches only until the
-flow reaches the lightest checked cover's weight, which proves it maximum;
-a search that falls short fails, and the cover it leaves is checked and
-must weigh what the flow does. Each new l1 restarts from a flow kept after
-a check, so every entry is proved maximum by a checked cover, not only
-maximal. The rows and columns reachable from the rows with spare capacity
-are the same for every maximum flow, so the covers found, like the table,
-do not depend on which maximum flow the search holds.
+Checking rays, not entries: tiled_support_sizes finds those covers by a
+breakpoint search over l1 : l2 (Eisner & Severance 1976). It starts from
+the limit rays (0, 1) and (1, 0), where the all-rows and the all-columns
+covers weigh 0 and the empty flow meets them. Where the covers P and Q that
+the flows at two rays meet each weigh more at the other ray, it saturates a
+flow from empty at the ray where they weigh the same, l1 : l2 =
+(|C_Q| - |C_P|) : (|U_P| - |U_Q|). A flow there that meets P's weight
+confirms the hull edge P-Q; one that falls short leaves a cover lighter
+there than both, and the search recurses on either side of its ray. It
+finds the whole hull, whatever the cap, in at most 2 * min(rows, cols) + 1
+searches. Each stops at the lightest checked cover's weight, and the cover
+a failed search leaves is checked and must weigh what the flow does.
+
+Why the rays prove every entry: the probed rays cut the quadrant into
+cones whose rays lo and hi share a cover S, of weight w_S, that both rays'
+checked flows f_lo and f_hi meet. Each (l1, l2) in such a cone is
+a * lo + b * hi for rationals a, b >= 0, and a * f_lo + b * f_hi is a
+fractional flow feasible at (l1, l2) of size w_S(l1, l2). Bipartite
+incidence matrices are totally unimodular (Hoffman & Kruskal 1956), so an
+integral flow is as large, and none outweighs S: the entry is w_S(l1, l2),
+the least weight over the checked covers, since each of them bounds it. A
+failed search's cover, the rows it did not reach and the columns it reached,
+is the same for every maximum flow, so neither the covers nor the table
+depend on which maximum flow a search reaches.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain, compress, count, islice
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
@@ -102,8 +112,8 @@ def validate_support_set(
 ) -> tuple[bool, list[str]]:
     """Check the three support-set conditions; returns (ok, violations).
 
-    Element positions are 1-based; out-of-range positions are a domain error,
-    not a violation.
+    Element positions are 1-based ints (a bool is not one); other positions
+    and out-of-range ones are a domain error, not a violation.
     """
     violations = _violations(*_row_masks(matrix), elements)
     return (not violations, violations)
@@ -112,7 +122,11 @@ def validate_support_set(
 def _violations(ones: Sequence[int], width: int, elements: Iterable[Element]) -> list[str]:
     """validate_support_set's checks on a matrix given as row masks."""
     n = len(ones)
-    chosen = sorted(set((int(r), int(c)) for r, c in elements))
+    chosen = [(r, c) for r, c in elements]
+    for r, c in chosen:
+        if type(r) is not int or type(c) is not int:
+            raise DomainError(f"element ({r!r}, {c!r}) has a position that is not an int")
+    chosen = sorted(set(chosen))
     for r, c in chosen:
         if not (1 <= r <= n and 1 <= c <= width):
             raise DomainError(f"element ({r}, {c}) outside a {n}x{width} matrix")
@@ -213,23 +227,32 @@ def tiled_support_sizes(matrix: Sequence[Sequence[int]], max_traversals: int) ->
 
 def _tiled_sizes(ones: Sequence[int], width: int, max_traversals: int) -> tuple[tuple[int, ...], ...]:
     """tiled_support_sizes on row masks over `width` columns, max_traversals >= 1.
-
-    A flow feasible for (l1, l2) stays feasible for larger capacities, so
-    each step of l2 continues from the previous flow and each new l1
-    restarts from the flow kept at (l1 - 1, 1). A matrix without columns
-    has no 1-entry, so nothing pairs.
-    """
+    The module docstring's breakpoint search starts from the limit rays and
+    the all-rows and all-columns covers; a pending cone is done when one of
+    its rays' covers meets both. Nothing pairs without a column."""
     if not width:
         return ((0,) * max_traversals,) * max_traversals
     network = _FlowNetwork(ones, width)
-    table = []
-    for l1 in range(1, max_traversals + 1):
-        line = [network.saturate(l1, 1)]
-        kept = network.snapshot()
-        line += [network.saturate(l1, l2) for l2 in range(2, max_traversals + 1)]
-        table.append(tuple(line))
-        network.restore(kept)
-    return tuple(table)
+    pending = [((0, 1), (len(ones), 0), (1, 0), (0, width))]
+    while pending:
+        lo, p, hi, q = pending.pop()
+        if _weight(hi, p) > _weight(hi, q) and _weight(lo, q) > _weight(lo, p):
+            ray = (q[1] - p[1], p[0] - q[0])
+            r = network.saturate(*ray)
+            if _weight(ray, r) < _weight(ray, p):
+                pending += [(lo, p, ray, r), (ray, r, hi, q)]
+    # row l1 of each cover's weights is an arithmetic progression in l2; the
+    # all-rows and all-columns covers make at least two of them for min
+    covers = network.covers.values()
+    return tuple(
+        tuple(islice(map(min, *[count(l1 * a + c, c) for a, c in covers]), max_traversals))
+        for l1 in range(1, max_traversals + 1)
+    )
+
+
+def _weight(caps: tuple[int, int], sizes: tuple[int, int]) -> int:
+    """A cover's weight at (row, column) capacities, from its row and column counts."""
+    return caps[0] * sizes[0] + caps[1] * sizes[1]
 
 
 def _core(ones: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -252,62 +275,39 @@ def _core(ones: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 class _FlowNetwork:
     """A flow over the 1-entries of a binary matrix given as row masks, with
-    its row and column loads and its size, that _tiled_sizes grows under
-    rising capacities. `off` marks the 0-entries, row after row. `covers`
-    maps each cover (unreached rows, reached columns) checked against the
-    matrix to its row and column counts; the all-rows and the all-columns
-    covers are checked and entered first.
+    its loads and size, which saturate builds afresh at each ray. `off`
+    marks the 0-entries, row after row. `covers` maps each cover (unreached
+    rows, reached columns) checked against the matrix to its row and column
+    counts; the all-rows and all-columns covers come first.
     """
 
     __slots__ = ("ones", "width", "off", "flow", "row_load", "col_load", "total", "covers")
 
     def __init__(self, ones: Sequence[int], width: int) -> None:
-        n = len(ones)
         self.ones, self.width = ones, width
         self.off = [not row >> j & 1 for row in ones for j in range(width)]
-        self.flow = [[0] * width for _ in range(n)]
-        self.row_load = [0] * n
-        self.col_load = [0] * width
-        self.total = 0
         self.covers: dict[tuple[int, int], tuple[int, int]] = {}
-        self._cover_sizes(((1 << n) - 1, 0))
+        self._cover_sizes(((1 << len(ones)) - 1, 0))
         self._cover_sizes((0, (1 << width) - 1))
 
-    def snapshot(self) -> tuple[list[list[int]], list[int], list[int], int]:
-        """A copy of the flow, its loads and its size, for restore."""
-        return [r[:] for r in self.flow], self.row_load[:], self.col_load[:], self.total
-
-    def restore(self, state: tuple[list[list[int]], list[int], list[int], int]) -> None:
-        """Continue from a snapshot, which the network takes over."""
-        self.flow, self.row_load, self.col_load, self.total = state
-
-    def saturate(self, cap_row: int, cap_col: int) -> int:
-        """Augment the flow until it is maximum for these capacities, prove
-        it maximum by a checked cover, and return its size.
-
-        The flow passed its feasibility check when it last changed, and a
-        flow whose loads do not fit these capacities fails it here. _augment
-        then searches only up to the lightest checked cover's weight, which
-        no feasible flow exceeds; a flow it changed is checked again, and
-        the cover that bounded it, or the one its failed search left, must
-        weigh what the flow does.
-        """
-        if max(self.row_load) > cap_row or max(self.col_load) > cap_col:
-            self._check_flow(cap_row, cap_col)
-        bound = min([cap_row * n_rows + cap_col * n_cols for n_rows, n_cols in self.covers.values()])
-        if self.total == bound:
-            return bound
-        changed, cover = self._augment(cap_row, cap_col, bound)
+    def saturate(self, cap_row: int, cap_col: int) -> tuple[int, int]:
+        """Saturate a flow from empty at these capacities, up to the lightest
+        checked cover's weight, and return the row and column counts of a
+        checked cover that the checked flow meets: that one, or the one a
+        failed search leaves."""
+        n, o = len(self.ones), self.width
+        self.flow, self.row_load, self.col_load, self.total = [[0] * o for _ in range(n)], [0] * n, [0] * o, 0
+        n_rows, n_cols = min(self.covers.values(), key=lambda sizes: cap_row * sizes[0] + cap_col * sizes[1])
+        changed, cover = self._augment(cap_row, cap_col, cap_row * n_rows + cap_col * n_cols)
         if changed:
             self._check_flow(cap_row, cap_col)
-        weight = bound
         if cover is not None:
             n_rows, n_cols = self._cover_sizes(cover)
-            weight = cap_row * n_rows + cap_col * n_cols
+        weight = cap_row * n_rows + cap_col * n_cols
         if weight != self.total:
             message = f"cover weight {weight} differs from flow {self.total}"
             raise ConsistencyError(f"capacitated flow failed its certificate: {message}")
-        return weight
+        return n_rows, n_cols
 
     def _cover_sizes(self, cover: tuple[int, int]) -> tuple[int, int]:
         """The row and column counts of a cover, checked against the matrix

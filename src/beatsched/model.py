@@ -286,8 +286,8 @@ class PathPair:
         n = self.path(path_id).n_senders
         mask = 0
         for seq in seqs:
-            if seq < 1:
-                raise DomainError(f"seq must be >= 1, got {seq}")
+            if type(seq) is not int or seq < 1:
+                _check_counts(f"seq must be >= 1, got {seq}", seq=seq)
             if seq <= n:
                 mask |= 1 << (base + seq)
         return mask

@@ -111,6 +111,8 @@ class ConcurrencyMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def entry(self, phase1: int, phase2: int) -> int:
+        if type(phase1) is not int or type(phase2) is not int:
+            raise DomainError(f"phases must be ints, got ({phase1!r}, {phase2!r})")
         if not (1 <= phase1 <= self.t1 and 1 <= phase2 <= self.t2):
             raise DomainError(f"phase ({phase1}, {phase2}) outside {self.t1}x{self.t2} matrix")
         return self.rows[phase1 - 1][phase2 - 1]

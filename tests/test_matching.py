@@ -59,6 +59,11 @@ class TestValidate:
         with pytest.raises(DomainError):
             validate_support_set([[1]], [(2, 1)])
 
+    @pytest.mark.parametrize("element", [(1.7, 1), (1, 1.0), ("1", 1), (1, "x"), (True, 1)])
+    def test_a_position_that_is_not_an_int_is_a_domain_error(self, element):
+        with pytest.raises(DomainError, match=r"has a position that is not an int$"):
+            validate_support_set([[1]], [element])
+
     def test_ragged_matrix_rejected(self):
         with pytest.raises(DomainError, match="^matrix rows have unequal lengths$"):
             validate_support_set([[1, 0], [1]], [])
@@ -324,10 +329,9 @@ class TestTiledSupportSizes:
             network._check_cover(unreached_rows=0, reached_cols=0)
 
     def test_certificate_rejects_an_infeasible_flow(self):
+        # one unit on the 0-entry (1, 2), with loads and size that agree
         network = _FlowNetwork([0b01], 2)
-        network.flow[0][1] = 1
-        network.row_load[0] = 1
-        network.col_load[1] = 1
+        network.flow, network.row_load, network.col_load, network.total = [[0, 1]], [1], [0, 1], 1
         with pytest.raises(ConsistencyError, match="off its 1-entries"):
             network._check_flow(1, 1)
 
@@ -379,9 +383,50 @@ class TestMaskKernel:
                         brute_forced += 1
         assert brute_forced > 600
 
-    def test_an_earlier_cover_proves_later_entries(self, monkeypatch):
-        # All rows saturate at once: the cover of every row proves each
-        # (l1, l2 > 1) from the flow left at (l1, 1), with no search.
+    def test_searches_stay_within_the_hull_bound_at_any_cap(self, monkeypatch):
+        # Disjoint all-ones blocks of 1 x 2, 3 x 1 and 1 x 1 put four covers
+        # on the hull: (5, 0), (2, 1), (1, 2) and (0, 4) rows and columns.
+        # From the two covers every matrix has, the search makes two probes
+        # that fall short, each leaving a new hull cover, and three that
+        # confirm an edge, whatever the cap.
+        calls = self.count_searches(monkeypatch)
+        matrix = [
+            [1, 1, 0, 0],
+            [0, 0, 1, 0],
+            [0, 0, 1, 0],
+            [0, 0, 1, 0],
+            [0, 0, 0, 1],
+        ]
+        searched = {}
+        oracles = {4: TestTiledSupportSizes.tiled_reference, 300: TestCoverOracle.lightest_cover_weights}
+        for cap, oracle in oracles.items():
+            calls.clear()
+            assert _tiled_sizes(row_masks(matrix), 4, cap) == oracle(matrix, cap), cap
+            searched[cap] = calls[:]
+        assert searched[4] == searched[300]
+        assert len(searched[4]) == 5 <= 2 * min(len(matrix), len(matrix[0])) + 1
+        assert [fails for _, _, fails in searched[4]] == [True, True, False, False, False]
+
+    def test_searches_do_not_depend_on_the_cap(self, monkeypatch):
+        # random matrices, zero rows and columns included: the same searches
+        # at caps 1 and 40, at most 2 * min(rows, cols) + 1 of them
+        calls = self.count_searches(monkeypatch)
+        rng = random.Random("matching/hull-searches")
+        for _ in range(300):
+            matrix = random_matrix(rng, 8, 8)
+            searched = []
+            for cap in (1, 40):
+                calls.clear()
+                _tiled_sizes(row_masks(matrix), len(matrix[0]), cap)
+                searched.append(calls[:])
+            assert searched[0] == searched[1], matrix
+            assert len(searched[0]) <= 2 * min(len(matrix), len(matrix[0])) + 1, matrix
+
+    def test_a_search_stopped_at_its_bound_confirms_a_hull_edge(self, monkeypatch):
+        # All ones, 2 x 3: the all-rows and the all-columns covers weigh the
+        # same at (3, 2), and the flow there reaches their weight, 6. That
+        # search stops at its bound and confirms the edge between them, which
+        # proves every entry at any cap, with no failed search.
         calls = self.count_searches(monkeypatch)
         assert _tiled_sizes([0b111, 0b111], 3, 4) == (
             (2, 2, 2, 2),
@@ -389,47 +434,11 @@ class TestMaskKernel:
             (3, 6, 6, 6),
             (3, 6, 8, 8),
         )
-        searched = [(r, c) for r, c, _ in calls]
-        assert len(searched) < 16
-        assert (1, 3) not in searched and (1, 4) not in searched
-
-    def test_every_entry_is_searched_when_no_cover_repeats(self, monkeypatch):
-        # a single 1-entry: at every (l1, l2) the flow grows to min(l1, l2),
-        # and only a cover that was checked can skip a search
-        calls = self.count_searches(monkeypatch)
-        assert _tiled_sizes([0b1], 1, 3) == ((1, 1, 1), (1, 2, 2), (1, 2, 3))
-        searched = [(r, c) for r, c, _ in calls]
-        assert len(searched) == len(set(searched))
-
-    def test_a_search_stops_at_the_lightest_checked_cover(self, monkeypatch):
-        # Each search that reaches the lightest checked cover's weight ends
-        # there: the entry is proved without the failed search that would
-        # find a cover, so fewer searches fail than there are entries.
-        calls = self.count_searches(monkeypatch)
-        rng = random.Random("matching/stop-at-bound")
-        entries = 0
-        for _ in range(60):
-            matrix = random_matrix(rng, 5, 5)
-            cap = rng.randint(1, 4)
-            assert _tiled_sizes(row_masks(matrix), len(matrix[0]), cap) == (
-                TestTiledSupportSizes.tiled_reference(matrix, cap)
-            ), (matrix, cap)
-            entries += cap * cap
-        failed = sum(1 for _, _, fails in calls if fails)
-        assert failed < len(calls) and failed < entries
-
-    def test_a_flow_that_does_not_fit_never_stops_at_a_cover(self, monkeypatch):
-        # A feasible flow at (1, 2) that sends both rows into column 1. At
-        # (2, 1) the cover of every column weighs 2, equal to the flow, but
-        # column 1's load exceeds 1: the entry must fail its check, not stop.
-        calls = self.count_searches(monkeypatch)
-        network = _FlowNetwork([0b11, 0b11], 2)
-        network.flow = [[1, 0], [1, 0]]
-        network.row_load, network.col_load, network.total = [1, 1], [2, 0], 2
-        assert network.saturate(1, 2) == 2
-        with pytest.raises(ConsistencyError, match="exceed 1"):
-            network.saturate(2, 1)
-        assert calls == []
+        assert calls == [(3, 2, False)]
+        for cap in (1, 300):
+            calls.clear()
+            _tiled_sizes([0b111, 0b111], 3, cap)
+            assert calls == [(3, 2, False)], cap
 
     def test_a_forged_cover_is_rejected(self, monkeypatch):
         # the search claims the empty cover, which misses entry (1, 1)
@@ -459,6 +468,48 @@ class TestMaskKernel:
         monkeypatch.setattr(_FlowNetwork, "_augment", forged)
         with pytest.raises(ConsistencyError, match=message):
             _tiled_sizes([0b01], 2, 1)
+
+
+class TestCoverOracle:
+    """_tiled_sizes at caps far beyond the tiled matching, against every
+    cover found by enumeration, and its homogeneity."""
+
+    @staticmethod
+    def lightest_cover_weights(matrix, cap):
+        """Every entry as the lightest l1 * |U| + l2 * |C| over the pairs
+        (U, C) of row and column subsets that cover every 1-entry, found by
+        enumerating all such pairs."""
+        n, o = len(matrix), len(matrix[0])
+        ones = [(r, c) for r in range(n) for c in range(o) if matrix[r][c]]
+        sizes = {
+            (bin(rows).count("1"), bin(cols).count("1"))
+            for rows in range(1 << n)
+            for cols in range(1 << o)
+            if all(rows >> r & 1 or cols >> c & 1 for r, c in ones)
+        }
+        steps = range(1, cap + 1)
+        return tuple(tuple(min(l1 * a + l2 * c for a, c in sizes) for l2 in steps) for l1 in steps)
+
+    def test_matches_the_cover_enumeration_up_to_cap_50(self):
+        rng = random.Random("matching/cover-oracle")
+        cases = [([[1] * 6 for _ in range(6)], 50), ([[0] * 3 for _ in range(2)], 7)]
+        cases += [(random_matrix(rng, 6, 6), rng.randint(1, 50)) for _ in range(150)]
+        for matrix, cap in cases:
+            sizes = tiled_support_sizes(matrix, cap)
+            assert sizes == self.lightest_cover_weights(matrix, cap), (matrix, cap)
+
+    def test_sizes_are_homogeneous(self):
+        # size(k * l1, k * l2) = k * size(l1, l2), which generalizes the
+        # paper's criterion 9 (equal traversals, l1 = l2)
+        rng = random.Random("matching/homogeneous")
+        for _ in range(60):
+            matrix = random_matrix(rng, 6, 6)
+            cap = rng.randint(2, 50)
+            sizes = tiled_support_sizes(matrix, cap)
+            for l1 in range(1, cap + 1):
+                for l2 in range(1, cap + 1):
+                    for k in range(2, cap // max(l1, l2) + 1):
+                        assert sizes[k * l1 - 1][k * l2 - 1] == k * sizes[l1 - 1][l2 - 1], (matrix, l1, l2, k)
 
 
 class TestCore:

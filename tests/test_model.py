@@ -158,6 +158,11 @@ class TestPathPair:
         with pytest.raises(DomainError, match="^seq must be >= 1, got 0$"):
             pair.seq_mask(1, [1, 0])
 
+    @pytest.mark.parametrize("seq", [1.5, True, "1"])
+    def test_seq_mask_rejects_a_seq_that_is_not_an_int(self, seq):
+        with pytest.raises(DomainError, match=rf"^seq must be an int, got {re.escape(repr(seq))}$"):
+            line_pair(3).seq_mask(1, [1, seq])
+
     def test_validate_nodes_rejects_foreign_and_empty(self):
         pair = line_pair(3)
         with pytest.raises(DomainError):

@@ -134,6 +134,12 @@ class TestJointMatrix:
         with pytest.raises(DomainError, match=rf"^phase \({phase1}, {phase2}\) outside 2x3 matrix$"):
             matrix.entry(phase1, phase2)
 
+    @pytest.mark.parametrize("phase1, phase2", [(1.5, 1), (True, 1), (1, "2")])
+    def test_entry_rejects_a_phase_that_is_not_an_int(self, phase1, phase2):
+        matrix = ConcurrencyMatrix(t1=2, t2=3, rows=((1, 0, 1), (0, 1, 0)))
+        with pytest.raises(DomainError, match=rf"^phases must be ints, got \({re.escape(repr(phase1))}, "):
+            matrix.entry(phase1, phase2)
+
     def test_unreachable_spacing_is_rejected(self):
         pair = two_line_pair(6, 4, dy=50.0)
         with pytest.raises(DomainError):
