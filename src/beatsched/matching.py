@@ -83,6 +83,7 @@ __all__ = [
 ]
 
 Element = tuple[int, int]  # (row, col), 1-based
+_Flow = list[list[int]]  # units on each entry, row after row
 
 _BRUTE_FORCE_CELL_LIMIT = 30
 
@@ -112,8 +113,8 @@ def validate_support_set(
 ) -> tuple[bool, list[str]]:
     """Check the three support-set conditions; returns (ok, violations).
 
-    Element positions are 1-based ints (a bool is not one); other positions
-    and out-of-range ones are a domain error, not a violation.
+    Elements are (row, column) pairs of 1-based ints (a bool is not one);
+    any other element, or one out of range, is a domain error, not a violation.
     """
     violations = _violations(*_row_masks(matrix), elements)
     return (not violations, violations)
@@ -122,10 +123,15 @@ def validate_support_set(
 def _violations(ones: Sequence[int], width: int, elements: Iterable[Element]) -> list[str]:
     """validate_support_set's checks on a matrix given as row masks."""
     n = len(ones)
-    chosen = [(r, c) for r, c in elements]
-    for r, c in chosen:
+    chosen = []
+    for element in elements:
+        try:
+            r, c = element
+        except (TypeError, ValueError):
+            raise DomainError(f"element {element!r} is not a (row, column) pair") from None
         if type(r) is not int or type(c) is not int:
             raise DomainError(f"element ({r!r}, {c!r}) has a position that is not an int")
+        chosen.append((r, c))
     chosen = sorted(set(chosen))
     for r, c in chosen:
         if not (1 <= r <= n and 1 <= c <= width):
@@ -232,20 +238,27 @@ def _tiled_sizes(ones: Sequence[int], width: int, max_traversals: int) -> tuple[
     its rays' covers meets both. Nothing pairs without a column."""
     if not width:
         return ((0,) * max_traversals,) * max_traversals
-    network = _FlowNetwork(ones, width)
+    # each checked cover (unreached rows, reached columns) -> its row and column counts
+    covers = {cover: _check_cover(ones, *cover) for cover in (((1 << len(ones)) - 1, 0), (0, (1 << width) - 1))}
     pending = [((0, 1), (len(ones), 0), (1, 0), (0, width))]
     while pending:
         lo, p, hi, q = pending.pop()
         if _weight(hi, p) > _weight(hi, q) and _weight(lo, q) > _weight(lo, p):
             ray = (q[1] - p[1], p[0] - q[0])
-            r = network.saturate(*ray)
-            if _weight(ray, r) < _weight(ray, p):
+            r = min(covers.values(), key=lambda sizes: _weight(ray, sizes))
+            flow, row_load, col_load, total, cover = _saturate(ones, width, *ray, _weight(ray, r))
+            _check_flow(ones, ray, flow, row_load, col_load, total)
+            if cover is not None:
+                r = covers[cover] = _check_cover(ones, *cover)
+            if _weight(ray, r) != total:
+                message = f"cover weight {_weight(ray, r)} differs from flow {total}"
+                raise ConsistencyError(f"capacitated flow failed its certificate: {message}")
+            if total < _weight(ray, p):
                 pending += [(lo, p, ray, r), (ray, r, hi, q)]
     # row l1 of each cover's weights is an arithmetic progression in l2; the
     # all-rows and all-columns covers make at least two of them for min
-    covers = network.covers.values()
     return tuple(
-        tuple(islice(map(min, *[count(l1 * a + c, c) for a, c in covers]), max_traversals))
+        tuple(islice(map(min, *[count(l1 * a + c, c) for a, c in covers.values()]), max_traversals))
         for l1 in range(1, max_traversals + 1)
     )
 
@@ -273,161 +286,124 @@ def _core(ones: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(rows), used.bit_count()
 
 
-class _FlowNetwork:
-    """A flow over the 1-entries of a binary matrix given as row masks, with
-    its loads and size, which saturate builds afresh at each ray. `off`
-    marks the 0-entries, row after row. `covers` maps each cover (unreached
-    rows, reached columns) checked against the matrix to its row and column
-    counts; the all-rows and all-columns covers come first.
+def _saturate(
+    ones: Sequence[int], width: int, cap_row: int, cap_col: int, bound: int
+) -> tuple[_Flow, list[int], list[int], int, tuple[int, int] | None]:
+    """Saturate a flow from empty at these capacities until it reaches bound
+    or no augmenting path is left. Return the flow, its row and column loads,
+    its size, and None if it reached bound, else the failed search's cover:
+    the rows it did not reach and the columns it reached, as masks.
+
+    Each row first fills its open columns (those with spare capacity)
+    directly. Then breadth-first search over the residual graph: a row
+    with spare capacity starts a path, a 1-entry leads from its row to
+    its column, a column leads back to every row that sends it flow, and
+    an open column ends the path.
     """
-
-    __slots__ = ("ones", "width", "off", "flow", "row_load", "col_load", "total", "covers")
-
-    def __init__(self, ones: Sequence[int], width: int) -> None:
-        self.ones, self.width = ones, width
-        self.off = [not row >> j & 1 for row in ones for j in range(width)]
-        self.covers: dict[tuple[int, int], tuple[int, int]] = {}
-        self._cover_sizes(((1 << len(ones)) - 1, 0))
-        self._cover_sizes((0, (1 << width) - 1))
-
-    def saturate(self, cap_row: int, cap_col: int) -> tuple[int, int]:
-        """Saturate a flow from empty at these capacities, up to the lightest
-        checked cover's weight, and return the row and column counts of a
-        checked cover that the checked flow meets: that one, or the one a
-        failed search leaves."""
-        n, o = len(self.ones), self.width
-        self.flow, self.row_load, self.col_load, self.total = [[0] * o for _ in range(n)], [0] * n, [0] * o, 0
-        n_rows, n_cols = min(self.covers.values(), key=lambda sizes: cap_row * sizes[0] + cap_col * sizes[1])
-        changed, cover = self._augment(cap_row, cap_col, cap_row * n_rows + cap_col * n_cols)
-        if changed:
-            self._check_flow(cap_row, cap_col)
-        if cover is not None:
-            n_rows, n_cols = self._cover_sizes(cover)
-        weight = cap_row * n_rows + cap_col * n_cols
-        if weight != self.total:
-            message = f"cover weight {weight} differs from flow {self.total}"
-            raise ConsistencyError(f"capacitated flow failed its certificate: {message}")
-        return n_rows, n_cols
-
-    def _cover_sizes(self, cover: tuple[int, int]) -> tuple[int, int]:
-        """The row and column counts of a cover, checked against the matrix
-        unless it was checked before."""
-        sizes = self.covers.get(cover)
-        if sizes is None:
-            self._check_cover(*cover)
-            sizes = self.covers[cover] = (cover[0].bit_count(), cover[1].bit_count())
-        return sizes
-
-    def _augment(self, cap_row: int, cap_col: int, bound: int) -> tuple[bool, tuple[int, int] | None]:
-        """Push flow until it reaches bound or no augmenting path is left;
-        return whether any was pushed, and None if it reached bound, else
-        the failed search's cover: the rows it did not reach and the columns
-        it reached, as masks.
-
-        Each row first fills its open columns (those with spare capacity)
-        directly. Then breadth-first search over the residual graph: a row
-        with spare capacity starts a path, a 1-entry leads from its row to
-        its column, a column leads back to every row that sends it flow, and
-        an open column ends the path.
-        """
-        ones, flow, row_load, col_load = self.ones, self.flow, self.row_load, self.col_load
-        n, o, total = len(ones), self.width, self.total
-        open_cols = sum(1 << j for j, load in enumerate(col_load) if load < cap_col)
-        for i, row in enumerate(ones):
-            spare, hit = cap_row - row_load[i], row & open_cols
-            while spare and hit:
-                low = hit & -hit
-                hit ^= low
-                j = low.bit_length() - 1
-                delta = min(spare, cap_col - col_load[j])
-                flow[i][j] += delta
-                col_load[j] += delta
-                if col_load[j] == cap_col:
-                    open_cols ^= low
-                spare -= delta
-                total += delta
-            row_load[i] = cap_row - spare
-        while total < bound:
-            # via_col[i]: the column a reached row i came from, -1 for a start
-            # row; via_row[j]: the row a reached column j came from
-            via_col = [-1] * n
-            via_row = [-1] * o
-            queue = [i for i, load in enumerate(row_load) if load < cap_row]
-            reached_rows, reached_cols, end = sum(1 << i for i in queue), 0, -1
-            for i in queue:
-                new = ones[i] & ~reached_cols
-                reached_cols |= new
-                ends = new & open_cols
-                if ends:
-                    end = (ends & -ends).bit_length() - 1
-                    via_row[end] = i
-                    break
-                while new:
-                    low = new & -new
-                    new ^= low
-                    j = low.bit_length() - 1
-                    via_row[j] = i
-                    for k in range(n):
-                        if flow[k][j] > 0 and not reached_rows >> k & 1:
-                            reached_rows |= 1 << k
-                            via_col[k] = j
-                            queue.append(k)
-            if end < 0:
-                changed, self.total = total > self.total, total
-                return changed, ((1 << n) - 1 & ~reached_rows, reached_cols)
-            # Walk the path back from its end: column j was reached from row
-            # via_row[j] over a forward entry, and a row i that is not a start
-            # from column via_col[i] over a backward entry, whose flow bounds
-            # the push. Push the bottleneck through.
-            delta = cap_col - col_load[end]
-            i = via_row[end]
-            while (j := via_col[i]) >= 0:
-                delta = min(delta, flow[i][j])
-                i = via_row[j]
-            delta = min(delta, cap_row - row_load[i])
-            row_load[i] += delta
-            col_load[end] += delta
-            if col_load[end] == cap_col:
-                open_cols ^= 1 << end
-            j = end
-            while j >= 0:
-                i = via_row[j]
-                flow[i][j] += delta
-                j = via_col[i]
-                if j >= 0:
-                    flow[i][j] -= delta
+    n = len(ones)
+    flow, row_load, col_load, total = [[0] * width for _ in range(n)], [0] * n, [0] * width, 0
+    open_cols = (1 << width) - 1
+    for i, row in enumerate(ones):
+        spare, hit = cap_row, row & open_cols
+        while spare and hit:
+            low = hit & -hit
+            hit ^= low
+            j = low.bit_length() - 1
+            delta = min(spare, cap_col - col_load[j])
+            flow[i][j] += delta
+            col_load[j] += delta
+            if col_load[j] == cap_col:
+                open_cols ^= low
+            spare -= delta
             total += delta
-        changed, self.total = total > self.total, total
-        return changed, None
+        row_load[i] = cap_row - spare
+    while total < bound:
+        # via_col[i]: the column a reached row i came from, -1 for a start
+        # row; via_row[j]: the row a reached column j came from
+        via_col = [-1] * n
+        via_row = [-1] * width
+        queue = [i for i, load in enumerate(row_load) if load < cap_row]
+        reached_rows, reached_cols, end = sum(1 << i for i in queue), 0, -1
+        for i in queue:
+            new = ones[i] & ~reached_cols
+            reached_cols |= new
+            ends = new & open_cols
+            if ends:
+                end = (ends & -ends).bit_length() - 1
+                via_row[end] = i
+                break
+            while new:
+                low = new & -new
+                new ^= low
+                j = low.bit_length() - 1
+                via_row[j] = i
+                for k in range(n):
+                    if flow[k][j] > 0 and not reached_rows >> k & 1:
+                        reached_rows |= 1 << k
+                        via_col[k] = j
+                        queue.append(k)
+        if end < 0:
+            return flow, row_load, col_load, total, ((1 << n) - 1 & ~reached_rows, reached_cols)
+        # Walk the path back from its end: column j was reached from row
+        # via_row[j] over a forward entry, and a row i that is not a start
+        # from column via_col[i] over a backward entry, whose flow bounds
+        # the push. Push the bottleneck through.
+        delta = cap_col - col_load[end]
+        i = via_row[end]
+        while (j := via_col[i]) >= 0:
+            delta = min(delta, flow[i][j])
+            i = via_row[j]
+        delta = min(delta, cap_row - row_load[i])
+        row_load[i] += delta
+        col_load[end] += delta
+        if col_load[end] == cap_col:
+            open_cols ^= 1 << end
+        j = end
+        while j >= 0:
+            i = via_row[j]
+            flow[i][j] += delta
+            j = via_col[i]
+            if j >= 0:
+                flow[i][j] -= delta
+        total += delta
+    return flow, row_load, col_load, total, None
 
-    def _check_cover(self, unreached_rows: int, reached_cols: int) -> None:
-        """Raise ConsistencyError unless every 1-entry lies in a row of
-        unreached_rows or a column of reached_cols."""
-        problems = [
-            f"row {i + 1} has a 1-entry outside the cover"
-            for i, row in enumerate(self.ones)
-            if not unreached_rows >> i & 1 and row & ~reached_cols
-        ]
-        if problems:
-            raise ConsistencyError(f"capacitated flow failed its certificate: {problems}")
 
-    def _check_flow(self, cap_row: int, cap_col: int) -> None:
-        """Raise ConsistencyError unless the flow is feasible: non-negative,
-        none on a 0-entry, with row and column sums equal to the loads, which
-        stay within capacity and sum to the flow's size."""
-        flow, row_load, col_load = self.flow, self.row_load, self.col_load
-        cells = list(chain.from_iterable(flow))
-        problems = []
-        if min(cells) < 0 or any(compress(cells, self.off)):
-            problems.append(f"flow {flow} has units off its 1-entries or below 0")
-        if list(map(sum, flow)) != row_load or max(row_load) > cap_row:
-            problems.append(f"row loads {row_load} are wrong or exceed {cap_row}")
-        if list(map(sum, zip(*flow))) != col_load or max(col_load) > cap_col:
-            problems.append(f"column loads {col_load} are wrong or exceed {cap_col}")
-        if sum(row_load) != self.total:
-            problems.append(f"row loads {row_load} do not sum to the flow's size {self.total}")
-        if problems:
-            raise ConsistencyError(f"capacitated flow failed its certificate: {problems}")
+def _check_cover(ones: Sequence[int], unreached_rows: int, reached_cols: int) -> tuple[int, int]:
+    """The cover's row and column counts; raise ConsistencyError unless every
+    1-entry of the matrix lies in a row of unreached_rows or a column of
+    reached_cols."""
+    problems = [
+        f"row {i + 1} has a 1-entry outside the cover"
+        for i, row in enumerate(ones)
+        if not unreached_rows >> i & 1 and row & ~reached_cols
+    ]
+    if problems:
+        raise ConsistencyError(f"capacitated flow failed its certificate: {problems}")
+    return unreached_rows.bit_count(), reached_cols.bit_count()
+
+
+def _check_flow(
+    ones: Sequence[int], caps: tuple[int, int], flow: _Flow, row_load: list[int], col_load: list[int], total: int
+) -> None:
+    """Raise ConsistencyError unless the flow is feasible on the matrix at
+    these capacities: non-negative, none on a 0-entry, with row and column
+    sums equal to the loads, which stay within capacity and sum to the
+    flow's size."""
+    cap_row, cap_col = caps
+    cells = list(chain.from_iterable(flow))
+    off = [not row >> j & 1 for row, units in zip(ones, flow) for j in range(len(units))]
+    problems = []
+    if min(cells) < 0 or any(compress(cells, off)):
+        problems.append(f"flow {flow} has units off its 1-entries or below 0")
+    if list(map(sum, flow)) != row_load or max(row_load) > cap_row:
+        problems.append(f"row loads {row_load} are wrong or exceed {cap_row}")
+    if list(map(sum, zip(*flow))) != col_load or max(col_load) > cap_col:
+        problems.append(f"column loads {col_load} are wrong or exceed {cap_col}")
+    if sum(row_load) != total:
+        problems.append(f"row loads {row_load} do not sum to the flow's size {total}")
+    if problems:
+        raise ConsistencyError(f"capacitated flow failed its certificate: {problems}")
 
 
 def brute_force_max_support(matrix: Sequence[Sequence[int]]) -> int:

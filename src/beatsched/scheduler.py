@@ -85,8 +85,10 @@ class Schedule:
     """A closed cycle of beats plus the bookkeeping the simulator needs.
 
     path_periods maps path id to the phase spacing used on that path and
-    activation_counts maps path id to how many times each phase fires per
-    cycle. period == len(beats) always.
+    activation_counts maps the same path ids to how many times each phase
+    fires per cycle. The period, every spacing and every count is an int
+    >= 1, and period == len(beats) always; a schedule is checked for both
+    when it is built.
     """
 
     period: int
@@ -96,11 +98,21 @@ class Schedule:
     kind: str
 
     def __post_init__(self) -> None:
+        _check_counts(f"schedule field period must be >= 1, got {self.period}", period=self.period)
         if self.period != len(self.beats):
             raise ConsistencyError(
                 f"schedule period {self.period} disagrees with "
                 f"{len(self.beats)} beats"
             )
+        if self.path_periods.keys() != self.activation_counts.keys():
+            raise DomainError(
+                f"schedule path_periods has paths {list(self.path_periods)} "
+                f"but activation_counts has {list(self.activation_counts)}"
+            )
+        for name in ("path_periods", "activation_counts"):
+            for path_id, count in getattr(self, name).items():
+                field_name = f"{name}[{path_id!r}]"
+                _check_counts(f"schedule field {field_name} must be >= 1, got {count}", **{field_name: count})
 
     def beat(self, index: int) -> Beat:
         """Beat at a 1-based index, wrapping modulo the period."""
@@ -119,7 +131,7 @@ class Schedule:
 
 
 def schedule_from_dict(data: dict) -> Schedule:
-    """Rebuild a schedule from its to_dict form (CLI round trips).
+    """Rebuild a schedule from its to_dict form.
 
     Every number must be an int, not a bool; mapping keys may also be the
     decimal strings to_dict writes. A field that is missing or of the wrong

@@ -69,10 +69,13 @@ def random_line_scenario(rng: Random, max_senders: int = 12) -> PathPair:
     return PathPair._from_conflicts(PrimaryPath(id=1, n_senders=n), None, conflicts)
 
 
-def random_pair_scenario(rng: Random, max_total: int = 16) -> PathPair:
+_PAIR_MAX_SENDERS = 8  # per chain of random_pair_scenario
+
+
+def random_pair_scenario(rng: Random) -> PathPair:
     """Two chains in the plane, parallel or crossing, under one disk radius."""
-    n1 = rng.randint(1, min(8, max_total - 1))
-    n2 = rng.randint(1, min(8, max_total - n1))
+    n1 = rng.randint(1, _PAIR_MAX_SENDERS)
+    n2 = rng.randint(1, _PAIR_MAX_SENDERS)
     points1 = []
     x = 0.0
     for _ in range(n1 + 1):
@@ -323,10 +326,11 @@ def check_pair_throughput(
     return ok, f"{instances} pairs x 2 schedules, {bad} misses, {violations} violations"
 
 
+_MAX_PHASE_SUM = 7  # of the joint matrices criterion 7 enumerates
+
+
 @_criterion(7, "single-traversal joint schedule has optimal period")
-def check_equal_schedule_is_shortest(
-    seed: int = DEFAULT_SEED, max_phase_sum: int = 7
-) -> tuple[bool, str]:
+def check_equal_schedule_is_shortest(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """No valid single-traversal beat arrangement beats the emitted period.
 
     With one traversal per path, an arrangement is a multiset of beats in
@@ -339,8 +343,8 @@ def check_equal_schedule_is_shortest(
     """
     checked = 0
     bad = 0
-    for t1 in range(1, max_phase_sum):
-        for t2 in range(1, max_phase_sum - t1 + 1):
+    for t1 in range(1, _MAX_PHASE_SUM):
+        for t2 in range(1, _MAX_PHASE_SUM - t1 + 1):
             for bits in itertools.product((0, 1), repeat=t1 * t2):
                 rows = [
                     list(bits[i * t2:(i + 1) * t2]) for i in range(t1)
@@ -436,10 +440,11 @@ def _partitions_into(n: int, groups: int):
     yield from go(1, [])
 
 
+_WINDOW_MAX_SENDERS = 9  # of the window chains criterion 10 splits
+
+
 @_criterion(10, "worst-case chains split into equal groups uniquely")
-def check_unique_equal_split(
-    seed: int = DEFAULT_SEED, max_senders: int = 9
-) -> tuple[bool, str]:
+def check_unique_equal_split(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     """Worst-case windows split into intensity groups in exactly one way.
 
     For the chain where all senders closer than the intensity interfere,
@@ -448,7 +453,7 @@ def check_unique_equal_split(
     """
     checked = 0
     bad = 0
-    for n in range(1, max_senders + 1):
+    for n in range(1, _WINDOW_MAX_SENDERS + 1):
         for width in range(1, n + 1):
             pair = _window_pair(n, width)
             expected = [

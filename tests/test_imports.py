@@ -1,8 +1,11 @@
-"""Every name a beatsched module imports is used in that module.
+"""Every name a beatsched module imports is used in that module, and every
+private module-level name is read somewhere in the package.
 
 No linter ships with the project, so this test parses each module with
 `ast`: a name bound by an import must be read somewhere in the module,
-inside a quoted annotation, or be listed in the module's `__all__`.
+inside a quoted annotation, or be listed in the module's `__all__`. A
+module-level function, class or assignment whose name starts with a single
+underscore must be read outside its own definition, in any module.
 """
 
 import ast
@@ -81,3 +84,70 @@ def test_the_check_sees_an_unused_import():
     )
     used = read_names(tree)
     assert [name for name in imported_names(tree) if name not in used] == ["system", "PathPair"]
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) for each module-level function, class or assignment
+    whose name starts with a single underscore."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+        else:
+            continue
+        found += [(name, node) for name in names if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Names a statement reads: name loads, attribute loads and the names
+    its from-imports take."""
+    read = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            read.add(child.id)
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            read.add(child.attr)
+        elif isinstance(child, ast.ImportFrom):
+            read |= {alias.name for alias in child.names}
+    return read
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Private module-level names that no other statement of the package reads."""
+    statements = [(node, names_read(node)) for tree in trees.values() for node in tree.body]
+    return [
+        f"{module}: {name} (line {definition.lineno})"
+        for module, tree in trees.items()
+        for name, definition in private_definitions(tree)
+        if not any(name in read for node, read in statements if node is not definition)
+    ]
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES}
+    assert unread_private_names(trees) == [], "private names nothing in src/beatsched reads"
+
+
+def test_the_check_sees_an_unread_private_name():
+    trees = {
+        "a.py": ast.parse(
+            "_LIMIT = 3\n"
+            "_Alias = list[int]\n"
+            "_unused, _pair = 1, 2\n"
+            "__dunder__ = 0\n"
+            "def _recursive(n: _Alias):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Kept:\n"
+            "    def _method(self):\n"
+            "        return _LIMIT\n"
+            "def public():\n"
+            "    return _pair\n"
+        ),
+        "b.py": ast.parse("from .a import _Kept\n"),
+        "c.py": ast.parse("import a\nx = a._helper\ndef _helper(): pass\n"),
+    }
+    assert unread_private_names(trees) == ["a.py: _unused (line 3)", "a.py: _recursive (line 5)"]

@@ -3,15 +3,19 @@
 import random
 import re
 import sys
+from fractions import Fraction
+from math import gcd
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beatsched import matching
 from beatsched.errors import ConsistencyError, DomainError
 from beatsched.matching import (
-    _FlowNetwork,
+    _check_cover,
+    _check_flow,
     _core,
     _tiled_sizes,
     brute_force_max_support,
@@ -19,7 +23,8 @@ from beatsched.matching import (
     tiled_support_sizes,
     validate_support_set,
 )
-from beatsched.periods import continuation
+from beatsched.periods import build_matrix, continuation
+from beatsched.verify import pair_corpus
 from helpers import reference_violations
 
 matrices = st.integers(1, 5).flatmap(
@@ -62,6 +67,11 @@ class TestValidate:
     @pytest.mark.parametrize("element", [(1.7, 1), (1, 1.0), ("1", 1), (1, "x"), (True, 1)])
     def test_a_position_that_is_not_an_int_is_a_domain_error(self, element):
         with pytest.raises(DomainError, match=r"has a position that is not an int$"):
+            validate_support_set([[1]], [element])
+
+    @pytest.mark.parametrize("element", [(1,), (1, 1, 1), 5])
+    def test_an_element_that_is_not_a_pair_is_a_domain_error(self, element):
+        with pytest.raises(DomainError, match=f"^element {re.escape(repr(element))} is not a \\(row, column\\) pair$"):
             validate_support_set([[1]], [element])
 
     def test_ragged_matrix_rejected(self):
@@ -324,16 +334,13 @@ class TestTiledSupportSizes:
     def test_certificate_rejects_a_flow_that_is_not_maximum(self):
         # an empty flow on [[1]]: the search reached row 1 but not column 1,
         # so the cover misses entry (1, 1) and the flow is not proved maximum
-        network = _FlowNetwork([0b1], 1)
         with pytest.raises(ConsistencyError, match="outside the cover"):
-            network._check_cover(unreached_rows=0, reached_cols=0)
+            _check_cover([0b1], unreached_rows=0, reached_cols=0)
 
     def test_certificate_rejects_an_infeasible_flow(self):
         # one unit on the 0-entry (1, 2), with loads and size that agree
-        network = _FlowNetwork([0b01], 2)
-        network.flow, network.row_load, network.col_load, network.total = [[0, 1]], [1], [0, 1], 1
         with pytest.raises(ConsistencyError, match="off its 1-entries"):
-            network._check_flow(1, 1)
+            _check_flow([0b01], (1, 1), [[0, 1]], [1], [0, 1], 1)
 
 
 def row_masks(matrix):
@@ -350,14 +357,14 @@ class TestMaskKernel:
         """Record (cap_row, cap_col, failed) for every search, failed when it
         ended without a path rather than at its bound."""
         calls = []
-        search = _FlowNetwork._augment
+        search = matching._saturate
 
-        def counted(self, cap_row, cap_col, bound):
-            changed, cover = search(self, cap_row, cap_col, bound)
-            calls.append((cap_row, cap_col, cover is not None))
-            return changed, cover
+        def counted(ones, width, cap_row, cap_col, bound):
+            result = search(ones, width, cap_row, cap_col, bound)
+            calls.append((cap_row, cap_col, result[-1] is not None))
+            return result
 
-        monkeypatch.setattr(_FlowNetwork, "_augment", counted)
+        monkeypatch.setattr(matching, "_saturate", counted)
         return calls
 
     def test_matches_the_list_entry_point_and_the_oracles(self):
@@ -442,13 +449,13 @@ class TestMaskKernel:
 
     def test_a_forged_cover_is_rejected(self, monkeypatch):
         # the search claims the empty cover, which misses entry (1, 1)
-        monkeypatch.setattr(_FlowNetwork, "_augment", lambda self, r, c, bound: (False, (0, 0)))
+        monkeypatch.setattr(matching, "_saturate", lambda ones, width, r, c, bound: ([[0]], [0], [0], 0, (0, 0)))
         with pytest.raises(ConsistencyError, match="outside the cover"):
             _tiled_sizes([0b1], 1, 1)
 
     def test_a_cover_heavier_than_the_flow_is_rejected(self, monkeypatch):
         # a true cover (row 1), but the search stopped at the empty flow
-        monkeypatch.setattr(_FlowNetwork, "_augment", lambda self, r, c, bound: (False, (0b1, 0)))
+        monkeypatch.setattr(matching, "_saturate", lambda ones, width, r, c, bound: ([[0]], [0], [0], 0, (0b1, 0)))
         with pytest.raises(ConsistencyError, match="cover weight 1 differs from flow 0"):
             _tiled_sizes([0b1], 1, 1)
 
@@ -457,15 +464,15 @@ class TestMaskKernel:
         [((0, 1), 1, "off its 1-entries"), ((0, 0), 2, "exceed 1"), ((0, 0), -1, "below 0")],
     )
     def test_a_forged_flow_is_rejected(self, monkeypatch, entry, units, message):
-        def forged(self, cap_row, cap_col, bound):
+        def forged(ones, width, cap_row, cap_col, bound):
+            flow, row_load, col_load = [[0, 0]], [0], [0, 0]
             i, j = entry
-            self.flow[i][j] += units
-            self.row_load[i] += units
-            self.col_load[j] += units
-            self.total += units
-            return True, (0, 0b11)
+            flow[i][j] += units
+            row_load[i] += units
+            col_load[j] += units
+            return flow, row_load, col_load, units, (0, 0b11)
 
-        monkeypatch.setattr(_FlowNetwork, "_augment", forged)
+        monkeypatch.setattr(matching, "_saturate", forged)
         with pytest.raises(ConsistencyError, match=message):
             _tiled_sizes([0b01], 2, 1)
 
@@ -475,18 +482,27 @@ class TestCoverOracle:
     cover found by enumeration, and its homogeneity."""
 
     @staticmethod
-    def lightest_cover_weights(matrix, cap):
-        """Every entry as the lightest l1 * |U| + l2 * |C| over the pairs
-        (U, C) of row and column subsets that cover every 1-entry, found by
-        enumerating all such pairs."""
+    def cover_sizes(matrix):
+        """The sizes (|U|, |C|) of every pair (U, C) of row and column
+        subsets that covers every 1-entry, found by enumerating all pairs:
+        columns outside C must have no 1-entry outside the rows of U."""
         n, o = len(matrix), len(matrix[0])
-        ones = [(r, c) for r in range(n) for c in range(o) if matrix[r][c]]
-        sizes = {
-            (bin(rows).count("1"), bin(cols).count("1"))
-            for rows in range(1 << n)
-            for cols in range(1 << o)
-            if all(rows >> r & 1 or cols >> c & 1 for r, c in ones)
-        }
+        sizes = set()
+        for rows in range(1 << n):
+            needed = 0
+            for r in range(n):
+                if not rows >> r & 1:
+                    needed |= sum(1 << c for c in range(o) if matrix[r][c])
+            for cols in range(1 << o):
+                if cols & needed == needed:
+                    sizes.add((bin(rows).count("1"), bin(cols).count("1")))
+        return sizes
+
+    @classmethod
+    def lightest_cover_weights(cls, matrix, cap):
+        """Every entry as the lightest l1 * |U| + l2 * |C| over the pairs
+        (U, C) of row and column subsets that cover every 1-entry."""
+        sizes = cls.cover_sizes(matrix)
         steps = range(1, cap + 1)
         return tuple(tuple(min(l1 * a + l2 * c for a, c in sizes) for l2 in steps) for l1 in steps)
 
@@ -510,6 +526,59 @@ class TestCoverOracle:
                 for l2 in range(1, cap + 1):
                     for k in range(2, cap // max(l1, l2) + 1):
                         assert sizes[k * l1 - 1][k * l2 - 1] == k * sizes[l1 - 1][l2 - 1], (matrix, l1, l2, k)
+
+
+class TestRateBound:
+    """The joint rate of l1 x l2 traversals, R(l1, l2) = (l1 + l2) /
+    (l1 * t1 + l2 * t2 - S(l1, l2)) for a t1 x t2 joint matrix, depends only
+    on l1 : l2 and is monotone in it on each hull piece. So no grid point
+    beats the best rate over the hull's breakpoint rays and the two limits,
+    1 / t1 and 1 / t2, and that bound stays below the paper's 1/t1 + 1/t2."""
+
+    @staticmethod
+    def breakpoint_rays(sizes):
+        """(l1, l2, P) for each ray (c_Q - c_P, a_P - a_Q) where adjacent
+        covers P and Q of the lower hull of the cover sizes (a, c) weigh the
+        same, P being the one with more rows."""
+        hull = []
+        for a, c in sorted(sizes):
+            if hull and c >= hull[-1][1]:
+                continue  # another cover has no more rows and no more columns
+            while len(hull) > 1 and (
+                (hull[-1][0] - hull[-2][0]) * (c - hull[-2][1]) - (hull[-1][1] - hull[-2][1]) * (a - hull[-2][0]) <= 0
+            ):
+                hull.pop()
+            hull.append((a, c))
+        return [(q[1] - p[1], p[0] - q[0], p) for q, p in zip(hull, hull[1:])]
+
+    @staticmethod
+    def rate(t1, t2, l1, l2, size):
+        return Fraction(l1 + l2, l1 * t1 + l2 * t2 - size)
+
+    def cases(self):
+        rng = random.Random("matching/rate-bound")
+        cases = [[[1] * 4 for _ in range(3)], [[0] * 3 for _ in range(2)], [[1, 0], [0, 0]]]
+        cases += [random_matrix(rng, 6, 6) for _ in range(200)]
+        for seed in (1, 2):
+            cases += [build_matrix(case.pair, case.period1, case.period2).rows for case in pair_corpus(seed, 40)]
+        return cases
+
+    def test_no_grid_point_beats_the_best_breakpoint_rate(self):
+        reached = 0
+        for matrix in self.cases():
+            t1, t2 = len(matrix), len(matrix[0])
+            rays = self.breakpoint_rays(TestCoverOracle.cover_sizes(matrix))
+            at_rays = {(l1, l2): self.rate(t1, t2, l1, l2, l1 * a + l2 * c) for l1, l2, (a, c) in rays}
+            bound = max([Fraction(1, t1), Fraction(1, t2), *at_rays.values()])
+            sizes = tiled_support_sizes(matrix, 12)
+            best = max(
+                self.rate(t1, t2, l1, l2, sizes[l1 - 1][l2 - 1]) for l1 in range(1, 13) for l2 in range(1, 13)
+            )
+            assert best <= bound <= Fraction(1, t1) + Fraction(1, t2), matrix
+            if any(rate == bound and max(l1, l2) // gcd(l1, l2) <= 12 for (l1, l2), rate in at_rays.items()):
+                assert best == bound, matrix
+                reached += 1
+        assert reached > 100
 
 
 class TestCore:

@@ -302,6 +302,38 @@ class TestScheduleType:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             schedule_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"period": 0, "beats": ()}, "schedule field period must be >= 1, got 0"),
+            ({"path_periods": {1: 3, 2: 3}},
+             "schedule path_periods has paths [1, 2] but activation_counts has [1]"),
+            ({"activation_counts": {2: 1}}, "schedule path_periods has paths [1] but activation_counts has [2]"),
+            ({"activation_counts": {1: 0}}, "schedule field activation_counts[1] must be >= 1, got 0"),
+            ({"path_periods": {1: -3}}, "schedule field path_periods[1] must be >= 1, got -3"),
+        ],
+    )
+    def test_bookkeeping_is_checked_when_a_schedule_is_built(self, chain6, changes, message):
+        # a schedule with no beats, a path missing from one mapping, or a
+        # count below 1 would otherwise fail later in run, measure_delay or
+        # predicted_throughput; built directly and from a dict alike
+        schedule = schedule_primary(chain6, 1)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(schedule, **changes)
+        # to_dict writes beats as a list; int mapping keys load as they are
+        data = schedule.to_dict() | {key: list(v) if key == "beats" else v for key, v in changes.items()}
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            schedule_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"period": True}, "period must be an int, got True"),
+         ({"activation_counts": {1: 1.0}}, "activation_counts[1] must be an int, got 1.0")],
+    )
+    def test_a_count_that_is_no_int_is_rejected_when_a_schedule_is_built(self, chain6, changes, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(schedule_primary(chain6, 1), **changes)
+
     def test_a_schedule_that_is_no_dict_is_rejected(self, chain6):
         data = schedule_primary(chain6, 1).to_dict()
         for wrong, kind in (([data], "list"), ("schedule", "str"), (None, "NoneType")):
