@@ -17,6 +17,14 @@ than one block. Schedules built from a tiled support set can briefly
 park a few blocks at one relay; the bound is the per-path traversal
 count. Throughput accounting is exact integers and rationals throughout.
 
+Each call compiles its schedule once into slot programs, one per beat
+(`_slot_programs`), and steps them with `_ChainState.step`. The steps
+run downstream first, so each relay forwards what it held at the start
+of the beat before its upstream neighbor's block lands. A buffer grows
+only when a block lands, after the buffer's own departure of the beat,
+so its depth on arrival is its depth at the end of the beat, and the
+largest depth seen at arrivals is the largest at any beat's end.
+
 A run does not have to step every beat it covers. The whole state that
 decides the future is the buffer contents, because the schedule repeats
 with its period. At each period boundary the buffers are keyed relative
@@ -30,9 +38,9 @@ the periodic regime is proven, not assumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .model import PathPair, _check_counts
@@ -67,8 +75,18 @@ class SimReport:
 
 
 # What a period boundary leaves behind: per-path injections, per-path
-# deliveries, and every buffer's depth.
-_Mark = tuple[dict[int, int], dict[int, int], list[int]]
+# deliveries, and per-path blocks in flight.
+_Mark = tuple[dict[int, int], dict[int, int], dict[int, int]]
+
+
+class _Slot(NamedTuple):
+    """One schedule beat compiled for one run: its senders in activation
+    and member order, their moves (see `_ChainState.sends`) downstream
+    first, and whether the senders form a concurrency subset."""
+
+    senders: tuple[int, ...]
+    steps: tuple[tuple, ...]
+    legal: bool
 
 
 class _ChainState:
@@ -79,36 +97,36 @@ class _ChainState:
     """
 
     def __init__(self, pair: PathPair) -> None:
-        senders = pair.nodes
-        self.labels = [str(ref) for ref in senders]
-        self.path_of = [ref.path_id for ref in senders]
-        self.is_source = [ref.seq == 1 for ref in senders]
-        self.is_last = [ref.seq == pair.path(ref.path_id).n_senders for ref in senders]
-        self.buffers: list[list[tuple[int, int]]] = [[] for _ in senders]
-        self.spans: dict[int, slice] = {}
+        self.buffers: list[list[tuple[int, int]]] = [[] for _ in range(pair.total_senders)]
         self.injected: dict[int, int] = {}
         self.delivered_log: dict[int, list[tuple[int, int, int]]] = {}
         # deliveries that the books count but the log skips (see _repeat_cycle)
         self.unlogged: dict[int, int] = {}
+        self.books: list[tuple[int, list[list], list]] = []  # (path id, buffers, log)
+        # sender i's move: (i, path id, its buffer or None for a source, the
+        # next buffer or the path's delivery log, whether that is the log)
+        self.sends: list[tuple] = []
         for path in pair.paths:
-            start = pair.offset(path.id)
-            self.spans[path.id] = slice(start, start + path.n_senders)
-            self.injected[path.id] = 0
-            self.delivered_log[path.id] = []
-            self.unlogged[path.id] = 0
+            pid, start, n = path.id, pair.offset(path.id), path.n_senders
+            queues = self.buffers[start:start + n]
+            log = self.delivered_log[pid] = []
+            self.injected[pid] = self.unlogged[pid] = 0
+            self.books.append((pid, queues, log))
+            self.sends += [
+                (start + seq - 1, pid, queue if seq > 1 else None, log if seq == n else queues[seq], seq == n)
+                for seq, queue in enumerate(queues, 1)
+            ]
         self.max_depth = 0
 
-    def check_conservation(self, depths: list[int]) -> None:
-        """Balance each path's books from the buffers' real depths."""
-        for path_id, span in self.spans.items():
-            in_flight = sum(depths[span])
-            balance = self.injected[path_id] - in_flight
-            delivered = self.unlogged[path_id] + len(self.delivered_log[path_id])
-            if balance != delivered:
-                raise ConsistencyError(
-                    f"path {path_id}: injected {self.injected[path_id]}, "
-                    f"in flight {in_flight}, delivered {delivered} do not balance"
-                )
+    def check_conservation(self, in_flight: dict[int, int] | None = None) -> None:
+        """Balance each path's books from the buffers' real depths, or from
+        the blocks in flight that a mark recorded."""
+        for path_id, queues, log in self.books:
+            flying = sum(map(len, queues)) if in_flight is None else in_flight[path_id]
+            delivered = self.unlogged[path_id] + len(log)
+            if self.injected[path_id] - flying != delivered:
+                raise ConsistencyError(f"path {path_id}: injected {self.injected[path_id]}, "
+                                       f"in flight {flying}, delivered {delivered} do not balance")
 
     def boundary_key(self, beat: int) -> tuple[int, ...]:
         """The buffers as seen from the end of `beat`: every buffered block,
@@ -117,84 +135,75 @@ class _ChainState:
         key: list[int] = []
         for i, queue in enumerate(self.buffers):
             for serial, born in queue:
-                key += (i, self.injected[self.path_of[i]] - serial, beat - born)
+                key += (i, self.injected[self.sends[i][1]] - serial, beat - born)
         return tuple(key)
 
     def mark(self) -> _Mark:
-        return (
-            dict(self.injected),
-            {pid: len(log) for pid, log in self.delivered_log.items()},
-            list(map(len, self.buffers)),
-        )
+        in_flight = {pid: sum(map(len, queues)) for pid, queues, _ in self.books}
+        return dict(self.injected), {pid: len(log) for pid, _, log in self.books}, in_flight
 
-    def step(
-        self, beat_index: int, activated: tuple[int, ...], record: bool = False
-    ) -> list[dict] | None:
-        """Advance one beat; with `record`, return block movement records."""
-        departures: list[tuple[int, tuple[int, int]]] = []
-        for i in activated:
-            if self.is_source[i]:
-                path_id = self.path_of[i]
-                self.injected[path_id] += 1
-                departures.append((i, (self.injected[path_id], beat_index)))
+    def step(self, beat: int, program: _Slot, moved: dict[int, list[int]] | None = None) -> bool:
+        """Advance one beat by its slot program, then balance the books.
+        Returns whether a block reached a destination; with `moved`, lists
+        each moved block's serial under its sender, in step order."""
+        delivered = False
+        for i, path_id, queue, target, delivers in program.steps:
+            if queue is None:
+                serial = self.injected[path_id] = self.injected[path_id] + 1
+                block = (serial, beat)
+            elif queue:
+                block = queue.pop(0)
             else:
-                queue = self.buffers[i]
-                if queue:
-                    departures.append((i, queue.pop(0)))
-        moves: list[dict] | None = [] if record else None
-        for i, block in departures:
-            path_id = self.path_of[i]
-            if self.is_last[i]:
-                self.delivered_log[path_id].append((*block, beat_index))
-                target = f"dest{path_id}"
+                continue
+            if delivers:
+                target.append((*block, beat))
+                delivered = True
             else:
-                self.buffers[i + 1].append(block)
-                target = self.labels[i + 1]
-            if moves is not None:
-                moves.append(
-                    {
-                        "block": f"p{path_id}b{block[0]}",
-                        "from": self.labels[i],
-                        "to": target,
-                    }
-                )
-        depths = list(map(len, self.buffers))
-        self.max_depth = max(self.max_depth, *depths)
-        self.check_conservation(depths)
-        return moves
+                target.append(block)
+                if len(target) > self.max_depth:
+                    self.max_depth = len(target)
+            if moved is not None:
+                moved.setdefault(i, []).append(block[0])
+        self.check_conservation()
+        return delivered
 
 
 def _check_fifo(state: _ChainState) -> None:
     for path_id, log in state.delivered_log.items():
         serials = [serial for serial, _, _ in log]
         if serials != sorted(serials):
-            raise ConsistencyError(
-                f"path {path_id} deliveries left injection order: {serials}"
-            )
+            raise ConsistencyError(f"path {path_id} deliveries left injection order: {serials}")
 
 
-def _dense_beats(
-    pair: PathPair, schedule: Schedule
-) -> tuple[list[tuple[int, ...]], list[bool]]:
-    """Each schedule beat's senders as dense indices, in activation and
-    member order, and whether together they form a concurrency subset."""
-    first = {path.id: (pair.offset(path.id), path.n_senders) for path in pair.paths}
-    dense: list[tuple[int, ...]] = []
-    legal: list[bool] = []
+def _slot_programs(pair: PathPair, schedule: Schedule, state: _ChainState) -> list[_Slot]:
+    """Each schedule beat's slot program, bound to `state`. An activation
+    object, and a sender sequence with its union mask, are each compiled
+    once, however often the schedule repeats them."""
+    first = {path.id: (pair.offset(path.id) - 1, path.n_senders) for path in pair.paths}
+    acts: dict[int, tuple[tuple[int, ...], int]] = {}
+    programs: dict[tuple[int, ...], _Slot] = {}
+    out: list[_Slot] = []
     for beat in schedule.beats:
-        indices: list[int] = []
-        for act in beat.activations:
-            start, n = first.get(act.path_id, (0, 0))
-            if not all(1 <= seq <= n for seq in act.members):
-                # a member that is no sender: the node-level check names it
-                pair.mask_of(beat.nodes())
-            indices.extend(start - 1 + seq for seq in act.members)
+        senders: tuple[int, ...] = ()
         mask = 0
-        for i in indices:
-            mask |= 1 << i
-        dense.append(tuple(indices))
-        legal.append(pair.is_concurrent_mask(mask))
-    return dense, legal
+        for act in beat.activations:
+            compiled = acts.get(id(act))
+            if compiled is None:
+                base, n = first.get(act.path_id, (0, 0))
+                act_mask = 0
+                for seq in act.members:
+                    if not 0 < seq <= n:
+                        # a member that is no sender: the node-level check names it
+                        pair.mask_of(beat.nodes())
+                    act_mask |= 1 << (base + seq)
+                compiled = acts[id(act)] = tuple(base + seq for seq in act.members), act_mask
+            senders += compiled[0]
+            mask |= compiled[1]
+        if senders not in programs:
+            steps = tuple(map(state.sends.__getitem__, sorted(senders, reverse=True)))
+            programs[senders] = _Slot(senders, steps, pair.is_concurrent_mask(mask))
+        out.append(programs[senders])
+    return out
 
 
 def _repeat_cycle(
@@ -215,7 +224,7 @@ def _repeat_cycle(
     # the run's last boundary repeats boundary `rest`, `repeats` cycles on
     rest = first + (total_periods - first) % cycle_periods
     repeats = (total_periods - rest) // cycle_periods
-    injected_rest, _, depths_rest = marks[rest]
+    injected_rest, _, in_flight_rest = marks[rest]
     injected_end: dict[int, int] = {}
     for path_id, log in state.delivered_log.items():
         gain = state.injected[path_id] - injected_first[path_id]
@@ -230,7 +239,7 @@ def _repeat_cycle(
             )
         injected_end[path_id] = injected_rest[path_id] + repeats * gain
     state.injected = injected_end
-    state.check_conservation(depths_rest)
+    state.check_conservation(in_flight_rest)
 
 
 def default_warmup_periods(pair: PathPair, schedule: Schedule) -> int:
@@ -242,10 +251,7 @@ def default_warmup_periods(pair: PathPair, schedule: Schedule) -> int:
     the window inside the periodic regime; the tests check
     `steady_state_after` against this bound on seeded corpora.
     """
-    longest = max(
-        pair.path(pid).n_senders for pid in schedule.path_periods
-    )
-    return longest + 2
+    return max(pair.path(pid).n_senders for pid in schedule.path_periods) + 2
 
 
 def run(
@@ -296,8 +302,11 @@ def run(
     period = schedule.period
     total_periods = warmup_periods + n_periods
     window_start = warmup_periods * period + 1
-    dense, legal = _dense_beats(pair, schedule)
-    trace: list[dict] | None = [] if collect_trace else None
+    programs = _slot_programs(pair, schedule, state)
+    trace: list[dict] | None = None
+    if collect_trace:
+        trace, labels = [], [str(ref) for ref in pair.nodes]
+        heads = [f"dest{pid}" if delivers else labels[i + 1] for i, pid, _, _, delivers in state.sends]
 
     seen: dict[tuple[int, ...], int] = {}
     marks: list[_Mark] = []
@@ -313,27 +322,29 @@ def run(
                     break
         if boundary == total_periods:
             break
-        for slot in range(period):
-            beat_index = boundary * period + slot + 1
-            moves = state.step(beat_index, dense[slot], record=trace is not None)
-            if trace is not None:
-                trace.append(
-                    {
-                        "beat": beat_index,
-                        "category": schedule.beats[slot].category,
-                        "activated": [state.labels[i] for i in dense[slot]],
-                        "moves": moves,
-                    }
-                )
+        for beat_index, (program, beat) in enumerate(zip(programs, schedule.beats), boundary * period + 1):
+            moved = None if trace is None else {}
+            state.step(beat_index, program, moved)
+            if moved is not None:
+                # a sender listed twice steps twice in a row: serials in listing order
+                trace.append({
+                    "beat": beat_index,
+                    "category": beat.category,
+                    "activated": [labels[i] for i in program.senders],
+                    "moves": [
+                        {"block": f"p{state.sends[i][1]}b{moved[i].pop(0)}", "from": labels[i], "to": heads[i]}
+                        for i in program.senders if moved.get(i)
+                    ],
+                })
     _check_fifo(state)
 
-    illegal = [slot for slot, ok in enumerate(legal) if not ok]
+    illegal = [slot for slot, program in enumerate(programs) if not program.legal]
     violations = total_periods * len(illegal)
     violation_examples: list[str] = []
     for count in range(min(violations, 5)):
         periods_before, position = divmod(count, len(illegal))
         slot = illegal[position]
-        names = ", ".join(state.labels[i] for i in dense[slot])
+        names = ", ".join(map(str, schedule.beats[slot].nodes()))
         violation_examples.append(
             f"beat {periods_before * period + slot + 1}: activated set "
             f"{{{names}}} is not a concurrency subset"
@@ -345,12 +356,8 @@ def run(
     for path_id, log in state.delivered_log.items():
         tail = [record for record in log if record[2] >= window_start]
         delivered[path_id] = len(tail)
-        delays[path_id] = [
-            arrived - injected + 1 for _, injected, arrived in tail
-        ]
-    per_path = {
-        pid: Fraction(count, window_beats) for pid, count in delivered.items()
-    }
+        delays[path_id] = [arrived - injected + 1 for _, injected, arrived in tail]
+    per_path = {pid: Fraction(count, window_beats) for pid, count in delivered.items()}
     measured = Fraction(sum(delivered.values()), window_beats)
 
     return SimReport(
@@ -369,39 +376,31 @@ def run(
     )
 
 
-def measure_delay(
-    pair: PathPair, schedule: Schedule, block_count: int
-) -> dict[int, list[int]]:
+def measure_delay(pair: PathPair, schedule: Schedule, block_count: int) -> dict[int, list[int]]:
     """End-to-end delays of the first block_count blocks on each path.
 
     Runs cold (no warmup) so the very first block's delay reflects the
     raw pipeline traversal. Delay counts both the injection beat and the
-    arrival beat, so a single-sender path has delay 1.
+    arrival beat, so a single-sender path has delay 1. The beat budget is
+    the slowest path's period / activation count times (block_count +
+    senders + 8), rounded up.
     """
     _check_counts(f"block count must be >= 1, got {block_count}", block_count=block_count)
     path_ids = sorted(schedule.path_periods)
+    blocks = block_count + sum(pair.path(pid).n_senders for pid in path_ids) + 8
+    beat_budget = max(-(-schedule.period * blocks // schedule.activation_counts[pid]) for pid in path_ids)
     state = _ChainState(pair)
-    total_senders = sum(pair.path(pid).n_senders for pid in path_ids)
-    slowest = max(
-        Fraction(schedule.period, schedule.activation_counts[pid])
-        for pid in path_ids
-    )
-    beat_budget = math.ceil(slowest * (block_count + total_senders + 8))
-    dense, _ = _dense_beats(pair, schedule)
+    logs = [state.delivered_log[pid] for pid in path_ids]
+    programs = _slot_programs(pair, schedule, state)
     for beat_index in range(1, beat_budget + 1):
-        state.step(beat_index, dense[(beat_index - 1) % schedule.period])
-        if all(
-            len(state.delivered_log[pid]) >= block_count for pid in path_ids
-        ):
-            break
+        if state.step(beat_index, programs[(beat_index - 1) % schedule.period]):
+            if min(map(len, logs)) >= block_count:
+                break
     _check_fifo(state)
     result: dict[int, list[int]] = {}
-    for pid in path_ids:
-        log = state.delivered_log[pid][:block_count]
+    for pid, log in zip(path_ids, logs):
         if len(log) < block_count:
-            raise ConsistencyError(
-                f"path {pid} delivered only {len(log)} of {block_count} "
-                f"blocks within {beat_budget} beats"
-            )
-        result[pid] = [arrived - injected + 1 for _, injected, arrived in log]
+            raise ConsistencyError(f"path {pid} delivered only {len(log)} of {block_count} "
+                                   f"blocks within {beat_budget} beats")
+        result[pid] = [arrived - injected + 1 for _, injected, arrived in log[:block_count]]
     return result

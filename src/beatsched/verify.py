@@ -57,9 +57,13 @@ __all__ = [
 # ---------------------------------------------------------------- corpora
 
 
-def random_line_scenario(rng: Random, max_senders: int = 12) -> PathPair:
+_LINE_MAX_SENDERS = 12  # of random_line_scenario
+_PAIR_MAX_SENDERS = 8  # per chain of random_pair_scenario
+
+
+def random_line_scenario(rng: Random) -> PathPair:
     """One chain on a line: random sender count, gaps, and disk radius."""
-    n = rng.randint(1, max_senders)
+    n = rng.randint(1, _LINE_MAX_SENDERS)
     x = 0.0
     points = []
     for _ in range(n + 1):
@@ -67,9 +71,6 @@ def random_line_scenario(rng: Random, max_senders: int = 12) -> PathPair:
         x += rng.uniform(0.6, 1.6)
     conflicts = _disk_masks([points], rng.uniform(0.2, 3.2), half_duplex=True)
     return PathPair._from_conflicts(PrimaryPath(id=1, n_senders=n), None, conflicts)
-
-
-_PAIR_MAX_SENDERS = 8  # per chain of random_pair_scenario
 
 
 def random_pair_scenario(rng: Random) -> PathPair:

@@ -1,6 +1,8 @@
 """Exact beat-by-beat execution: rates, delays, ordering, violations."""
 
 import dataclasses
+import itertools
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -8,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from beatsched import simulator
-from beatsched.errors import DomainError
-from beatsched.model import is_concurrency_subset
+from beatsched.errors import ConsistencyError, DomainError
+from beatsched.model import NodeRef, is_concurrency_subset
 from beatsched.scheduler import (
     CATEGORY_PATH1,
     Beat,
@@ -25,26 +27,69 @@ from beatsched.verify import line_corpus, pair_corpus, pair_from_joint_matrix
 from helpers import OBSTRUCTION_C, line_pair, two_line_pair
 
 
+class ReferenceChains:
+    """FIFO buffers keyed by `NodeRef`, stepped with every departure of a
+    beat collected from the state at the start of the beat before any
+    arrival lands; the loop `run` used before it compiled slot programs."""
+
+    def __init__(self, pair):
+        self.pair = pair
+        self.buffers = {ref: [] for ref in pair.nodes}
+        self.injected = {path.id: 0 for path in pair.paths}
+        self.delivered_log = {path.id: [] for path in pair.paths}
+        self.max_depth = 0
+
+    def step(self, beat_index, refs):
+        """Advance one beat; returns its block movement records."""
+        departures = []
+        for ref in refs:
+            if ref.seq == 1:
+                self.injected[ref.path_id] += 1
+                departures.append((ref, (self.injected[ref.path_id], beat_index)))
+            elif self.buffers[ref]:
+                departures.append((ref, self.buffers[ref].pop(0)))
+        moves = []
+        for ref, block in departures:
+            if ref.seq == self.pair.path(ref.path_id).n_senders:
+                self.delivered_log[ref.path_id].append((*block, beat_index))
+                target = f"dest{ref.path_id}"
+            else:
+                head = NodeRef(ref.path_id, ref.seq + 1)
+                self.buffers[head].append(block)
+                target = str(head)
+            moves.append({"block": f"p{ref.path_id}b{block[0]}", "from": str(ref), "to": target})
+        self.max_depth = max(self.max_depth, *map(len, self.buffers.values()))
+        return moves
+
+
+def reference_beats(pair, schedule):
+    """A cold run stepped beat after beat without end: yields each beat's
+    index, its schedule slot, its moves and the state after it."""
+    activated_refs = [beat.nodes() for beat in schedule.beats]
+    state = ReferenceChains(pair)
+    for beat_index in itertools.count(1):
+        slot = (beat_index - 1) % schedule.period
+        moves = state.step(beat_index, activated_refs[slot])
+        yield beat_index, slot, moves, state
+
+
 def reference_run(pair, schedule, n_periods, warmup_periods=None, collect_trace=False):
     """Step every beat of the run and measure the window; the loop `run`
     used before it learned to stop at a proven steady state."""
     if warmup_periods is None:
         warmup_periods = default_warmup_periods(pair, schedule)
-    state = simulator._ChainState(pair)
     period = schedule.period
     window_start = warmup_periods * period + 1
     total_beats = (warmup_periods + n_periods) * period
     activated_refs = [beat.nodes() for beat in schedule.beats]
     legal = [not refs or is_concurrency_subset(pair, refs) for refs in activated_refs]
-    dense = [tuple(map(pair.index_of, refs)) for refs in activated_refs]
     violations = 0
     violation_examples = []
     trace = [] if collect_trace else None
     delivered_before = {}
-    for beat_index in range(1, total_beats + 1):
-        if beat_index == window_start:
+    for beat_index, slot, moves, state in itertools.islice(reference_beats(pair, schedule), total_beats):
+        if beat_index == window_start - 1:
             delivered_before = {pid: len(log) for pid, log in state.delivered_log.items()}
-        slot = (beat_index - 1) % period
         if not legal[slot]:
             violations += 1
             if len(violation_examples) < 5:
@@ -53,7 +98,6 @@ def reference_run(pair, schedule, n_periods, warmup_periods=None, collect_trace=
                     f"beat {beat_index}: activated set {{{names}}} is not "
                     "a concurrency subset"
                 )
-        moves = state.step(beat_index, dense[slot], record=trace is not None)
         if trace is not None:
             trace.append(
                 {
@@ -83,6 +127,20 @@ def reference_run(pair, schedule, n_periods, warmup_periods=None, collect_trace=
         max_buffer_depth=state.max_depth,
         trace=trace,
     )
+
+
+def reference_delays(pair, schedule, block_count):
+    """The delays of the first block_count deliveries on each scheduled
+    path of a cold stepped run, stepped until every path has them."""
+    path_ids = sorted(schedule.path_periods)
+    for beat_index, _, _, state in reference_beats(pair, schedule):
+        logs = [state.delivered_log[pid] for pid in path_ids]
+        if min(map(len, logs)) >= block_count:
+            return {
+                pid: [arrived - injected + 1 for _, injected, arrived in log[:block_count]]
+                for pid, log in zip(path_ids, logs)
+            }
+        assert beat_index < 10_000, "the reference run stalled"
 
 
 def assert_matches_reference(pair, schedule, n_periods, warmup_periods=None, collect_trace=False):
@@ -132,6 +190,11 @@ def corpus_schedules():
             schedule_pair_unequal(case.pair, t1, t2, case.traversals1, case.traversals2),
         ))
     return cases
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return corpus_schedules()
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +300,15 @@ class TestDelays:
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 measure_delay(chain6, schedule, block_count)
 
+    def test_delays_equal_the_stepped_reference(self, corpus):
+        obstruction = pair_from_joint_matrix(OBSTRUCTION_C)
+        queueing = schedule_pair_unequal(obstruction, 2, 3, 3, 2)  # parks 2 blocks at a relay
+        rng = random.Random(18)
+        for pair, schedule in corpus + [(obstruction, queueing)]:
+            block_count = rng.randint(1, 6)
+            expected = reference_delays(pair, schedule, block_count)
+            assert measure_delay(pair, schedule, block_count) == expected
+
     def test_chain_length_delay_across_sizes(self):
         # Ascending phase order hands a fresh block one hop per beat, so
         # the cold-start delay equals the sender count.
@@ -244,6 +316,43 @@ class TestDelays:
             pair = line_pair(size)
             delays = measure_delay(pair, schedule_primary(pair, 1), 1)
             assert delays[1] == [size]
+
+
+class TestIntegrityChecks:
+    """Each consistency check fires on a forged state or schedule."""
+
+    def stepped_state(self, pair, schedule, beats):
+        state = simulator._ChainState(pair)
+        programs = simulator._slot_programs(pair, schedule, state)
+        for beat_index in range(1, beats + 1):
+            state.step(beat_index, programs[(beat_index - 1) % schedule.period])
+        return state, programs
+
+    def test_a_lost_block_unbalances_the_books(self, chain6):
+        state, programs = self.stepped_state(chain6, schedule_primary(chain6, 1), 1)
+        state.buffers[1].clear()  # block 1 vanishes from n1.2's buffer
+        message = "path 1: injected 1, in flight 0, delivered 0 do not balance"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            state.step(2, programs[1])
+
+    def test_an_overtaking_block_breaks_fifo(self, chain6):
+        schedule = schedule_primary(chain6, 1)
+        state, programs = self.stepped_state(chain6, schedule, 4)
+        # block 1 waits at n1.5 and block 2 at n1.2: swap them
+        state.buffers[1][0], state.buffers[4][0] = state.buffers[4][0], state.buffers[1][0]
+        for beat_index in range(5, 13):
+            state.step(beat_index, programs[(beat_index - 1) % 3])
+        message = "path 1 deliveries left injection order: [2, 1, 3]"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            simulator._check_fifo(state)
+
+    def test_a_schedule_slower_than_its_counts_runs_out_of_beats(self, chain6):
+        # three traversals claimed per period, one made: the budget of
+        # 3 * (10 + 6 + 8) / 3 = 24 beats sees blocks land at beats 6, 9, .., 24
+        forged = dataclasses.replace(schedule_primary(chain6, 1), activation_counts={1: 3})
+        message = "path 1 delivered only 7 of 10 blocks within 24 beats"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            measure_delay(chain6, forged, 10)
 
 
 class TestReportShape:
@@ -328,10 +437,6 @@ class TestViolationHandling:
 
 
 class TestProvenSteadyState:
-    @pytest.fixture(scope="class")
-    def corpus(self):
-        return corpus_schedules()
-
     def test_corpus_reports_equal_the_stepped_reference(self, corpus):
         for pair, schedule in corpus:
             for n_periods, warmup in RUN_SHAPES:
@@ -378,13 +483,30 @@ class TestProvenSteadyState:
             "beat 2", "beat 6", "beat 10"
         ]
 
+    def test_senders_listed_twice_or_out_of_order_match_the_reference(self, far_pair):
+        # relays listed twice and upstream of each other, path 2 listed first
+        beats = (
+            Beat(CATEGORY_PATH1, (
+                SubsetActivation(path_id=2, spacing=1, phase=1, members=(2, 1, 3)),
+                SubsetActivation(path_id=1, spacing=1, phase=1, members=(2, 1, 1)),
+            )),
+            Beat(CATEGORY_PATH1, (
+                SubsetActivation(path_id=1, spacing=1, phase=1, members=(4, 3, 3, 5, 6, 2)),
+                SubsetActivation(path_id=2, spacing=1, phase=1, members=(4, 3, 4)),
+            )),
+        )
+        schedule = Schedule(2, beats, {1: 1, 2: 1}, {1: 1, 2: 1}, kind="pair-unequal")
+        for n_periods, warmup in RUN_SHAPES:
+            assert_matches_reference(far_pair, schedule, n_periods, warmup, collect_trace=True)
+        assert measure_delay(far_pair, schedule, 3) == reference_delays(far_pair, schedule, 3)
+
     def test_run_stops_stepping_once_periodic(self, chain6, monkeypatch):
         stepped = []
         step = simulator._ChainState.step
 
-        def counting(state, beat_index, activated, record=False):
+        def counting(state, beat_index, program, moved=None):
             stepped.append(beat_index)
-            return step(state, beat_index, activated, record)
+            return step(state, beat_index, program, moved)
 
         monkeypatch.setattr(simulator._ChainState, "step", counting)
         schedule = schedule_primary(chain6, 1)
