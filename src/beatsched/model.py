@@ -16,7 +16,8 @@ which makes adjacent senders of one chain interfere.
 Inside the library a relation is held one way only, as a `PathPair`'s
 conflict masks, one integer per sender. `InterferenceRelation` and `NodeRef`
 pairs are its form at the API and I/O boundary; `PathPair.relation` is that
-view of the masks, built on demand. `_disk_masks` builds the masks of every
+view of the masks, built on demand, and it hands the masks back to a
+`PathPair` over the same senders. `_disk_masks` builds the masks of every
 geometric pair, for derive_relation, the CLI, the corpora and the optimizer.
 """
 
@@ -89,6 +90,8 @@ class InterferenceRelation:
 
     Stores only the interfering pairs; any pair not stored is concurrent
     (two distinct senders either interfere or may share a beat, never both).
+    `PathPair.relation` is a view that holds its pair's masks instead and
+    builds the pairs on first read.
     """
 
     def __init__(self, interfering_pairs: Iterable[tuple[NodeRef, NodeRef]] = ()):
@@ -97,7 +100,24 @@ class InterferenceRelation:
             if a == b:
                 raise DomainError(f"a node cannot interfere with itself: {a}")
             pairs.add(frozenset((a, b)))
-        self._pairs: frozenset[frozenset[NodeRef]] = frozenset(pairs)
+        self._pairs = frozenset(pairs)
+
+    @classmethod
+    def _view(cls, nodes: tuple[NodeRef, ...], conflicts: tuple[int, ...]) -> "InterferenceRelation":
+        """The relation of a pair's checked conflict masks over `nodes`, its
+        senders in dense order. Its pairs are built on first read, and a
+        `PathPair` over the same senders takes the masks as they are."""
+        view = cls.__new__(cls)
+        view._nodes = nodes
+        view._conflicts = conflicts
+        return view
+
+    @cached_property
+    def _pairs(self) -> frozenset[frozenset[NodeRef]]:
+        nodes, conflicts = self._nodes, self._conflicts
+        return frozenset(
+            frozenset((a, nodes[j])) for i, a in enumerate(nodes) for j in _bits(conflicts[i] & -(2 << i))
+        )
 
     def interferes(self, a: NodeRef, b: NodeRef) -> bool:
         """True when a and b may not transmit in the same beat."""
@@ -155,7 +175,9 @@ class PathPair:
     is the mask of the senders that interfere with sender i. Equality and
     hashing compare (path1, path2, _conflicts). `relation` is a view of the
     masks, built on first use or kept from `PathPair(path1, path2, relation)`;
-    pairs that already have masks are built by `_from_conflicts`.
+    pairs that already have masks are built by `_from_conflicts`, and a pair
+    given another pair's view over the same senders takes its masks as they
+    are.
     """
 
     path1: PrimaryPath
@@ -164,6 +186,12 @@ class PathPair:
 
     def __init__(self, path1: PrimaryPath, path2: PrimaryPath | None, relation: InterferenceRelation):
         n = self._set_paths(path1, path2)
+        nodes = getattr(relation, "_nodes", None)
+        if nodes is not None and nodes == self.nodes:
+            # a view of masks over these very senders, checked when they were built
+            object.__setattr__(self, "_conflicts", relation._conflicts)
+            self.__dict__["relation"] = relation
+            return
         # an empty relation, as in a bare pair handed to derive_relation, needs no index
         index = self._index if relation.pairs else {}
         conflicts = [0] * n
@@ -206,10 +234,7 @@ class PathPair:
     @cached_property
     def relation(self) -> InterferenceRelation:
         """The interfering sender pairs, for the API and I/O boundary."""
-        senders = self.nodes
-        return InterferenceRelation(
-            (a, senders[j]) for i, a in enumerate(senders) for j in _bits(self._conflicts[i] & -(2 << i))
-        )
+        return InterferenceRelation._view(self.nodes, self._conflicts)
 
     @cached_property
     def _index(self) -> dict[NodeRef, int]:

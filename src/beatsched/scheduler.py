@@ -35,12 +35,16 @@ CATEGORY_PATH2 = "path2-only"
 
 @dataclass(frozen=True)
 class SubsetActivation:
-    """One equally spaced phase subset switched on for one beat."""
+    """One equally spaced phase subset switched on for one beat. Members
+    given as another iterable are kept as a tuple."""
 
     path_id: int
     spacing: int
     phase: int
     members: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _freeze(self, "members")
 
     def nodes(self) -> tuple[NodeRef, ...]:
         return tuple(NodeRef(self.path_id, seq) for seq in self.members)
@@ -56,10 +60,14 @@ class SubsetActivation:
 
 @dataclass(frozen=True)
 class Beat:
-    """All activations of a single beat, tagged by category."""
+    """All activations of a single beat, tagged by category. Activations
+    given as another iterable are kept as a tuple."""
 
     category: str
     activations: tuple[SubsetActivation, ...]
+
+    def __post_init__(self) -> None:
+        _freeze(self, "activations")
 
     def activation_for(self, path_id: int) -> SubsetActivation | None:
         for act in self.activations:
@@ -88,7 +96,10 @@ class Schedule:
     activation_counts maps the same path ids to how many times each phase
     fires per cycle. The period, every spacing and every count is an int
     >= 1, and period == len(beats) always; a schedule is checked for both
-    when it is built.
+    when it is built. Beats given as another iterable are kept as a tuple,
+    so a schedule, its beats and their activations cannot change once
+    built. The simulator keeps a schedule's compiled slots on it (see
+    `simulator._slot_programs`); they take no part in equality or repr.
     """
 
     period: int
@@ -98,6 +109,7 @@ class Schedule:
     kind: str
 
     def __post_init__(self) -> None:
+        _freeze(self, "beats")
         _check_counts(f"schedule field period must be >= 1, got {self.period}", period=self.period)
         if self.period != len(self.beats):
             raise ConsistencyError(
@@ -128,6 +140,14 @@ class Schedule:
             },
             "beats": [b.to_dict() for b in self.beats],
         }
+
+
+def _freeze(record, name: str) -> None:
+    """Store the frozen dataclass field `name` as a tuple, copying it only
+    when it is something else."""
+    value = getattr(record, name)
+    if type(value) is not tuple:
+        object.__setattr__(record, name, tuple(value))
 
 
 def schedule_from_dict(data: dict) -> Schedule:
@@ -353,6 +373,46 @@ class AuditReport:
         )
 
 
+# An activation's audit verdict: its problems as (flag, text after
+# "beat <index> "), its path's phase counts when it fires a phase of the
+# path's declared spacing, else None, and its sender mask with the mask of
+# the senders that interfere with one of them, or None when it stays out
+# of the union test.
+_Verdict = tuple[tuple[tuple[str, str], ...], dict[int, int] | None, tuple[int, int] | None]
+
+
+def _check_activation(
+    pair: PathPair, schedule: Schedule, act: SubsetActivation, index: int, phase_counts: dict[int, dict[int, int]]
+) -> _Verdict:
+    """The verdict of an activation that `audit_schedule` meets first in
+    beat `index`, which a DomainError names."""
+    spacing = schedule.path_periods.get(act.path_id)
+    if spacing is None or act.spacing != spacing:
+        text = f"uses spacing {act.spacing} on path {act.path_id}, schedule declares {spacing}"
+        return (("uniqueness_ok", text),), None, None
+    path = pair.path(act.path_id)
+    # only the spacing is checked here; a phase outside 1..spacing
+    # is reported with the phase counts
+    _check_phase(path, 1, spacing)
+    if type(act.phase) is not int or [m for m in act.members if type(m) is not int]:
+        raise DomainError(
+            f"beat {index} path {act.path_id}: phase and members must be ints, "
+            f"got phase {act.phase!r} and members {act.members!r}"
+        )
+    texts = []
+    where = f"path {act.path_id} phase {act.phase}"
+    matches = act.members == tuple(range(act.phase, path.n_senders + 1, spacing))
+    if not matches:
+        texts.append(("uniqueness_ok", f"{where} members {act.members} do not match the phase subset"))
+    # a phase subset from phase 1 on names senders only; a member
+    # below 1 names none, so it stays out of the union test
+    if (not matches or act.phase < 1) and min(act.members, default=1) < 1:
+        texts.append(("uniqueness_ok", f"{where} has member {min(act.members)} below 1"))
+        return tuple(texts), phase_counts[act.path_id], None
+    mask = pair.seq_mask(act.path_id, act.members)
+    return tuple(texts), phase_counts[act.path_id], (mask, pair.conflicts_of(mask))
+
+
 def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
     """Check a schedule against the validity conditions from scratch.
 
@@ -370,12 +430,15 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
     phase_counts: dict[int, dict[int, int]] = {
         pid: {} for pid in schedule.path_periods
     }
+    # each activation object is checked once, at its first beat; every
+    # beat that uses it repeats its problems under its own index
+    verdicts: dict[int, _Verdict] = {}
     for index, beat in enumerate(schedule.beats, start=1):
         if not beat.activations:
             problem("non_empty_ok", f"beat {index} activates nothing")
             continue
         seen_paths: set[int] = set()
-        counted: list[SubsetActivation] = []
+        union = conflicts = 0
         for act in beat.activations:
             if act.path_id in seen_paths:
                 problem(
@@ -383,52 +446,27 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
                     f"beat {index} activates path {act.path_id} twice",
                 )
             seen_paths.add(act.path_id)
-            spacing = schedule.path_periods.get(act.path_id)
-            if spacing is None or act.spacing != spacing:
-                problem(
-                    "uniqueness_ok",
-                    f"beat {index} uses spacing {act.spacing} on path "
-                    f"{act.path_id}, schedule declares {spacing}",
-                )
-                continue
-            path = pair.path(act.path_id)
-            # only the spacing is checked here; a phase outside 1..spacing
-            # is reported with the phase counts
-            _check_phase(path, 1, spacing)
-            if type(act.phase) is not int or [m for m in act.members if type(m) is not int]:
-                raise DomainError(
-                    f"beat {index} path {act.path_id}: phase and members must be ints, "
-                    f"got phase {act.phase!r} and members {act.members!r}"
-                )
-            n = path.n_senders
-            expected = tuple(range(act.phase, n + 1, spacing))
-            matches = act.members == expected
-            if not matches:
-                problem(
-                    "uniqueness_ok",
-                    f"beat {index} path {act.path_id} phase {act.phase} "
-                    f"members {act.members} do not match the phase subset",
-                )
-            counts = phase_counts[act.path_id]
-            counts[act.phase] = counts.get(act.phase, 0) + 1
-            # a phase subset from phase 1 on names senders only; a member
-            # below 1 names none, so it stays out of the union test
-            if (not matches or act.phase < 1) and min(act.members, default=1) < 1:
-                problem(
-                    "uniqueness_ok",
-                    f"beat {index} path {act.path_id} phase {act.phase} "
-                    f"has member {min(act.members)} below 1",
-                )
-                continue
-            counted.append(act)
-        union = 0
-        for act in counted:
-            union |= pair.seq_mask(act.path_id, act.members)
-        if pair.is_concurrent_mask(union):
+            verdict = verdicts.get(id(act))
+            if verdict is None:
+                verdict = verdicts[id(act)] = _check_activation(pair, schedule, act, index, phase_counts)
+            texts, counts, masks = verdict
+            for flag, text in texts:
+                problem(flag, f"beat {index} {text}")
+            if counts is not None:
+                counts[act.phase] = counts.get(act.phase, 0) + 1
+            if masks is not None:
+                union |= masks[0]
+                conflicts |= masks[1]
+        # the union is a concurrency subset when no member's conflicts meet it
+        if not conflicts & union:
             continue
-        # list every interfering pair, in activation and member order; a
-        # position past a chain's end names no sender, so its mask is 0
-        members = [(node, pair.seq_mask(node.path_id, (node.seq,))) for act in counted for node in act.nodes()]
+        # list every interfering pair of the union, in activation and member
+        # order; a position past a chain's end names no sender, so its mask is 0
+        members = [
+            (node, pair.seq_mask(node.path_id, (node.seq,)))
+            for act in beat.activations if verdicts[id(act)][2] is not None
+            for node in act.nodes()
+        ]
         for a_pos, (a, bit) in enumerate(members):
             reach = pair.conflicts_of(bit)
             for b, other in members[a_pos + 1:]:

@@ -17,8 +17,9 @@ than one block. Schedules built from a tiled support set can briefly
 park a few blocks at one relay; the bound is the per-path traversal
 count. Throughput accounting is exact integers and rationals throughout.
 
-Each call compiles its schedule once into slot programs, one per beat
-(`_slot_programs`), and steps them with `_ChainState.step`. The steps
+A schedule is compiled once per pair object (`_compile_slots`) and keeps
+that compile; each call binds it to its own buffers as slot programs, one
+per beat (`_slot_programs`), and steps them with `_ChainState.step`. The steps
 run downstream first, so each relay forwards what it held at the start
 of the beat before its upstream neighbor's block lands. A buffer grows
 only when a block lands, after the buffer's own departure of the beat,
@@ -80,7 +81,7 @@ _Mark = tuple[dict[int, int], dict[int, int], dict[int, int]]
 
 
 class _Slot(NamedTuple):
-    """One schedule beat compiled for one run: its senders in activation
+    """One schedule beat bound to one run: its senders in activation
     and member order, their moves (see `_ChainState.sends`) downstream
     first, and whether the senders form a concurrency subset."""
 
@@ -175,20 +176,28 @@ def _check_fifo(state: _ChainState) -> None:
             raise ConsistencyError(f"path {path_id} deliveries left injection order: {serials}")
 
 
-def _slot_programs(pair: PathPair, schedule: Schedule, state: _ChainState) -> list[_Slot]:
-    """Each schedule beat's slot program, bound to `state`. An activation
-    object, and a sender sequence with its union mask, are each compiled
-    once, however often the schedule repeats them."""
+# A schedule compiled for one pair: the distinct sender sequences of its
+# beats, each as (senders in activation and member order, the same senders
+# downstream first, whether they form a concurrency subset), and each
+# beat's index into them.
+_Compiled = tuple[tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...], tuple[int, ...]]
+
+
+def _compile_slots(pair: PathPair, schedule: Schedule) -> _Compiled:
+    """The schedule compiled for `pair`. An activation object and a sender
+    sequence are each compiled once, however often the schedule repeats
+    them."""
     first = {path.id: (pair.offset(path.id) - 1, path.n_senders) for path in pair.paths}
     acts: dict[int, tuple[tuple[int, ...], int]] = {}
-    programs: dict[tuple[int, ...], _Slot] = {}
-    out: list[_Slot] = []
+    sequences: dict[tuple[int, ...], int] = {}
+    compiled: list[tuple[tuple[int, ...], tuple[int, ...], bool]] = []
+    order: list[int] = []
     for beat in schedule.beats:
         senders: tuple[int, ...] = ()
         mask = 0
         for act in beat.activations:
-            compiled = acts.get(id(act))
-            if compiled is None:
+            done = acts.get(id(act))
+            if done is None:
                 base, n = first.get(act.path_id, (0, 0))
                 act_mask = 0
                 for seq in act.members:
@@ -196,14 +205,32 @@ def _slot_programs(pair: PathPair, schedule: Schedule, state: _ChainState) -> li
                         # a member that is no sender: the node-level check names it
                         pair.mask_of(beat.nodes())
                     act_mask |= 1 << (base + seq)
-                compiled = acts[id(act)] = tuple(base + seq for seq in act.members), act_mask
-            senders += compiled[0]
-            mask |= compiled[1]
-        if senders not in programs:
-            steps = tuple(map(state.sends.__getitem__, sorted(senders, reverse=True)))
-            programs[senders] = _Slot(senders, steps, pair.is_concurrent_mask(mask))
-        out.append(programs[senders])
-    return out
+                done = acts[id(act)] = tuple(base + seq for seq in act.members), act_mask
+            senders += done[0]
+            mask |= done[1]
+        if senders not in sequences:
+            sequences[senders] = len(compiled)
+            compiled.append((senders, tuple(sorted(senders, reverse=True)), pair.is_concurrent_mask(mask)))
+        order.append(sequences[senders])
+    return tuple(compiled), tuple(order)
+
+
+def _slot_programs(pair: PathPair, schedule: Schedule, state: _ChainState) -> list[_Slot]:
+    """Each schedule beat's slot program, bound to `state`: each distinct
+    sender sequence of the schedule's compile is bound once.
+
+    The compile is made on the first call with this pair object and kept
+    on the schedule until another pair object asks. A schedule and its
+    beats cannot change once built, so the compile stays true; it is held
+    beside the schedule's fields, like `PathPair`'s cached properties, and
+    takes no part in equality or repr."""
+    held = schedule.__dict__.get("_compiled_slots")
+    if held is None or held[0] is not pair:
+        held = schedule.__dict__["_compiled_slots"] = (pair, _compile_slots(pair, schedule))
+    compiled, order = held[1]
+    sends = state.sends
+    bound = [_Slot(senders, tuple(map(sends.__getitem__, downstream)), legal) for senders, downstream, legal in compiled]
+    return [bound[k] for k in order]
 
 
 def _repeat_cycle(

@@ -21,6 +21,7 @@ from beatsched.model import (
     NodeRef,
     PathPair,
     PrimaryPath,
+    _derive_pair,
     _disk_masks,
     derive_relation,
     is_concurrency_subset,
@@ -300,25 +301,72 @@ class TestMaskConstructor:
     def test_public_derive_relation_equals_the_core(self, seed, monkeypatch):
         # the corpora hand their point lists to the disk builder; the public
         # derive_relation on a topology of the same points agrees with it
-        calls = []
-
-        def recording(routes, radius, half_duplex):
-            calls.append((routes, radius, half_duplex))
-            return _disk_masks(routes, radius, half_duplex)
-
-        monkeypatch.setattr(beatsched.verify, "_disk_masks", recording)
-        pairs = line_corpus(seed, 60) + [case.pair for case in pair_corpus(seed, 40)]
-        assert len(calls) == len(pairs) == 100
-        for (routes, radius, half_duplex), pair in zip(calls, pairs):
-            positions = {
-                (path_id, seq): point
-                for path_id, points in enumerate(routes, start=1)
-                for seq, point in enumerate(points, start=1)
-            }
-            topology = GeometricTopology(positions, radius, half_duplex)
+        for topology, pair in corpus_topologies(seed, monkeypatch):
             bare = PathPair._from_conflicts(pair.path1, pair.path2, [0] * pair.total_senders)
             assert derive_relation(topology, bare) == pair.relation
             assert PathPair(pair.path1, pair.path2, derive_relation(topology, bare)) == pair
+
+
+def corpus_topologies(seed: int, monkeypatch) -> list[tuple[GeometricTopology, PathPair]]:
+    """The pairs of `line_corpus(seed, 60)` and `pair_corpus(seed, 40)`, each
+    with a topology of the points the corpus handed to the disk builder."""
+    calls = []
+
+    def recording(routes, radius, half_duplex):
+        calls.append((routes, radius, half_duplex))
+        return _disk_masks(routes, radius, half_duplex)
+
+    monkeypatch.setattr(beatsched.verify, "_disk_masks", recording)
+    pairs = line_corpus(seed, 60) + [case.pair for case in pair_corpus(seed, 40)]
+    assert len(calls) == len(pairs) == 100
+    out = []
+    for (routes, radius, half_duplex), pair in zip(calls, pairs):
+        positions = {
+            (path_id, seq): point
+            for path_id, points in enumerate(routes, start=1)
+            for seq, point in enumerate(points, start=1)
+        }
+        out.append((GeometricTopology(positions, radius, half_duplex), pair))
+    return out
+
+
+class TestRelationHandOff:
+    """`PathPair.relation` is a view of the pair's masks, and a pair over
+    the same senders takes those masks instead of re-indexing node pairs."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_pair_from_derive_relation_equals_the_core_pair(self, seed, monkeypatch):
+        for topology, pair in corpus_topologies(seed, monkeypatch):
+            skeleton = PathPair(pair.path1, pair.path2, InterferenceRelation())
+            view = derive_relation(topology, skeleton)
+            handed = PathPair(pair.path1, pair.path2, view)
+            core = _derive_pair(topology, pair.path1, pair.path2)
+            assert handed == core and hash(handed) == hash(core)
+            assert repr(handed) == repr(core)
+            assert handed._conflicts == core._conflicts == pair._conflicts
+            assert handed.relation.pairs == core.relation.pairs
+            # the masks were handed over, not rebuilt from the node pairs
+            assert handed.relation is view and handed._conflicts is view._conflicts
+
+    def test_a_view_equals_the_eager_relation(self):
+        for _, pair in cases():
+            view = PathPair._from_conflicts(pair.path1, pair.path2, pair._conflicts).relation
+            # a pair over equal but distinct paths adopts the masks unread
+            path2 = pair.path2 and PrimaryPath(id=2, n_senders=pair.path2.n_senders)
+            twin = PathPair(PrimaryPath(id=1, n_senders=pair.path1.n_senders), path2, view)
+            assert twin == pair and twin._conflicts is view._conflicts
+            assert "_pairs" not in vars(view)  # built on first read
+            eager = InterferenceRelation(tuple(p) for p in view.pairs)
+            assert view == eager and eager == view and hash(view) == hash(eager)
+            assert repr(view) == repr(eager) == repr(pair.relation)
+
+    def test_a_view_over_other_paths_goes_through_the_checked_path(self):
+        # n1.3 interferes with n1.2 on three and two senders; two and three
+        # senders have no n1.3
+        wide = PathPair._from_conflicts(PrimaryPath(id=1, n_senders=3), PrimaryPath(id=2, n_senders=2),
+                                        [0, 0b00100, 0b00010, 0, 0])
+        with pytest.raises(DomainError, match="^relation mentions n1.3, which is not a sender of this pair$"):
+            PathPair(PrimaryPath(id=1, n_senders=2), PrimaryPath(id=2, n_senders=3), wide.relation)
 
 
 class TestDiskMasks:

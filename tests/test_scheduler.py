@@ -477,6 +477,42 @@ class TestAudit:
         assert not report.uniqueness_ok
         assert any("declares" in p for p in report.problems)
 
+    def test_a_reused_activation_is_reported_in_every_beat_that_uses_it(self, chain6):
+        # one activation object with wrong members in beats 1 and 3
+        bad = SubsetActivation(path_id=1, spacing=3, phase=1, members=(1, 2))
+        schedule = Schedule(
+            period=4,
+            beats=(
+                Beat(CATEGORY_PATH1, (bad,)),
+                self._solo_beat(2, (2, 5)),
+                Beat(CATEGORY_PATH1, (bad,)),
+                self._solo_beat(3, (3, 6)),
+            ),
+            path_periods={1: 3},
+            activation_counts={1: 1},
+            kind="primary",
+        )
+        report = audit_schedule(chain6, schedule)
+        assert report.problems == [
+            "beat 1 path 1 phase 1 members (1, 2) do not match the phase subset",
+            "beat 1: n1.1 and n1.2 interfere",
+            "beat 3 path 1 phase 1 members (1, 2) do not match the phase subset",
+            "beat 3: n1.1 and n1.2 interfere",
+            "path 1 phase 1 fires 2 times per cycle, expected 1",
+        ]
+
+    def test_members_given_as_a_list_are_kept_as_a_tuple(self, chain6):
+        # a list naming the right senders is the phase subset
+        act = SubsetActivation(path_id=1, spacing=3, phase=1, members=[1, 4])
+        beat = Beat(CATEGORY_PATH1, [act])
+        assert act.members == (1, 4) and beat.activations == (act,)
+        assert act == SubsetActivation(path_id=1, spacing=3, phase=1, members=(1, 4))
+        schedule = schedule_primary(chain6, 1)
+        listed = dataclasses.replace(schedule, beats=[beat, *schedule.beats[1:]])
+        assert listed == schedule
+        report = audit_schedule(chain6, listed)
+        assert report.ok and not report.problems
+
     @staticmethod
     def _with_extra_beat(phase: int, members: list[int]) -> Schedule:
         beats = [

@@ -11,13 +11,14 @@ import pytest
 
 from beatsched import simulator
 from beatsched.errors import ConsistencyError, DomainError
-from beatsched.model import NodeRef, is_concurrency_subset
+from beatsched.model import NodeRef, PathPair, is_concurrency_subset
 from beatsched.scheduler import (
     CATEGORY_PATH1,
     Beat,
     Schedule,
     SubsetActivation,
     predicted_throughput,
+    schedule_from_dict,
     schedule_pair_equal,
     schedule_pair_unequal,
     schedule_primary,
@@ -568,3 +569,80 @@ class TestProvenSteadyState:
         for call in (lambda: run(chain6, broken, 2), lambda: measure_delay(chain6, broken, 1)):
             with pytest.raises(DomainError, match=r"^n2\.1 is not a sender of this pair$"):
                 call()
+
+
+def interfering_everywhere(pair: PathPair) -> PathPair:
+    """A pair over the same paths in which every two senders interfere."""
+    everyone = (1 << pair.total_senders) - 1
+    return PathPair._from_conflicts(pair.path1, pair.path2, [everyone ^ 1 << i for i in range(pair.total_senders)])
+
+
+class TestCompileOnce:
+    """A schedule keeps its compile for the last pair object it ran on."""
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        calls = []
+        compile_slots = simulator._compile_slots
+
+        def counting(pair, schedule):
+            calls.append(pair)
+            return compile_slots(pair, schedule)
+
+        monkeypatch.setattr(simulator, "_compile_slots", counting)
+        return calls
+
+    def test_run_and_measure_delay_share_one_compile(self, far_pair, compiles):
+        schedule = schedule_pair_unequal(far_pair, 3, 3, 2, 1)
+        report = run(far_pair, schedule, 3)
+        traced = run(far_pair, schedule, 3, collect_trace=True)
+        delays = measure_delay(far_pair, schedule, 2)
+        assert compiles == [far_pair]
+        # an equal but distinct pair object compiles again, and so does the
+        # first pair once the other has run
+        twin = PathPair._from_conflicts(far_pair.path1, far_pair.path2, far_pair._conflicts)
+        assert twin == far_pair and twin is not far_pair
+        assert run(twin, schedule, 3) == report
+        assert measure_delay(twin, schedule, 2) == delays
+        assert run(far_pair, schedule, 3, collect_trace=True) == traced
+        assert [id(pair) for pair in compiles] == [id(far_pair), id(twin), id(far_pair)]
+
+    def test_the_compile_stays_out_of_equality_and_repr(self, far_pair):
+        schedule = schedule_pair_equal(far_pair, 3, 3, 1)
+        fresh = dataclasses.replace(schedule)
+        text = repr(schedule)
+        run(far_pair, schedule, 2)
+        assert schedule == fresh and repr(schedule) == repr(fresh) == text
+        assert schedule_from_dict(schedule.to_dict()) == schedule
+
+    def test_alternating_pairs_equal_the_stepped_reference(self, corpus):
+        # each schedule alternates between its own pair and a pair over the
+        # same paths where it is illegal in every beat with two senders
+        for pair, schedule in corpus[::3]:
+            jammed = interfering_everywhere(pair)
+            for target in (pair, jammed, pair, jammed):
+                assert_matches_reference(target, schedule, 3)
+                assert measure_delay(target, schedule, 2) == reference_delays(target, schedule, 2)
+
+    def test_an_illegal_beat_reports_the_same_violations_on_a_reused_compile(self, chain6, compiles):
+        schedule = all_at_once_schedule()
+        first = assert_matches_reference(chain6, schedule, 4, 8)
+        assert measure_delay(chain6, schedule, 2) == reference_delays(chain6, schedule, 2)
+        again = assert_matches_reference(chain6, schedule, 4, 8)
+        assert again == first and again.violations == 12
+        assert first.violation_examples == [
+            f"beat {b}: activated set {{n1.1, n1.2, n1.3, n1.4, n1.5, n1.6}} is not a concurrency subset"
+            for b in range(1, 6)
+        ]
+        assert compiles == [chain6]
+
+    def test_a_list_of_beats_is_copied_when_the_schedule_is_built(self):
+        # mutating the caller's list after a run must not change the schedule
+        pair = line_pair(4)
+        beats = list(schedule_primary(pair, 1).beats)
+        schedule = Schedule(period=3, beats=beats, path_periods={1: 3}, activation_counts={1: 1}, kind="primary")
+        assert type(schedule.beats) is tuple
+        assert run(pair, schedule, 3).measured_throughput == Fraction(1, 3)
+        beats[0] = beats[1]
+        assert run(pair, schedule, 3).measured_throughput == Fraction(1, 3)
+        assert run(pair, dataclasses.replace(schedule, beats=beats), 3).measured_throughput == 0
