@@ -69,7 +69,7 @@ depend on which maximum flow a search reaches.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, islice
+from itertools import count, islice
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
@@ -238,34 +238,42 @@ def _tiled_sizes(ones: Sequence[int], width: int, max_traversals: int) -> tuple[
     its rays' covers meets both. Nothing pairs without a column."""
     if not width:
         return ((0,) * max_traversals,) * max_traversals
+    n = len(ones)
     # each checked cover (unreached rows, reached columns) -> its row and column counts
-    covers = {cover: _check_cover(ones, *cover) for cover in (((1 << len(ones)) - 1, 0), (0, (1 << width) - 1))}
-    pending = [((0, 1), (len(ones), 0), (1, 0), (0, width))]
+    covers = {cover: _check_cover(ones, *cover) for cover in (((1 << n) - 1, 0), (0, (1 << width) - 1))}
+    # a pending cone: its rays lo and hi, as (row cap, column cap), each
+    # followed by the (row count, column count) of the cover met there
+    pending = [(0, 1, n, 0, 1, 0, 0, width)]
     while pending:
-        lo, p, hi, q = pending.pop()
-        if _weight(hi, p) > _weight(hi, q) and _weight(lo, q) > _weight(lo, p):
-            ray = (q[1] - p[1], p[0] - q[0])
-            r = min(covers.values(), key=lambda sizes: _weight(ray, sizes))
-            flow, row_load, col_load, total, cover = _saturate(ones, width, *ray, _weight(ray, r))
-            _check_flow(ones, ray, flow, row_load, col_load, total)
+        lo_row, lo_col, p_rows, p_cols, hi_row, hi_col, q_rows, q_cols = pending.pop()
+        # p and q weigh the same at this ray; each weighs more at the other's
+        # ray exactly when the ray lies strictly inside the cone
+        cap_row, cap_col = q_cols - p_cols, p_rows - q_rows
+        if hi_row * cap_col > hi_col * cap_row and lo_col * cap_row > lo_row * cap_col:
+            weight = -1
+            for sizes in covers.values():  # the first lightest cover bounds the search
+                w = cap_row * sizes[0] + cap_col * sizes[1]
+                if w < weight or weight < 0:
+                    weight, r = w, sizes
+            flow, row_load, col_load, total, cover = _saturate(ones, width, cap_row, cap_col, weight)
+            _check_flow(ones, (cap_row, cap_col), flow, row_load, col_load, total)
             if cover is not None:
                 r = covers[cover] = _check_cover(ones, *cover)
-            if _weight(ray, r) != total:
-                message = f"cover weight {_weight(ray, r)} differs from flow {total}"
+                weight = cap_row * r[0] + cap_col * r[1]
+            if weight != total:
+                message = f"cover weight {weight} differs from flow {total}"
                 raise ConsistencyError(f"capacitated flow failed its certificate: {message}")
-            if total < _weight(ray, p):
-                pending += [(lo, p, ray, r), (ray, r, hi, q)]
+            if total < cap_row * p_rows + cap_col * p_cols:
+                pending += [
+                    (lo_row, lo_col, p_rows, p_cols, cap_row, cap_col, *r),
+                    (cap_row, cap_col, *r, hi_row, hi_col, q_rows, q_cols),
+                ]
     # row l1 of each cover's weights is an arithmetic progression in l2; the
     # all-rows and all-columns covers make at least two of them for min
     return tuple(
         tuple(islice(map(min, *[count(l1 * a + c, c) for a, c in covers.values()]), max_traversals))
         for l1 in range(1, max_traversals + 1)
     )
-
-
-def _weight(caps: tuple[int, int], sizes: tuple[int, int]) -> int:
-    """A cover's weight at (row, column) capacities, from its row and column counts."""
-    return caps[0] * sizes[0] + caps[1] * sizes[1]
 
 
 def _core(ones: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -391,10 +399,16 @@ def _check_flow(
     sums equal to the loads, which stay within capacity and sum to the
     flow's size."""
     cap_row, cap_col = caps
-    cells = list(chain.from_iterable(flow))
-    off = [not row >> j & 1 for row, units in zip(ones, flow) for j in range(len(units))]
+    # units on 0-entries, read from each row's 0-bits, which are few in a dense core
+    off = 0
+    for row, units in zip(ones, flow):
+        zeros = ~row & (1 << len(units)) - 1
+        while zeros:
+            low = zeros & -zeros
+            zeros ^= low
+            off = off or units[low.bit_length() - 1]
     problems = []
-    if min(cells) < 0 or any(compress(cells, off)):
+    if min(map(min, flow)) < 0 or off:
         problems.append(f"flow {flow} has units off its 1-entries or below 0")
     if list(map(sum, flow)) != row_load or max(row_load) > cap_row:
         problems.append(f"row loads {row_load} are wrong or exceed {cap_row}")

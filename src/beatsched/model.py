@@ -385,6 +385,22 @@ def _real(value) -> float:
 
 
 def _as_point(value, key) -> tuple[float, float]:
+    """A node's position as an (x, y) pair of finite floats; key names the
+    node in the error texts."""
+    point = _point(value)
+    if type(point) is str:
+        raise ConfigurationError(f"position of node {key} {point}")
+    return point
+
+
+def _point(value) -> tuple[float, float] | str:
+    """_as_point's conversion, returning the problem instead of raising it, so
+    a caller can name the node only when its position is bad. A tuple of two
+    finite floats is already a point and comes back as it is."""
+    if type(value) is tuple and len(value) == 2:
+        x, y = value
+        if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
+            return value
     try:
         try:
             # text iterates, but "12" is no point
@@ -393,14 +409,14 @@ def _as_point(value, key) -> tuple[float, float]:
             coords = (value,)  # a single number is a point on the line
         coords = tuple(map(_real, coords))
     except (TypeError, ValueError):
-        raise ConfigurationError(f"position of node {key} must be a number or an (x, y) pair") from None
+        return "must be a number or an (x, y) pair"
     if not all(math.isfinite(c) for c in coords):
-        raise ConfigurationError(f"position of node {key} must be finite, got {coords}")
+        return f"must be finite, got {coords}"
     if len(coords) == 1:
         return (coords[0], 0.0)
     if len(coords) == 2:
         return coords
-    raise ConfigurationError(f"position of node {key} must have 1 or 2 coordinates, got {len(coords)}")
+    return f"must have 1 or 2 coordinates, got {len(coords)}"
 
 
 def _check_counts(below_one: str, **counts: int) -> None:

@@ -22,17 +22,17 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .analysis import _interference_witness
-from .errors import ConsistencyError, DomainError
+from .errors import ConfigurationError, ConsistencyError, DomainError
 from .matching import _core, _tiled_sizes
 from .model import (
     PathPair,
     PrimaryPath,
     _Ends,
-    _as_point,
     _check_counts,
     _check_radius,
     _disk_masks,
     _disk_row,
+    _point,
     _union,
 )
 from .periods import _first_bad, _joint_rows, _local_phases
@@ -59,8 +59,13 @@ class RouteCandidate:
                 "a route needs at least one sender and a destination, "
                 f"got {len(self.points)} points"
             )
-        points = tuple(_as_point(point, f"{k} of route {self.label!r}") for k, point in enumerate(self.points, 1))
-        object.__setattr__(self, "points", points)
+        points = []
+        for k, point in enumerate(self.points, 1):
+            point = _point(point)
+            if type(point) is str:  # the problem: only now is the point's key needed
+                raise ConfigurationError(f"position of node {k} of route {self.label!r} {point}")
+            points.append(point)
+        object.__setattr__(self, "points", tuple(points))
 
     @property
     def n_senders(self) -> int:
@@ -182,6 +187,11 @@ class LoggedCandidate(NamedTuple):
     note: str
 
 
+# builds a LoggedCandidate from a tuple of its fields in C, without the
+# NamedTuple's Python-level __new__, for the grid's inner loop
+_new_entry = tuple.__new__
+
+
 @dataclass
 class OptimizationResult:
     best_routes: tuple[RouteCandidate, RouteCandidate]
@@ -297,16 +307,17 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                     if sizes is None:
                         sizes = tables[core] = _tiled_sizes(core, width, cap)
                     for traversals1, line in enumerate(sizes, start=1):
+                        length1 = traversals1 * period1
                         for traversals2, support_size in enumerate(line, start=1):
-                            period = traversals1 * period1 + traversals2 * period2 - support_size
+                            period = length1 + traversals2 * period2 - support_size
                             blocks = traversals1 + traversals2
                             rate = rates.get((blocks, period))
                             if rate is None:
                                 rate = rates[blocks, period] = Fraction(blocks, period)
-                            entry = LoggedCandidate(
+                            entry = _new_entry(LoggedCandidate, (
                                 index1, index2, period1, period2, traversals1, traversals2,
                                 support_size, period, rate, "evaluated",
-                            )
+                            ))
                             log.append(entry)
                             ahead = 1 if best is None else blocks * best[1] - best[0] * period
                             if ahead > 0 or (ahead == 0 and period < best[1]):

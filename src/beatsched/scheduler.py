@@ -97,8 +97,9 @@ class Schedule:
     fires per cycle. The period, every spacing and every count is an int
     >= 1, and period == len(beats) always; a schedule is checked for both
     when it is built. Beats given as another iterable are kept as a tuple,
-    so a schedule, its beats and their activations cannot change once
-    built. The simulator keeps a schedule's compiled slots on it (see
+    and both mappings are copied, so a schedule, its beats and their
+    activations cannot change through what the caller passed in. The
+    simulator keeps a schedule's compiled slots on it (see
     `simulator._slot_programs`); they take no part in equality or repr.
     """
 
@@ -125,6 +126,7 @@ class Schedule:
             for path_id, count in getattr(self, name).items():
                 field_name = f"{name}[{path_id!r}]"
                 _check_counts(f"schedule field {field_name} must be >= 1, got {count}", **{field_name: count})
+            object.__setattr__(self, name, dict(getattr(self, name)))
 
     def beat(self, index: int) -> Beat:
         """Beat at a 1-based index, wrapping modulo the period."""

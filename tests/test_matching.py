@@ -459,20 +459,30 @@ class TestMaskKernel:
         with pytest.raises(ConsistencyError, match="cover weight 1 differs from flow 0"):
             _tiled_sizes([0b1], 1, 1)
 
-    @pytest.mark.parametrize(
-        "entry, units, message",
-        [((0, 1), 1, "off its 1-entries"), ((0, 0), 2, "exceed 1"), ((0, 0), -1, "below 0")],
-    )
-    def test_a_forged_flow_is_rejected(self, monkeypatch, entry, units, message):
-        def forged(ones, width, cap_row, cap_col, bound):
-            flow, row_load, col_load = [[0, 0]], [0], [0, 0]
-            i, j = entry
-            flow[i][j] += units
-            row_load[i] += units
-            col_load[j] += units
-            return flow, row_load, col_load, units, (0, 0b11)
+    ALL_FOUR = [
+        "flow [[-1, 1]] has units off its 1-entries or below 0",
+        "row loads [2] are wrong or exceed 2",
+        "column loads [0, 3] are wrong or exceed 1",
+        "row loads [2] do not sum to the flow's size 5",
+    ]
 
-        monkeypatch.setattr(matching, "_saturate", forged)
+    @pytest.mark.parametrize(
+        "flow, row_load, col_load, total, message",
+        [
+            ([[0, 1]], [1], [0, 1], 1, "off its 1-entries"),
+            ([[2, 0]], [2], [2, 0], 2, "exceed 1"),
+            ([[-1, 0]], [-1], [-1, 0], -1, "below 0"),
+            # one unit below 0 and one off the 1-entries, with row loads,
+            # column loads and a size that all disagree: every check fails,
+            # and the message lists all four problems in order
+            ([[-1, 1]], [2], [0, 3], 5, f"^{re.escape(f'capacitated flow failed its certificate: {ALL_FOUR}')}$"),
+        ],
+    )
+    def test_a_forged_flow_is_rejected(self, monkeypatch, flow, row_load, col_load, total, message):
+        # the first search on [[1, 0]] is at (row cap, column cap) = (2, 1)
+        monkeypatch.setattr(
+            matching, "_saturate", lambda ones, width, cap_row, cap_col, bound: (flow, row_load, col_load, total, (0, 0b11))
+        )
         with pytest.raises(ConsistencyError, match=message):
             _tiled_sizes([0b01], 2, 1)
 

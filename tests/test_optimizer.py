@@ -1,11 +1,13 @@
 """Exhaustive grid search over routes, spacings, and traversal counts."""
 
+import hashlib
 import itertools
 import math
 import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import networkx as nx
 import pytest
 
 import beatsched
-from beatsched import optimizer
+from beatsched import matching, optimizer
 from beatsched.analysis import interference_intensity
 from beatsched.errors import ConfigurationError, DomainError
 from beatsched.matching import max_support_set
@@ -23,6 +25,7 @@ from beatsched.model import (
     NodeRef,
     PathPair,
     PrimaryPath,
+    _as_point,
     derive_relation,
 )
 from beatsched.optimizer import (
@@ -538,19 +541,75 @@ class TestRouteMasks:
         with pytest.raises(ConfigurationError, match=message):
             RouteCandidate(points=((0.0, 5.0), point), label="texty")
 
+    NUMBER = "must be a number or an (x, y) pair"
+    POINTS = [
+        # (position, the point, or the problem after "position of node K ")
+        (0, (0.0, 0.0)),
+        (-2, (-2.0, 0.0)),
+        (10**400, "must be finite, got (inf,)"),
+        (1.5, (1.5, 0.0)),
+        (-0.0, (-0.0, 0.0)),
+        (Fraction(5, 2), (2.5, 0.0)),
+        (Decimal("2.5"), (2.5, 0.0)),
+        (True, NUMBER),
+        (False, NUMBER),
+        ("12", NUMBER),
+        (b"1", NUMBER),
+        (None, NUMBER),
+        (math.nan, "must be finite, got (nan,)"),
+        (math.inf, "must be finite, got (inf,)"),
+        (-math.inf, "must be finite, got (-inf,)"),
+        ((), "must have 1 or 2 coordinates, got 0"),
+        ((1,), (1.0, 0.0)),
+        ((1.5,), (1.5, 0.0)),
+        ((1, 2), (1.0, 2.0)),
+        ((1.5, 2.5), (1.5, 2.5)),
+        ((Fraction(1, 4), Decimal("0.5")), (0.25, 0.5)),
+        ((True, 1.0), NUMBER),
+        (("1", 0.0), NUMBER),
+        ((math.nan, 0.0), "must be finite, got (nan, 0.0)"),
+        ((0.0, math.inf), "must be finite, got (0.0, inf)"),
+        ((1.0, 2.0, 3.0), "must have 1 or 2 coordinates, got 3"),
+        ((1, 2, 3), "must have 1 or 2 coordinates, got 3"),
+        ([], "must have 1 or 2 coordinates, got 0"),
+        ([1], (1.0, 0.0)),
+        ([1.5, 2.0], (1.5, 2.0)),
+        ([2, 3], (2.0, 3.0)),
+        ([1.0, math.nan], "must be finite, got (1.0, nan)"),
+        ([1, 2, 3], "must have 1 or 2 coordinates, got 3"),
+        ([[1], 2], NUMBER),
+    ]
+
+    @pytest.mark.parametrize("position, expected", POINTS, ids=lambda v: repr(v)[:24])
+    def test_points_convert_as_the_table_says(self, position, expected):
+        # a tuple of two finite floats comes back as it is; everything else
+        # converts, or fails with the same texts, for a node and for a route
+        if type(expected) is str:
+            with pytest.raises(ConfigurationError, match=f"^position of node k {re.escape(expected)}$"):
+                _as_point(position, "k")
+            with pytest.raises(ConfigurationError, match=f"^position of node 2 of route 'r' {re.escape(expected)}$"):
+                RouteCandidate(points=((0.0, 0.0), position, (9.0, 0.0)), label="r")
+            return
+        point = _as_point(position, "k")
+        assert point == expected and all(type(c) is float for c in point)
+        assert math.copysign(1, point[0]) == math.copysign(1, expected[0])
+        plain = type(position) is tuple and len(position) == 2 and all(type(c) is float for c in position)
+        assert (point is position) == plain
+        assert RouteCandidate(points=(position, (9.0, 0.0))).points[0] == expected
+
     def test_points_are_converted_once_on_construction(self, monkeypatch):
         calls = []
-        convert = optimizer._as_point
+        convert = optimizer._point
 
-        def counted(value, key):
-            calls.append(key)
-            return convert(value, key)
+        def counted(value):
+            calls.append(value)
+            return convert(value)
 
-        monkeypatch.setattr(optimizer, "_as_point", counted)
+        monkeypatch.setattr(optimizer, "_point", counted)
         route = RouteCandidate(points=[0, [1.5], (Fraction(5, 2), 1)], label="mixed")
         assert route.points == ((0.0, 0.0), (1.5, 0.0), (2.5, 1.0))
         assert all(type(c) is float for point in route.points for c in point)
-        assert calls == ["1 of route 'mixed'", "2 of route 'mixed'", "3 of route 'mixed'"]
+        assert calls == [0, [1.5], (Fraction(5, 2), 1)]
         adjacency = {"s": ["a", "b"], "a": ["d"], "b": ["c"], "c": ["d"]}
         positions = {"s": 0, "a": (1, 1), "b": (1, -1), "c": (2, -1), "d": [3]}
         calls.clear()
@@ -694,6 +753,62 @@ class TestRouteEnumerationOracle:
         with pytest.raises(DomainError, match="'d' has no position"):
             routes_from_graph({"s": ["d"]}, {"s": [0.0]}, "s", "d", 3)
 
+
+class TestKernelWork:
+    """The hull kernel's work on grid-graph route searches, pinned by count
+    and digest rather than by wall time, so a change that adds flows fails
+    on any host. The figures were recorded before the kernel's fixed cost
+    per table was cut, which changed no flow."""
+
+    TABLES = 840
+    SEARCHES = 1199
+    FAILED = 188
+    DIGEST = "674fa95f04e6652324aa72dba998f0cd38002d7b0761052b1f47bb538e34e0b3"
+
+    @staticmethod
+    def jittered_grid(rng, width, height):
+        """A width x height grid of vertices, each moved by up to 0.15 on
+        both axes, with an edge to its right and its upper neighbour."""
+        adjacency, positions = {}, {}
+        for x in range(width):
+            for y in range(height):
+                name = f"v{x}.{y}"
+                positions[name] = (x + rng.uniform(-0.15, 0.15), y + rng.uniform(-0.15, 0.15))
+                adjacency[name] = [
+                    f"v{x + dx}.{y + dy}" for dx, dy in ((1, 0), (0, 1)) if x + dx < width and y + dy < height
+                ]
+        return adjacency, positions
+
+    def test_tables_and_searches_are_pinned(self, monkeypatch):
+        tables, searches = [], []
+        tiled, saturate = optimizer._tiled_sizes, matching._saturate
+
+        def counted_table(core, width, cap):
+            tables.append(core)
+            return tiled(core, width, cap)
+
+        def recorded_search(ones, width, cap_row, cap_col, bound):
+            result = saturate(ones, width, cap_row, cap_col, bound)
+            searches.append((cap_row, cap_col, bound, result[-1] is not None))
+            return result
+
+        monkeypatch.setattr(optimizer, "_tiled_sizes", counted_table)
+        monkeypatch.setattr(matching, "_saturate", recorded_search)
+        rng = random.Random("optimizer/kernel-work")
+        for width, height in ((3, 2), (3, 3), (4, 3), (5, 2)):
+            for cap in (1, 2, 3):
+                for max_hops in (4, 5):
+                    adjacency, positions = self.jittered_grid(rng, width, height)
+                    top = height - 1
+                    space = SearchSpace(
+                        routes1=routes_from_graph(adjacency, positions, "v0.0", f"v{width - 1}.0", max_hops),
+                        routes2=routes_from_graph(adjacency, positions, f"v0.{top}", f"v{width - 1}.{top}", max_hops),
+                        max_traversals=cap,
+                    )
+                    optimize(DiskScenario(interference_radius=rng.uniform(0.6, 1.6)), space)
+        failed = sum(fails for *_, fails in searches)
+        digest = hashlib.sha256(repr(searches).encode()).hexdigest()
+        assert (len(tables), len(searches), failed, digest) == (self.TABLES, self.SEARCHES, self.FAILED, self.DIGEST)
 
 def test_import_leaves_networkx_out():
     src = Path(beatsched.__file__).resolve().parent.parent

@@ -346,6 +346,25 @@ class TestScheduleType:
         data["path_periods"] = {1: 3, "2": 3}
         assert schedule_from_dict(data) == schedule
 
+    def test_the_callers_mappings_cannot_change_a_built_schedule(self):
+        # the mappings are copied when the schedule is built, so changing the
+        # caller's dicts afterwards changes neither the predicted rate nor the
+        # audit, repr, equality or to_dict
+        pair = line_pair(4)
+        built = schedule_primary(pair, 1, 3)
+        periods, counts = {1: 3}, {1: 1}
+        schedule = Schedule(built.period, built.beats, periods, counts, built.kind)
+        before = (repr(schedule), schedule.to_dict())
+        assert schedule == built and predicted_throughput(schedule) == Fraction(1, 3)
+        counts[1] = 3
+        periods[1] = 1
+        periods[2] = 3
+        assert predicted_throughput(schedule) == Fraction(1, 3)
+        assert audit_schedule(pair, schedule).ok
+        assert (repr(schedule), schedule.to_dict()) == before
+        assert schedule == built
+        assert repr(schedule).count("path_periods={1: 3}, activation_counts={1: 1}") == 1
+
 
 class TestAudit:
     def _solo_beat(self, phase: int, members: tuple[int, ...]) -> Beat:
