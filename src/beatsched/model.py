@@ -280,13 +280,6 @@ class PathPair:
         self.path(path_id)
         return 0 if path_id == 1 else self.path1.n_senders
 
-    def index_of(self, node: NodeRef) -> int:
-        """Dense index of one sender."""
-        try:
-            return self._index[node]
-        except KeyError:
-            raise DomainError(f"{node} is not a sender of this pair") from None
-
     def mask_of(self, nodes: Iterable[NodeRef]) -> int:
         """Mask of a node set; rejects empty input and nodes that are not senders."""
         index = self._index
@@ -334,10 +327,6 @@ class PathPair:
     def is_concurrent_mask(self, mask: int) -> bool:
         """True when no member's conflicts meet the set itself."""
         return not self.conflicts_of(mask) & mask
-
-    def validate_nodes(self, nodes: Iterable[NodeRef]) -> tuple[NodeRef, ...]:
-        """Sorted tuple of `nodes` after checking membership; rejects empty input."""
-        return self.nodes_of(self.mask_of(nodes))
 
 
 @dataclass(frozen=True)

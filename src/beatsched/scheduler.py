@@ -36,7 +36,9 @@ CATEGORY_PATH2 = "path2-only"
 @dataclass(frozen=True)
 class SubsetActivation:
     """One equally spaced phase subset switched on for one beat. Members
-    given as another iterable are kept as a tuple."""
+    given as another iterable are kept as a tuple. The path id, spacing,
+    phase and every member must be ints, not bools; whether they name a
+    valid phase subset is for `audit_schedule` to report."""
 
     path_id: int
     spacing: int
@@ -45,6 +47,14 @@ class SubsetActivation:
 
     def __post_init__(self) -> None:
         _freeze(self, "members")
+        for name in ("path_id", "spacing"):
+            if type(getattr(self, name)) is not int:
+                raise DomainError(f"activation {name} must be an int, got {getattr(self, name)!r}")
+        if type(self.phase) is not int or [m for m in self.members if type(m) is not int]:
+            raise DomainError(
+                f"path {self.path_id}: phase and members must be ints, "
+                f"got phase {self.phase!r} and members {self.members!r}"
+            )
 
     def nodes(self) -> tuple[NodeRef, ...]:
         return tuple(NodeRef(self.path_id, seq) for seq in self.members)
@@ -97,8 +107,8 @@ class Schedule:
     fires per cycle. The period, every spacing and every count is an int
     >= 1, and period == len(beats) always; a schedule is checked for both
     when it is built. Beats given as another iterable are kept as a tuple,
-    and both mappings are copied, so a schedule, its beats and their
-    activations cannot change through what the caller passed in. The
+    and both mappings are kept as read-only copies, so a schedule, its
+    beats and their activations cannot change after it is built. The
     simulator keeps a schedule's compiled slots on it (see
     `simulator._slot_programs`); they take no part in equality or repr.
     """
@@ -126,7 +136,7 @@ class Schedule:
             for path_id, count in getattr(self, name).items():
                 field_name = f"{name}[{path_id!r}]"
                 _check_counts(f"schedule field {field_name} must be >= 1, got {count}", **{field_name: count})
-            object.__setattr__(self, name, dict(getattr(self, name)))
+            object.__setattr__(self, name, _ReadOnlyDict(getattr(self, name)))
 
     def beat(self, index: int) -> Beat:
         """Beat at a 1-based index, wrapping modulo the period."""
@@ -142,6 +152,20 @@ class Schedule:
             },
             "beats": [b.to_dict() for b in self.beats],
         }
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change once built; it prints, compares
+    and iterates as the dict it copies."""
+
+    def __setitem__(self, *args, **kwargs):
+        raise TypeError("a schedule's mappings cannot change")
+
+    __delitem__ = __ior__ = update = pop = popitem = clear = setdefault = __setitem__
+
+    def __reduce__(self):
+        # copy and deepcopy would otherwise refill the copy item by item
+        return type(self), (dict(self),)
 
 
 def _freeze(record, name: str) -> None:
@@ -375,46 +399,6 @@ class AuditReport:
         )
 
 
-# An activation's audit verdict: its problems as (flag, text after
-# "beat <index> "), its path's phase counts when it fires a phase of the
-# path's declared spacing, else None, and its sender mask with the mask of
-# the senders that interfere with one of them, or None when it stays out
-# of the union test.
-_Verdict = tuple[tuple[tuple[str, str], ...], dict[int, int] | None, tuple[int, int] | None]
-
-
-def _check_activation(
-    pair: PathPair, schedule: Schedule, act: SubsetActivation, index: int, phase_counts: dict[int, dict[int, int]]
-) -> _Verdict:
-    """The verdict of an activation that `audit_schedule` meets first in
-    beat `index`, which a DomainError names."""
-    spacing = schedule.path_periods.get(act.path_id)
-    if spacing is None or act.spacing != spacing:
-        text = f"uses spacing {act.spacing} on path {act.path_id}, schedule declares {spacing}"
-        return (("uniqueness_ok", text),), None, None
-    path = pair.path(act.path_id)
-    # only the spacing is checked here; a phase outside 1..spacing
-    # is reported with the phase counts
-    _check_phase(path, 1, spacing)
-    if type(act.phase) is not int or [m for m in act.members if type(m) is not int]:
-        raise DomainError(
-            f"beat {index} path {act.path_id}: phase and members must be ints, "
-            f"got phase {act.phase!r} and members {act.members!r}"
-        )
-    texts = []
-    where = f"path {act.path_id} phase {act.phase}"
-    matches = act.members == tuple(range(act.phase, path.n_senders + 1, spacing))
-    if not matches:
-        texts.append(("uniqueness_ok", f"{where} members {act.members} do not match the phase subset"))
-    # a phase subset from phase 1 on names senders only; a member
-    # below 1 names none, so it stays out of the union test
-    if (not matches or act.phase < 1) and min(act.members, default=1) < 1:
-        texts.append(("uniqueness_ok", f"{where} has member {min(act.members)} below 1"))
-        return tuple(texts), phase_counts[act.path_id], None
-    mask = pair.seq_mask(act.path_id, act.members)
-    return tuple(texts), phase_counts[act.path_id], (mask, pair.conflicts_of(mask))
-
-
 def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
     """Check a schedule against the validity conditions from scratch.
 
@@ -432,14 +416,15 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
     phase_counts: dict[int, dict[int, int]] = {
         pid: {} for pid in schedule.path_periods
     }
-    # each activation object is checked once, at its first beat; every
-    # beat that uses it repeats its problems under its own index
-    verdicts: dict[int, _Verdict] = {}
+    # each path's phase subsets by phase, as (members, mask, conflicts),
+    # built at the path's first activation of its declared spacing
+    subsets: dict[int, dict[int, tuple[tuple[int, ...], int, int]]] = {}
     for index, beat in enumerate(schedule.beats, start=1):
         if not beat.activations:
             problem("non_empty_ok", f"beat {index} activates nothing")
             continue
         seen_paths: set[int] = set()
+        counted: list[SubsetActivation] = []
         union = conflicts = 0
         for act in beat.activations:
             if act.path_id in seen_paths:
@@ -448,17 +433,42 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
                     f"beat {index} activates path {act.path_id} twice",
                 )
             seen_paths.add(act.path_id)
-            verdict = verdicts.get(id(act))
-            if verdict is None:
-                verdict = verdicts[id(act)] = _check_activation(pair, schedule, act, index, phase_counts)
-            texts, counts, masks = verdict
-            for flag, text in texts:
-                problem(flag, f"beat {index} {text}")
-            if counts is not None:
-                counts[act.phase] = counts.get(act.phase, 0) + 1
-            if masks is not None:
-                union |= masks[0]
-                conflicts |= masks[1]
+            spacing = schedule.path_periods.get(act.path_id)
+            if spacing is None or act.spacing != spacing:
+                text = f"uses spacing {act.spacing} on path {act.path_id}, schedule declares {spacing}"
+                problem("uniqueness_ok", f"beat {index} {text}")
+                continue
+            phases = subsets.get(act.path_id)
+            if phases is None:
+                # only the spacing is checked here; a phase outside 1..spacing
+                # is reported with the phase counts
+                path = pair.path(act.path_id)
+                _check_phase(path, 1, spacing)
+                phases = subsets[act.path_id] = {}
+                for phase in range(1, spacing + 1):
+                    seqs = tuple(range(phase, path.n_senders + 1, spacing))
+                    mask = pair.seq_mask(act.path_id, seqs)
+                    phases[phase] = seqs, mask, pair.conflicts_of(mask)
+            counts = phase_counts[act.path_id]
+            counts[act.phase] = counts.get(act.phase, 0) + 1
+            subset = phases.get(act.phase)
+            if subset is not None and subset[0] == act.members:
+                _, mask, reach = subset
+            else:
+                where = f"beat {index} path {act.path_id} phase {act.phase}"
+                matches = act.members == tuple(range(act.phase, pair.path(act.path_id).n_senders + 1, spacing))
+                if not matches:
+                    problem("uniqueness_ok", f"{where} members {act.members} do not match the phase subset")
+                # a phase subset from phase 1 on names senders only; a member
+                # below 1 names none, so it stays out of the union test
+                if (not matches or act.phase < 1) and min(act.members, default=1) < 1:
+                    problem("uniqueness_ok", f"{where} has member {min(act.members)} below 1")
+                    continue
+                mask = pair.seq_mask(act.path_id, act.members)
+                reach = pair.conflicts_of(mask)
+            counted.append(act)
+            union |= mask
+            conflicts |= reach
         # the union is a concurrency subset when no member's conflicts meet it
         if not conflicts & union:
             continue
@@ -466,8 +476,7 @@ def audit_schedule(pair: PathPair, schedule: Schedule) -> AuditReport:
         # order; a position past a chain's end names no sender, so its mask is 0
         members = [
             (node, pair.seq_mask(node.path_id, (node.seq,)))
-            for act in beat.activations if verdicts[id(act)][2] is not None
-            for node in act.nodes()
+            for act in counted for node in act.nodes()
         ]
         for a_pos, (a, bit) in enumerate(members):
             reach = pair.conflicts_of(bit)

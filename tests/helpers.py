@@ -19,6 +19,8 @@ from beatsched.model import (
     _bits,
     _derive_pair,
 )
+from beatsched.periods import _check_phase
+from beatsched.scheduler import AuditReport, Schedule, SubsetActivation
 
 # A joint concurrency matrix with no stall-free single-buffer schedule at
 # three and two traversals; the queueing relay keeps it at full rate with
@@ -153,3 +155,106 @@ def reference_violations(rows: list[list[int]], elements: Iterable[tuple[int, in
                     "with any element"
                 )
     return violations
+
+
+def reference_audit(pair: PathPair, schedule: Schedule) -> AuditReport:
+    """The validity audit as one loop that checks every activation of every
+    beat on its own, caching nothing between activations: the reference
+    for `scheduler.audit_schedule`.
+
+    Deliberately ignores how the schedule was built: every beat must be
+    non-empty, every beat's union must be a concurrency subset, no beat
+    may activate two subsets of one path, and over the whole cycle each
+    path must fire every phase of its spacing the same number of times.
+    """
+    report = AuditReport(True, True, True, True)
+
+    def problem(flag: str, text: str) -> None:
+        setattr(report, flag, False)
+        report.problems.append(text)
+
+    phase_counts: dict[int, dict[int, int]] = {
+        pid: {} for pid in schedule.path_periods
+    }
+    for index, beat in enumerate(schedule.beats, start=1):
+        if not beat.activations:
+            problem("non_empty_ok", f"beat {index} activates nothing")
+            continue
+        seen_paths: set[int] = set()
+        counted: list[SubsetActivation] = []
+        for act in beat.activations:
+            if act.path_id in seen_paths:
+                problem(
+                    "uniqueness_ok",
+                    f"beat {index} activates path {act.path_id} twice",
+                )
+            seen_paths.add(act.path_id)
+            spacing = schedule.path_periods.get(act.path_id)
+            if spacing is None or act.spacing != spacing:
+                problem(
+                    "uniqueness_ok",
+                    f"beat {index} uses spacing {act.spacing} on path "
+                    f"{act.path_id}, schedule declares {spacing}",
+                )
+                continue
+            path = pair.path(act.path_id)
+            # only the spacing is checked here; a phase outside 1..spacing
+            # is reported with the phase counts
+            _check_phase(path, 1, spacing)
+            if type(act.phase) is not int or [m for m in act.members if type(m) is not int]:
+                raise DomainError(
+                    f"beat {index} path {act.path_id}: phase and members must be ints, "
+                    f"got phase {act.phase!r} and members {act.members!r}"
+                )
+            n = path.n_senders
+            expected = tuple(range(act.phase, n + 1, spacing))
+            matches = act.members == expected
+            if not matches:
+                problem(
+                    "uniqueness_ok",
+                    f"beat {index} path {act.path_id} phase {act.phase} "
+                    f"members {act.members} do not match the phase subset",
+                )
+            counts = phase_counts[act.path_id]
+            counts[act.phase] = counts.get(act.phase, 0) + 1
+            # a phase subset from phase 1 on names senders only; a member
+            # below 1 names none, so it stays out of the union test
+            if (not matches or act.phase < 1) and min(act.members, default=1) < 1:
+                problem(
+                    "uniqueness_ok",
+                    f"beat {index} path {act.path_id} phase {act.phase} "
+                    f"has member {min(act.members)} below 1",
+                )
+                continue
+            counted.append(act)
+        union = 0
+        for act in counted:
+            union |= pair.seq_mask(act.path_id, act.members)
+        if pair.is_concurrent_mask(union):
+            continue
+        # list every interfering pair, in activation and member order; a
+        # position past a chain's end names no sender, so its mask is 0
+        members = [(node, pair.seq_mask(node.path_id, (node.seq,))) for act in counted for node in act.nodes()]
+        for a_pos, (a, bit) in enumerate(members):
+            reach = pair.conflicts_of(bit)
+            for b, other in members[a_pos + 1:]:
+                if reach & other:
+                    problem("concurrency_ok", f"beat {index}: {a} and {b} interfere")
+    for path_id, spacing in schedule.path_periods.items():
+        counts = phase_counts[path_id]
+        expected_count = schedule.activation_counts[path_id]
+        for phase in range(1, spacing + 1):
+            got = counts.get(phase, 0)
+            if got != expected_count:
+                problem(
+                    "ergodicity_ok",
+                    f"path {path_id} phase {phase} fires {got} times per "
+                    f"cycle, expected {expected_count}",
+                )
+        stray = sorted(set(counts) - set(range(1, spacing + 1)))
+        if stray:
+            problem(
+                "ergodicity_ok",
+                f"path {path_id} fires phases {stray} outside 1..{spacing}",
+            )
+    return report

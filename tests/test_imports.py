@@ -5,7 +5,8 @@ No linter ships with the project, so this test parses each module with
 `ast`: a name bound by an import must be read somewhere in the module,
 inside a quoted annotation, or be listed in the module's `__all__`. A
 module-level function, class or assignment whose name starts with a single
-underscore must be read outside its own definition, in any module.
+underscore must be read outside its own definition, in any module, and so
+must a method or property of a class whose name does, read as an attribute.
 """
 
 import ast
@@ -151,3 +152,63 @@ def test_the_check_sees_an_unread_private_name():
         "c.py": ast.parse("import a\nx = a._helper\ndef _helper(): pass\n"),
     }
     assert unread_private_names(trees) == ["a.py: _unused (line 3)", "a.py: _recursive (line 5)"]
+
+
+def private_methods(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(class name, definition) for each method or property of a class
+    whose name starts with a single underscore."""
+    return [
+        (cls.name, member)
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and member.name.startswith("_") and not member.name.startswith("__")
+    ]
+
+
+def unread_private_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """Private methods and properties that nothing in the package reads as an
+    attribute outside their own definition."""
+    reads = [
+        node for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = []
+    for module, tree in trees.items():
+        for cls, method in private_methods(tree):
+            inside = set(map(id, ast.walk(method)))
+            if not any(node.attr == method.name and id(node) not in inside for node in reads):
+                unread.append(f"{module}: {cls}.{method.name} (line {method.lineno})")
+    return unread
+
+
+def test_every_private_method_is_read_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in MODULES}
+    assert unread_private_methods(trees) == [], "private methods nothing in src/beatsched reads"
+
+
+def test_the_check_sees_an_unread_private_method():
+    trees = {
+        "a.py": ast.parse(
+            "class Record:\n"
+            "    _limit = 3\n"
+            "    def __init__(self):\n"
+            "        self._cache = self._build()\n"
+            "    def _build(self):\n"
+            "        return self._limit\n"
+            "    def _again(self, n):\n"
+            "        return self._again(n - 1)\n"
+            "    @property\n"
+            "    def _size(self):\n"
+            "        return 0\n"
+            "    @classmethod\n"
+            "    def _make(cls):\n"
+            "        return cls()\n"
+            "    def _dropped(self):\n"
+            "        pass\n"
+            "def _dropped():\n"
+            "    pass\n"
+        ),
+        "b.py": ast.parse("from .a import Record\nsize = Record()._size\nmade = Record._make\n"),
+    }
+    assert unread_private_methods(trees) == ["a.py: Record._again (line 7)", "a.py: Record._dropped (line 15)"]

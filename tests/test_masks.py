@@ -78,7 +78,7 @@ class TestConcurrencySubset:
                 # sampling with replacement gives duplicates and singletons
                 chosen = [rng.choice(nodes) for _ in range(rng.randint(1, 2 * len(nodes)))]
                 assert is_concurrency_subset(pair, chosen) == pairwise_concurrent(pair, chosen)
-                assert pair.validate_nodes(chosen) == tuple(sorted(set(chosen)))
+                assert pair.nodes_of(pair.mask_of(chosen)) == tuple(sorted(set(chosen)))
             for node in nodes:
                 assert is_concurrency_subset(pair, [node])
                 assert is_concurrency_subset(pair, [node, node])
@@ -88,7 +88,7 @@ class TestConcurrencySubset:
             with pytest.raises(DomainError, match="^node set is empty$"):
                 is_concurrency_subset(pair, [])
             with pytest.raises(DomainError, match="^node set is empty$"):
-                pair.validate_nodes(iter(()))
+                pair.mask_of(iter(()))
 
     def test_stranger_is_rejected_by_name(self):
         for _, pair in cases():
@@ -98,11 +98,11 @@ class TestConcurrencySubset:
             if pair.path2 is None:
                 # the smallest stranger is the one reported
                 with pytest.raises(DomainError, match=f"^{past_end} is not a sender"):
-                    pair.validate_nodes([NodeRef(2, 1), past_end, pair.nodes[0]])
+                    pair.mask_of([NodeRef(2, 1), past_end, pair.nodes[0]])
 
     def test_iterators_are_consumed_once(self):
         for _, pair in cases():
-            assert pair.validate_nodes(iter(pair.nodes)) == pair.nodes
+            assert pair.nodes_of(pair.mask_of(iter(pair.nodes))) == pair.nodes
 
 
 class TestPeriods:
@@ -248,7 +248,7 @@ class TestPathPairIdentity:
     def test_dense_order_is_path_then_seq(self):
         for _, pair in cases():
             assert list(pair.nodes) == sorted(pair.nodes)
-            assert [pair.index_of(ref) for ref in pair.nodes] == list(range(pair.total_senders))
+            assert [pair.mask_of([ref]) for ref in pair.nodes] == [1 << i for i in range(pair.total_senders)]
             for path in pair.paths:
                 assert pair.path_nodes(path.id) == path.senders
 

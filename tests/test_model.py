@@ -148,11 +148,11 @@ class TestPathPair:
         with pytest.raises(DomainError, match=r"^relation mentions n1\.3, which is not a sender of this pair$"):
             PathPair(PrimaryPath(id=1, n_senders=2), None, relation)
 
-    def test_index_of_and_seq_mask_reject_what_names_no_sender(self):
+    def test_mask_of_and_seq_mask_reject_what_names_no_sender(self):
         pair = line_pair(3)
-        assert pair.index_of(n(1, 3)) == 2
+        assert pair.mask_of([n(1, 3)]) == 0b100 and pair.nodes[2] == n(1, 3)
         with pytest.raises(DomainError, match=r"^n2\.1 is not a sender of this pair$"):
-            pair.index_of(n(2, 1))
+            pair.mask_of([n(2, 1)])
         # a position past the chain's end names no sender and adds nothing
         assert pair.seq_mask(1, [1, 4]) == 0b1
         with pytest.raises(DomainError, match="^seq must be >= 1, got 0$"):
@@ -163,13 +163,13 @@ class TestPathPair:
         with pytest.raises(DomainError, match=rf"^seq must be an int, got {re.escape(repr(seq))}$"):
             line_pair(3).seq_mask(1, [1, seq])
 
-    def test_validate_nodes_rejects_foreign_and_empty(self):
+    def test_mask_of_rejects_foreign_and_empty_and_nodes_of_sorts(self):
         pair = line_pair(3)
-        with pytest.raises(DomainError):
-            pair.validate_nodes([])
-        with pytest.raises(DomainError):
-            pair.validate_nodes([n(2, 1)])
-        assert pair.validate_nodes([n(1, 3), n(1, 1)]) == (n(1, 1), n(1, 3))
+        with pytest.raises(DomainError, match="^node set is empty$"):
+            pair.mask_of([])
+        with pytest.raises(DomainError, match=r"^n2\.1 is not a sender of this pair$"):
+            pair.mask_of([n(2, 1)])
+        assert pair.nodes_of(pair.mask_of([n(1, 3), n(1, 1)])) == (n(1, 1), n(1, 3))
 
 
 class TestGeometry:

@@ -1,6 +1,9 @@
 """Schedule synthesis, the validity audit, and serialized round trips."""
 
+import copy
 import dataclasses
+import operator
+import random
 import re
 from fractions import Fraction
 
@@ -8,10 +11,12 @@ import pytest
 
 from beatsched import scheduler
 from beatsched.errors import ConsistencyError, DomainError
+from beatsched.model import PathPair
 from beatsched.scheduler import (
     CATEGORY_JOINT,
     CATEGORY_PATH1,
     CATEGORY_PATH2,
+    AuditReport,
     Beat,
     Schedule,
     SubsetActivation,
@@ -22,8 +27,9 @@ from beatsched.scheduler import (
     schedule_pair_unequal,
     schedule_primary,
 )
-from beatsched.verify import pair_corpus, pair_from_joint_matrix
-from helpers import OBSTRUCTION_C, line_pair, two_line_pair
+from beatsched.simulator import measure_delay, run
+from beatsched.verify import line_corpus, pair_corpus, pair_from_joint_matrix
+from helpers import OBSTRUCTION_C, line_pair, reference_audit, two_line_pair
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +371,86 @@ class TestScheduleType:
         assert schedule == built
         assert repr(schedule).count("path_periods={1: 3}, activation_counts={1: 1}") == 1
 
+    @pytest.mark.parametrize("name", ["path_periods", "activation_counts"])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda m: m.__setitem__(1, 3),
+            lambda m: m.__delitem__(1),
+            lambda m: m.update({1: 3}),
+            lambda m: m.pop(1),
+            lambda m: m.popitem(),
+            lambda m: m.clear(),
+            lambda m: m.setdefault(2, 3),
+            lambda m: operator.ior(m, {1: 3}),
+        ],
+        ids=["setitem", "delitem", "update", "pop", "popitem", "clear", "setdefault", "ior"],
+    )
+    def test_a_built_schedules_mappings_refuse_every_change(self, name, change):
+        # changing activation_counts[1] to 3 used to turn the predicted rate
+        # from 1/3 into 1 and make the audit report phase 1 as firing once
+        pair = line_pair(4)
+        schedule = schedule_primary(pair, 1, 3)
+        mapping = getattr(schedule, name)
+        with pytest.raises(TypeError, match="^a schedule's mappings cannot change$"):
+            change(mapping)
+        assert mapping == {1: 3 if name == "path_periods" else 1}
+        assert predicted_throughput(schedule) == Fraction(1, 3)
+        assert audit_schedule(pair, schedule) == audit_schedule(pair, schedule_primary(pair, 1, 3))
+        assert audit_schedule(pair, schedule).ok
+
+    def test_read_only_mappings_print_compare_and_copy_as_dicts(self, far_pair):
+        built = schedule_pair_unequal(far_pair, 3, 3, 2, 1)
+        schedule = dataclasses.replace(built, path_periods={2: 3, 1: 3}, activation_counts={2: 1, 1: 2})
+        assert repr(schedule.activation_counts) == "{2: 1, 1: 2}" and list(schedule.path_periods) == [2, 1]
+        assert schedule.activation_counts == {1: 2, 2: 1} and schedule == built
+        assert schedule.to_dict()["activation_counts"] == {"2": 1, "1": 2}
+        for twin in (dataclasses.replace(schedule), copy.copy(schedule), copy.deepcopy(schedule)):
+            assert twin == schedule and repr(twin) == repr(schedule)
+            assert twin.to_dict() == schedule.to_dict()
+            with pytest.raises(TypeError):
+                twin.activation_counts[1] = 3
+
+
+class TestActivationFields:
+    """An activation checks that its path id, spacing, phase and members
+    are ints when it is built."""
+
+    @pytest.mark.parametrize("value", [3.0, True])
+    @pytest.mark.parametrize("name", ["path_id", "spacing", "phase", "members"])
+    def test_a_float_or_a_bool_is_rejected_when_built(self, chain6, name, value):
+        first = schedule_primary(chain6, 1).beats[0].activations[0]
+        if name in ("path_id", "spacing"):
+            change, message = value, f"activation {name} must be an int, got {value!r}"
+        elif name == "phase":
+            change, message = value, f"phase {value!r} and members (1, 4)"
+        else:
+            change, message = (1, value), f"phase 1 and members (1, {value!r})"
+        if name in ("phase", "members"):
+            message = f"path 1: phase and members must be ints, got {message}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(first, **{name: change})
+
+    @staticmethod
+    def with_first_activation(schedule: Schedule, **changes) -> Schedule:
+        first = schedule.beats[0]
+        act = dataclasses.replace(first.activations[0], **changes)
+        return dataclasses.replace(schedule, beats=(Beat(first.category, (act,)), *schedule.beats[1:]))
+
+    def test_a_float_member_is_a_domain_error_before_the_simulator_runs(self, chain6):
+        # the simulator once shifted by member 4.0 and raised a bare TypeError
+        schedule = schedule_primary(chain6, 1)
+        message = r"^path 1: phase and members must be ints, got phase 1 and members \(1, 4\.0\)$"
+        for simulate in (lambda s: run(chain6, s, n_periods=2), lambda s: measure_delay(chain6, s, 3)):
+            with pytest.raises(DomainError, match=message):
+                simulate(self.with_first_activation(schedule, members=(1, 4.0)))
+
+    def test_a_bool_path_and_a_float_spacing_cannot_pass_the_audit(self, chain6):
+        # True == 1 and 3.0 == 3, so the audit once found nothing wrong
+        schedule = schedule_primary(chain6, 1)
+        with pytest.raises(DomainError, match="^activation path_id must be an int, got True$"):
+            audit_schedule(chain6, self.with_first_activation(schedule, path_id=True, spacing=3.0))
+
 
 class TestAudit:
     def _solo_beat(self, phase: int, members: tuple[int, ...]) -> Beat:
@@ -576,13 +662,12 @@ class TestAudit:
         ],
     )
     def test_phase_and_members_must_be_ints(self, chain6, phase, members, text):
-        schedule = schedule_primary(chain6, 1)
-        first = schedule.beats[0]
-        act = dataclasses.replace(first.activations[0], phase=phase, members=members)
-        broken = dataclasses.replace(schedule, beats=(Beat(first.category, (act,)), *schedule.beats[1:]))
-        message = f"^beat 1 path 1: phase and members must be ints, got {re.escape(text)}$"
+        # an activation checks its own fields when it is built, so no audit
+        # meets a float or a bool
+        first = schedule_primary(chain6, 1).beats[0].activations[0]
+        message = f"^path 1: phase and members must be ints, got {re.escape(text)}$"
         with pytest.raises(DomainError, match=message):
-            audit_schedule(chain6, broken)
+            dataclasses.replace(first, phase=phase, members=members)
 
     def test_member_below_one_in_a_matching_phase_is_a_problem(self, chain6):
         # phase 0 at spacing 3 spans (0, 3, 6), so only the member check sees 0
@@ -591,3 +676,115 @@ class TestAudit:
             "beat 4 path 1 phase 0 has member 0 below 1",
             "path 1 fires phases [0] outside 1..3",
         ]
+
+
+def builder_schedules(seed: int, instances: int) -> list[tuple[PathPair, Schedule]]:
+    """Every builder's schedules on `line_corpus` and `pair_corpus` at a seed."""
+    out = [(pair, schedule_primary(pair, 1)) for pair in line_corpus(seed, instances)]
+    for case in pair_corpus(seed, instances):
+        out.append((case.pair, schedule_pair_equal(case.pair, case.period1, case.period2, case.traversals_equal)))
+        out.append((case.pair, schedule_pair_unequal(
+            case.pair, case.period1, case.period2, case.traversals1, case.traversals2
+        )))
+    return out
+
+
+def bad_member(rng: random.Random, pair: PathPair, act: SubsetActivation) -> SubsetActivation:
+    """The activation with one more member: a stray sender of its path, a
+    position past the chain's end, or one below 1, at a random place."""
+    n = pair.path(act.path_id).n_senders
+    member = rng.choice((rng.randint(1, n), n + rng.randint(1, 2), rng.randint(-1, 0)))
+    members = list(act.members)
+    members.insert(rng.randint(0, len(members)), member)
+    return dataclasses.replace(act, members=tuple(members))
+
+
+def mutate(rng: random.Random, pair: PathPair, beats: list[Beat], how: str) -> None:
+    """Apply one mutation to a random beat of `beats`, in place."""
+    i = rng.randrange(len(beats))
+    beat = beats[i]
+    if not beat.activations:
+        return
+    acts = list(beat.activations)
+    j = rng.randrange(len(acts))
+    act = acts[j]
+    n = pair.path(act.path_id).n_senders
+    if how == "member":
+        acts[j] = bad_member(rng, pair, act)
+    elif how in ("phase 0", "phase above"):
+        phase = rng.randint(-1, 0) if how == "phase 0" else act.spacing + rng.randint(1, 2)
+        # either the old members or those the phase spans
+        members = rng.choice((act.members, tuple(range(phase, n + 1, act.spacing))))
+        acts[j] = dataclasses.replace(act, phase=phase, members=members)
+    elif how == "spacing":
+        acts[j] = dataclasses.replace(act, spacing=act.spacing + rng.choice((-1, 1)))
+    elif how == "empty":
+        acts = []
+    elif how == "twice":
+        # the same object, or another activation of the path from anywhere
+        others = [a for b in beats for a in b.activations if a.path_id == act.path_id]
+        acts.insert(rng.randint(0, len(acts)), rng.choice((act, rng.choice(others))))
+    elif how == "reused":
+        # one bad object here and added to up to three other beats
+        acts[j] = bad_member(rng, pair, act)
+        for k in rng.sample(range(len(beats)), min(3, len(beats))):
+            if k != i:
+                beats[k] = Beat(beats[k].category, (*beats[k].activations, acts[j]))
+    elif how == "copied":
+        for k in rng.sample(range(len(beats)), min(2, len(beats))):
+            beats[k] = beat
+        return
+    beats[i] = Beat(beat.category, tuple(acts))
+
+
+MUTATIONS = ("member", "phase 0", "phase above", "spacing", "empty", "twice", "reused", "copied")
+PROBLEM_KINDS = (
+    "activates nothing", "twice", "declares", "do not match", "below 1", "interfere", "fires", "outside"
+)
+
+
+class TestAuditAgainstReference:
+    """`audit_schedule` checks each path's phase subsets once per call; the
+    one-loop reference audit checks every activation on its own. Both give
+    the same flags and the same problems in the same order."""
+
+    @staticmethod
+    def reports(pair: PathPair, schedule: Schedule) -> tuple[AuditReport, AuditReport]:
+        return audit_schedule(pair, schedule), reference_audit(pair, schedule)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mutated_builder_schedules_get_the_reference_report(self, seed):
+        rng = random.Random(f"audit-reference/{seed}")
+        compared, seen = 0, set()
+        for pair, schedule in builder_schedules(seed, 30):
+            audit, reference = self.reports(pair, schedule)
+            assert audit == reference and audit.ok
+            # each mutation on its own, then two or three of them at once
+            for plan in [(how,) for how in MUTATIONS] + [tuple(rng.sample(MUTATIONS, rng.randint(2, 3)))]:
+                beats = list(schedule.beats)
+                for how in plan:
+                    mutate(rng, pair, beats, how)
+                mutated = dataclasses.replace(schedule, beats=beats)
+                audit, reference = self.reports(pair, mutated)
+                assert audit == reference, (plan, mutated)
+                compared += 1
+                seen |= {kind for kind in PROBLEM_KINDS for text in audit.problems if kind in text}
+        # 30 line and 60 pair schedules, nine mutated copies each, reach
+        # every kind of problem the audit reports
+        assert compared == 90 * 9
+        assert seen == set(PROBLEM_KINDS)
+
+    def test_audit_work_is_one_mask_per_phase_subset(self, monkeypatch):
+        # one seq_mask call per phase subset of each declared spacing, however
+        # often the traversals repeat a phase
+        cases = builder_schedules(1, 60)[60:]
+        calls = []
+        seq_mask = PathPair.seq_mask
+        monkeypatch.setattr(PathPair, "seq_mask", lambda self, *args: calls.append(1) or seq_mask(self, *args))
+        repeats = 0
+        for pair, schedule in cases:
+            calls.clear()
+            assert audit_schedule(pair, schedule).ok
+            assert len(calls) == sum(schedule.path_periods.values())
+            repeats += schedule.period > sum(schedule.path_periods.values())
+        assert len(cases) == 120 and repeats > 60
