@@ -90,12 +90,23 @@ def _interference_witness(conflicts: Sequence[int], members: int) -> int:
     return _best_clique(_interference_adjacency(conflicts, members), members)
 
 
+def _kept_witness(pair: PathPair, members: int, adj: Mapping[int, int] | None = None) -> int:
+    """interference_intensity's witness over `members`, kept on the pair;
+    `adj` is the members' interference adjacency when the caller has it."""
+    key = ("witness", members)
+    witness = pair._memo.get(key)
+    if witness is None:
+        witness = _interference_witness(pair._conflicts, members) if adj is None else _best_clique(adj, members)
+        pair._memo[key] = witness
+    return witness
+
+
 def interference_intensity(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> tuple[int, tuple[NodeRef, ...]]:
     """Size of a maximum set of pairwise-interfering senders, with a witness.
 
     1 with a singleton witness when no pair in the set interferes.
     """
-    witness = pair.nodes_of(_interference_witness(pair._conflicts, _members(pair, nodes)))
+    witness = pair.nodes_of(_kept_witness(pair, _members(pair, nodes)))
     return len(witness), witness
 
 
@@ -138,7 +149,7 @@ def is_dominant(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> bool:
     interference intensity; dominant sets split cleanly (see split_dominant)."""
     members = _members(pair, nodes)
     adj = _interference_adjacency(pair._conflicts, members)
-    return _max_degree(adj) < _best_clique(adj, members).bit_count()
+    return _max_degree(adj) < _kept_witness(pair, members, adj).bit_count()
 
 
 def split_dominant(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> list[tuple[NodeRef, ...]]:
@@ -152,7 +163,7 @@ def split_dominant(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> li
     """
     members = _members(pair, nodes)
     adj = _interference_adjacency(pair._conflicts, members)
-    witness = _best_clique(adj, members)
+    witness = _kept_witness(pair, members, adj)
     istar, degree = witness.bit_count(), _max_degree(adj)
     if degree >= istar:
         raise DomainError(
@@ -207,7 +218,7 @@ class IntensityReport:
 def analyze(pair: PathPair, nodes: Iterable[NodeRef] | None = None) -> IntensityReport:
     members = _members(pair, nodes)
     adj = _interference_adjacency(pair._conflicts, members)
-    iwit = pair.nodes_of(_best_clique(adj, members))
+    iwit = pair.nodes_of(_kept_witness(pair, members, adj))
     cwit = pair.nodes_of(_best_clique(_complement(adj, members), members))
     degree = _max_degree(adj)
     return IntensityReport(

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError
@@ -41,6 +40,27 @@ __all__ = [
     "is_concurrency_subset",
     "validate_path_rules",
 ]
+
+
+class _lazy:
+    """An attribute derived on first read, without a lock: the first read
+    calls the method and keeps its value in the instance's `__dict__`,
+    where every later read finds it before this descriptor. It is a
+    non-data descriptor, so a value put in `__dict__` beforehand, or set
+    by plain assignment, is read as it is. Two threads racing on a first
+    read may both call the method; their values are equal and one is kept.
+    """
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.method(instance)
+        return value
 
 
 @dataclass(frozen=True, order=True)
@@ -75,7 +95,7 @@ class PrimaryPath:
             raise DomainError(f"path id must be 1 or 2, got {self.id}")
         _check_counts(f"path needs at least one sender, got {self.n_senders}", id=self.id, n_senders=self.n_senders)
 
-    @cached_property
+    @_lazy
     def senders(self) -> tuple[NodeRef, ...]:
         return tuple(NodeRef(self.id, j) for j in range(1, self.n_senders + 1))
 
@@ -112,7 +132,7 @@ class InterferenceRelation:
         view._conflicts = conflicts
         return view
 
-    @cached_property
+    @_lazy
     def _pairs(self) -> frozenset[frozenset[NodeRef]]:
         nodes, conflicts = self._nodes, self._conflicts
         return frozenset(
@@ -178,6 +198,16 @@ class PathPair:
     pairs that already have masks are built by `_from_conflicts`, and a pair
     given another pair's view over the same senders takes its masks as they
     are.
+
+    A pair keeps what its stages derive from it in `_memo`, filled on
+    first ask like a `_lazy` attribute: each path's phase masks per spacing
+    with the first phase that is no concurrency subset (`periods`), the
+    joint matrix per pair of spacings (`periods.build_matrix`), each path's
+    phase activations per spacing (`scheduler`) and the interference
+    witness per member mask (`analysis`). Its values are immutable, and a
+    caller checks its arguments before it asks and keys on checked ints
+    only, so 3.0 or True never finds what 3 or 1 made. The memo takes no
+    part in equality, hashing or repr.
     """
 
     path1: PrimaryPath
@@ -229,14 +259,15 @@ class PathPair:
             raise DomainError("path2 must have id 2")
         object.__setattr__(self, "path1", path1)
         object.__setattr__(self, "path2", path2)
+        self.__dict__["_memo"] = {}
         return path1.n_senders + (path2.n_senders if path2 else 0)
 
-    @cached_property
+    @_lazy
     def relation(self) -> InterferenceRelation:
         """The interfering sender pairs, for the API and I/O boundary."""
         return InterferenceRelation._view(self.nodes, self._conflicts)
 
-    @cached_property
+    @_lazy
     def _index(self) -> dict[NodeRef, int]:
         return {ref: i for i, ref in enumerate(self.nodes)}
 
@@ -254,7 +285,7 @@ class PathPair:
             return self.path2
         raise DomainError(f"pair has no path {path_id}")
 
-    @cached_property
+    @_lazy
     def nodes(self) -> tuple[NodeRef, ...]:
         """Every sender, in dense-index order."""
         senders = self.path1.senders

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .analysis import _interference_witness
+from .analysis import _kept_witness
 from .errors import ConsistencyError, DomainError
 from .matching import _row_masks
 from .model import NodeRef, PathPair, PrimaryPath, _check_counts, _union, validate_path_rules
@@ -48,17 +48,25 @@ def _local_phases(n_senders: int, spacing: int) -> list[int]:
     """Masks of the phase subsets 1..spacing of a chain of n_senders, bit
     k standing for sender k+1."""
     chain = (1 << n_senders) - 1
-    first = sum(1 << k for k in range(0, n_senders, spacing))
+    # phase 1 sets every spacing-th bit: a repunit in base 2**spacing
+    first = ((1 << spacing * -(-n_senders // spacing)) - 1) // ((1 << spacing) - 1)
     # phase p's subset is phase 1's moved p-1 senders downstream
     return [(first << shift) & chain for shift in range(spacing)]
 
 
-def _phase_masks(pair: PathPair, path_id: int, spacing: int) -> list[int]:
-    """Dense masks of the phase subsets 1..spacing at this spacing."""
+def _phases(pair: PathPair, path_id: int, spacing: int) -> tuple[tuple[int, ...], int | None]:
+    """Dense masks of the phase subsets 1..spacing of a path, and the
+    1-based position of the first that is no concurrency subset, or None;
+    kept on the pair."""
     path = pair.path(path_id)
     _check_phase(path, 1, spacing)
-    offset = pair.offset(path_id)
-    return [mask << offset for mask in _local_phases(path.n_senders, spacing)]
+    key = ("phases", path.id, spacing)
+    found = pair._memo.get(key)
+    if found is None:
+        offset = pair.offset(path.id)
+        masks = tuple([mask << offset for mask in _local_phases(path.n_senders, spacing)])
+        found = pair._memo[key] = masks, _first_bad(pair._conflicts, masks)
+    return found
 
 
 def _first_bad(conflicts: Sequence[int], masks: Sequence[int]) -> int | None:
@@ -72,7 +80,7 @@ def _first_bad(conflicts: Sequence[int], masks: Sequence[int]) -> int | None:
 
 def is_reachable_period(pair: PathPair, path_id: int, spacing: int) -> bool:
     """True when every phase subset at this spacing is a concurrency subset."""
-    return _first_bad(pair._conflicts, _phase_masks(pair, path_id, spacing)) is None
+    return _phases(pair, path_id, spacing)[1] is None
 
 
 def intrinsic_period(pair: PathPair, path_id: int) -> int:
@@ -91,7 +99,7 @@ def intrinsic_period(pair: PathPair, path_id: int) -> int:
     assert tstar is not None
     if validate_path_rules(pair, path_id).ok:
         members = ((1 << path.n_senders) - 1) << pair.offset(path_id)
-        istar = _interference_witness(pair._conflicts, members).bit_count()
+        istar = _kept_witness(pair, members).bit_count()
         if tstar != istar:
             raise ConsistencyError(
                 f"period scan found {tstar} but interference intensity is {istar} "
@@ -126,15 +134,19 @@ def build_matrix(pair: PathPair, t1: int, t2: int) -> ConcurrencyMatrix:
     pair.require_pair()
     masks = []
     for path_id, spacing in ((1, t1), (2, t2)):
-        masks.append(_phase_masks(pair, path_id, spacing))
-        bad = _first_bad(pair._conflicts, masks[-1])
+        path_masks, bad = _phases(pair, path_id, spacing)
         if bad is not None:
             raise DomainError(
                 f"spacing {spacing} is not reachable on path {path_id}: "
                 f"phase {bad} subset is not a concurrency subset"
             )
-    rows = _joint_rows([pair.conflicts_of(mask1) for mask1 in masks[0]], masks[1])
-    return ConcurrencyMatrix(t1, t2, _unpack(rows, t2))
+        masks.append(path_masks)
+    key = ("matrix", t1, t2)
+    matrix = pair._memo.get(key)
+    if matrix is None:
+        rows = _joint_rows([pair.conflicts_of(mask1) for mask1 in masks[0]], masks[1])
+        matrix = pair._memo[key] = ConcurrencyMatrix(t1, t2, _unpack(rows, t2))
+    return matrix
 
 
 def _unpack(ones: Sequence[int], width: int) -> tuple[tuple[int, ...], ...]:

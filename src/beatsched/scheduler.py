@@ -108,9 +108,10 @@ class Schedule:
     >= 1, and period == len(beats) always; a schedule is checked for both
     when it is built. Beats given as another iterable are kept as a tuple,
     and both mappings are kept as read-only copies, so a schedule, its
-    beats and their activations cannot change after it is built. The
-    simulator keeps a schedule's compiled slots on it (see
-    `simulator._slot_programs`); they take no part in equality or repr.
+    beats and their activations cannot change after it is built. A
+    schedule keeps its slot programs, one per beat, for the last pair
+    object it ran on (see `simulator._slot_programs`); they take no part
+    in equality or repr.
     """
 
     period: int
@@ -236,13 +237,21 @@ def _int_field(value, name: str, keys: bool = False) -> int:
 
 
 def _phase_activations(pair: PathPair, path_id: int, spacing: int) -> tuple[SubsetActivation, ...]:
-    """The activations of phases 1..spacing of a path; phase k at index k-1."""
+    """The activations of phases 1..spacing of a path; phase k at index k-1.
+    They are kept on the pair, so every schedule of a pair shares them."""
     path = pair.path(path_id)
     _check_phase(path, 1, spacing)
-    return tuple(
-        SubsetActivation(path_id, spacing, phase, tuple(range(phase, path.n_senders + 1, spacing)))
-        for phase in range(1, spacing + 1)
-    )
+    if type(path_id) is not int:
+        # True and 1.0 would find path 1's kept activations; the activation's own text
+        raise DomainError(f"activation path_id must be an int, got {path_id!r}")
+    key = ("activations", path_id, spacing)
+    acts = pair._memo.get(key)
+    if acts is None:
+        acts = pair._memo[key] = tuple([
+            SubsetActivation(path_id, spacing, phase, tuple(range(phase, path.n_senders + 1, spacing)))
+            for phase in range(1, spacing + 1)
+        ])
+    return acts
 
 
 def _audited(pair: PathPair, schedule: Schedule) -> Schedule:

@@ -17,14 +17,17 @@ than one block. Schedules built from a tiled support set can briefly
 park a few blocks at one relay; the bound is the per-path traversal
 count. Throughput accounting is exact integers and rationals throughout.
 
-A schedule is compiled once per pair object (`_compile_slots`) and keeps
-that compile; each call binds it to its own buffers as slot programs, one
-per beat (`_slot_programs`), and steps them with `_ChainState.step`. The steps
-run downstream first, so each relay forwards what it held at the start
-of the beat before its upstream neighbor's block lands. A buffer grows
-only when a block lands, after the buffer's own departure of the beat,
-so its depth on arrival is its depth at the end of the beat, and the
-largest depth seen at arrivals is the largest at any beat's end.
+A schedule is compiled once per pair object into slot programs, one per
+beat (`_compile_slots`), and keeps them (`_slot_programs`). A program
+names its senders by dense index only and holds no buffer, so every run
+and delay measurement on that pair steps the same programs, each on its
+own buffers: `_ChainState.step` looks up each sender's move in its state.
+The steps run downstream first, so each relay forwards what it held at
+the start of the beat before its upstream neighbor's block lands. A
+buffer grows only when a block lands, after the buffer's own departure
+of the beat, so its depth on arrival is its depth at the end of the
+beat, and the largest depth seen at arrivals is the largest at any
+beat's end.
 
 A run does not have to step every beat it covers. The whole state that
 decides the future is the buffer contents, because the schedule repeats
@@ -81,12 +84,12 @@ _Mark = tuple[dict[int, int], dict[int, int], dict[int, int]]
 
 
 class _Slot(NamedTuple):
-    """One schedule beat bound to one run: its senders in activation
-    and member order, their moves (see `_ChainState.sends`) downstream
-    first, and whether the senders form a concurrency subset."""
+    """One schedule beat compiled for one pair: its senders in activation
+    and member order, the same senders downstream first, and whether they
+    form a concurrency subset."""
 
     senders: tuple[int, ...]
-    steps: tuple[tuple, ...]
+    downstream: tuple[int, ...]
     legal: bool
 
 
@@ -104,7 +107,7 @@ class _ChainState:
         # deliveries that the books count but the log skips (see _repeat_cycle)
         self.unlogged: dict[int, int] = {}
         self.books: list[tuple[int, list[list], list]] = []  # (path id, buffers, log)
-        # sender i's move: (i, path id, its buffer or None for a source, the
+        # sender i's move: (path id, its buffer or None for a source, the
         # next buffer or the path's delivery log, whether that is the log)
         self.sends: list[tuple] = []
         for path in pair.paths:
@@ -114,7 +117,7 @@ class _ChainState:
             self.injected[pid] = self.unlogged[pid] = 0
             self.books.append((pid, queues, log))
             self.sends += [
-                (start + seq - 1, pid, queue if seq > 1 else None, log if seq == n else queues[seq], seq == n)
+                (pid, queue if seq > 1 else None, log if seq == n else queues[seq], seq == n)
                 for seq, queue in enumerate(queues, 1)
             ]
         self.max_depth = 0
@@ -136,7 +139,7 @@ class _ChainState:
         key: list[int] = []
         for i, queue in enumerate(self.buffers):
             for serial, born in queue:
-                key += (i, self.injected[self.sends[i][1]] - serial, beat - born)
+                key += (i, self.injected[self.sends[i][0]] - serial, beat - born)
         return tuple(key)
 
     def mark(self) -> _Mark:
@@ -148,7 +151,9 @@ class _ChainState:
         Returns whether a block reached a destination; with `moved`, lists
         each moved block's serial under its sender, in step order."""
         delivered = False
-        for i, path_id, queue, target, delivers in program.steps:
+        sends = self.sends
+        for i in program.downstream:
+            path_id, queue, target, delivers = sends[i]
             if queue is None:
                 serial = self.injected[path_id] = self.injected[path_id] + 1
                 block = (serial, beat)
@@ -176,22 +181,15 @@ def _check_fifo(state: _ChainState) -> None:
             raise ConsistencyError(f"path {path_id} deliveries left injection order: {serials}")
 
 
-# A schedule compiled for one pair: the distinct sender sequences of its
-# beats, each as (senders in activation and member order, the same senders
-# downstream first, whether they form a concurrency subset), and each
-# beat's index into them.
-_Compiled = tuple[tuple[tuple[tuple[int, ...], tuple[int, ...], bool], ...], tuple[int, ...]]
-
-
-def _compile_slots(pair: PathPair, schedule: Schedule) -> _Compiled:
-    """The schedule compiled for `pair`. An activation object and a sender
-    sequence are each compiled once, however often the schedule repeats
-    them."""
+def _compile_slots(pair: PathPair, schedule: Schedule) -> tuple[_Slot, ...]:
+    """The schedule's slot programs on `pair`, one per beat. An activation
+    object and a sender sequence are each compiled once, however often the
+    schedule repeats them, and beats with one sender sequence share one
+    program."""
     first = {path.id: (pair.offset(path.id) - 1, path.n_senders) for path in pair.paths}
     acts: dict[int, tuple[tuple[int, ...], int]] = {}
-    sequences: dict[tuple[int, ...], int] = {}
-    compiled: list[tuple[tuple[int, ...], tuple[int, ...], bool]] = []
-    order: list[int] = []
+    slots: dict[tuple[int, ...], _Slot] = {}
+    programs: list[_Slot] = []
     for beat in schedule.beats:
         senders: tuple[int, ...] = ()
         mask = 0
@@ -208,29 +206,25 @@ def _compile_slots(pair: PathPair, schedule: Schedule) -> _Compiled:
                 done = acts[id(act)] = tuple(base + seq for seq in act.members), act_mask
             senders += done[0]
             mask |= done[1]
-        if senders not in sequences:
-            sequences[senders] = len(compiled)
-            compiled.append((senders, tuple(sorted(senders, reverse=True)), pair.is_concurrent_mask(mask)))
-        order.append(sequences[senders])
-    return tuple(compiled), tuple(order)
+        slot = slots.get(senders)
+        if slot is None:
+            slot = slots[senders] = _Slot(senders, tuple(sorted(senders, reverse=True)), pair.is_concurrent_mask(mask))
+        programs.append(slot)
+    return tuple(programs)
 
 
-def _slot_programs(pair: PathPair, schedule: Schedule, state: _ChainState) -> list[_Slot]:
-    """Each schedule beat's slot program, bound to `state`: each distinct
-    sender sequence of the schedule's compile is bound once.
+def _slot_programs(pair: PathPair, schedule: Schedule) -> tuple[_Slot, ...]:
+    """Each schedule beat's slot program on `pair`.
 
-    The compile is made on the first call with this pair object and kept
-    on the schedule until another pair object asks. A schedule and its
-    beats cannot change once built, so the compile stays true; it is held
-    beside the schedule's fields, like `PathPair`'s cached properties, and
-    takes no part in equality or repr."""
+    The programs are compiled on the first call with this pair object and
+    kept on the schedule until another pair object asks. A schedule and
+    its beats cannot change once built, and a program holds no run's
+    state, so every run on the pair steps the same programs; they are held
+    beside the schedule's fields and take no part in equality or repr."""
     held = schedule.__dict__.get("_compiled_slots")
     if held is None or held[0] is not pair:
         held = schedule.__dict__["_compiled_slots"] = (pair, _compile_slots(pair, schedule))
-    compiled, order = held[1]
-    sends = state.sends
-    bound = [_Slot(senders, tuple(map(sends.__getitem__, downstream)), legal) for senders, downstream, legal in compiled]
-    return [bound[k] for k in order]
+    return held[1]
 
 
 def _repeat_cycle(
@@ -329,11 +323,11 @@ def run(
     period = schedule.period
     total_periods = warmup_periods + n_periods
     window_start = warmup_periods * period + 1
-    programs = _slot_programs(pair, schedule, state)
+    programs = _slot_programs(pair, schedule)
     trace: list[dict] | None = None
     if collect_trace:
         trace, labels = [], [str(ref) for ref in pair.nodes]
-        heads = [f"dest{pid}" if delivers else labels[i + 1] for i, pid, _, _, delivers in state.sends]
+        heads = [f"dest{pid}" if delivers else labels[i + 1] for i, (pid, _, _, delivers) in enumerate(state.sends)]
 
     seen: dict[tuple[int, ...], int] = {}
     marks: list[_Mark] = []
@@ -359,7 +353,7 @@ def run(
                     "category": beat.category,
                     "activated": [labels[i] for i in program.senders],
                     "moves": [
-                        {"block": f"p{state.sends[i][1]}b{moved[i].pop(0)}", "from": labels[i], "to": heads[i]}
+                        {"block": f"p{state.sends[i][0]}b{moved[i].pop(0)}", "from": labels[i], "to": heads[i]}
                         for i in program.senders if moved.get(i)
                     ],
                 })
@@ -418,7 +412,7 @@ def measure_delay(pair: PathPair, schedule: Schedule, block_count: int) -> dict[
     beat_budget = max(-(-schedule.period * blocks // schedule.activation_counts[pid]) for pid in path_ids)
     state = _ChainState(pair)
     logs = [state.delivered_log[pid] for pid in path_ids]
-    programs = _slot_programs(pair, schedule, state)
+    programs = _slot_programs(pair, schedule)
     for beat_index in range(1, beat_budget + 1):
         if state.step(beat_index, programs[(beat_index - 1) % schedule.period]):
             if min(map(len, logs)) >= block_count:

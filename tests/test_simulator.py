@@ -324,7 +324,7 @@ class TestIntegrityChecks:
 
     def stepped_state(self, pair, schedule, beats):
         state = simulator._ChainState(pair)
-        programs = simulator._slot_programs(pair, schedule, state)
+        programs = simulator._slot_programs(pair, schedule)
         for beat_index in range(1, beats + 1):
             state.step(beat_index, programs[(beat_index - 1) % schedule.period])
         return state, programs
