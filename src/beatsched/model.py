@@ -203,10 +203,11 @@ class PathPair:
     first ask like a `_lazy` attribute: each path's phase masks per spacing
     with the first phase that is no concurrency subset (`periods`), the
     joint matrix per pair of spacings (`periods.build_matrix`), each path's
-    phase activations per spacing (`scheduler`) and the interference
-    witness per member mask (`analysis`). Its values are immutable, and a
-    caller checks its arguments before it asks and keys on checked ints
-    only, so 3.0 or True never finds what 3 or 1 made. The memo takes no
+    phase activations per spacing (`scheduler`), the interference
+    witness per member mask (`analysis`) and the slot program per beat's
+    activations (`simulator`). Its values are immutable, and a caller
+    checks its arguments before it asks and keys on checked ints only, so
+    3.0 or True never finds what 3 or 1 made. The memo takes no
     part in equality, hashing or repr.
     """
 
@@ -450,14 +451,17 @@ def _check_counts(below_one: str, **counts: int) -> None:
 
 
 def _check_radius(radius: float) -> None:
+    """Refuse a radius that is no number or no finite one by the coordinate
+    rule (`_real`), whose float the finite text shows, or one below 0. The
+    sign is the given radius's own, so -1e-400 is below 0 as it is
+    compared with a distance."""
     try:
-        if isinstance(radius, bool):
-            raise TypeError
-        negative = radius < 0
-    except TypeError:
+        value = _real(radius)
+        negative = math.isfinite(value) and radius < 0
+    except (TypeError, ValueError):  # float(Decimal("sNaN")) raises ValueError
         raise ConfigurationError(f"interference_radius must be a number, got {radius!r}") from None
-    if isinstance(radius, float) and not math.isfinite(radius):
-        raise ConfigurationError(f"interference_radius must be finite, got {radius}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"interference_radius must be finite, got {value}")
     if negative:
         raise DomainError(f"interference_radius must be >= 0, got {radius}")
 

@@ -109,9 +109,8 @@ class Schedule:
     when it is built. Beats given as another iterable are kept as a tuple,
     and both mappings are kept as read-only copies, so a schedule, its
     beats and their activations cannot change after it is built. A
-    schedule keeps its slot programs, one per beat, for the last pair
-    object it ran on (see `simulator._slot_programs`); they take no part
-    in equality or repr.
+    schedule is a plain value and keeps nothing else: a pair it runs on
+    keeps the compiled beats (see `simulator._compile_slot`).
     """
 
     period: int

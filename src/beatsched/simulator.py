@@ -17,11 +17,14 @@ than one block. Schedules built from a tiled support set can briefly
 park a few blocks at one relay; the bound is the per-path traversal
 count. Throughput accounting is exact integers and rationals throughout.
 
-A schedule is compiled once per pair object into slot programs, one per
-beat (`_compile_slots`), and keeps them (`_slot_programs`). A program
-names its senders by dense index only and holds no buffer, so every run
-and delay measurement on that pair steps the same programs, each on its
-own buffers: `_ChainState.step` looks up each sender's move in its state.
+A pair compiles each distinct beat once into a slot program
+(`_compile_slot`) and keeps it in its memo under the beat's activations;
+the schedule keeps nothing. Each run and delay measurement lists its
+beats' programs with one lookup per beat (`_slot_programs`), so every
+schedule of the pair and every call steps the same programs. A program
+names its senders by dense index only and holds no buffer, so each call
+steps them on its own buffers: `_ChainState.step` looks up each sender's
+move in its state.
 The steps run downstream first, so each relay forwards what it held at
 the start of the beat before its upstream neighbor's block lands. A
 buffer grows only when a block lands, after the buffer's own departure
@@ -48,7 +51,7 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .model import PathPair, _check_counts
-from .scheduler import Schedule
+from .scheduler import Beat, Schedule
 
 
 @dataclass
@@ -181,50 +184,32 @@ def _check_fifo(state: _ChainState) -> None:
             raise ConsistencyError(f"path {path_id} deliveries left injection order: {serials}")
 
 
-def _compile_slots(pair: PathPair, schedule: Schedule) -> tuple[_Slot, ...]:
-    """The schedule's slot programs on `pair`, one per beat. An activation
-    object and a sender sequence are each compiled once, however often the
-    schedule repeats them, and beats with one sender sequence share one
-    program."""
+def _compile_slot(pair: PathPair, beat: Beat) -> _Slot:
+    """The beat's slot program on `pair`, kept in the pair's memo under the
+    beat's activations. Those are ints all through (see
+    `SubsetActivation`), so a key of 1.0 or True never finds what 1 made."""
     first = {path.id: (pair.offset(path.id) - 1, path.n_senders) for path in pair.paths}
-    acts: dict[int, tuple[tuple[int, ...], int]] = {}
-    slots: dict[tuple[int, ...], _Slot] = {}
-    programs: list[_Slot] = []
-    for beat in schedule.beats:
-        senders: tuple[int, ...] = ()
-        mask = 0
-        for act in beat.activations:
-            done = acts.get(id(act))
-            if done is None:
-                base, n = first.get(act.path_id, (0, 0))
-                act_mask = 0
-                for seq in act.members:
-                    if not 0 < seq <= n:
-                        # a member that is no sender: the node-level check names it
-                        pair.mask_of(beat.nodes())
-                    act_mask |= 1 << (base + seq)
-                done = acts[id(act)] = tuple(base + seq for seq in act.members), act_mask
-            senders += done[0]
-            mask |= done[1]
-        slot = slots.get(senders)
-        if slot is None:
-            slot = slots[senders] = _Slot(senders, tuple(sorted(senders, reverse=True)), pair.is_concurrent_mask(mask))
-        programs.append(slot)
-    return tuple(programs)
+    senders: list[int] = []
+    mask = 0
+    for act in beat.activations:
+        base, n = first.get(act.path_id, (0, 0))
+        for seq in act.members:
+            if not 0 < seq <= n:
+                # a member that is no sender: the node-level check names it
+                pair.mask_of(beat.nodes())
+            senders.append(base + seq)
+            mask |= 1 << (base + seq)
+    slot = pair._memo[("slot", beat.activations)] = _Slot(
+        tuple(senders), tuple(sorted(senders, reverse=True)), pair.is_concurrent_mask(mask)
+    )
+    return slot
 
 
-def _slot_programs(pair: PathPair, schedule: Schedule) -> tuple[_Slot, ...]:
-    """Each schedule beat's slot program on `pair`.
-
-    The programs are compiled on the first call with this pair object and
-    kept on the schedule until another pair object asks. A schedule and
-    its beats cannot change once built, and a program holds no run's
-    state, so every run on the pair steps the same programs; they are held
-    beside the schedule's fields and take no part in equality or repr."""
-    held = schedule.__dict__.get("_compiled_slots")
-    if held is None or held[0] is not pair:
-        held = schedule.__dict__["_compiled_slots"] = (pair, _compile_slots(pair, schedule))
-    return held[1]
+def _slot_programs(pair: PathPair, schedule: Schedule) -> list[_Slot]:
+    """Each schedule beat's slot program on `pair`: one memo lookup per
+    beat, and a compile for a beat the pair has not seen."""
+    memo = pair._memo
+    return [memo.get(("slot", beat.activations)) or _compile_slot(pair, beat) for beat in schedule.beats]
 
 
 def _repeat_cycle(

@@ -1,16 +1,17 @@
 """What a pair and a schedule derive once and keep.
 
 A `PathPair` keeps each path's phase masks per spacing, the joint matrix
-per pair of spacings, each path's phase activations per spacing and the
-interference witness per member mask; a `Schedule` keeps its slot
-programs. These tests pin three things: the lazy attributes behave as the
-plain values they stand for, an argument that only equals a kept key
-(3.0 == 3, True == 1) is still rejected with its own error, and the work
-of one benchmark-style pair instance is done once, counted with
-monkeypatch rather than timed.
+per pair of spacings, each path's phase activations per spacing, the
+interference witness per member mask and the slot program per beat's
+activations; a `Schedule` keeps nothing. These tests pin three things:
+the lazy attributes behave as the plain values they stand for, an
+argument that only equals a kept key (3.0 == 3, True == 1) is still
+rejected with its own error, and the work of one benchmark-style pair
+instance is done once, counted with monkeypatch rather than timed.
 """
 
 import copy
+import dataclasses
 import pickle
 import re
 import sys
@@ -27,6 +28,7 @@ from beatsched.scheduler import schedule_pair_equal, schedule_pair_unequal, sche
 from beatsched.simulator import measure_delay, run
 from beatsched.verify import pair_corpus
 from helpers import line_pair, n, two_line_pair
+from test_simulator import reference_delays, reference_run
 
 
 def fresh(pair: PathPair) -> PathPair:
@@ -91,19 +93,31 @@ class TestThreads:
         # the lazy attributes and the memo take no lock: racing threads may
         # derive a value twice, but every reader must see the same answer
         cases = pair_corpus(2, 12)
-        expected = [
-            (c.pair.nodes, build_matrix(c.pair, c.period1, c.period2), schedule_pair_equal(c.pair, c.period1, c.period2, 1))
-            for c in cases
-        ]
+
+        def derive(pair, case):
+            equal = schedule_pair_equal(pair, case.period1, case.period2, 1)
+            unequal = schedule_pair_unequal(pair, case.period1, case.period2, case.traversals1, case.traversals2)
+            return pair.nodes, build_matrix(pair, case.period1, case.period2), equal, unequal
+
+        def simulate(pair, schedules, reference=False):
+            # the pair's schedules share slot programs, compiled by whichever thread asks first
+            if reference:
+                return [(reference_run(pair, s, 3), reference_delays(pair, s, 2)) for s in schedules]
+            return [(dataclasses.replace(run(pair, s, 3), steady_state_after=None), measure_delay(pair, s, 2))
+                    for s in schedules]
+
+        expected = []
+        for case in cases:
+            derived = derive(case.pair, case)
+            expected.append((derived, simulate(case.pair, derived[2:], reference=True)))
         shared = [fresh(c.pair) for c in cases]
         failures = []
 
         def read():
             try:
                 for pair, case, want in zip(shared, cases, expected):
-                    got = (pair.nodes, build_matrix(pair, case.period1, case.period2),
-                           schedule_pair_equal(pair, case.period1, case.period2, 1))
-                    if got != want:
+                    derived = derive(pair, case)
+                    if (derived, simulate(pair, derived[2:])) != want:
                         failures.append(case)
             except Exception as error:  # reported below: a thread cannot fail the test itself
                 failures.append(error)
@@ -258,16 +272,13 @@ class TestWorkPerPairInstance:
             assert len(searches) == 4
             assert {key[1] for key in pair._memo if key[0] == "witness"} == paths
 
-    def test_each_schedule_compiles_once_and_its_runs_share_the_programs(self, cases, monkeypatch):
-        compiled, handed = [], []
-        self.count(monkeypatch, simulator, "_compile_slots", lambda args, result: compiled.append(args[1]))
-        self.count(monkeypatch, simulator, "_slot_programs", lambda args, result: handed.append((args[1], result)))
+    def test_each_beat_compiles_once_across_both_schedules(self, cases, monkeypatch):
+        compiled = []
+        self.count(monkeypatch, simulator, "_compile_slot", lambda args, result: compiled.append(args))
         for case in cases:
             compiled.clear()
-            handed.clear()
             pair, _, schedules = self.run_instance(case)
-            assert [id(s) for s in compiled] == [id(s) for s in schedules]
-            for schedule in schedules:
-                programs = [result for held, result in handed if held is schedule]
-                assert len(programs) == 2 and programs[0] is programs[1]
-                assert len(programs[0]) == schedule.period
+            beats = {beat.activations for schedule in schedules for beat in schedule.beats}
+            assert [owner for owner, _ in compiled] == [pair] * len(beats)
+            assert {beat.activations for _, beat in compiled} == beats
+            assert {key[1] for key in pair._memo if key[0] == "slot"} == beats

@@ -220,7 +220,13 @@ class TestGeometry:
         with pytest.raises(DomainError):
             GeometricTopology({(1, 1): (0.0, 0.0)}, interference_radius=-1.0)
 
-    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "radius",
+        # as for a position, a number too large for a float is an infinity of its sign
+        [float("nan"), float("inf"), float("-inf"), Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity"),
+         Decimal("1e400"), pytest.param(10**400, id="huge-int"), pytest.param(-(10**400), id="huge-negative-int"),
+         pytest.param(10**5000, id="int-past-the-str-limit")],
+    )
     def test_non_finite_radius_rejected(self, radius):
         with pytest.raises(ConfigurationError, match="interference_radius must be finite"):
             GeometricTopology({(1, 1): (0.0, 0.0)}, interference_radius=radius)
@@ -258,10 +264,24 @@ class TestGeometry:
         with pytest.raises(ConfigurationError, match=r"position of node \(1, 2\) must be a number or an \(x, y\) pair"):
             GeometricTopology({(1, 1): 0.0, (1, 2): point}, interference_radius=1.0)
 
-    @pytest.mark.parametrize("radius, shown", [("1", "'1'"), (None, "None"), ([1], r"\[1\]"), (b"1", "b'1'")])
+    @pytest.mark.parametrize(
+        "radius, shown",
+        [("1", "'1'"), (None, "None"), ([1], r"\[1\]"), (b"1", "b'1'"), (Decimal("sNaN"), r"Decimal\('sNaN'\)")],
+    )
     def test_radius_that_is_no_number_rejected(self, radius, shown):
         with pytest.raises(ConfigurationError, match=f"^interference_radius must be a number, got {shown}$"):
             GeometricTopology({(1, 1): 0.0}, interference_radius=radius)
+
+    @pytest.mark.parametrize("radius", [Decimal("-1.5"), Fraction(-1, 10**400), Decimal("-1e-400")])
+    def test_negative_exact_radius_rejected(self, radius):
+        # below 0 even where its float is -0.0: the disk test compares distances with the radius as given
+        with pytest.raises(DomainError, match=f"^interference_radius must be >= 0, got {radius}$"):
+            GeometricTopology({(1, 1): 0.0}, interference_radius=radius)
+
+    @pytest.mark.parametrize("radius", [Decimal("1.5"), Fraction(1, 3), 2, 0])
+    def test_exact_radius_is_kept_as_given(self, radius):
+        topology = GeometricTopology({(1, 1): 0.0}, interference_radius=radius)
+        assert topology.interference_radius is radius
 
     def test_exact_numbers_keep_their_coordinates(self):
         topology = GeometricTopology(

@@ -1,7 +1,9 @@
 """Exact beat-by-beat execution: rates, delays, ordering, violations."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 import re
 import tracemalloc
@@ -578,34 +580,57 @@ def interfering_everywhere(pair: PathPair) -> PathPair:
 
 
 class TestCompileOnce:
-    """A schedule keeps its compile for the last pair object it ran on."""
+    """A pair compiles each distinct beat once, whichever of its schedules
+    and calls asks first, and keeps it; a schedule keeps nothing."""
 
     @pytest.fixture
     def compiles(self, monkeypatch):
         calls = []
-        compile_slots = simulator._compile_slots
+        compile_slot = simulator._compile_slot
 
-        def counting(pair, schedule):
-            calls.append(pair)
-            return compile_slots(pair, schedule)
+        def counting(pair, beat):
+            calls.append((pair, beat.activations))
+            return compile_slot(pair, beat)
 
-        monkeypatch.setattr(simulator, "_compile_slots", counting)
+        monkeypatch.setattr(simulator, "_compile_slot", counting)
         return calls
 
-    def test_run_and_measure_delay_share_one_compile(self, far_pair, compiles):
-        schedule = schedule_pair_unequal(far_pair, 3, 3, 2, 1)
-        report = run(far_pair, schedule, 3)
-        traced = run(far_pair, schedule, 3, collect_trace=True)
-        delays = measure_delay(far_pair, schedule, 2)
-        assert compiles == [far_pair]
-        # an equal but distinct pair object compiles again, and so does the
-        # first pair once the other has run
-        twin = PathPair._from_conflicts(far_pair.path1, far_pair.path2, far_pair._conflicts)
-        assert twin == far_pair and twin is not far_pair
-        assert run(twin, schedule, 3) == report
-        assert measure_delay(twin, schedule, 2) == delays
-        assert run(far_pair, schedule, 3, collect_trace=True) == traced
-        assert [id(pair) for pair in compiles] == [id(far_pair), id(twin), id(far_pair)]
+    @staticmethod
+    def simulate(pair, schedule):
+        return run(pair, schedule, 3), run(pair, schedule, 3, collect_trace=True), measure_delay(pair, schedule, 2)
+
+    def test_each_beat_compiles_once_per_pair_object(self, far_pair, compiles):
+        pair, twin = (PathPair._from_conflicts(far_pair.path1, far_pair.path2, far_pair._conflicts) for _ in range(2))
+        schedules = (schedule_pair_equal(pair, 3, 3, 1), schedule_pair_unequal(pair, 3, 3, 2, 1))
+        beats = {beat.activations for schedule in schedules for beat in schedule.beats}
+        # the two schedules share beats
+        assert len(beats) < sum(len(set(schedule.beats)) for schedule in schedules)
+        results = [self.simulate(pair, schedule) for schedule in schedules]
+        assert [owner for owner, _ in compiles] == [pair] * len(beats)
+        assert {acts for _, acts in compiles} == beats
+        # an equal but distinct pair object compiles its own beats, once
+        compiles.clear()
+        assert twin == pair and twin is not pair
+        assert [self.simulate(twin, schedule) for schedule in schedules] == results
+        assert [self.simulate(twin, schedule) for schedule in schedules] == results
+        assert [owner for owner, _ in compiles] == [twin] * len(beats)
+        # switching back to the first pair compiles nothing
+        compiles.clear()
+        assert [self.simulate(pair, schedule) for schedule in schedules] == results
+        assert compiles == []
+
+    @pytest.mark.parametrize("pair, build", [
+        (line_pair(6), lambda pair: schedule_primary(pair, 1)),
+        (two_line_pair(6, 4, dy=50.0), lambda pair: schedule_pair_equal(pair, 3, 3, 1)),
+        (two_line_pair(6, 4, dy=50.0), lambda pair: schedule_pair_unequal(pair, 3, 3, 2, 1)),
+    ], ids=["primary", "equal", "unequal"])
+    def test_a_schedule_pickles_and_copies_the_same_after_it_runs(self, pair, build):
+        schedule = build(pair)
+        before = pickle.dumps(schedule), pickle.dumps(copy.deepcopy(schedule))
+        fields = set(schedule.__dict__)
+        self.simulate(pair, schedule)
+        assert set(schedule.__dict__) == fields
+        assert (pickle.dumps(schedule), pickle.dumps(copy.deepcopy(schedule))) == before
 
     def test_the_compile_stays_out_of_equality_and_repr(self, far_pair):
         schedule = schedule_pair_equal(far_pair, 3, 3, 1)
@@ -624,17 +649,19 @@ class TestCompileOnce:
                 assert_matches_reference(target, schedule, 3)
                 assert measure_delay(target, schedule, 2) == reference_delays(target, schedule, 2)
 
-    def test_an_illegal_beat_reports_the_same_violations_on_a_reused_compile(self, chain6, compiles):
+    def test_an_illegal_beat_reports_the_same_violations_on_a_reused_compile(self, compiles):
+        chain6 = line_pair(6)
         schedule = all_at_once_schedule()
         first = assert_matches_reference(chain6, schedule, 4, 8)
         assert measure_delay(chain6, schedule, 2) == reference_delays(chain6, schedule, 2)
-        again = assert_matches_reference(chain6, schedule, 4, 8)
+        # a schedule built again has equal activations: the pair's compile serves it
+        again = assert_matches_reference(chain6, all_at_once_schedule(), 4, 8)
         assert again == first and again.violations == 12
         assert first.violation_examples == [
             f"beat {b}: activated set {{n1.1, n1.2, n1.3, n1.4, n1.5, n1.6}} is not a concurrency subset"
             for b in range(1, 6)
         ]
-        assert compiles == [chain6]
+        assert compiles == [(chain6, schedule.beats[0].activations)]
 
     def test_a_list_of_beats_is_copied_when_the_schedule_is_built(self):
         # mutating the caller's list after a run must not change the schedule
