@@ -456,6 +456,16 @@ def _build_schedule(scenario: Scenario, args) -> Schedule:
         spacing = {1: args.spacing1, 2: args.spacing2}.get(args.path)
         return schedule_primary(pair, args.path, spacing)
     spacing1, spacing2 = _pair_spacings(pair, args)
+    counts = (args.traversals,) * 2 if mode == "equal" else (args.traversals1, args.traversals2)
+    # a cycle has at most each path's spacing per traversal, and the
+    # builders refuse a spacing above the path's sender count
+    caps = (min(spacing1, pair.path1.n_senders), min(spacing2, pair.path2.n_senders))
+    beats = counts[0] * caps[0] + counts[1] * caps[1]
+    if beats > MAX_SCHEDULE_BEATS:
+        raise ConfigurationError(
+            f"the schedule has up to {beats} beats (traversals x spacings), more than "
+            f"the limit of {MAX_SCHEDULE_BEATS}; lower the traversal counts"
+        )
     if mode == "equal":
         return schedule_pair_equal(pair, spacing1, spacing2, args.traversals)
     return schedule_pair_unequal(
@@ -611,6 +621,11 @@ def cmd_simulate(args, out) -> int:
 # The most grid points `optimize` may walk. Each evaluated point is one entry
 # of the printed search log (about 300 bytes), so this also bounds the output.
 MAX_GRID_POINTS = 250_000
+
+# The most beats a schedule built from the traversal flags may have. The
+# unequal builder's support search grows with the product of the two
+# paths' beats; at this size it takes under a second on a 2-vCPU Xeon.
+MAX_SCHEDULE_BEATS = 2_000
 
 
 def _grid_points(space: SearchSpace) -> int:

@@ -204,8 +204,9 @@ class PathPair:
     with the first phase that is no concurrency subset (`periods`), the
     joint matrix per pair of spacings (`periods.build_matrix`), each path's
     phase activations per spacing (`scheduler`), the interference
-    witness per member mask (`analysis`) and the slot program per beat's
-    activations (`simulator`). Its values are immutable, and a caller
+    witness per member mask (`analysis`), the slot program per beat's
+    activations and the proven cold run per schedule's slot programs
+    (`simulator`). Its values are immutable, and a caller
     checks its arguments before it asks and keys on checked ints only, so
     3.0 or True never finds what 3 or 1 made. The memo takes no
     part in equality, hashing or repr.
@@ -454,7 +455,8 @@ def _check_radius(radius: float) -> None:
     """Refuse a radius that is no number or no finite one by the coordinate
     rule (`_real`), whose float the finite text shows, or one below 0. The
     sign is the given radius's own, so -1e-400 is below 0 as it is
-    compared with a distance."""
+    compared with a distance; a radius too long for `str` is named by
+    its type."""
     try:
         value = _real(radius)
         negative = math.isfinite(value) and radius < 0
@@ -463,7 +465,11 @@ def _check_radius(radius: float) -> None:
     if not math.isfinite(value):
         raise ConfigurationError(f"interference_radius must be finite, got {value}")
     if negative:
-        raise DomainError(f"interference_radius must be >= 0, got {radius}")
+        try:
+            shown = str(radius)
+        except ValueError:  # a Fraction with more digits than the int str limit
+            shown = f"a {type(radius).__name__} too long to print"
+        raise DomainError(f"interference_radius must be >= 0, got {shown}")
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -37,16 +37,28 @@ decides the future is the buffer contents, because the schedule repeats
 with its period. At each period boundary the buffers are keyed relative
 to the boundary: each block by how many blocks its path injected after
 it and by its age in beats. When a key recurs, boundary j first and
-boundary k now, the run is proven periodic from j on, and the rest of
-the delivery log is the j..k deliveries repeated with shifted serials
-and beats (see `run`). Warmup periods only place the measured window;
-the periodic regime is proven, not assumed.
+boundary k now, the cold run is proven periodic from j on, and every
+later delivery is one of the j..k deliveries with its serial and beats
+shifted by whole cycles (see `run`). Warmup periods only place the
+measured window; the periodic regime is proven, not assumed.
+
+The cold run of a schedule depends only on the pair and the beats' slot
+programs, so a pair proves it once (`_trajectory`) and keeps the proof
+in its memo under those programs (`_Proof`): the boundaries j and k,
+the deliveries and the books of every boundary up to k, and the
+largest buffer depth. A later untraced `run` whose periods reach k, and
+any later `measure_delay`, read their deliveries from the proof without
+stepping a beat. A call that finds no proof it can use steps the cold
+run period by period and stops at the first repeat, which it keeps, or
+as soon as it has what it needs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle, islice
 from typing import NamedTuple
 
 from .errors import ConsistencyError
@@ -81,9 +93,9 @@ class SimReport:
         return self.violations == 0
 
 
-# What a period boundary leaves behind: per-path injections, per-path
-# deliveries, and per-path blocks in flight.
-_Mark = tuple[dict[int, int], dict[int, int], dict[int, int]]
+# What a period boundary leaves behind, per path in pair order: blocks
+# injected, blocks delivered and blocks in flight.
+_Mark = tuple[tuple[int, int, int], ...]
 
 
 class _Slot(NamedTuple):
@@ -94,6 +106,12 @@ class _Slot(NamedTuple):
     senders: tuple[int, ...]
     downstream: tuple[int, ...]
     legal: bool
+
+
+def _balance(path_id: int, injected: int, in_flight: int, delivered: int) -> None:
+    if injected - in_flight != delivered:
+        raise ConsistencyError(f"path {path_id}: injected {injected}, "
+                               f"in flight {in_flight}, delivered {delivered} do not balance")
 
 
 class _ChainState:
@@ -107,8 +125,6 @@ class _ChainState:
         self.buffers: list[list[tuple[int, int]]] = [[] for _ in range(pair.total_senders)]
         self.injected: dict[int, int] = {}
         self.delivered_log: dict[int, list[tuple[int, int, int]]] = {}
-        # deliveries that the books count but the log skips (see _repeat_cycle)
-        self.unlogged: dict[int, int] = {}
         self.books: list[tuple[int, list[list], list]] = []  # (path id, buffers, log)
         # sender i's move: (path id, its buffer or None for a source, the
         # next buffer or the path's delivery log, whether that is the log)
@@ -117,7 +133,7 @@ class _ChainState:
             pid, start, n = path.id, pair.offset(path.id), path.n_senders
             queues = self.buffers[start:start + n]
             log = self.delivered_log[pid] = []
-            self.injected[pid] = self.unlogged[pid] = 0
+            self.injected[pid] = 0
             self.books.append((pid, queues, log))
             self.sends += [
                 (pid, queue if seq > 1 else None, log if seq == n else queues[seq], seq == n)
@@ -125,15 +141,10 @@ class _ChainState:
             ]
         self.max_depth = 0
 
-    def check_conservation(self, in_flight: dict[int, int] | None = None) -> None:
-        """Balance each path's books from the buffers' real depths, or from
-        the blocks in flight that a mark recorded."""
+    def check_conservation(self) -> None:
+        """Balance each path's books from the buffers' real depths."""
         for path_id, queues, log in self.books:
-            flying = sum(map(len, queues)) if in_flight is None else in_flight[path_id]
-            delivered = self.unlogged[path_id] + len(log)
-            if self.injected[path_id] - flying != delivered:
-                raise ConsistencyError(f"path {path_id}: injected {self.injected[path_id]}, "
-                                       f"in flight {flying}, delivered {delivered} do not balance")
+            _balance(path_id, self.injected[path_id], sum(map(len, queues)), len(log))
 
     def boundary_key(self, beat: int) -> tuple[int, ...]:
         """The buffers as seen from the end of `beat`: every buffered block,
@@ -146,8 +157,7 @@ class _ChainState:
         return tuple(key)
 
     def mark(self) -> _Mark:
-        in_flight = {pid: sum(map(len, queues)) for pid, queues, _ in self.books}
-        return dict(self.injected), {pid: len(log) for pid, _, log in self.books}, in_flight
+        return tuple((self.injected[pid], len(log), sum(map(len, queues))) for pid, queues, log in self.books)
 
     def step(self, beat: int, program: _Slot, moved: dict[int, list[int]] | None = None) -> bool:
         """Advance one beat by its slot program, then balance the books.
@@ -155,10 +165,11 @@ class _ChainState:
         each moved block's serial under its sender, in step order."""
         delivered = False
         sends = self.sends
+        injected = self.injected
         for i in program.downstream:
             path_id, queue, target, delivers = sends[i]
             if queue is None:
-                serial = self.injected[path_id] = self.injected[path_id] + 1
+                serial = injected[path_id] = injected[path_id] + 1
                 block = (serial, beat)
             elif queue:
                 block = queue.pop(0)
@@ -173,15 +184,122 @@ class _ChainState:
                     self.max_depth = len(target)
             if moved is not None:
                 moved.setdefault(i, []).append(block[0])
-        self.check_conservation()
+        for path_id, queues, log in self.books:
+            if injected[path_id] - len(log) != sum(map(len, queues)):
+                self.check_conservation()  # raises with the books' text
         return delivered
+
+
+def _check_order(path_id: int, serials: list[int]) -> None:
+    if serials != sorted(serials):
+        raise ConsistencyError(f"path {path_id} deliveries left injection order: {serials}")
 
 
 def _check_fifo(state: _ChainState) -> None:
     for path_id, log in state.delivered_log.items():
-        serials = [serial for serial, _, _ in log]
-        if serials != sorted(serials):
-            raise ConsistencyError(f"path {path_id} deliveries left injection order: {serials}")
+        _check_order(path_id, [serial for serial, _, _ in log])
+
+
+class _Proof(NamedTuple):
+    """A cold run stepped until the buffer key of boundary `last` repeated
+    boundary `first`'s, as a pair keeps it.
+
+    Per path, indexed by path id - 1: the arrival beat and the delay of
+    each block delivered by boundary `last`, in delivery order. `marks`
+    holds the books of boundaries 0..last, and `max_depth` the largest
+    buffer depth, which no later beat exceeds. The endless cold run's
+    delivery i is the prefix's delivery i until the cycle (the deliveries
+    after boundary `first`) has been listed once; after that each copy of
+    the cycle comes shifted by one more cycle of beats and injections,
+    which moves arrival and injection alike and keeps every delay.
+    """
+
+    period: int
+    first: int
+    last: int
+    arrivals: tuple[tuple[int, ...], ...]
+    delays: tuple[tuple[int, ...], ...]
+    marks: tuple[_Mark, ...]
+    max_depth: int
+
+    def delivered_by(self, path_id: int, beat: int) -> int:
+        """How many blocks the path has delivered by the end of `beat`."""
+        arrivals = self.arrivals[path_id - 1]
+        cycle_beats = (self.last - self.first) * self.period
+        # move `beat` back by whole cycles into the prefix's own cycle
+        shifts = max(0, -(-(beat - self.last * self.period) // cycle_beats))
+        per_cycle = len(arrivals) - self.marks[self.first][path_id - 1][1]
+        return bisect_right(arrivals, beat - shifts * cycle_beats) + shifts * per_cycle
+
+    def delays_of(self, path_id: int, start: int, stop: int) -> list[int]:
+        """The delays of the path's deliveries start..stop-1, counted from 0."""
+        delays = self.delays[path_id - 1]
+        head = self.marks[self.first][path_id - 1][1]  # deliveries before the cycle
+        return [*delays[start:min(stop, head)],
+                *islice(cycle(delays[head:]), max(start - head, 0), max(stop - head, 0))]
+
+    def check_books(self, periods: int) -> None:
+        """Balance every path's books at boundary `periods` >= `last`: the
+        injections and blocks in flight of the boundary it repeats, the
+        injections of the cycles in between, and the deliveries read."""
+        cycle_periods = self.last - self.first
+        rest = self.first + (periods - self.first) % cycle_periods
+        repeats = (periods - rest) // cycle_periods
+        marks = zip(self.marks[self.first], self.marks[self.last], self.marks[rest])
+        for path_id, (at_first, at_last, at_rest) in enumerate(marks, 1):
+            injected = at_rest[0] + repeats * (at_last[0] - at_first[0])
+            _balance(path_id, injected, at_rest[2], self.delivered_by(path_id, periods * self.period))
+
+
+def _prove(state: _ChainState, marks: list[_Mark], first: int, last: int, period: int) -> _Proof:
+    """The proof of the cold run in `state`, stepped to boundary `last`.
+    Each path's log is checked in injection order with one more copy of
+    its cycle appended: each copy joins the next as the prefix joins that
+    copy, so every delivery list read from the proof is in order too."""
+    arrivals, delays = [], []
+    for k, (path_id, _, log) in enumerate(state.books):
+        head = marks[first][k][1]
+        gain = marks[last][k][0] - marks[first][k][0]
+        _check_order(path_id, [serial for serial, _, _ in log] + [serial + gain for serial, _, _ in log[head:]])
+        arrivals.append(tuple(arrived for _, _, arrived in log))
+        delays.append(tuple(arrived - injected + 1 for _, injected, arrived in log))
+    return _Proof(period, first, last, tuple(arrivals), tuple(delays), tuple(marks), state.max_depth)
+
+
+def _trajectory(
+    pair: PathPair, programs: list[_Slot], beats: int, block_count: int = 0, path_ids: list[int] | tuple = (),
+) -> tuple[_ChainState | None, _Proof | None]:
+    """The cold run of the beats compiled to `programs`, within `beats` beats.
+
+    A proof the pair keeps serves without a step: a delay measurement
+    (`block_count` >= 1) reads any, and a run one that ends within its
+    beats. Otherwise the run is stepped from empty buffers, period by
+    period, keying each boundary, until a key repeats (the proof is kept
+    in the pair's memo and returned), `beats` beats have run, or every
+    path in `path_ids` has delivered `block_count` blocks. Returns the
+    stepped state (None when nothing was stepped) and the proof, if any.
+    Racing callers store equal proofs under equal keys.
+    """
+    key = ("trajectory", *programs)
+    period = len(programs)
+    proof = pair._memo.get(key)
+    if proof is not None and (block_count or proof.last * period <= beats):
+        return None, proof
+    state = _ChainState(pair)
+    logs = [state.delivered_log[pid] for pid in path_ids]
+    seen: dict[tuple[int, ...], int] = {}
+    marks: list[_Mark] = []
+    for boundary in range(beats // period + 1):
+        start = boundary * period
+        first = seen.setdefault(state.boundary_key(start), boundary)
+        marks.append(state.mark())
+        if first < boundary:
+            proof = pair._memo[key] = _prove(state, marks, first, boundary, period)
+            return state, proof
+        for beat_index, program in zip(range(start + 1, beats + 1), programs):
+            if state.step(beat_index, program) and logs and min(map(len, logs)) >= block_count:
+                return state, None
+    return state, None
 
 
 def _compile_slot(pair: PathPair, beat: Beat) -> _Slot:
@@ -212,42 +330,6 @@ def _slot_programs(pair: PathPair, schedule: Schedule) -> list[_Slot]:
     return [memo.get(("slot", beat.activations)) or _compile_slot(pair, beat) for beat in schedule.beats]
 
 
-def _repeat_cycle(
-    state: _ChainState, marks: list[_Mark], first: int, last: int,
-    period: int, total_periods: int, window_start: int,
-) -> None:
-    """Extend every delivery log to the end of the run by repeating the
-    deliveries between boundaries `first` and `last`, whose keys are
-    equal, then balance the books of the run's last beat. Copies of the
-    cycle that end before `window_start` are counted, not logged."""
-    cycle_periods = last - first
-    cycle_beats = cycle_periods * period
-    total_beats = total_periods * period
-    # copy c of the cycle ends with beat last * period + c * cycle_beats, so
-    # the first `skipped` copies end before the window
-    skipped = max(0, -(-(window_start - last * period) // cycle_beats) - 1)
-    injected_first, delivered_first, _ = marks[first]
-    # the run's last boundary repeats boundary `rest`, `repeats` cycles on
-    rest = first + (total_periods - first) % cycle_periods
-    repeats = (total_periods - rest) // cycle_periods
-    injected_rest, _, in_flight_rest = marks[rest]
-    injected_end: dict[int, int] = {}
-    for path_id, log in state.delivered_log.items():
-        gain = state.injected[path_id] - injected_first[path_id]
-        cycle = log[delivered_first[path_id]:]
-        state.unlogged[path_id] += skipped * len(cycle)
-        for c in range(1 + skipped, -(-(total_periods - first) // cycle_periods)):
-            serials, beats = c * gain, c * cycle_beats
-            log.extend(
-                (serial + serials, injected + beats, arrived + beats)
-                for serial, injected, arrived in cycle
-                if arrived + beats <= total_beats
-            )
-        injected_end[path_id] = injected_rest[path_id] + repeats * gain
-    state.injected = injected_end
-    state.check_conservation(in_flight_rest)
-
-
 def default_warmup_periods(pair: PathPair, schedule: Schedule) -> int:
     """Periods to run before the measured window opens.
 
@@ -275,10 +357,15 @@ def run(
     still happen, so a broken schedule can be inspected end to end
     rather than aborting on first contact.
 
-    The run steps beats only until a period boundary's buffer key (see
-    `_ChainState.boundary_key`) repeats one seen at an earlier boundary,
-    then extends the delivery log to the end of the run, logging only the
-    cycles that reach the measured window. That is exact:
+    The run is stepped only until a period boundary's buffer key (see
+    `_ChainState.boundary_key`) repeats one seen at an earlier boundary.
+    The pair keeps that proof, so a later run of the same beats on the
+    pair steps no beat when the repeat falls within its periods; a
+    shorter one steps its own periods and reports no steady state. The
+    window's deliveries are read from the proof: the stepped ones, then
+    the cycle between the two boundaries, shifted cycle by cycle. Those
+    before the window are counted, not listed, so a long warmup costs no
+    more than a short one. That is exact:
     - Every choice a beat makes (which senders fire, whether a relay's
       queue is empty, which block leaves) reads only the buffers and the
       beat's slot, and each boundary starts the same slots. Equal keys
@@ -286,17 +373,18 @@ def run(
       a run after k that is the run after j with each block's serial
       raised by its path's injections over the cycle and each beat
       raised by (k - j) periods. The deliveries after k are the j..k
-      deliveries shifted cycle by cycle, which is how the log grows.
-    - Each skipped beat's state equals a stepped beat's state up to that
-      shift, so it has the same depths (the maximum depth is already
-      seen) and balances its books whenever the stepped one did: equal
-      depths at j and k mean a path injects exactly as many blocks as it
-      delivers over the cycle. `_repeat_cycle` checks the balance once
-      more on the extended totals of the last beat.
+      deliveries shifted cycle by cycle.
+    - Each beat not stepped has a stepped beat's state up to that shift,
+      so it has the same depths (the maximum depth is already seen) and
+      balances its books whenever the stepped one did: equal depths at
+      j and k mean a path injects exactly as many blocks as it delivers
+      over the cycle. `_Proof.check_books` checks the balance once more
+      on the totals of the run's last beat.
     - Every period simulates the same illegal slots, so the violation
       count is the number of periods times the illegal slots.
     With `collect_trace` the run steps every beat anyway, because the
-    trace lists every beat's moves; it still reports the first repeat.
+    trace lists every beat's moves; it still reports the first repeat,
+    from the pair's proof or from stepping to it first.
     """
     _check_counts(f"need at least one measured period, got {n_periods}", n_periods=n_periods)
     if warmup_periods is None:
@@ -304,45 +392,42 @@ def run(
     elif type(warmup_periods) is not int or warmup_periods:  # a warmup of 0 is fine
         _check_counts(f"warmup must be >= 0, got {warmup_periods}", warmup_periods=warmup_periods)
 
-    state = _ChainState(pair)
     period = schedule.period
     total_periods = warmup_periods + n_periods
+    total_beats = total_periods * period
     window_start = warmup_periods * period + 1
     programs = _slot_programs(pair, schedule)
+    state, proof = _trajectory(pair, programs, total_beats)
     trace: list[dict] | None = None
     if collect_trace:
-        trace, labels = [], [str(ref) for ref in pair.nodes]
+        state, trace, labels = _ChainState(pair), [], [str(ref) for ref in pair.nodes]
         heads = [f"dest{pid}" if delivers else labels[i + 1] for i, (pid, _, _, delivers) in enumerate(state.sends)]
-
-    seen: dict[tuple[int, ...], int] = {}
-    marks: list[_Mark] = []
-    steady_state_after: int | None = None
-    for boundary in range(total_periods + 1):
-        if steady_state_after is None:
-            first = seen.setdefault(state.boundary_key(boundary * period), boundary)
-            marks.append(state.mark())
-            if first < boundary:
-                steady_state_after = first
-                if trace is None:
-                    _repeat_cycle(state, marks, first, boundary, period, total_periods, window_start)
-                    break
-        if boundary == total_periods:
-            break
-        for beat_index, (program, beat) in enumerate(zip(programs, schedule.beats), boundary * period + 1):
-            moved = None if trace is None else {}
+        for beat_index, program, beat in zip(range(1, total_beats + 1), cycle(programs), cycle(schedule.beats)):
+            moved: dict[int, list[int]] = {}
             state.step(beat_index, program, moved)
-            if moved is not None:
-                # a sender listed twice steps twice in a row: serials in listing order
-                trace.append({
-                    "beat": beat_index,
-                    "category": beat.category,
-                    "activated": [labels[i] for i in program.senders],
-                    "moves": [
-                        {"block": f"p{state.sends[i][0]}b{moved[i].pop(0)}", "from": labels[i], "to": heads[i]}
-                        for i in program.senders if moved.get(i)
-                    ],
-                })
-    _check_fifo(state)
+            # a sender listed twice steps twice in a row: serials in listing order
+            trace.append({
+                "beat": beat_index,
+                "category": beat.category,
+                "activated": [labels[i] for i in program.senders],
+                "moves": [
+                    {"block": f"p{state.sends[i][0]}b{moved[i].pop(0)}", "from": labels[i], "to": heads[i]}
+                    for i in program.senders if moved.get(i)
+                ],
+            })
+
+    delays: dict[int, list[int]] = {}
+    if proof is None or trace is not None:
+        _check_fifo(state)
+        max_depth = state.max_depth
+        for path_id, log in state.delivered_log.items():
+            delays[path_id] = [arrived - injected + 1 for _, injected, arrived in log if arrived >= window_start]
+    else:
+        proof.check_books(total_periods)
+        max_depth = proof.max_depth
+        for path_id in range(1, len(proof.delays) + 1):
+            start, stop = proof.delivered_by(path_id, window_start - 1), proof.delivered_by(path_id, total_beats)
+            delays[path_id] = proof.delays_of(path_id, start, stop)
 
     illegal = [slot for slot, program in enumerate(programs) if not program.legal]
     violations = total_periods * len(illegal)
@@ -357,12 +442,7 @@ def run(
         )
 
     window_beats = n_periods * period
-    delivered: dict[int, int] = {}
-    delays: dict[int, list[int]] = {}
-    for path_id, log in state.delivered_log.items():
-        tail = [record for record in log if record[2] >= window_start]
-        delivered[path_id] = len(tail)
-        delays[path_id] = [arrived - injected + 1 for _, injected, arrived in tail]
+    delivered = {path_id: len(tail) for path_id, tail in delays.items()}
     per_path = {pid: Fraction(count, window_beats) for pid, count in delivered.items()}
     measured = Fraction(sum(delivered.values()), window_beats)
 
@@ -376,9 +456,9 @@ def run(
         delays=delays,
         violations=violations,
         violation_examples=violation_examples,
-        max_buffer_depth=state.max_depth,
+        max_buffer_depth=max_depth,
         trace=trace,
-        steady_state_after=steady_state_after,
+        steady_state_after=None if proof is None else proof.first,
     )
 
 
@@ -389,24 +469,31 @@ def measure_delay(pair: PathPair, schedule: Schedule, block_count: int) -> dict[
     raw pipeline traversal. Delay counts both the injection beat and the
     arrival beat, so a single-sender path has delay 1. The beat budget is
     the slowest path's period / activation count times (block_count +
-    senders + 8), rounded up.
+    senders + 8), rounded up; a path with fewer blocks delivered by then
+    is a ConsistencyError.
+
+    With the pair's proof of the schedule's cold run (see `run`), the
+    delays are read from it and no beat is stepped, however many blocks
+    are asked for. Without one, the cold run is stepped until every path
+    has its blocks, the budget is spent, or a boundary repeats; a repeat
+    is kept as the pair's proof and read from. No call steps past the
+    first repeat.
     """
     _check_counts(f"block count must be >= 1, got {block_count}", block_count=block_count)
     path_ids = sorted(schedule.path_periods)
     blocks = block_count + sum(pair.path(pid).n_senders for pid in path_ids) + 8
     beat_budget = max(-(-schedule.period * blocks // schedule.activation_counts[pid]) for pid in path_ids)
-    state = _ChainState(pair)
-    logs = [state.delivered_log[pid] for pid in path_ids]
-    programs = _slot_programs(pair, schedule)
-    for beat_index in range(1, beat_budget + 1):
-        if state.step(beat_index, programs[(beat_index - 1) % schedule.period]):
-            if min(map(len, logs)) >= block_count:
-                break
-    _check_fifo(state)
-    result: dict[int, list[int]] = {}
-    for pid, log in zip(path_ids, logs):
-        if len(log) < block_count:
-            raise ConsistencyError(f"path {pid} delivered only {len(log)} of {block_count} "
+    state, proof = _trajectory(pair, _slot_programs(pair, schedule), beat_budget, block_count, path_ids)
+    if proof is None:
+        _check_fifo(state)
+        counts = {pid: len(state.delivered_log[pid]) for pid in path_ids}
+    else:
+        counts = {pid: proof.delivered_by(pid, beat_budget) for pid in path_ids}
+    for pid in path_ids:
+        if counts[pid] < block_count:
+            raise ConsistencyError(f"path {pid} delivered only {counts[pid]} of {block_count} "
                                    f"blocks within {beat_budget} beats")
-        result[pid] = [arrived - injected + 1 for _, injected, arrived in log[:block_count]]
-    return result
+    if proof is None:
+        return {pid: [arrived - injected + 1 for _, injected, arrived in state.delivered_log[pid][:block_count]]
+                for pid in path_ids}
+    return {pid: proof.delays_of(pid, 0, block_count) for pid in path_ids}

@@ -487,6 +487,39 @@ class TestOptimize:
         # spacings 3..4 on route 1 leave 2 * 6 spacing pairs
         assert run(capsys, "optimize", CROSSING, "--max-traversals", "4", "--period-range1", "3", "9")[0] == 0
 
+    @pytest.mark.parametrize("command", ["schedule", "simulate", "delay"])
+    @pytest.mark.parametrize("flags, beats", [
+        (("--traversals", "100000000"), 600_000_000),
+        (("--mode", "unequal", "--traversals1", "100000000"), 300_000_003),
+        (("--mode", "unequal", "--traversals2", "100000000"), 300_000_003),
+    ])
+    def test_huge_schedules_are_refused_before_a_beat_is_built(self, capsys, monkeypatch, command, flags, beats):
+        # far_pair: spacing 3 on each path
+        def refused(*args):
+            raise AssertionError("a schedule was built")
+
+        for name in ("schedule_pair_equal", "schedule_pair_unequal"):
+            monkeypatch.setattr(cli, name, refused)
+        code, out, err = run(capsys, command, FAR_PAIR, *flags)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the schedule has up to {beats} beats (traversals x spacings), more than "
+            f"the limit of {cli.MAX_SCHEDULE_BEATS}; lower the traversal counts\n"
+        )
+
+    def test_schedule_limit_is_inclusive_and_sees_the_spacings(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SCHEDULE_BEATS", 18)
+        refused = "error: the schedule has up to {} beats"
+        assert run(capsys, "schedule", FAR_PAIR, "--traversals", "3")[0] == 0
+        assert run(capsys, "schedule", FAR_PAIR, "--traversals", "4")[2].startswith(refused.format(24))
+        # intrinsic spacings 3 and 2 on crossing_pair: 4 * 3 + 3 * 2 = 18 beats at most
+        assert run(capsys, "delay", CROSSING, "--mode", "unequal", "--traversals1", "4", "--traversals2", "3")[0] == 0
+        err = run(capsys, "delay", CROSSING, "--mode", "unequal", "--traversals1", "5", "--traversals2", "3")[2]
+        assert err.startswith(refused.format(21))
+        # a spacing above the path's sender count counts as its sender count
+        err = run(capsys, "simulate", CROSSING, "--spacing1", "99", "--traversals", "2")[2]
+        assert err == "error: spacing must be in 1..6, got 99\n"
+
     def test_closed_pipe_exits_without_a_traceback(self):
         # The output (about 240 kB) outgrows the pipe, so the process is
         # still writing when the reader closes it after 300 bytes.

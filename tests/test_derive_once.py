@@ -2,8 +2,9 @@
 
 A `PathPair` keeps each path's phase masks per spacing, the joint matrix
 per pair of spacings, each path's phase activations per spacing, the
-interference witness per member mask and the slot program per beat's
-activations; a `Schedule` keeps nothing. These tests pin three things:
+interference witness per member mask, the slot program per beat's
+activations and the proven cold run per schedule's slot programs; a
+`Schedule` keeps nothing. These tests pin three things:
 the lazy attributes behave as the plain values they stand for, an
 argument that only equals a kept key (3.0 == 3, True == 1) is still
 rejected with its own error, and the work of one benchmark-style pair

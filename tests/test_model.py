@@ -278,6 +278,12 @@ class TestGeometry:
         with pytest.raises(DomainError, match=f"^interference_radius must be >= 0, got {radius}$"):
             GeometricTopology({(1, 1): 0.0}, interference_radius=radius)
 
+    def test_negative_radius_too_long_to_print_is_named_by_its_type(self):
+        # str() of this Fraction passes the int str digit limit
+        message = "interference_radius must be >= 0, got a Fraction too long to print"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            GeometricTopology({(1, 1): 0.0}, interference_radius=Fraction(-1, 10**5000))
+
     @pytest.mark.parametrize("radius", [Decimal("1.5"), Fraction(1, 3), 2, 0])
     def test_exact_radius_is_kept_as_given(self, radius):
         topology = GeometricTopology({(1, 1): 0.0}, interference_radius=radius)

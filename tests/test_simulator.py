@@ -8,10 +8,12 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from beatsched import simulator
+from beatsched.cli import load_scenario
 from beatsched.errors import ConsistencyError, DomainError
 from beatsched.model import NodeRef, PathPair, is_concurrency_subset
 from beatsched.scheduler import (
@@ -28,6 +30,8 @@ from beatsched.scheduler import (
 from beatsched.simulator import SimReport, default_warmup_periods, measure_delay, run
 from beatsched.verify import line_corpus, pair_corpus, pair_from_joint_matrix
 from helpers import OBSTRUCTION_C, line_pair, two_line_pair
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class ReferenceChains:
@@ -349,13 +353,33 @@ class TestIntegrityChecks:
         with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
             simulator._check_fifo(state)
 
-    def test_a_schedule_slower_than_its_counts_runs_out_of_beats(self, chain6):
+    def test_a_schedule_slower_than_its_counts_runs_out_of_beats(self):
         # three traversals claimed per period, one made: the budget of
         # 3 * (10 + 6 + 8) / 3 = 24 beats sees blocks land at beats 6, 9, .., 24
-        forged = dataclasses.replace(schedule_primary(chain6, 1), activation_counts={1: 3})
+        legal = schedule_primary(line_pair(6), 1)
+        forged = dataclasses.replace(legal, activation_counts={1: 3})
+        proven = line_pair(6)
+        run(proven, legal, 3)  # the proof of the beats both schedules share
         message = "path 1 delivered only 7 of 10 blocks within 24 beats"
-        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-            measure_delay(chain6, forged, 10)
+        for pair in (line_pair(6), proven):  # stepped, then read from the proof
+            with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+                measure_delay(pair, forged, 10)
+
+    def test_a_cycle_that_overtakes_its_next_copy_breaks_fifo(self, far_pair, monkeypatch):
+        # path 1 delivers twice per cycle; its last delivery, raised by one
+        # cycle of injections, still follows the log but not its next copy
+        prove = simulator._prove
+
+        def overtaking(state, marks, first, last, period):
+            log = state.delivered_log[1]
+            serial, injected, arrived = log[-1]
+            log[-1] = (serial + marks[last][0][0] - marks[first][0][0], injected, arrived)
+            return prove(state, marks, first, last, period)
+
+        monkeypatch.setattr(simulator, "_prove", overtaking)
+        pair = fresh(far_pair)
+        with pytest.raises(ConsistencyError, match=r"^path 1 deliveries left injection order: \["):
+            run(pair, schedule_pair_unequal(pair, 3, 3, 2, 1), 3)
 
 
 class TestReportShape:
@@ -503,7 +527,9 @@ class TestProvenSteadyState:
             assert_matches_reference(far_pair, schedule, n_periods, warmup, collect_trace=True)
         assert measure_delay(far_pair, schedule, 3) == reference_delays(far_pair, schedule, 3)
 
-    def test_run_stops_stepping_once_periodic(self, chain6, monkeypatch):
+    def test_run_stops_stepping_once_periodic(self, monkeypatch):
+        # a fresh pair: the module's chain6 may already keep the proof
+        chain6 = line_pair(6)
         stepped = []
         step = simulator._ChainState.step
 
@@ -571,6 +597,29 @@ class TestProvenSteadyState:
         for call in (lambda: run(chain6, broken, 2), lambda: measure_delay(chain6, broken, 1)):
             with pytest.raises(DomainError, match=r"^n2\.1 is not a sender of this pair$"):
                 call()
+
+
+def fresh(pair: PathPair) -> PathPair:
+    """A new pair object over the same paths and relation, keeping nothing."""
+    return PathPair._from_conflicts(pair.path1, pair.path2, pair._conflicts)
+
+
+def kept_proof(pair: PathPair, schedule: Schedule):
+    return pair._memo.get(("trajectory", *simulator._slot_programs(pair, schedule)))
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """The beat indices `_ChainState.step` is called with, in order."""
+    beats = []
+    step = simulator._ChainState.step
+
+    def counting(state, beat_index, program, moved=None):
+        beats.append(beat_index)
+        return step(state, beat_index, program, moved)
+
+    monkeypatch.setattr(simulator._ChainState, "step", counting)
+    return beats
 
 
 def interfering_everywhere(pair: PathPair) -> PathPair:
@@ -673,3 +722,96 @@ class TestCompileOnce:
         beats[0] = beats[1]
         assert run(pair, schedule, 3).measured_throughput == Fraction(1, 3)
         assert run(pair, dataclasses.replace(schedule, beats=beats), 3).measured_throughput == 0
+
+
+class TestSharedTrajectory:
+    """A pair proves each schedule's cold run once, and `run` and
+    `measure_delay` read what it proved, in either order."""
+
+    def test_delays_after_and_before_a_run_equal_the_stepped_reference(self, corpus):
+        rng = random.Random(25)
+        for pair, schedule in corpus:
+            block_count = rng.randint(1, 40)
+            delays = reference_delays(pair, schedule, block_count)
+            report = reference_run(pair, schedule, 3)
+            run_first, delay_first = fresh(pair), fresh(pair)
+            sim = run(run_first, schedule, 3)
+            got = [(sim, measure_delay(run_first, schedule, block_count))]
+            measured = measure_delay(delay_first, schedule, block_count)
+            got.append((run(delay_first, schedule, 3), measured))
+            for sim, measured in got:
+                assert dataclasses.replace(sim, steady_state_after=None) == report
+                assert measured == delays
+
+    def test_a_proof_reads_the_stepped_log_at_every_beat(self, corpus):
+        rng = random.Random(26)
+        for pair, schedule in corpus:
+            target = fresh(pair)
+            run(target, schedule, 3)
+            proof = kept_proof(target, schedule)
+            # three cycles past the proof, cut at every beat
+            horizon = (4 * proof.last - 3 * proof.first) * schedule.period
+            for beat_index, _, _, state in itertools.islice(reference_beats(pair, schedule), horizon):
+                for pid, log in state.delivered_log.items():
+                    assert proof.delivered_by(pid, beat_index) == len(log)
+            for pid, log in state.delivered_log.items():
+                delays = [arrived - injected + 1 for _, injected, arrived in log]
+                start = rng.randint(0, len(delays))
+                stop = rng.randint(start, len(delays))
+                assert proof.delays_of(pid, start, stop) == delays[start:stop]
+                assert proof.delays_of(pid, 0, len(delays)) == delays
+
+    def test_an_equal_schedule_on_the_same_pair_steps_no_beat(self, corpus, stepped):
+        for pair, schedule in corpus[::2]:
+            target = fresh(pair)
+            first = run(target, schedule, 3)
+            assert stepped and first.steady_state_after is not None
+            proof = kept_proof(target, schedule)
+            hash(proof)  # immutable all through
+            stepped.clear()
+            again = schedule_from_dict(schedule.to_dict())  # equal values, new objects
+            assert again == schedule and again.beats[0] is not schedule.beats[0]
+            assert run(target, again, 3) == first
+            for n_periods, warmup in ((7, None), (2, 30), (1, proof.last)):
+                report = assert_matches_reference(target, again, n_periods, warmup)
+                assert report.steady_state_after == proof.first
+            assert measure_delay(target, again, 30) == reference_delays(target, again, 30)
+            assert stepped == []
+            assert kept_proof(target, again) is proof
+
+    def test_a_run_shorter_than_the_proof_steps_its_own_periods(self, corpus, stepped):
+        # seed 1's unequal schedules include one whose first period stays
+        # shallower than the proven run
+        unequal = [
+            (c.pair, schedule_pair_unequal(c.pair, c.period1, c.period2, c.traversals1, c.traversals2))
+            for c in pair_corpus(1, 25)
+        ]
+        shallower = 0
+        for pair, schedule in corpus + unequal:
+            target = fresh(pair)
+            deep = run(target, schedule, 3).max_buffer_depth
+            proof = kept_proof(target, schedule)
+            for periods in range(1, proof.last):
+                stepped.clear()
+                short = assert_matches_reference(target, schedule, periods, 0)
+                assert short.steady_state_after is None
+                assert stepped == list(range(1, periods * schedule.period + 1))
+                shallower += short.max_buffer_depth < deep
+            assert kept_proof(target, schedule) is proof
+        assert shallower  # some short run stays shallower than the proven run
+
+    def test_many_blocks_step_no_further_than_the_proof(self, stepped):
+        pair = load_scenario(str(SCENARIOS / "crossing_pair.json")).pair
+        schedule = schedule_pair_equal(pair, 3, 2, 1)
+        delays = measure_delay(pair, schedule, 10**5)
+        proof = kept_proof(pair, schedule)
+        assert 0 < len(stepped) <= proof.last * schedule.period
+        assert [len(d) for d in delays.values()] == [10**5, 10**5]
+        expected = reference_delays(pair, schedule, 2000)
+        assert {pid: d[:2000] for pid, d in delays.items()} == expected
+        # proven by a run on another pair object, the read is the same
+        twin = fresh(pair)
+        run(twin, schedule, 3)
+        stepped.clear()
+        assert measure_delay(twin, schedule, 10**5) == delays
+        assert stepped == []
