@@ -369,8 +369,8 @@ def load_scenario(filename: str) -> Scenario:
 
 
 def _emit(payload: Any, out) -> None:
-    json.dump(payload, out, indent=2, sort_keys=True)
-    out.write("\n")
+    # one write: json.dump would write each of the encoder's small chunks
+    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def schedule_timeline(pair: PathPair, schedule: Schedule) -> str:

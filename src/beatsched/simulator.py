@@ -46,11 +46,12 @@ The cold run of a schedule depends only on the pair and the beats' slot
 programs, so a pair proves it once (`_trajectory`) and keeps the proof
 in its memo under those programs (`_Proof`): the boundaries j and k,
 the deliveries and the books of every boundary up to k, and the
-largest buffer depth. A later untraced `run` whose periods reach k, and
-any later `measure_delay`, read their deliveries from the proof without
-stepping a beat. A call that finds no proof it can use steps the cold
-run period by period and stops at the first repeat, which it keeps, or
-as soon as it has what it needs.
+largest buffer depth. A later `run` whose periods reach k, and any
+later `measure_delay`, read the proof; untraced, they step no beat.
+Other calls step the cold run, traced or not, through that one routine
+until the first repeat, which they keep, or until they have what they
+need; a prefix without a repeat is read the same way, as a proof with
+no cycle.
 """
 
 from __future__ import annotations
@@ -141,11 +142,6 @@ class _ChainState:
             ]
         self.max_depth = 0
 
-    def check_conservation(self) -> None:
-        """Balance each path's books from the buffers' real depths."""
-        for path_id, queues, log in self.books:
-            _balance(path_id, self.injected[path_id], sum(map(len, queues)), len(log))
-
     def boundary_key(self, beat: int) -> tuple[int, ...]:
         """The buffers as seen from the end of `beat`: every buffered block,
         in buffer and queue order, as its buffer's index, the blocks its
@@ -159,11 +155,12 @@ class _ChainState:
     def mark(self) -> _Mark:
         return tuple((self.injected[pid], len(log), sum(map(len, queues))) for pid, queues, log in self.books)
 
-    def step(self, beat: int, program: _Slot, moved: dict[int, list[int]] | None = None) -> bool:
+    def step(self, beat: int, program: _Slot, moves: list[dict[int, list[int]]] | None = None) -> bool:
         """Advance one beat by its slot program, then balance the books.
-        Returns whether a block reached a destination; with `moved`, lists
-        each moved block's serial under its sender, in step order."""
+        Returns whether a block reached a destination; with `moves`, appends
+        the beat's moved serials listed under their senders, in step order."""
         delivered = False
+        moved = None if moves is None else {}
         sends = self.sends
         injected = self.injected
         for i in program.downstream:
@@ -184,9 +181,11 @@ class _ChainState:
                     self.max_depth = len(target)
             if moved is not None:
                 moved.setdefault(i, []).append(block[0])
-        for path_id, queues, log in self.books:
+        for path_id, queues, log in self.books:  # from the buffers' real depths
             if injected[path_id] - len(log) != sum(map(len, queues)):
-                self.check_conservation()  # raises with the books' text
+                _balance(path_id, injected[path_id], sum(map(len, queues)), len(log))
+        if moves is not None:
+            moves.append(moved)
         return delivered
 
 
@@ -195,14 +194,10 @@ def _check_order(path_id: int, serials: list[int]) -> None:
         raise ConsistencyError(f"path {path_id} deliveries left injection order: {serials}")
 
 
-def _check_fifo(state: _ChainState) -> None:
-    for path_id, log in state.delivered_log.items():
-        _check_order(path_id, [serial for serial, _, _ in log])
-
-
 class _Proof(NamedTuple):
     """A cold run stepped until the buffer key of boundary `last` repeated
-    boundary `first`'s, as a pair keeps it.
+    boundary `first`'s, as a pair keeps it; or, with both None, a cold
+    run that stopped before a repeat, read only within its stepped beats.
 
     Per path, indexed by path id - 1: the arrival beat and the delay of
     each block delivered by boundary `last`, in delivery order. `marks`
@@ -215,8 +210,8 @@ class _Proof(NamedTuple):
     """
 
     period: int
-    first: int
-    last: int
+    first: int | None
+    last: int | None
     arrivals: tuple[tuple[int, ...], ...]
     delays: tuple[tuple[int, ...], ...]
     marks: tuple[_Mark, ...]
@@ -225,6 +220,8 @@ class _Proof(NamedTuple):
     def delivered_by(self, path_id: int, beat: int) -> int:
         """How many blocks the path has delivered by the end of `beat`."""
         arrivals = self.arrivals[path_id - 1]
+        if self.first is None:
+            return bisect_right(arrivals, beat)
         cycle_beats = (self.last - self.first) * self.period
         # move `beat` back by whole cycles into the prefix's own cycle
         shifts = max(0, -(-(beat - self.last * self.period) // cycle_beats))
@@ -234,7 +231,8 @@ class _Proof(NamedTuple):
     def delays_of(self, path_id: int, start: int, stop: int) -> list[int]:
         """The delays of the path's deliveries start..stop-1, counted from 0."""
         delays = self.delays[path_id - 1]
-        head = self.marks[self.first][path_id - 1][1]  # deliveries before the cycle
+        # deliveries before the cycle: all of them without one
+        head = len(delays) if self.first is None else self.marks[self.first][path_id - 1][1]
         return [*delays[start:min(stop, head)],
                 *islice(cycle(delays[head:]), max(start - head, 0), max(stop - head, 0))]
 
@@ -242,6 +240,8 @@ class _Proof(NamedTuple):
         """Balance every path's books at boundary `periods` >= `last`: the
         injections and blocks in flight of the boundary it repeats, the
         injections of the cycles in between, and the deliveries read."""
+        if self.first is None:  # every stepped beat balanced its books
+            return
         cycle_periods = self.last - self.first
         rest = self.first + (periods - self.first) % cycle_periods
         repeats = (periods - rest) // cycle_periods
@@ -251,16 +251,19 @@ class _Proof(NamedTuple):
             _balance(path_id, injected, at_rest[2], self.delivered_by(path_id, periods * self.period))
 
 
-def _prove(state: _ChainState, marks: list[_Mark], first: int, last: int, period: int) -> _Proof:
-    """The proof of the cold run in `state`, stepped to boundary `last`.
-    Each path's log is checked in injection order with one more copy of
-    its cycle appended: each copy joins the next as the prefix joins that
+def _prove(state: _ChainState, marks: list[_Mark], first: int | None, last: int | None, period: int) -> _Proof:
+    """The proof of the cold run in `state`, stepped to boundary `last`, or
+    as far as it went when `first` and `last` are None. Each path's log is
+    checked in injection order, with one more copy of its cycle appended
+    when there is one: each copy joins the next as the prefix joins that
     copy, so every delivery list read from the proof is in order too."""
     arrivals, delays = [], []
     for k, (path_id, _, log) in enumerate(state.books):
-        head = marks[first][k][1]
-        gain = marks[last][k][0] - marks[first][k][0]
-        _check_order(path_id, [serial for serial, _, _ in log] + [serial + gain for serial, _, _ in log[head:]])
+        serials = [serial for serial, _, _ in log]
+        if first is not None:
+            gain = marks[last][k][0] - marks[first][k][0]
+            serials += [serial + gain for serial in serials[marks[first][k][1]:]]
+        _check_order(path_id, serials)
         arrivals.append(tuple(arrived for _, _, arrived in log))
         delays.append(tuple(arrived - injected + 1 for _, injected, arrived in log))
     return _Proof(period, first, last, tuple(arrivals), tuple(delays), tuple(marks), state.max_depth)
@@ -268,7 +271,8 @@ def _prove(state: _ChainState, marks: list[_Mark], first: int, last: int, period
 
 def _trajectory(
     pair: PathPair, programs: list[_Slot], beats: int, block_count: int = 0, path_ids: list[int] | tuple = (),
-) -> tuple[_ChainState | None, _Proof | None]:
+    moves: list[dict[int, list[int]]] | None = None,
+) -> _Proof:
     """The cold run of the beats compiled to `programs`, within `beats` beats.
 
     A proof the pair keeps serves without a step: a delay measurement
@@ -276,30 +280,36 @@ def _trajectory(
     beats. Otherwise the run is stepped from empty buffers, period by
     period, keying each boundary, until a key repeats (the proof is kept
     in the pair's memo and returned), `beats` beats have run, or every
-    path in `path_ids` has delivered `block_count` blocks. Returns the
-    stepped state (None when nothing was stepped) and the proof, if any.
-    Racing callers store equal proofs under equal keys.
+    path in `path_ids` has delivered `block_count` blocks; the last two
+    return the stepped prefix as a proof with no cycle. A `moves` sink
+    gets each beat's `{sender: [serials]}` (see `_ChainState.step`), so
+    with one all `beats` are stepped, and boundaries are keyed only until
+    the repeat, or not at all when the pair keeps a proof. Racing callers
+    store equal proofs under equal keys.
     """
     key = ("trajectory", *programs)
     period = len(programs)
     proof = pair._memo.get(key)
-    if proof is not None and (block_count or proof.last * period <= beats):
-        return None, proof
+    if proof is not None and moves is None and (block_count or proof.last * period <= beats):
+        return proof
     state = _ChainState(pair)
     logs = [state.delivered_log[pid] for pid in path_ids]
-    seen: dict[tuple[int, ...], int] = {}
+    seen: dict[tuple[int, ...], int] | None = {} if proof is None else None
     marks: list[_Mark] = []
     for boundary in range(beats // period + 1):
         start = boundary * period
-        first = seen.setdefault(state.boundary_key(start), boundary)
-        marks.append(state.mark())
-        if first < boundary:
-            proof = pair._memo[key] = _prove(state, marks, first, boundary, period)
-            return state, proof
+        if seen is not None:
+            marks.append(state.mark())
+            first = seen.setdefault(state.boundary_key(start), boundary)
+            if first < boundary:
+                proof = pair._memo[key] = _prove(state, marks, first, boundary, period)
+                if moves is None:
+                    return proof
+                seen = None
         for beat_index, program in zip(range(start + 1, beats + 1), programs):
-            if state.step(beat_index, program) and logs and min(map(len, logs)) >= block_count:
-                return state, None
-    return state, None
+            if state.step(beat_index, program, moves) and logs and min(map(len, logs)) >= block_count:
+                return _prove(state, marks, None, None, period)
+    return proof if proof is not None and proof.last * period <= beats else _prove(state, marks, None, None, period)
 
 
 def _compile_slot(pair: PathPair, beat: Beat) -> _Slot:
@@ -357,13 +367,10 @@ def run(
     still happen, so a broken schedule can be inspected end to end
     rather than aborting on first contact.
 
-    The run is stepped only until a period boundary's buffer key (see
-    `_ChainState.boundary_key`) repeats one seen at an earlier boundary.
-    The pair keeps that proof, so a later run of the same beats on the
-    pair steps no beat when the repeat falls within its periods; a
-    shorter one steps its own periods and reports no steady state. The
-    window's deliveries are read from the proof: the stepped ones, then
-    the cycle between the two boundaries, shifted cycle by cycle. Those
+    The window's deliveries are read from the cold run's proof (see
+    `_trajectory`): the stepped ones, then the cycle between the two
+    boundaries, shifted cycle by cycle. A run shorter than the pair's
+    proof steps its own periods and reports no steady state. Deliveries
     before the window are counted, not listed, so a long warmup costs no
     more than a short one. That is exact:
     - Every choice a beat makes (which senders fire, whether a relay's
@@ -382,9 +389,8 @@ def run(
       on the totals of the run's last beat.
     - Every period simulates the same illegal slots, so the violation
       count is the number of periods times the illegal slots.
-    With `collect_trace` the run steps every beat anyway, because the
-    trace lists every beat's moves; it still reports the first repeat,
-    from the pair's proof or from stepping to it first.
+    With `collect_trace` the run steps every beat once, for the trace's
+    moves, and its report equals the untraced one apart from `trace`.
     """
     _check_counts(f"need at least one measured period, got {n_periods}", n_periods=n_periods)
     if warmup_periods is None:
@@ -397,37 +403,29 @@ def run(
     total_beats = total_periods * period
     window_start = warmup_periods * period + 1
     programs = _slot_programs(pair, schedule)
-    state, proof = _trajectory(pair, programs, total_beats)
-    trace: list[dict] | None = None
-    if collect_trace:
-        state, trace, labels = _ChainState(pair), [], [str(ref) for ref in pair.nodes]
-        heads = [f"dest{pid}" if delivers else labels[i + 1] for i, (pid, _, _, delivers) in enumerate(state.sends)]
-        for beat_index, program, beat in zip(range(1, total_beats + 1), cycle(programs), cycle(schedule.beats)):
-            moved: dict[int, list[int]] = {}
-            state.step(beat_index, program, moved)
-            # a sender listed twice steps twice in a row: serials in listing order
-            trace.append({
-                "beat": beat_index,
-                "category": beat.category,
-                "activated": [labels[i] for i in program.senders],
-                "moves": [
-                    {"block": f"p{state.sends[i][0]}b{moved[i].pop(0)}", "from": labels[i], "to": heads[i]}
-                    for i in program.senders if moved.get(i)
-                ],
-            })
-
+    moves: list[dict[int, list[int]]] | None = [] if collect_trace else None
+    proof = _trajectory(pair, programs, total_beats, moves=moves)
+    proof.check_books(total_periods)
     delays: dict[int, list[int]] = {}
-    if proof is None or trace is not None:
-        _check_fifo(state)
-        max_depth = state.max_depth
-        for path_id, log in state.delivered_log.items():
-            delays[path_id] = [arrived - injected + 1 for _, injected, arrived in log if arrived >= window_start]
-    else:
-        proof.check_books(total_periods)
-        max_depth = proof.max_depth
-        for path_id in range(1, len(proof.delays) + 1):
-            start, stop = proof.delivered_by(path_id, window_start - 1), proof.delivered_by(path_id, total_beats)
-            delays[path_id] = proof.delays_of(path_id, start, stop)
+    for path_id in range(1, len(proof.delays) + 1):
+        start, stop = proof.delivered_by(path_id, window_start - 1), proof.delivered_by(path_id, total_beats)
+        delays[path_id] = proof.delays_of(path_id, start, stop)
+    trace: list[dict] | None = None
+    if moves is not None:
+        nodes = pair.nodes
+        labels = [str(ref) for ref in nodes]
+        heads = [labels[i + 1] if ref.seq < pair.path(ref.path_id).n_senders else f"dest{ref.path_id}"
+                 for i, ref in enumerate(nodes)]
+        # a sender listed twice steps twice in a row: serials in listing order
+        trace = [{
+            "beat": beat_index,
+            "category": beat.category,
+            "activated": [labels[i] for i in program.senders],
+            "moves": [
+                {"block": f"p{nodes[i].path_id}b{moved[i].pop(0)}", "from": labels[i], "to": heads[i]}
+                for i in program.senders if moved.get(i)
+            ],
+        } for beat_index, (moved, program, beat) in enumerate(zip(moves, cycle(programs), cycle(schedule.beats)), 1)]
 
     illegal = [slot for slot, program in enumerate(programs) if not program.legal]
     violations = total_periods * len(illegal)
@@ -456,9 +454,9 @@ def run(
         delays=delays,
         violations=violations,
         violation_examples=violation_examples,
-        max_buffer_depth=max_depth,
+        max_buffer_depth=proof.max_depth,
         trace=trace,
-        steady_state_after=None if proof is None else proof.first,
+        steady_state_after=proof.first,
     )
 
 
@@ -467,33 +465,34 @@ def measure_delay(pair: PathPair, schedule: Schedule, block_count: int) -> dict[
 
     Runs cold (no warmup) so the very first block's delay reflects the
     raw pipeline traversal. Delay counts both the injection beat and the
-    arrival beat, so a single-sender path has delay 1. The beat budget is
-    the slowest path's period / activation count times (block_count +
-    senders + 8), rounded up; a path with fewer blocks delivered by then
-    is a ConsistencyError.
+    arrival beat, so a single-sender path has delay 1.
+
+    The beat budget is the largest over the scheduled paths of period x
+    (senders + ceil(block_count / count)), count being the path's
+    activation count; a path short of its blocks by then is a
+    ConsistencyError. An audited schedule fires each sender `count` times
+    in any `period` beats, so its k-th firing after beat t comes by t +
+    period x ceil(k / count). Block b leaves the source by period x
+    ceil(b / count), and a later sender by the arrival of the block b' <=
+    b that found its buffer empty plus period x ceil((b - b' + 1) /
+    count), as it moves a block at every firing in between. By induction,
+    as ceil(b' / count) + ceil((b - b' + 1) / count) <= ceil(b / count) +
+    1, each sender adds at most a period: block b lands a period early.
 
     With the pair's proof of the schedule's cold run (see `run`), the
     delays are read from it and no beat is stepped, however many blocks
     are asked for. Without one, the cold run is stepped until every path
     has its blocks, the budget is spent, or a boundary repeats; a repeat
-    is kept as the pair's proof and read from. No call steps past the
-    first repeat.
+    is kept as the pair's proof. No call steps past the first repeat.
     """
     _check_counts(f"block count must be >= 1, got {block_count}", block_count=block_count)
     path_ids = sorted(schedule.path_periods)
-    blocks = block_count + sum(pair.path(pid).n_senders for pid in path_ids) + 8
-    beat_budget = max(-(-schedule.period * blocks // schedule.activation_counts[pid]) for pid in path_ids)
-    state, proof = _trajectory(pair, _slot_programs(pair, schedule), beat_budget, block_count, path_ids)
-    if proof is None:
-        _check_fifo(state)
-        counts = {pid: len(state.delivered_log[pid]) for pid in path_ids}
-    else:
-        counts = {pid: proof.delivered_by(pid, beat_budget) for pid in path_ids}
+    counts = schedule.activation_counts
+    beat_budget = schedule.period * max(pair.path(pid).n_senders - (-block_count // counts[pid]) for pid in path_ids)
+    proof = _trajectory(pair, _slot_programs(pair, schedule), beat_budget, block_count, path_ids)
     for pid in path_ids:
-        if counts[pid] < block_count:
-            raise ConsistencyError(f"path {pid} delivered only {counts[pid]} of {block_count} "
+        delivered = proof.delivered_by(pid, beat_budget)
+        if delivered < block_count:
+            raise ConsistencyError(f"path {pid} delivered only {delivered} of {block_count} "
                                    f"blocks within {beat_budget} beats")
-    if proof is None:
-        return {pid: [arrived - injected + 1 for _, injected, arrived in state.delivered_log[pid][:block_count]]
-                for pid in path_ids}
     return {pid: proof.delays_of(pid, 0, block_count) for pid in path_ids}

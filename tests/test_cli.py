@@ -378,6 +378,16 @@ class TestDelay:
         # Path 2 blocks sit through path 1's extra traversal each period.
         assert json.loads(out)["delays"] == {"1": [6, 6], "2": [7, 7]}
 
+    def test_a_tiled_schedule_delivers_its_first_block_within_the_budget(self, capsys):
+        # path 1's first block lands at beat 62 of a 30-beat cycle
+        argv = ("delay", CROSSING, "--mode", "unequal", "--traversals1", "10", "--traversals2", "10")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "blocks": 1,\n  "delays": {\n    "1": [\n      42\n    ],\n'
+            '    "2": [\n      4\n    ]\n  }\n}\n'
+        )
+
 
 GRAPH_SCENARIO = {
     "paths": [{"id": 1, "n_senders": 2}, {"id": 2, "n_senders": 2}],

@@ -46,6 +46,11 @@ CASES: dict[str, tuple[tuple[str, ...], str, int]] = {
     ),
     "simulate_pair": (("simulate", CROSSING), "", 0),
     "simulate_chain6_trace": (("simulate", CHAIN6, "--trace"), "", 0),
+    # both paths traced, with up to three blocks parked at one relay
+    "simulate_crossing_unequal_trace": (
+        ("simulate", CROSSING, "--mode", "unequal", "--traversals1", "3", "--traversals2", "2",
+         "--periods", "2", "--trace"), "", 0,
+    ),
     "delay_blocks3": (("delay", CROSSING, "--blocks", "3"), "", 0),
     "optimize": (("optimize", CROSSING), "", 0),
     "optimize_max_traversals3": (("optimize", CROSSING, "--max-traversals", "3"), "", 0),

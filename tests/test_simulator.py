@@ -114,7 +114,8 @@ def reference_run(pair, schedule, n_periods, warmup_periods=None, collect_trace=
                     "moves": moves,
                 }
             )
-    simulator._check_fifo(state)
+    for path_id, log in state.delivered_log.items():
+        simulator._check_order(path_id, [serial for serial, _, _ in log])
     window_beats = n_periods * period
     delivered, delays = {}, {}
     for path_id, log in state.delivered_log.items():
@@ -184,12 +185,12 @@ def all_at_once_schedule() -> Schedule:
 RUN_SHAPES = [(3, None), (1, 0), (5, 2), (2, 0), (1, None)]
 
 
-def corpus_schedules():
+def corpus_schedules(seed=11):
     """Seeded single-chain, equal and unequal (multi-traversal) schedules."""
     cases = []
-    for pair in line_corpus(11, 25):
+    for pair in line_corpus(seed, 25):
         cases.append((pair, schedule_primary(pair, 1)))
-    for case in pair_corpus(11, 25):
+    for case in pair_corpus(seed, 25):
         t1, t2 = case.period1, case.period2
         cases.append((case.pair, schedule_pair_equal(case.pair, t1, t2, case.traversals_equal)))
         cases.append((
@@ -351,16 +352,16 @@ class TestIntegrityChecks:
             state.step(beat_index, programs[(beat_index - 1) % 3])
         message = "path 1 deliveries left injection order: [2, 1, 3]"
         with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-            simulator._check_fifo(state)
+            simulator._prove(state, [state.mark()], None, None, 3)
 
     def test_a_schedule_slower_than_its_counts_runs_out_of_beats(self):
         # three traversals claimed per period, one made: the budget of
-        # 3 * (10 + 6 + 8) / 3 = 24 beats sees blocks land at beats 6, 9, .., 24
+        # 3 * (6 + ceil(10 / 3)) = 30 beats sees blocks land at beats 6, 9, .., 30
         legal = schedule_primary(line_pair(6), 1)
         forged = dataclasses.replace(legal, activation_counts={1: 3})
         proven = line_pair(6)
         run(proven, legal, 3)  # the proof of the beats both schedules share
-        message = "path 1 delivered only 7 of 10 blocks within 24 beats"
+        message = "path 1 delivered only 9 of 10 blocks within 30 beats"
         for pair in (line_pair(6), proven):  # stepped, then read from the proof
             with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
                 measure_delay(pair, forged, 10)
@@ -533,9 +534,9 @@ class TestProvenSteadyState:
         stepped = []
         step = simulator._ChainState.step
 
-        def counting(state, beat_index, program, moved=None):
+        def counting(state, beat_index, program, moves=None):
             stepped.append(beat_index)
-            return step(state, beat_index, program, moved)
+            return step(state, beat_index, program, moves)
 
         monkeypatch.setattr(simulator._ChainState, "step", counting)
         schedule = schedule_primary(chain6, 1)
@@ -614,9 +615,9 @@ def stepped(monkeypatch):
     beats = []
     step = simulator._ChainState.step
 
-    def counting(state, beat_index, program, moved=None):
+    def counting(state, beat_index, program, moves=None):
         beats.append(beat_index)
-        return step(state, beat_index, program, moved)
+        return step(state, beat_index, program, moves)
 
     monkeypatch.setattr(simulator._ChainState, "step", counting)
     return beats
@@ -815,3 +816,93 @@ class TestSharedTrajectory:
         stepped.clear()
         assert measure_delay(twin, schedule, 10**5) == delays
         assert stepped == []
+
+
+def budget_sweep():
+    """Seeded corpora at three seeds in both pair modes, and crossing_pair's
+    unequal schedules at 1..30 traversals on path 1 against 1, as many
+    and 30 on path 2 (1 x 1 and 30 x 30 come twice)."""
+    cases = [case for seed in (11, 12, 13) for case in corpus_schedules(seed)]
+    crossing = load_scenario(str(SCENARIOS / "crossing_pair.json")).pair
+    for t1 in range(1, 31):
+        cases += [(crossing, schedule_pair_unequal(crossing, 3, 2, t1, t2)) for t2 in (1, t1, 30)]
+    return cases
+
+
+class TestDelayBudget:
+    """The budget period x (senders + ceil(blocks / count)) holds for every
+    schedule the builders make, including a tiled unequal schedule whose
+    first crossing takes longer than the old budget's few periods."""
+
+    def test_the_budget_covers_every_built_schedule(self):
+        checks = 0
+        for pair, schedule in budget_sweep():
+            expected = reference_delays(pair, schedule, 60)
+            for block_count in (1, 10, 60):
+                # stepped on a fresh pair, then read from the proof a run keeps
+                proven = fresh(pair)
+                run(proven, schedule, 1)
+                for target in (fresh(pair), proven):
+                    got = measure_delay(target, schedule, block_count)
+                    assert got == {pid: delays[:block_count] for pid, delays in expected.items()}
+                checks += len(expected)
+        assert checks == 1665
+
+    def test_the_first_crossing_of_a_tiled_schedule_fits(self):
+        # the old budget, period / count x (blocks + both paths' senders +
+        # 8), gave 30 / 10 x 19 = 57 beats; path 1's first block lands at 62
+        pair = load_scenario(str(SCENARIOS / "crossing_pair.json")).pair
+        schedule = schedule_pair_unequal(pair, 3, 2, 10, 10)
+        assert schedule.period == 30
+        assert measure_delay(pair, schedule, 1) == reference_delays(pair, schedule, 1) == {1: [42], 2: [4]}
+
+
+class TestTracedRun:
+    """A traced run steps the cold run once, through the same routine as
+    an untraced one, and reads its report the same way."""
+
+    def test_traced_and_untraced_reports_agree_in_either_order(self):
+        for pair, schedule in (case for seed in (11, 12, 13) for case in corpus_schedules(seed)):
+            for n_periods, warmup in RUN_SHAPES:
+                traced_first, untraced_first = fresh(pair), fresh(pair)
+                traced = run(traced_first, schedule, n_periods, warmup, collect_trace=True)
+                untraced = run(untraced_first, schedule, n_periods, warmup)
+                assert traced.trace is not None and untraced.trace is None
+                assert dataclasses.replace(traced, trace=None) == untraced
+                assert run(traced_first, schedule, n_periods, warmup) == untraced
+                assert run(untraced_first, schedule, n_periods, warmup, collect_trace=True) == traced
+                assert kept_proof(traced_first, schedule) == kept_proof(untraced_first, schedule)
+
+    def test_a_fresh_traced_run_steps_each_beat_once(self, stepped):
+        chain6 = line_pair(6)
+        schedule = schedule_primary(chain6, 1)
+        report = run(chain6, schedule, n_periods=50, collect_trace=True)
+        assert stepped == list(range(1, 58 * 3 + 1))
+        assert report.steady_state_after == 1 and len(report.trace) == 58 * 3
+        # the repeat it found is kept, as an untraced run keeps it, and
+        # nothing untraced steps again
+        proof = kept_proof(chain6, schedule)
+        twin = line_pair(6)
+        run(twin, schedule, n_periods=50)
+        assert proof == kept_proof(twin, schedule)
+        stepped.clear()
+        assert run(chain6, schedule, n_periods=50) == dataclasses.replace(report, trace=None)
+        assert measure_delay(chain6, schedule, 100) == {1: [6] * 100}
+        assert stepped == []
+        # traced again, it steps every beat, keys no boundary and leaves the proof
+        assert run(chain6, schedule, n_periods=50, collect_trace=True) == report
+        assert stepped == list(range(1, 58 * 3 + 1))
+        assert kept_proof(chain6, schedule) is proof
+
+    def test_a_traced_run_shorter_than_the_kept_proof_finds_no_repeat(self, far_pair, stepped):
+        pair = fresh(far_pair)
+        schedule = schedule_pair_unequal(pair, 3, 3, 2, 1)
+        run(pair, schedule, 3)
+        proof = kept_proof(pair, schedule)
+        assert proof.last > 1
+        stepped.clear()
+        short = run(pair, schedule, 1, 0, collect_trace=True)
+        assert short.steady_state_after is None
+        assert stepped == list(range(1, schedule.period + 1))
+        assert dataclasses.replace(short, trace=None) == run(fresh(pair), schedule, 1, 0)
+        assert kept_proof(pair, schedule) is proof
