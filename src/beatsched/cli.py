@@ -36,7 +36,7 @@ from .scheduler import (
     schedule_pair_unequal,
     schedule_primary,
 )
-from .simulator import measure_delay, run
+from .simulator import default_warmup_periods, measure_delay, run
 from .verify import DEFAULT_SEED, run_criteria
 
 
@@ -460,12 +460,8 @@ def _build_schedule(scenario: Scenario, args) -> Schedule:
     # a cycle has at most each path's spacing per traversal, and the
     # builders refuse a spacing above the path's sender count
     caps = (min(spacing1, pair.path1.n_senders), min(spacing2, pair.path2.n_senders))
-    beats = counts[0] * caps[0] + counts[1] * caps[1]
-    if beats > MAX_SCHEDULE_BEATS:
-        raise ConfigurationError(
-            f"the schedule has up to {beats} beats (traversals x spacings), more than "
-            f"the limit of {MAX_SCHEDULE_BEATS}; lower the traversal counts"
-        )
+    _within(counts[0] * caps[0] + counts[1] * caps[1], MAX_SCHEDULE_BEATS,
+            "the schedule has up to {} beats (traversals x spacings)", "lower the traversal counts")
     if mode == "equal":
         return schedule_pair_equal(pair, spacing1, spacing2, args.traversals)
     return schedule_pair_unequal(
@@ -588,6 +584,12 @@ def cmd_simulate(args, out) -> int:
     scenario = load_scenario(args.scenario)
     pair = scenario.pair
     schedule = _build_schedule(scenario, args)
+    _within(args.periods * sum(schedule.activation_counts.values()), MAX_LISTED_VALUES,
+            "the output lists up to {} delays (periods x activations per period)", "lower --periods")
+    if args.trace:
+        warmup = default_warmup_periods(pair, schedule) if args.warmup is None else args.warmup
+        _within((warmup + args.periods) * schedule.period, MAX_TRACED_BEATS,
+                "the trace has {} beats ((warmup + periods) x period)", "lower --periods or --warmup")
     report = run(
         pair,
         schedule,
@@ -627,6 +629,23 @@ MAX_GRID_POINTS = 250_000
 # paths' beats; at this size it takes under a second on a 2-vCPU Xeon.
 MAX_SCHEDULE_BEATS = 2_000
 
+# The most delays `delay` or `simulate` may list: blocks x scheduled paths,
+# or measured periods x activations per period. At this size a call
+# peaks near 190 MB, about 85 bytes per listed delay.
+MAX_LISTED_VALUES = 2_000_000
+
+# The most beats `simulate --trace` may record, (warmup + measured
+# periods) x period. The trace is built whole before a line is written, at
+# about 1.3 KB per beat, so at this size a call peaks near 150 MB.
+MAX_TRACED_BEATS = 100_000
+
+
+def _within(count: int, limit: int, what: str, remedy: str) -> None:
+    """Refuse a call whose size, counted from its flags before any work,
+    is above its limit: `what` names the size with a {} for the count."""
+    if count > limit:
+        raise ConfigurationError(f"{what.format(count)}, more than the limit of {limit}; {remedy}")
+
 
 def _grid_points(space: SearchSpace) -> int:
     """Grid points of a search before any geometry is looked at: route
@@ -660,13 +679,9 @@ def cmd_optimize(args, out) -> int:
         period_range2=_parse_period_range(args.period_range2, "--period-range2") or space.period_range2,
         max_traversals=space.max_traversals if args.max_traversals is None else args.max_traversals,
     )
-    points = _grid_points(space)
-    if points > MAX_GRID_POINTS:
-        raise ConfigurationError(
-            f"the optimize grid has up to {points} points (route pairs x spacings x "
-            f"traversal pairs), more than the limit of {MAX_GRID_POINTS}; lower "
-            "max_traversals or narrow the period ranges"
-        )
+    _within(_grid_points(space), MAX_GRID_POINTS,
+            "the optimize grid has up to {} points (route pairs x spacings x traversal pairs)",
+            "lower max_traversals or narrow the period ranges")
     result = optimize(disk, space)
     payload = {
         "best": {
@@ -726,6 +741,8 @@ def cmd_verify(args, out) -> int:
 def cmd_delay(args, out) -> int:
     scenario = load_scenario(args.scenario)
     schedule = _build_schedule(scenario, args)
+    _within(args.blocks * len(schedule.path_periods), MAX_LISTED_VALUES,
+            "the output lists {} delays (blocks x scheduled paths)", "lower --blocks")
     delays = measure_delay(scenario.pair, schedule, args.blocks)
     payload = {
         "blocks": args.blocks,

@@ -73,7 +73,7 @@ from itertools import count, islice
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
-from .model import _bits, _check_counts
+from .model import _bits, _check_counts, _row_masks
 
 __all__ = [
     "validate_support_set",
@@ -86,26 +86,6 @@ Element = tuple[int, int]  # (row, col), 1-based
 _Flow = list[list[int]]  # units on each entry, row after row
 
 _BRUTE_FORCE_CELL_LIMIT = 30
-
-
-def _row_masks(matrix: Iterable[Iterable[int]]) -> tuple[list[int], int]:
-    """Each row of a 0/1 matrix as an integer mask, bit j set iff the row has
-    a 1 in column j, plus the matrix's width. Every entry point reads its
-    matrix once, through here; rows are checked in order, each for its
-    length before its entries."""
-    ones, width = [], 0
-    for row in map(tuple, matrix):
-        if ones and len(row) != width:
-            raise DomainError("matrix rows have unequal lengths")
-        width = len(row)
-        mask = 0
-        for j, v in enumerate(row):
-            if v not in (0, 1):
-                raise DomainError(f"matrix entries must be 0 or 1, got {v!r}")
-            if v:
-                mask |= 1 << j
-        ones.append(mask)
-    return ones, width
 
 
 def validate_support_set(

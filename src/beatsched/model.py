@@ -13,12 +13,14 @@ sits within the interference radius of b's receiver (and vice versa), and
 under half-duplex operation a node cannot send and receive in the same beat,
 which makes adjacent senders of one chain interfere.
 
-Inside the library a relation is held one way only, as a `PathPair`'s
-conflict masks, one integer per sender. `InterferenceRelation` and `NodeRef`
-pairs are its form at the API and I/O boundary; `PathPair.relation` is that
-view of the masks, built on demand, and it hands the masks back to a
-`PathPair` over the same senders. `_disk_masks` builds the masks of every
-geometric pair, for derive_relation, the CLI, the corpora and the optimizer.
+A relation is held one way only, as conflict masks, one integer per node.
+An `InterferenceRelation` is its nodes and their masks, and its `NodeRef`
+pairs are built only when read, at the API and I/O boundary. A `PathPair`
+takes the masks of a relation over its senders in dense order as they are
+(`PathPair.relation` is such a view) and re-indexes any other. Every 0/1
+matrix becomes row masks in `_row_masks`, and `_disk_masks` builds the
+masks of every geometric pair, for derive_relation, the CLI, the corpora
+and the optimizer.
 """
 
 from __future__ import annotations
@@ -108,25 +110,29 @@ class PrimaryPath:
 class InterferenceRelation:
     """Symmetric, irreflexive relation over sending nodes.
 
-    Stores only the interfering pairs; any pair not stored is concurrent
-    (two distinct senders either interfere or may share a beat, never both).
-    `PathPair.relation` is a view that holds its pair's masks instead and
-    builds the pairs on first read.
+    Held as distinct nodes and one conflict mask per node, `_conflicts[i]`
+    having bit j set when `_nodes[i]` and `_nodes[j]` interfere; nodes come
+    in first-seen order from pairs and in the given order from a matrix.
+    The `NodeRef` pairs are built on first read.
     """
 
     def __init__(self, interfering_pairs: Iterable[tuple[NodeRef, NodeRef]] = ()):
-        pairs = set()
+        index: dict[NodeRef, int] = {}
+        conflicts: list[int] = []
         for a, b in interfering_pairs:
             if a == b:
                 raise DomainError(f"a node cannot interfere with itself: {a}")
-            pairs.add(frozenset((a, b)))
-        self._pairs = frozenset(pairs)
+            i = index.setdefault(a, len(index))
+            j = index.setdefault(b, len(index))
+            conflicts += [0] * (len(index) - len(conflicts))
+            conflicts[i] |= 1 << j
+            conflicts[j] |= 1 << i
+        self._nodes, self._conflicts = tuple(index), tuple(conflicts)
 
     @classmethod
     def _view(cls, nodes: tuple[NodeRef, ...], conflicts: tuple[int, ...]) -> "InterferenceRelation":
-        """The relation of a pair's checked conflict masks over `nodes`, its
-        senders in dense order. Its pairs are built on first read, and a
-        `PathPair` over the same senders takes the masks as they are."""
+        """The relation of checked conflict masks over distinct `nodes`, as
+        `from_matrix` and `PathPair.relation` build it without pairs."""
         view = cls.__new__(cls)
         view._nodes = nodes
         view._conflicts = conflicts
@@ -160,26 +166,25 @@ class InterferenceRelation:
         return hash(self._pairs)
 
     def __repr__(self) -> str:
-        return f"InterferenceRelation({len(self._pairs)} interfering pairs)"
+        return f"InterferenceRelation({sum(row.bit_count() for row in self._conflicts) // 2} interfering pairs)"
 
     @classmethod
     def from_matrix(cls, order: Sequence[NodeRef], rows: Sequence[Sequence[int]]) -> "InterferenceRelation":
-        """Build from a symmetric 0/1 matrix over `order`; diagonal must be zero."""
+        """Build from a symmetric 0/1 matrix over distinct nodes `order`, whose
+        rows are the masks; the diagonal must be zero."""
         n = len(order)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise DomainError(f"relation matrix must be {n}x{n} to match the node order")
-        pairs = []
-        for i in range(n):
-            if rows[i][i]:
+        if len(set(order)) != n:
+            raise DomainError("relation matrix node order names a node twice")
+        conflicts, _ = _row_masks(rows)
+        for i, row in enumerate(conflicts):
+            if row >> i & 1:
                 raise DomainError(f"relation matrix diagonal must be zero (node {order[i]})")
             for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise DomainError(
-                        f"relation matrix must be symmetric, differs at {order[i]}/{order[j]}"
-                    )
-                if rows[i][j]:
-                    pairs.append((order[i], order[j]))
-        return cls(pairs)
+                if (row >> j ^ conflicts[j] >> i) & 1:
+                    raise DomainError(f"relation matrix must be symmetric, differs at {order[i]}/{order[j]}")
+        return cls._view(tuple(order), tuple(conflicts))
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -194,10 +199,10 @@ class PathPair:
     a set of senders is an integer mask over that index, and `_conflicts[i]`
     is the mask of the senders that interfere with sender i. Equality and
     hashing compare (path1, path2, _conflicts). `relation` is a view of the
-    masks, built on first use or kept from `PathPair(path1, path2, relation)`;
-    pairs that already have masks are built by `_from_conflicts`, and a pair
-    given another pair's view over the same senders takes its masks as they
-    are.
+    masks, built on first use or kept from `PathPair(path1, path2, relation)`,
+    which takes a relation's masks as they are when its nodes are these
+    senders in dense order and re-indexes them otherwise; pairs that already
+    have masks are built by `_from_conflicts`.
 
     A pair keeps what its stages derive from it in `_memo`, filled on
     first ask like a `_lazy` attribute: each path's phase masks per spacing
@@ -218,22 +223,17 @@ class PathPair:
 
     def __init__(self, path1: PrimaryPath, path2: PrimaryPath | None, relation: InterferenceRelation):
         n = self._set_paths(path1, path2)
-        nodes = getattr(relation, "_nodes", None)
-        if nodes is not None and nodes == self.nodes:
-            # a view of masks over these very senders, checked when they were built
-            object.__setattr__(self, "_conflicts", relation._conflicts)
-            self.__dict__["relation"] = relation
-            return
-        # an empty relation, as in a bare pair handed to derive_relation, needs no index
-        index = self._index if relation.pairs else {}
-        conflicts = [0] * n
-        for a, b in relation.pairs:
-            i, j = index.get(a), index.get(b)
-            if i is None or j is None:
-                raise DomainError(f"relation mentions {a if i is None else b}, which is not a sender of this pair")
-            conflicts[i] |= 1 << j
-            conflicts[j] |= 1 << i
-        object.__setattr__(self, "_conflicts", tuple(conflicts))
+        nodes, conflicts = relation._nodes, relation._conflicts
+        if nodes != self.nodes:
+            # re-index onto these senders; a node without conflicts is looked up nowhere
+            at = [row and self._index.get(node) for node, row in zip(nodes, conflicts)]
+            if None in at:
+                raise DomainError(f"relation mentions {nodes[at.index(None)]}, which is not a sender of this pair")
+            bits, masks = [1 << i for i in at], [0] * n
+            for i, row in zip(at, conflicts):
+                masks[i] |= _union(bits, row)
+            conflicts = tuple(masks)
+        object.__setattr__(self, "_conflicts", conflicts)
         self.__dict__["relation"] = relation
 
     @classmethod
@@ -478,6 +478,26 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _row_masks(matrix: Iterable[Iterable[int]]) -> tuple[list[int], int]:
+    """Each row of a 0/1 matrix as an integer mask, bit j set iff the row has
+    a 1 in column j, plus the matrix's width. Every 0/1 matrix becomes masks
+    here, once; rows are checked in order, each for its length before its
+    entries."""
+    ones, width = [], 0
+    for row in map(tuple, matrix):
+        if ones and len(row) != width:
+            raise DomainError("matrix rows have unequal lengths")
+        width = len(row)
+        mask = 0
+        for j, v in enumerate(row):
+            if v not in (0, 1):
+                raise DomainError(f"matrix entries must be 0 or 1, got {v!r}")
+            if v:
+                mask |= 1 << j
+        ones.append(mask)
+    return ones, width
 
 
 def _union(conflicts: Sequence[int], mask: int) -> int:

@@ -18,8 +18,7 @@ from typing import Sequence
 
 from .analysis import _kept_witness
 from .errors import ConsistencyError, DomainError
-from .matching import _row_masks
-from .model import NodeRef, PathPair, PrimaryPath, _check_counts, _union, validate_path_rules
+from .model import NodeRef, PathPair, PrimaryPath, _check_counts, _row_masks, _union, validate_path_rules
 
 __all__ = [
     "ConcurrencyMatrix",

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 from .analysis import interference_intensity
 from .errors import DomainError
 from .matching import brute_force_max_support, max_support_set, validate_support_set
-from .model import PathPair, PrimaryPath, _disk_masks
+from .model import PathPair, PrimaryPath, _disk_masks, _row_masks
 from .periods import build_matrix, continuation, intrinsic_period, is_reachable_period
 from .scheduler import (
     audit_schedule,
@@ -125,14 +125,13 @@ def pair_from_joint_matrix(c_rows: Sequence[Sequence[int]]) -> PathPair:
     returned pair (at spacings = chain lengths) is exactly `c_rows`:
     cross pairs interfere wherever the requested entry is 0.
     """
-    n1, n2 = len(c_rows), len(c_rows[0]) if c_rows else 0
-    if not n2:
+    ones, n2 = _row_masks(c_rows)
+    n1 = len(ones)
+    if not n1 or not n2:
         raise DomainError("joint matrix needs at least one row and one column")
-    if any(len(row) != n2 for row in c_rows):
-        raise DomainError("joint matrix rows must have equal length")
     own1, own2 = (1 << n1) - 1, ((1 << n2) - 1) << n1  # dense masks: path 2's senders follow path 1's
-    conflicts = [own1 ^ 1 << i | sum(1 << n1 + j for j, c in enumerate(row) if not c) for i, row in enumerate(c_rows)]
-    conflicts += [own2 ^ 1 << n1 + j | sum(1 << i for i, row in enumerate(c_rows) if not row[j]) for j in range(n2)]
+    conflicts = [own1 ^ 1 << i | own2 & ~row << n1 for i, row in enumerate(ones)]
+    conflicts += [own2 ^ 1 << n1 + j | sum(1 << i for i, row in enumerate(ones) if not row >> j & 1) for j in range(n2)]
     return PathPair._from_conflicts(PrimaryPath(id=1, n_senders=n1), PrimaryPath(id=2, n_senders=n2), conflicts)
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from beatsched import cli, model
+from beatsched import cli, model, optimizer
 from beatsched.errors import ConsistencyError
 from beatsched.optimizer import DiskScenario
 from beatsched.scheduler import schedule_from_dict
@@ -945,6 +945,84 @@ class TestRelationSize:
         )
 
 
+class TestListedOutputIsBounded:
+    """`delay` and `simulate` refuse, before a beat is stepped, to list more
+    delays than `cli.MAX_LISTED_VALUES` or trace more beats than
+    `cli.MAX_TRACED_BEATS`."""
+
+    @staticmethod
+    def refuse_stepping(monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the run was stepped")
+
+        monkeypatch.setattr(cli, "run", refused)
+        monkeypatch.setattr(cli, "measure_delay", refused)
+
+    @pytest.mark.parametrize("scenario, blocks, values", [(CHAIN6, 2_000_001, 2_000_001), (FAR_PAIR, 1_000_001, 2_000_002)])
+    def test_delay_counts_blocks_per_scheduled_path(self, capsys, monkeypatch, scenario, blocks, values):
+        self.refuse_stepping(monkeypatch)
+        code, out, err = run(capsys, "delay", scenario, "--blocks", str(blocks))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the output lists {values} delays (blocks x scheduled paths), more than "
+            f"the limit of {cli.MAX_LISTED_VALUES}; lower --blocks\n"
+        )
+
+    @pytest.mark.parametrize("scenario, flags, values", [
+        (CHAIN6, ("--periods", "2000001"), 2_000_001),
+        # far_pair's unequal schedule activates path 1 twice and path 2 once per period
+        (FAR_PAIR, ("--mode", "unequal", "--traversals1", "2", "--periods", "666667"), 2_000_001),
+    ])
+    def test_simulate_counts_activations_per_measured_period(self, capsys, monkeypatch, scenario, flags, values):
+        self.refuse_stepping(monkeypatch)
+        code, out, err = run(capsys, "simulate", scenario, *flags)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the output lists up to {values} delays (periods x activations per period), "
+            f"more than the limit of {cli.MAX_LISTED_VALUES}; lower --periods\n"
+        )
+
+    @pytest.mark.parametrize("flags, beats", [
+        # chain6: period 3 and a default warmup of 6 + 2 periods
+        (("--periods", "33326"), 100_002),
+        (("--warmup", "40000", "--periods", "1"), 120_003),
+    ])
+    def test_a_trace_counts_warmup_and_measured_beats(self, capsys, monkeypatch, flags, beats):
+        self.refuse_stepping(monkeypatch)
+        code, out, err = run(capsys, "simulate", CHAIN6, "--trace", *flags)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: the trace has {beats} beats ((warmup + periods) x period), more than "
+            f"the limit of {cli.MAX_TRACED_BEATS}; lower --periods or --warmup\n"
+        )
+
+    def test_the_limits_are_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_LISTED_VALUES", 6)
+        monkeypatch.setattr(cli, "MAX_TRACED_BEATS", 30)
+        assert run(capsys, "delay", FAR_PAIR, "--blocks", "3")[0] == 0
+        assert run(capsys, "delay", FAR_PAIR, "--blocks", "4")[2].startswith("error: the output lists 8 delays")
+        assert run(capsys, "simulate", CHAIN6, "--periods", "6")[0] == 0
+        assert run(capsys, "simulate", CHAIN6, "--periods", "7")[2].startswith("error: the output lists up to 7")
+        assert run(capsys, "simulate", CHAIN6, "--trace", "--periods", "2")[0] == 0
+        assert run(capsys, "simulate", CHAIN6, "--trace", "--periods", "3")[2].startswith("error: the trace has 33")
+        # an untraced run lists only its window, however long the warmup
+        assert run(capsys, "simulate", CHAIN6, "--warmup", "1000000", "--periods", "6")[0] == 0
+
+
+class TestExactGeometry:
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: math.dist gives 0.30000000000000004 for a distance of 0.3")
+    def test_a_distance_equal_to_the_radius_interferes(self, capsys, tmp_path):
+        # n1.3 at 0.4 lies exactly the radius from n1.1's receiver at 0.1
+        doc = {
+            "paths": [{"id": 1, "n_senders": 3}],
+            "topology": {"interference_radius": 0.3, "half_duplex": False, "positions": {"1": [0, 0.1, 0.4, 0.7]}},
+        }
+        code, out, _ = run(capsys, "analyze", write_scenario(tmp_path, doc))
+        report = json.loads(out)["paths"]["1"]
+        assert code == 0
+        assert (report["interference_intensity"], report["interference_witness"]) == (3, ["n1.1", "n1.2", "n1.3"])
+
+
 class TestGraphEdges:
     @pytest.mark.parametrize(
         "edge,error",
@@ -978,13 +1056,22 @@ class TestOptimizeSectionIsLazy:
         assert expected[0] == 0
         assert run(capsys, command, write_scenario(tmp_path, {**doc, "optimize": 5})) == expected
 
-    def test_analyze_does_not_enumerate_routes(self, capsys, tmp_path):
+    def test_analyze_does_not_enumerate_routes(self, capsys, tmp_path, monkeypatch):
         # a complete graph on 12 vertices has about 10 million routes per side
         doc = {**json.loads(Path(FAR_PAIR).read_text()), "optimize": {"graph": complete_graph(12)}}
         scenario = write_scenario(tmp_path, doc)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return simple_paths(*args)
+
+        simple_paths = optimizer._simple_paths
+        monkeypatch.setattr(optimizer, "_simple_paths", counted)
         start = time.perf_counter()
         code, out, _ = run(capsys, "analyze", scenario)
         assert time.perf_counter() - start < 1.0
+        assert calls == []
         assert (code, out) == run(capsys, "analyze", FAR_PAIR)[:2]
 
     def test_null_section_is_rejected_by_optimize(self, capsys, tmp_path):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -87,7 +88,45 @@ def test_every_golden_file_has_a_case():
     assert {p.stem for p in GOLDEN.glob("*.out")} == set(CASES)
 
 
+# The commands a `relation` scenario must answer as its topology scenario does.
+RELATION_COMMANDS = [("analyze",), ("schedule",), ("simulate",), ("delay", "--blocks", "3")]
+PAIR_COMMANDS = [("matrix",), ("schedule", "--mode", "unequal", "--traversals1", "2")]
+
+
+def relation_twin(scenario: str, target: Path) -> str:
+    """A `relation` scenario over the same paths whose matrix is the
+    topology scenario's conflict masks: row i, column j is bit j of
+    sender i's mask."""
+    doc = json.loads(Path(scenario).read_text())
+    conflicts = cli.load_scenario(scenario).pair._conflicts
+    n = len(conflicts)
+    matrix = [[row >> j & 1 for j in range(n)] for row in conflicts]
+    target.write_text(json.dumps({"paths": doc["paths"], "relation": {"matrix": matrix}}))
+    return str(target)
+
+
+@pytest.mark.parametrize(
+    "scenario, command",
+    [(s, c) for s in (CHAIN6, CROSSING, FAR_PAIR) for c in RELATION_COMMANDS]
+    + [(s, c) for s in (CROSSING, FAR_PAIR) for c in PAIR_COMMANDS],
+    ids=lambda v: Path(v).stem if isinstance(v, str) else "-".join(v),
+)
+def test_a_relation_scenario_prints_what_its_topology_does(tmp_path, scenario, command):
+    twin = relation_twin(scenario, tmp_path / "relation.json")
+    expected = run_case((command[0], scenario, *command[1:]), "")
+    assert expected[0] == 0
+    assert run_case((command[0], twin, *command[1:]), "") == expected
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case, (case_argv, case_stdin, _) in CASES.items():
         golden_path(case).write_bytes(run_case(case_argv, case_stdin)[1].encode("utf-8"))
+
+
+def test_a_loaded_relation_scenario_builds_no_node_pairs(tmp_path):
+    # the matrix rows are the pair's masks as they are
+    twin = relation_twin(CROSSING, tmp_path / "relation.json")
+    pair = cli.load_scenario(twin).pair
+    assert "_pairs" not in vars(pair.relation) and "_index" not in vars(pair)
+    assert pair == cli.load_scenario(CROSSING).pair

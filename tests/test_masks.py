@@ -360,6 +360,27 @@ class TestRelationHandOff:
             assert view == eager and eager == view and hash(view) == hash(eager)
             assert repr(view) == repr(eager) == repr(pair.relation)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_pair_from_shuffled_node_pairs_equals_the_pair_from_masks(self, seed):
+        # nodes enter the relation in first-seen order, not dense order
+        rng = random.Random(f"masks/shuffled/{seed}")
+        for pair in line_corpus(seed, 60) + [case.pair for case in pair_corpus(seed, 40)]:
+            pairs = [tuple(p) for p in pair.relation.pairs]
+            rng.shuffle(pairs)
+            relation = InterferenceRelation(pairs)
+            built = PathPair(pair.path1, pair.path2, relation)
+            core = PathPair._from_conflicts(pair.path1, pair.path2, pair._conflicts)
+            assert built == core and built._conflicts == core._conflicts and hash(built) == hash(core)
+            assert built.relation is relation and relation == core.relation
+
+    def test_a_view_over_wider_paths_without_extra_conflicts_is_taken(self):
+        # n1.3 and n2.3 have no conflicts, so the narrower pair holds every one
+        wide = PathPair._from_conflicts(PrimaryPath(id=1, n_senders=3), PrimaryPath(id=2, n_senders=3),
+                                        [0b001000, 0, 0, 0b000001, 0, 0])
+        narrow = PathPair(PrimaryPath(id=1, n_senders=2), PrimaryPath(id=2, n_senders=2), wide.relation)
+        assert narrow._conflicts == (0b0100, 0, 0b0001, 0)
+        assert narrow.relation.interferes(NodeRef(1, 1), NodeRef(2, 1))
+
     def test_a_view_over_other_paths_goes_through_the_checked_path(self):
         # n1.3 interferes with n1.2 on three and two senders; two and three
         # senders have no n1.3

@@ -1,5 +1,6 @@
 """Node identities, chains, relations, geometry, and the chain rules."""
 
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -117,6 +118,46 @@ class TestInterferenceRelation:
     def test_from_matrix_rejects_wrong_shape(self):
         with pytest.raises(DomainError, match="2x2"):
             InterferenceRelation.from_matrix([n(1, 1), n(1, 2)], [[0, 1]])
+
+    @pytest.mark.parametrize("entry", [2, "x", -1, 0.5])
+    def test_from_matrix_rejects_entries_other_than_0_or_1(self, entry):
+        with pytest.raises(DomainError, match=f"^matrix entries must be 0 or 1, got {re.escape(repr(entry))}$"):
+            InterferenceRelation.from_matrix([n(1, 1), n(1, 2)], [[0, entry], [entry, 0]])
+
+    def test_from_matrix_rejects_a_node_named_twice(self):
+        with pytest.raises(DomainError, match="^relation matrix node order names a node twice$"):
+            InterferenceRelation.from_matrix([n(1, 1), n(1, 2), n(1, 1)], [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+
+    def test_from_matrix_reports_the_first_offending_cell(self):
+        # row-major over the upper triangle, each row's diagonal cell first
+        rng = random.Random("model/from-matrix")
+        order = [n(1, seq) for seq in range(1, 6)] + [n(2, 1)]
+        for _ in range(300):
+            rows = [[int(rng.random() < 0.3) for _ in order] for _ in order]
+            expected = None
+            for i in range(len(order)):
+                if rows[i][i]:
+                    expected = f"relation matrix diagonal must be zero (node {order[i]})"
+                    break
+                bad = [j for j in range(i + 1, len(order)) if rows[i][j] != rows[j][i]]
+                if bad:
+                    expected = f"relation matrix must be symmetric, differs at {order[i]}/{order[bad[0]]}"
+                    break
+            if expected is None:
+                relation = InterferenceRelation.from_matrix(order, rows)
+                assert relation.pairs == {
+                    frozenset((a, b)) for i, a in enumerate(order) for j, b in enumerate(order) if rows[i][j]
+                }
+            else:
+                with pytest.raises(DomainError, match=f"^{re.escape(expected)}$"):
+                    InterferenceRelation.from_matrix(order, rows)
+
+    def test_pairs_are_built_on_first_read_and_repr_counts_the_masks(self):
+        relation = InterferenceRelation([(n(1, 2), n(1, 1)), (n(1, 1), n(2, 1)), (n(1, 2), n(1, 1))])
+        assert repr(relation) == "InterferenceRelation(2 interfering pairs)"
+        assert "_pairs" not in vars(relation)
+        assert relation.pairs == {frozenset((n(1, 1), n(1, 2))), frozenset((n(1, 1), n(2, 1)))}
+        assert repr(InterferenceRelation()) == "InterferenceRelation(0 interfering pairs)"
 
 
 class TestPathPair:

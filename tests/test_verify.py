@@ -90,8 +90,13 @@ class TestJointMatrixRealization:
             pair_from_joint_matrix(matrix)
 
     def test_ragged_matrix_is_rejected(self):
-        with pytest.raises(DomainError, match="^joint matrix rows must have equal length$"):
+        with pytest.raises(DomainError, match="^matrix rows have unequal lengths$"):
             pair_from_joint_matrix([[1, 0], [1]])
+
+    @pytest.mark.parametrize("entry", [2, "x", None])
+    def test_entries_other_than_0_or_1_are_rejected(self, entry):
+        with pytest.raises(DomainError, match=f"^matrix entries must be 0 or 1, got {entry!r}$"):
+            pair_from_joint_matrix([[entry, 0]])
 
 
 class TestReporting:
