@@ -24,8 +24,8 @@ from typing import Any, Sequence
 
 from .analysis import analyze
 from .errors import ConfigurationError, ConsistencyError, DomainError, SchemaError
-from .matching import max_support_set, validate_support_set
-from .model import InterferenceRelation, PathPair, PrimaryPath, _disk_masks, _real, validate_path_rules
+from .matching import _max_support, _violations
+from .model import PathPair, PrimaryPath, _disk_masks, _MatrixError, _real, _row_masks, validate_path_rules
 from .optimizer import DiskScenario, RouteCandidate, SearchSpace, optimize, routes_from_graph
 from .periods import build_matrix, intrinsic_period
 from .scheduler import (
@@ -58,10 +58,6 @@ def _is_number(value: Any) -> bool:
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_bit(value: Any) -> bool:
-    return _is_int(value) and value in (0, 1)
 
 
 def _as_number(value: Any, path: str) -> float:
@@ -154,26 +150,24 @@ def _parse_topology(raw: Any, paths: Sequence[PrimaryPath]) -> tuple[DiskScenari
     return DiskScenario(interference_radius=radius, half_duplex=half_duplex), routes
 
 
-def _parse_relation(raw: Any, paths: Sequence[PrimaryPath]) -> InterferenceRelation:
+def _parse_relation(raw: Any, path1: PrimaryPath, path2: PrimaryPath | None) -> PathPair:
+    """The pair of a relation matrix; a row is checked for its length before its entries."""
     _expect(isinstance(raw, dict), "$.relation", "expected an object")
     matrix = raw.get("matrix")
-    n = sum(path.n_senders for path in paths)
+    n = path1.n_senders + (path2.n_senders if path2 else 0)
     _expect(
         isinstance(matrix, list) and len(matrix) == n,
         "$.relation.matrix",
         f"expected {n} rows (senders of path 1 then path 2, in order)",
     )
-    for i, row in enumerate(matrix):
-        _expect(
-            isinstance(row, list) and len(row) == n,
-            f"$.relation.matrix[{i}]",
-            f"expected {n} entries",
-        )
-        for j, cell in enumerate(row):
-            _expect(_is_bit(cell), f"$.relation.matrix[{i}][{j}]", "expected 0 or 1")
-    order = [ref for path in paths for ref in path.senders]
     try:
-        return InterferenceRelation.from_matrix(order, matrix)
+        conflicts, _ = _row_masks(matrix, n)
+    except _MatrixError as exc:
+        at = f"$.relation.matrix[{exc.row}]"
+        _expect(exc.col is not None and len(matrix[exc.row]) == n, at, f"expected {n} entries")
+        raise SchemaError(f"{at}[{exc.col}]", "expected 0 or 1") from None
+    try:
+        return PathPair._from_conflicts(path1, path2, conflicts)
     except DomainError as exc:
         raise SchemaError("$.relation.matrix", str(exc)) from None
 
@@ -316,7 +310,6 @@ def _parse_optimize(raw: Any, disk: DiskScenario | None) -> tuple[DiskScenario, 
 def parse_scenario(data: Any) -> Scenario:
     _expect(isinstance(data, dict), "$", "scenario must be a JSON object")
     path1, path2 = _parse_paths(data)
-    paths = [p for p in (path1, path2) if p is not None]
     has_topology = "topology" in data
     has_relation = "relation" in data
     _expect(
@@ -325,9 +318,8 @@ def parse_scenario(data: Any) -> Scenario:
         "exactly one of topology or relation must be present",
     )
     if not has_topology:
-        pair = PathPair(path1=path1, path2=path2, relation=_parse_relation(data["relation"], paths))
-        return Scenario(pair=pair, disk=None)
-    disk, routes = _parse_topology(data["topology"], paths)
+        return Scenario(pair=_parse_relation(data["relation"], path1, path2), disk=None)
+    disk, routes = _parse_topology(data["topology"], [p for p in (path1, path2) if p is not None])
     conflicts = _disk_masks(routes, disk.interference_radius, disk.half_duplex)
     return Scenario(pair=PathPair._from_conflicts(path1, path2, conflicts), disk=disk)
 
@@ -422,16 +414,12 @@ def spacetime_diagram(pair: PathPair, trace: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def support_grid(matrix: list[list[int]], witness) -> str:
-    chosen = set(witness)
-    lines = []
-    for i, row in enumerate(matrix, start=1):
-        cells = []
-        for j, value in enumerate(row, start=1):
-            mark = "*" if (i, j) in chosen else (str(value))
-            cells.append(mark)
-        lines.append(" ".join(cells))
-    return "\n".join(lines)
+def support_grid(ones: Sequence[int], width: int, witness) -> str:
+    """The matrix of these row masks, one row a line, each witness entry shown as *."""
+    rows = [list(f"{row | 1 << width:b}"[:0:-1]) for row in ones]  # bit 0 first; the top bit marks the width
+    for r, c in witness:
+        rows[r - 1][c - 1] = "*"
+    return "\n".join(" ".join(cells) for cells in rows)
 
 
 # ------------------------------------------------------------- commands
@@ -513,11 +501,12 @@ def cmd_matrix(args, out) -> int:
     }
     _emit(payload, out)
     for row in matrix.as_lists():
-        out.write(" ".join(str(v) for v in row) + "\n")
+        out.write(" ".join(map(str, row)) + "\n")
     return 0
 
 
-def _read_matrix_input(filename: str) -> list[list[int]]:
+def _read_matrix_input(filename: str) -> tuple[list[int], int]:
+    """Row masks and width of JSON rows, each checked for its entries before its length, or of grid lines."""
     text = _read_stdin("matrix") if filename == "-" else _read_text(filename, "matrix")
     stripped = text.strip()
     if not stripped:
@@ -527,14 +516,12 @@ def _read_matrix_input(filename: str) -> list[list[int]]:
         if isinstance(data, dict):
             data = data.get("rows")
         _expect(isinstance(data, list) and data, "$", "expected a list of rows")
-        for i, row in enumerate(data):
-            _expect(
-                isinstance(row, list) and all(_is_bit(v) for v in row),
-                f"$[{i}]",
-                "expected a row of 0/1 entries",
-            )
-            _expect(len(row) == len(data[0]), f"$[{i}]", f"expected {len(data[0])} entries, as in row 0")
-        return [list(row) for row in data]
+        try:
+            return _row_masks(data)
+        except _MatrixError as exc:
+            at = f"$[{exc.row}]"
+            _expect(exc.col is None and isinstance(data[exc.row], list), at, "expected a row of 0/1 entries")
+            raise SchemaError(at, f"expected {len(data[0])} entries, as in row 0") from None
     rows = []
     for line in stripped.splitlines():
         line = line.strip().replace(" ", "")
@@ -542,25 +529,24 @@ def _read_matrix_input(filename: str) -> list[list[int]]:
             continue
         if not set(line) <= {"0", "1"}:
             raise SchemaError("$", f"grid lines must be 0/1 characters, got {line!r}")
-        rows.append([int(c) for c in line])
+        rows.append(line)
     _expect(bool(rows), "$", "no grid rows found")
     _expect(
         len({len(r) for r in rows}) == 1, "$", "grid rows have unequal lengths"
     )
-    return rows
+    return [int(row[::-1], 2) for row in rows], len(rows[0])
 
 
 def cmd_support(args, out) -> int:
-    matrix = _read_matrix_input(args.matrix)
-    witness, size = max_support_set(matrix)
-    ok, problems = validate_support_set(matrix, witness)
+    ones, width = _read_matrix_input(args.matrix)
+    witness, size = _max_support(ones, width)
     payload = {
         "support_size": size,
         "witness": [list(e) for e in witness],
-        "witness_valid": ok and not problems,
+        "witness_valid": not _violations(ones, width, witness),
     }
     _emit(payload, out)
-    out.write(support_grid(matrix, witness) + "\n")
+    out.write(support_grid(ones, width, witness) + "\n")
     return 0
 
 

@@ -147,7 +147,11 @@ def max_support_set(matrix: Sequence[Sequence[int]]) -> tuple[tuple[Element, ...
     mask, and a row's next column is the lowest bit of its mask outside the
     columns the search has seen.
     """
-    adjacent, o = _row_masks(matrix)
+    return _max_support(*_row_masks(matrix))
+
+
+def _max_support(adjacent: Sequence[int], o: int) -> tuple[tuple[Element, ...], int]:
+    """max_support_set on a matrix given as row masks over o columns."""
     match_col: list[int | None] = [None] * o  # column -> matched row
 
     for root in range(len(adjacent)):

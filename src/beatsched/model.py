@@ -18,16 +18,16 @@ An `InterferenceRelation` is its nodes and their masks, and its `NodeRef`
 pairs are built only when read, at the API and I/O boundary. A `PathPair`
 takes the masks of a relation over its senders in dense order as they are
 (`PathPair.relation` is such a view) and re-indexes any other. Every 0/1
-matrix becomes row masks in `_row_masks`, and `_disk_masks` builds the
-masks of every geometric pair, for derive_relation, the CLI, the corpora
-and the optimizer.
+matrix becomes row masks in `_row_masks`, masks given as they are pass
+`_check_conflicts`, and `_disk_masks` builds the masks of every geometric
+pair, for derive_relation, the CLI, the corpora and the optimizer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError
 
@@ -173,17 +173,10 @@ class InterferenceRelation:
         """Build from a symmetric 0/1 matrix over distinct nodes `order`, whose
         rows are the masks; the diagonal must be zero."""
         n = len(order)
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise DomainError(f"relation matrix must be {n}x{n} to match the node order")
         if len(set(order)) != n:
             raise DomainError("relation matrix node order names a node twice")
-        conflicts, _ = _row_masks(rows)
-        for i, row in enumerate(conflicts):
-            if row >> i & 1:
-                raise DomainError(f"relation matrix diagonal must be zero (node {order[i]})")
-            for j in range(i + 1, n):
-                if (row >> j ^ conflicts[j] >> i) & 1:
-                    raise DomainError(f"relation matrix must be symmetric, differs at {order[i]}/{order[j]}")
+        conflicts, _ = _row_masks(rows, n)
+        _check_conflicts(conflicts, n, order.__getitem__)
         return cls._view(tuple(order), tuple(conflicts))
 
 
@@ -239,17 +232,9 @@ class PathPair:
     @classmethod
     def _from_conflicts(cls, path1: PrimaryPath, path2: PrimaryPath | None, conflicts: Sequence[int]) -> "PathPair":
         """The pair whose relation is one conflict mask per sender, in dense
-        order; the masks must be symmetric, irreflexive and in range."""
+        order, checked by `_check_conflicts`."""
         pair = cls.__new__(cls)
-        n = pair._set_paths(path1, path2)
-        if len(conflicts) != n:
-            raise DomainError(f"expected {n} conflict masks, one per sender, got {len(conflicts)}")
-        for i, row in enumerate(conflicts):
-            if row >> n or row >> i & 1:
-                raise DomainError(f"conflict mask of {pair.nodes[i]} names itself or a sender past the last one")
-            for j in _bits(row):
-                if not conflicts[j] >> i & 1:
-                    raise DomainError(f"conflict masks must be symmetric, differ at {pair.nodes[i]}/{pair.nodes[j]}")
+        _check_conflicts(conflicts, pair._set_paths(path1, path2), lambda i: pair.nodes[i])
         object.__setattr__(pair, "_conflicts", tuple(conflicts))
         return pair
 
@@ -480,24 +465,68 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _row_masks(matrix: Iterable[Iterable[int]]) -> tuple[list[int], int]:
+class _MatrixError(DomainError):
+    """`_row_masks`'s refusal: the 0-based row of the first offence and, if an entry, its column."""
+
+    def __init__(self, message: str, row: int, col: int | None = None):
+        super().__init__(message)
+        self.row, self.col = row, col
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _row_masks(matrix: Sequence[Sequence[int]], width: int | None = None) -> tuple[list[int], int]:
     """Each row of a 0/1 matrix as an integer mask, bit j set iff the row has
-    a 1 in column j, plus the matrix's width. Every 0/1 matrix becomes masks
-    here, once; rows are checked in order, each for its length before its
-    entries."""
-    ones, width = [], 0
-    for row in map(tuple, matrix):
-        if ones and len(row) != width:
-            raise DomainError("matrix rows have unequal lengths")
-        width = len(row)
-        mask = 0
-        for j, v in enumerate(row):
-            if v not in (0, 1):
-                raise DomainError(f"matrix entries must be 0 or 1, got {v!r}")
-            if v:
-                mask |= 1 << j
-        ones.append(mask)
-    return ones, width
+    a 1 in column j, plus the width. Every 0/1 matrix is read here, once: a
+    list or tuple of rows, each a list or tuple of the ints 0 and 1 (no bool
+    or float), as long as the first row or `width` when given. Rows are
+    checked in order, each for its entries before its length."""
+    if not isinstance(matrix, (list, tuple)):
+        raise DomainError(f"a matrix must be a list or tuple of rows, got {type(matrix).__name__}")
+    ones = []
+    unequal = "matrix rows have unequal lengths" if width is None else f"matrix rows must have {width} entries"
+    for i, row in enumerate(matrix):
+        if not isinstance(row, (list, tuple)):
+            raise _MatrixError(f"matrix rows must be lists or tuples, got {type(row).__name__}", i)
+        if {*map(type, row)} - {int} or row.count(0) + row.count(1) != len(row):
+            j = next(j for j, v in enumerate(row) if type(v) is not int or v not in (0, 1))
+            raise _MatrixError(f"matrix entries must be 0 or 1, got {row[j]!r}", i, j)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise _MatrixError(unequal, i)
+        ones.append(int(bytes(row[::-1]).translate(_DIGITS) or b"0", 2))
+    return ones, width or 0
+
+
+def _check_conflicts(conflicts: Sequence[int], n: int, node: Callable[[int], NodeRef]) -> None:
+    """Raise DomainError unless `conflicts` are n masks, symmetric, irreflexive
+    and within the nodes `node(0)` .. `node(n - 1)`: each row must equal its
+    column off the diagonal, built in one pass over the set bits. A failure
+    names the first offending cell in row-major order of the upper triangle,
+    each row's diagonal first and columns past the last node last."""
+    if len(conflicts) != n:
+        raise DomainError(f"relation matrix must be {n}x{n} to match the node order")
+    everyone = (1 << n) - 1
+    columns = [0] * n
+    for i, row in enumerate(conflicts):
+        bit = 1 << i
+        row &= everyone ^ bit
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= bit
+            row ^= low
+    if columns == [*conflicts]:
+        return
+    for i, (row, column) in enumerate(zip(conflicts, columns)):
+        later = (row ^ column) & (1 << n) - (2 << i)  # a difference left of the diagonal was met before
+        if row >> i & 1:
+            raise DomainError(f"relation matrix diagonal must be zero (node {node(i)})")
+        if later:
+            raise DomainError(f"relation matrix must be symmetric, differs at {node(i)}/{node(next(_bits(later)))}")
+        if row != column:
+            raise DomainError(f"relation matrix must be {n}x{n}, node {node(i)} names a sender past the last one")
 
 
 def _union(conflicts: Sequence[int], mask: int) -> int:

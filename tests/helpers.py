@@ -28,6 +28,19 @@ from beatsched.scheduler import AuditReport, Schedule, SubsetActivation
 # arrangements of its tiled matching.
 OBSTRUCTION_C = [[1, 0, 1], [1, 1, 0]]
 
+# Matrices that every 0/1-matrix entry point refuses, with the text of the
+# refusal: an entry must be the int 0 or 1, and a row a list or tuple.
+MALFORMED_MATRICES = [
+    ([[True]], "matrix entries must be 0 or 1, got True"),
+    ([[1, False]], "matrix entries must be 0 or 1, got False"),
+    ([[1.0]], "matrix entries must be 0 or 1, got 1.0"),
+    ([[0, 0.0]], "matrix entries must be 0 or 1, got 0.0"),
+    ([{0: 1}], "matrix rows must be lists or tuples, got dict"),
+    ([{1}], "matrix rows must be lists or tuples, got set"),
+    ([1, 2], "matrix rows must be lists or tuples, got int"),
+    ([[1], None], "matrix rows must be lists or tuples, got NoneType"),
+]
+
 
 def line_pair(
     n: int, gap: float = 1.0, radius: float = 1.0, half_duplex: bool = True

@@ -945,6 +945,141 @@ class TestRelationSize:
         )
 
 
+def is_bit(value) -> bool:
+    return type(value) is int and value in (0, 1)
+
+
+def relation_error(matrix, names: list[str]) -> str | None:
+    """The error line of a `relation` scenario's matrix over the senders
+    `names`, checked cell by cell as the CLI once did before the library
+    read it."""
+    n = len(names)
+    if not (isinstance(matrix, list) and len(matrix) == n):
+        return f"$.relation.matrix: expected {n} rows (senders of path 1 then path 2, in order)"
+    for i, row in enumerate(matrix):
+        if not (isinstance(row, list) and len(row) == n):
+            return f"$.relation.matrix[{i}]: expected {n} entries"
+        for j, cell in enumerate(row):
+            if not is_bit(cell):
+                return f"$.relation.matrix[{i}][{j}]: expected 0 or 1"
+    for i in range(n):
+        if matrix[i][i]:
+            return f"$.relation.matrix: relation matrix diagonal must be zero (node {names[i]})"
+        for j in range(i + 1, n):
+            if matrix[i][j] != matrix[j][i]:
+                return f"$.relation.matrix: relation matrix must be symmetric, differs at {names[i]}/{names[j]}"
+    return None
+
+
+def support_error(data) -> str | None:
+    """The error line of `support`'s JSON matrix, checked cell by cell as the
+    CLI once did before the library read it."""
+    if isinstance(data, dict):
+        data = data.get("rows")
+    if not (isinstance(data, list) and data):
+        return "$: expected a list of rows"
+    for i, row in enumerate(data):
+        if not (isinstance(row, list) and all(is_bit(v) for v in row)):
+            return f"$[{i}]: expected a row of 0/1 entries"
+        if len(row) != len(data[0]):
+            return f"$[{i}]: expected {len(data[0])} entries, as in row 0"
+    return None
+
+
+class TestMatrixErrorLines:
+    """Seeded malformed `relation` and `support` matrices: the CLI's exit
+    code and error line equal those of the cell-by-cell reference above."""
+
+    BAD_ENTRIES = (2, -1, "1", None, 0.5, [1], {"0": 1})
+    NOT_ROWS = (1, "01", None, {"0": 1}, True)
+    FAULTS = ("entry", "true", "float", "short", "long", "not a row", "rows", "asymmetric", "diagonal")
+    KINDS = ("rows (", "entries", "0 or 1", "diagonal", "symmetric")
+
+    @classmethod
+    def corrupt(cls, rng: random.Random, matrix: list, fault: str) -> None:
+        """Apply one fault to the matrix in place; a fault needing a row that
+        is not a list does nothing."""
+        i = rng.randrange(len(matrix)) if matrix else 0
+        row = matrix[i] if matrix else None
+        if fault == "rows":
+            if matrix and rng.random() < 0.5:
+                del matrix[i]
+            else:
+                matrix.insert(i, list(row) if isinstance(row, list) else [0])
+        elif fault == "not a row" and matrix:
+            matrix[i] = rng.choice(cls.NOT_ROWS)
+        elif not isinstance(row, list):
+            return
+        elif fault == "short" and row:
+            del row[rng.randrange(len(row))]
+        elif fault == "long":
+            row.insert(rng.randrange(len(row) + 1), rng.randint(0, 1))
+        elif row and fault in ("entry", "true", "float"):
+            j = rng.randrange(len(row))
+            if fault == "entry":
+                row[j] = rng.choice(cls.BAD_ENTRIES)
+            elif is_bit(row[j]):
+                row[j] = bool(row[j]) if fault == "true" else float(row[j])
+        elif fault == "asymmetric" and row:
+            j = rng.choice([k for k in range(len(row)) if k != i] or [0])
+            if is_bit(row[j]):
+                row[j] ^= 1
+        elif fault == "diagonal" and i < len(row):
+            row[i] = 1
+
+    def test_relation_matrices(self, capsys, tmp_path):
+        rng = random.Random("cli/relation-matrix-texts")
+        kinds = set()
+        for _ in range(250):
+            sizes = [rng.randint(1, 3)] + ([rng.randint(1, 3)] if rng.random() < 0.5 else [])
+            n = sum(sizes)
+            matrix = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    matrix[i][j] = matrix[j][i] = int(rng.random() < 0.4)
+            for _ in range(rng.choice((0, 1, 1, 1, 2, 2, 3))):
+                self.corrupt(rng, matrix, rng.choice(self.FAULTS))
+            doc = {
+                "paths": [{"id": k, "n_senders": size} for k, size in enumerate(sizes, start=1)],
+                "relation": {"matrix": matrix},
+            }
+            names = [f"n{k}.{seq}" for k, size in enumerate(sizes, start=1) for seq in range(1, size + 1)]
+            expected = relation_error(matrix, names)
+            code, out, err = run(capsys, "analyze", write_scenario(tmp_path, doc))
+            if expected is None:
+                assert (code, err) == (0, ""), doc
+            else:
+                assert (code, out, err) == (1, "", f"error: {expected}\n"), doc
+            kinds.add(expected and next(kind for kind in self.KINDS if kind in expected))
+        assert kinds == {None, *self.KINDS}
+
+    def test_support_matrices(self, capsys, tmp_path):
+        rng = random.Random("cli/support-matrix-texts")
+        target = tmp_path / "matrix.json"
+        failed = 0
+        for _ in range(250):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            matrix = [[int(rng.random() < 0.5) for _ in range(cols)] for _ in range(rows)]
+            for _ in range(rng.choice((0, 1, 1, 1, 2, 2, 3))):
+                self.corrupt(rng, matrix, rng.choice(self.FAULTS))
+            data = {"rows": matrix} if rng.random() < 0.3 else matrix
+            target.write_text(json.dumps(data))
+            expected = support_error(data)
+            code, out, err = run(capsys, "support", str(target))
+            if expected is None:
+                # the grid shows the matrix with each witness entry as *
+                assert (code, err) == (0, ""), data
+                doc, grid = leading_json(out)
+                cells = [list(map(str, row)) for row in (data["rows"] if isinstance(data, dict) else data)]
+                for r, c in doc["witness"]:
+                    cells[r - 1][c - 1] = "*"
+                assert grid == "".join(" ".join(row) + "\n" for row in cells).lstrip("\n"), data
+            else:
+                failed += 1
+                assert (code, out, err) == (1, "", f"error: {expected}\n"), data
+        assert failed > 100
+
+
 class TestListedOutputIsBounded:
     """`delay` and `simulate` refuse, before a beat is stepped, to list more
     delays than `cli.MAX_LISTED_VALUES` or trace more beats than

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import beatsched.analysis
 import beatsched.verify
 from beatsched.errors import DomainError
 from beatsched.model import (
@@ -170,6 +171,29 @@ class TestPeriods:
         assert schedule_primary(pair, 1).period == 3
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("n", [3000, 6000])
+    def test_long_chain_clique_search_reads_each_sender_once(self, n, monkeypatch):
+        # the work behind the wall bound above, on any host: the clique
+        # search of intrinsic_period's cross-check reads n - 1 adjacency
+        # rows, linear in the chain. The chain is line_pair(n, radius=1.5),
+        # whose senders interfere within two positions, built from its band
+        # of masks without the quadratic disk tests.
+        def band(size: int) -> PathPair:
+            masks = [(0b11011 << i >> 2) & (1 << size) - 1 for i in range(size)]
+            return PathPair._from_conflicts(PrimaryPath(id=1, n_senders=size), None, masks)
+
+        class CountingDict(dict):
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        assert band(40) == line_pair(40, radius=1.5)
+        reads = []
+        adjacency = beatsched.analysis._interference_adjacency
+        monkeypatch.setattr(beatsched.analysis, "_interference_adjacency", lambda *a: CountingDict(adjacency(*a)))
+        assert intrinsic_period(band(n), 1) == 3
+        assert len(reads) == n - 1
+
 
 def random_schedule(rng: random.Random, pair: PathPair, beats: int, past_end: bool) -> Schedule:
     """Spacing-1 activations with arbitrary member sets; with `past_end`,
@@ -279,11 +303,13 @@ class TestMaskConstructor:
     @pytest.mark.parametrize(
         "masks, message",
         [
-            ([0b010, 0b000, 0b000], "^conflict masks must be symmetric, differ at n1.1/n1.2$"),
-            ([0b000, 0b001, 0b000], "^conflict masks must be symmetric, differ at n1.2/n1.1$"),
-            ([0b001, 0b000, 0b000], "^conflict mask of n1.1 names itself or a sender past the last one$"),
-            ([0b000, 0b000, 0b1000], "^conflict mask of n1.3 names itself or a sender past the last one$"),
-            ([0b000, 0b000], "^expected 3 conflict masks, one per sender, got 2$"),
+            # the first offending cell of the upper triangle, as from_matrix names it
+            ([0b010, 0b000, 0b000], "^relation matrix must be symmetric, differs at n1.1/n1.2$"),
+            ([0b000, 0b001, 0b000], "^relation matrix must be symmetric, differs at n1.1/n1.2$"),
+            ([0b001, 0b000, 0b000], "^relation matrix diagonal must be zero \\(node n1.1\\)$"),
+            ([0b000, 0b000, 0b1000], "^relation matrix must be 3x3, node n1.3 names a sender past the last one$"),
+            ([0b000, 0b1000, 0b010], "^relation matrix must be symmetric, differs at n1.2/n1.3$"),
+            ([0b000, 0b000], "^relation matrix must be 3x3 to match the node order$"),
         ],
     )
     def test_malformed_masks_are_rejected(self, masks, message):
@@ -294,7 +320,7 @@ class TestMaskConstructor:
         path1, path2 = PrimaryPath(id=1, n_senders=1), PrimaryPath(id=2, n_senders=1)
         pair = PathPair._from_conflicts(path1, path2, [0b10, 0b01])
         assert pair.relation.interferes(NodeRef(1, 1), NodeRef(2, 1))
-        with pytest.raises(DomainError, match="^conflict masks must be symmetric, differ at n1.1/n2.1$"):
+        with pytest.raises(DomainError, match="^relation matrix must be symmetric, differs at n1.1/n2.1$"):
             PathPair._from_conflicts(path1, path2, [0b10, 0b00])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])

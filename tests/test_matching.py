@@ -25,7 +25,7 @@ from beatsched.matching import (
 )
 from beatsched.periods import build_matrix, continuation
 from beatsched.verify import pair_corpus
-from helpers import reference_violations
+from helpers import MALFORMED_MATRICES, reference_violations
 
 matrices = st.integers(1, 5).flatmap(
     lambda rows: st.integers(1, 6).flatmap(
@@ -124,6 +124,9 @@ ENTRY_POINTS = {
         # rows are checked in order, each for its length before its entries
         ([[2], [1, 0]], "matrix entries must be 0 or 1, got 2"),
         ([[1], [1, 0], [2]], "matrix rows have unequal lengths"),
+        *MALFORMED_MATRICES,
+        # a set of rows has no order to read
+        ({(1, 0), (0, 1)}, "a matrix must be a list or tuple of rows, got set"),
     ],
 )
 def test_malformed_matrix_texts(entry, matrix, message):
@@ -261,7 +264,7 @@ class TestIterativeSearch:
             matrix = random_matrix(rng, 9, 9)
             assert max_support_set(matrix) == recursive_max_support_set(matrix), (case, matrix)
 
-    @pytest.mark.parametrize("matrix", [[[1, 0], [1]], [[1, 2]], [[1, -1]]])
+    @pytest.mark.parametrize("matrix", [[[1, 0], [1]], [[1, 2]], [[1, -1]], *(m for m, _ in MALFORMED_MATRICES)])
     def test_malformed_input_is_a_domain_error(self, matrix):
         with pytest.raises(DomainError):
             max_support_set(matrix)
@@ -326,7 +329,7 @@ class TestTiledSupportSizes:
         with pytest.raises(DomainError, match="max_traversals"):
             tiled_support_sizes([[1]], cap)
 
-    @pytest.mark.parametrize("matrix", [[[1, 0], [1]], [[2]]])
+    @pytest.mark.parametrize("matrix", [[[1, 0], [1]], [[2]], *(m for m, _ in MALFORMED_MATRICES)])
     def test_malformed_input_is_a_domain_error(self, matrix):
         with pytest.raises(DomainError):
             tiled_support_sizes(matrix, 2)

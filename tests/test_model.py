@@ -18,7 +18,7 @@ from beatsched.model import (
     is_concurrency_subset,
     validate_path_rules,
 )
-from helpers import line_pair, n, relation_pair, two_line_pair
+from helpers import MALFORMED_MATRICES, line_pair, n, relation_pair, two_line_pair
 
 
 class TestNodeRef:
@@ -119,21 +119,31 @@ class TestInterferenceRelation:
         with pytest.raises(DomainError, match="2x2"):
             InterferenceRelation.from_matrix([n(1, 1), n(1, 2)], [[0, 1]])
 
-    @pytest.mark.parametrize("entry", [2, "x", -1, 0.5])
-    def test_from_matrix_rejects_entries_other_than_0_or_1(self, entry):
-        with pytest.raises(DomainError, match=f"^matrix entries must be 0 or 1, got {re.escape(repr(entry))}$"):
-            InterferenceRelation.from_matrix([n(1, 1), n(1, 2)], [[0, entry], [entry, 0]])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [([[0, entry], [entry, 0]], f"matrix entries must be 0 or 1, got {entry!r}") for entry in (2, "x", -1, 0.5)]
+        + [(rows, message) for rows, message in MALFORMED_MATRICES if rows != [[1], None]]
+        + [([[0, 1], None], "matrix rows must be lists or tuples, got NoneType")],
+    )
+    def test_from_matrix_rejects_malformed_rows(self, rows, message):
+        # a row is read for its entries before its length, so [[1, False]] names False
+        order = [n(1, seq) for seq in range(1, len(rows) + 1)]
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            InterferenceRelation.from_matrix(order, rows)
 
     def test_from_matrix_rejects_a_node_named_twice(self):
         with pytest.raises(DomainError, match="^relation matrix node order names a node twice$"):
             InterferenceRelation.from_matrix([n(1, 1), n(1, 2), n(1, 1)], [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
 
     def test_from_matrix_reports_the_first_offending_cell(self):
-        # row-major over the upper triangle, each row's diagonal cell first
+        # row-major over the upper triangle, each row's diagonal cell first;
+        # a pair built from the rows' masks is checked the same way
         rng = random.Random("model/from-matrix")
         order = [n(1, seq) for seq in range(1, 6)] + [n(2, 1)]
+        paths = (PrimaryPath(id=1, n_senders=5), PrimaryPath(id=2, n_senders=1))
         for _ in range(300):
             rows = [[int(rng.random() < 0.3) for _ in order] for _ in order]
+            masks = [sum(bit << j for j, bit in enumerate(row)) for row in rows]
             expected = None
             for i in range(len(order)):
                 if rows[i][i]:
@@ -148,9 +158,12 @@ class TestInterferenceRelation:
                 assert relation.pairs == {
                     frozenset((a, b)) for i, a in enumerate(order) for j, b in enumerate(order) if rows[i][j]
                 }
+                assert PathPair._from_conflicts(*paths, masks).relation == relation
             else:
                 with pytest.raises(DomainError, match=f"^{re.escape(expected)}$"):
                     InterferenceRelation.from_matrix(order, rows)
+                with pytest.raises(DomainError, match=f"^{re.escape(expected)}$"):
+                    PathPair._from_conflicts(*paths, masks)
 
     def test_pairs_are_built_on_first_read_and_repr_counts_the_masks(self):
         relation = InterferenceRelation([(n(1, 2), n(1, 1)), (n(1, 1), n(2, 1)), (n(1, 2), n(1, 1))])

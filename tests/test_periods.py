@@ -17,7 +17,7 @@ from beatsched.periods import (
     is_reachable_period,
     subset_members,
 )
-from helpers import line_pair, n, two_line_pair
+from helpers import MALFORMED_MATRICES, line_pair, n, two_line_pair
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +203,7 @@ class TestContinuation:
             ([[1, 0], [1]], "matrix rows have unequal lengths"),
             ([[2, 0], [0, 1]], "matrix entries must be 0 or 1, got 2"),
             ([["1"]], "matrix entries must be 0 or 1, got '1'"),
+            *MALFORMED_MATRICES,
         ],
     )
     def test_rejects_malformed_sequences(self, matrix, message):

@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import random
+import re
 
 import pytest
 
@@ -20,6 +21,7 @@ from beatsched.verify import (
     random_binary_matrix,
     run_criteria,
 )
+from helpers import MALFORMED_MATRICES
 
 
 class TestCorpora:
@@ -93,10 +95,14 @@ class TestJointMatrixRealization:
         with pytest.raises(DomainError, match="^matrix rows have unequal lengths$"):
             pair_from_joint_matrix([[1, 0], [1]])
 
-    @pytest.mark.parametrize("entry", [2, "x", None])
-    def test_entries_other_than_0_or_1_are_rejected(self, entry):
-        with pytest.raises(DomainError, match=f"^matrix entries must be 0 or 1, got {entry!r}$"):
-            pair_from_joint_matrix([[entry, 0]])
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [([[entry, 0]], f"matrix entries must be 0 or 1, got {entry!r}") for entry in (2, "x", None)]
+        + MALFORMED_MATRICES,
+    )
+    def test_malformed_matrices_are_rejected(self, matrix, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            pair_from_joint_matrix(matrix)
 
 
 class TestReporting:
