@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .analysis import _interference_witness
+from .analysis import _best_clique
 from .errors import ConfigurationError, ConsistencyError, DomainError
 from .matching import _core, _tiled_sizes
 from .model import (
@@ -253,7 +253,7 @@ def _clamped_range(
 def _route_profile(scenario: DiskScenario, route: RouteCandidate, given: tuple[int, int] | None) -> _RouteProfile:
     ends, conflicts = _route_masks(scenario, route)
     n = len(ends)
-    intensity = _interference_witness(conflicts, (1 << n) - 1).bit_count()
+    intensity = _best_clique(conflicts, (1 << n) - 1).bit_count()
     lo, hi = _clamped_range(given, intensity, n)
     phases: dict[int, list[int] | None] = {}
     for spacing in range(lo, hi + 1):

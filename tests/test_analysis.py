@@ -8,8 +8,6 @@ import pytest
 
 from beatsched.analysis import (
     _best_clique,
-    _complement,
-    _interference_adjacency,
     analyze,
     check_continuity,
     concurrency_intensity,
@@ -19,7 +17,7 @@ from beatsched.analysis import (
     split_dominant,
 )
 from beatsched.errors import DomainError
-from beatsched.model import is_concurrency_subset, validate_path_rules
+from beatsched.model import _bits, is_concurrency_subset, validate_path_rules
 from beatsched.verify import line_corpus, pair_corpus
 from helpers import line_pair, maximal_cliques, n, reference_best_clique, relation_pair
 
@@ -180,21 +178,29 @@ class TestIntensities:
         assert witness == pair.nodes
 
 
-def random_graph(rng: random.Random, size: int, density: float) -> tuple[dict[int, int], int]:
-    """Adjacency masks and member mask of a G(n, p) graph on 0..size-1."""
-    adj = dict.fromkeys(range(size), 0)
+def random_graph(rng: random.Random, size: int, density: float) -> tuple[list[int], int]:
+    """Neighbour masks and member mask of a G(n, p) graph on 0..size-1."""
+    masks = [0] * size
     for i in range(size):
         for j in range(i + 1, size):
             if rng.random() < density:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj, (1 << size) - 1
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks, (1 << size) - 1
 
 
-def assert_search_matches_reference(adj, members):
-    # the interference witness and, on the complement, the concurrency witness
-    for graph in (adj, _complement(adj, members)):
-        assert _best_clique(graph, members) == reference_best_clique(graph, members)
+def restricted(neighbours, members: int) -> dict[int, int]:
+    """The oracle's adjacency: each member's neighbours inside the set."""
+    return {i: neighbours[i] & members for i in _bits(members)}
+
+
+def assert_search_matches_reference(conflicts, members):
+    # the interference witness and, on the complement, the concurrency
+    # witness; the search reads unrestricted masks, the oracle the set's own
+    complement = [~(row | 1 << i) for i, row in enumerate(conflicts)]
+    for neighbours in (conflicts, complement):
+        expected = reference_best_clique(restricted(neighbours, members), members)
+        assert _best_clique(neighbours, members) == expected
 
 
 class TestCliqueSearch:
@@ -205,10 +211,7 @@ class TestCliqueSearch:
         pairs = line_corpus(seed, 120) + [case.pair for case in pair_corpus(seed, 60)]
         for pair in pairs:
             for nodes in [pair.path_nodes(p.id) for p in pair.paths] + [pair.nodes]:
-                members = pair.mask_of(nodes)
-                assert_search_matches_reference(
-                    _interference_adjacency(pair._conflicts, members), members
-                )
+                assert_search_matches_reference(pair._conflicts, pair.mask_of(nodes))
 
     def test_random_graphs_match_reference(self):
         rng = random.Random(90)
@@ -217,17 +220,27 @@ class TestCliqueSearch:
                 for _ in range(3):
                     assert_search_matches_reference(*random_graph(rng, size, density))
 
+    def test_member_subsets_of_random_graphs_match_reference(self):
+        # neighbours outside the member set never enter the search
+        rng = random.Random(91)
+        for size in (1, 3, 8, 16, 30):
+            for density in (0.2, 0.5, 0.8):
+                for _ in range(4):
+                    masks, everyone = random_graph(rng, size, density)
+                    members = rng.getrandbits(size) & everyone or everyone
+                    assert_search_matches_reference(masks, members)
+
     def test_moon_moser_graph(self):
         # the complement of eight disjoint triangles has 3**8 maximum
         # cliques, one vertex per triangle; the smallest takes each first
         size = 24
         members = (1 << size) - 1
-        adj = {i: members & ~(0b111 << (i - i % 3)) for i in range(size)}
-        assert _best_clique(adj, members) == sum(1 << i for i in range(0, size, 3))
-        assert_search_matches_reference(adj, members)
+        masks = [members & ~(0b111 << (i - i % 3)) for i in range(size)]
+        assert _best_clique(masks, members) == sum(1 << i for i in range(0, size, 3))
+        assert_search_matches_reference(masks, members)
 
     def test_empty_member_set(self):
-        assert _best_clique({}, 0) == 0 == reference_best_clique({}, 0)
+        assert _best_clique([], 0) == 0 == reference_best_clique({}, 0)
 
 
 class TestDegrees:
@@ -380,7 +393,7 @@ class TestContinuity:
             pair = relation_pair(size, 0, edges)
             assert validate_path_rules(pair, 1).ok
             members = pair.mask_of(pair.path_nodes(1))
-            for clique in maximal_cliques(_interference_adjacency(pair._conflicts, members), members):
+            for clique in maximal_cliques(restricted(pair._conflicts, members), members):
                 run = clique // (clique & -clique)
                 assert not run & (run + 1)
             assert check_continuity(pair, 1)

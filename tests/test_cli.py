@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from beatsched import cli, model, optimizer
+from beatsched import cli, matching, model, optimizer, scheduler
 from beatsched.errors import ConsistencyError
 from beatsched.optimizer import DiskScenario
 from beatsched.scheduler import schedule_from_dict
@@ -146,6 +146,16 @@ class TestSupport:
         }
         assert ascii_part.splitlines() == ["1 0 *", "* 1 0"]
 
+    def test_an_invalid_witness_is_an_error_line(self, capsys, tmp_path, monkeypatch):
+        # witness_valid is printed as true because the matching checks its
+        # own witness and raises instead of returning an invalid one
+        grid = tmp_path / "matrix.txt"
+        grid.write_text("1 0 1\n1 1 0\n")
+        monkeypatch.setattr(matching, "_violations", lambda *args: ["injected"])
+        code, out, err = run(capsys, "support", str(grid))
+        assert (code, out) == (1, "")
+        assert err == "error: matching produced an invalid support set: ['injected']\n"
+
     def test_json_rows_object(self, capsys, tmp_path):
         grid = tmp_path / "matrix.json"
         grid.write_text('{"rows": [[1, 1], [1, 1]]}')
@@ -209,6 +219,15 @@ class TestSupport:
 
 
 class TestSchedule:
+    def test_a_failed_builder_audit_is_an_error_line(self, capsys, monkeypatch):
+        # audit_ok is printed as true because every builder audits its own
+        # schedule and raises instead of returning a failing one
+        failing = scheduler.AuditReport(True, False, True, True, ["injected"])
+        monkeypatch.setattr(scheduler, "audit_schedule", lambda pair, schedule: failing)
+        code, out, err = run(capsys, "schedule", FAR_PAIR)
+        assert (code, out) == (1, "")
+        assert err == "error: constructed schedule failed its own validity audit: injected\n"
+
     def test_pair_golden_timeline(self, capsys):
         code, out, _ = run(capsys, "schedule", FAR_PAIR)
         assert code == 0

@@ -174,23 +174,25 @@ class TestPeriods:
     @pytest.mark.parametrize("n", [3000, 6000])
     def test_long_chain_clique_search_reads_each_sender_once(self, n, monkeypatch):
         # the work behind the wall bound above, on any host: the clique
-        # search of intrinsic_period's cross-check reads n - 1 adjacency
-        # rows, linear in the chain. The chain is line_pair(n, radius=1.5),
+        # search of intrinsic_period's cross-check reads n - 1 neighbour
+        # masks, linear in the chain. The chain is line_pair(n, radius=1.5),
         # whose senders interfere within two positions, built from its band
         # of masks without the quadratic disk tests.
         def band(size: int) -> PathPair:
             masks = [(0b11011 << i >> 2) & (1 << size) - 1 for i in range(size)]
             return PathPair._from_conflicts(PrimaryPath(id=1, n_senders=size), None, masks)
 
-        class CountingDict(dict):
+        class CountingMasks(tuple):
             def __getitem__(self, key):
                 reads.append(key)
                 return super().__getitem__(key)
 
         assert band(40) == line_pair(40, radius=1.5)
         reads = []
-        adjacency = beatsched.analysis._interference_adjacency
-        monkeypatch.setattr(beatsched.analysis, "_interference_adjacency", lambda *a: CountingDict(adjacency(*a)))
+        search = beatsched.analysis._best_clique
+        monkeypatch.setattr(
+            beatsched.analysis, "_best_clique", lambda neighbours, members: search(CountingMasks(neighbours), members)
+        )
         assert intrinsic_period(band(n), 1) == 3
         assert len(reads) == n - 1
 
