@@ -20,13 +20,23 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .analysis import analyze
 from .errors import ConfigurationError, ConsistencyError, DomainError, SchemaError
 from .matching import _max_support
-from .model import PathPair, PrimaryPath, _disk_masks, _MatrixError, _real, _row_masks, validate_path_rules
-from .optimizer import DiskScenario, RouteCandidate, SearchSpace, optimize, routes_from_graph
+from .model import (
+    PathPair,
+    PrimaryPath,
+    _check_half_duplex,
+    _check_radius,
+    _disk_masks,
+    _MatrixError,
+    _point,
+    _row_masks,
+    validate_path_rules,
+)
+from .optimizer import DiskScenario, RouteCandidate, SearchSpace, _PointError, optimize, routes_from_graph
 from .periods import build_matrix, intrinsic_period
 from .scheduler import (
     Schedule,
@@ -51,38 +61,32 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _as_number(value: Any, path: str) -> float:
+def _checked(path: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """make(*args, **kwargs): a library check or constructor, given the raw
+    scenario values. Its refusal becomes a SchemaError at `path`, or, for
+    a route's point, at that point under `path`."""
     try:
-        number = _real(value)
-    except TypeError:
-        raise SchemaError(path, "expected a number") from None
-    _expect(math.isfinite(number), path, "expected a finite number")
-    return number
+        return make(*args, **kwargs)
+    except _PointError as exc:
+        raise SchemaError(f"{path}[{exc.index}]", exc.problem) from None
+    except (DomainError, ConfigurationError) as exc:
+        raise SchemaError(path, str(exc)) from None
 
 
-def _as_radius(value: Any, path: str, message: str) -> float:
-    _expect(_is_number(value) and value >= 0, path, message)
-    return _as_number(value, path)
-
-
-def _as_point(value: Any, path: str) -> tuple[float, float]:
-    if _is_number(value):
-        return (_as_number(value, path), 0.0)
-    _expect(
-        isinstance(value, list) and len(value) in (1, 2),
-        path,
-        "expected a number or [x, y] pair",
-    )
-    coords = [_as_number(c, f"{path}[{k}]") for k, c in enumerate(value)]
-    return (coords[0], coords[1] if len(coords) == 2 else 0.0)
+def _disk(path: str, radius: Any, half_duplex: Any) -> DiskScenario:
+    """The disk model of the section at `path`, checked once, by
+    DiskScenario. A refusal is placed at the key whose value fails first,
+    found by checking the two values one at a time."""
+    try:
+        return DiskScenario(radius, half_duplex)
+    except (DomainError, ConfigurationError):
+        _checked(f"{path}.interference_radius", _check_radius, radius)
+        _checked(f"{path}.half_duplex", _check_half_duplex, half_duplex)
+        raise
 
 
 # ------------------------------------------------------------- scenario
@@ -100,17 +104,8 @@ def _parse_paths(data: dict) -> tuple[PrimaryPath, PrimaryPath | None]:
     _expect(len(raw) <= 2, "$.paths", "at most two paths are supported")
     parsed = []
     for k, entry in enumerate(raw):
-        path_str = f"$.paths[{k}]"
-        _expect(isinstance(entry, dict), path_str, "expected an object")
-        pid = entry.get("id")
-        n = entry.get("n_senders")
-        _expect(_is_int(pid), f"{path_str}.id", "expected an integer path id")
-        _expect(
-            _is_int(n) and n >= 1,
-            f"{path_str}.n_senders",
-            "expected a positive integer",
-        )
-        parsed.append(PrimaryPath(id=pid, n_senders=n))
+        _expect(isinstance(entry, dict), f"$.paths[{k}]", "expected an object")
+        parsed.append(_checked(f"$.paths[{k}]", PrimaryPath, entry.get("id"), entry.get("n_senders")))
     ids = [p.id for p in parsed]
     _expect(ids == [1] or ids == [1, 2], "$.paths", "path ids must be [1] or [1, 2]")
     return parsed[0], parsed[1] if len(parsed) == 2 else None
@@ -119,15 +114,7 @@ def _parse_paths(data: dict) -> tuple[PrimaryPath, PrimaryPath | None]:
 def _parse_topology(raw: Any, paths: Sequence[PrimaryPath]) -> tuple[DiskScenario, list[list[tuple[float, float]]]]:
     """The disk model and each path's points, senders then destination."""
     _expect(isinstance(raw, dict), "$.topology", "expected an object")
-    radius = _as_radius(
-        raw.get("interference_radius"),
-        "$.topology.interference_radius",
-        "expected a number >= 0",
-    )
-    half_duplex = raw.get("half_duplex", True)
-    _expect(
-        isinstance(half_duplex, bool), "$.topology.half_duplex", "expected a boolean"
-    )
+    disk = _disk("$.topology", raw.get("interference_radius"), raw.get("half_duplex", True))
     positions_raw = raw.get("positions")
     _expect(isinstance(positions_raw, dict), "$.topology.positions", "expected an object keyed by path id")
     routes = []
@@ -143,10 +130,10 @@ def _parse_topology(raw: Any, paths: Sequence[PrimaryPath]) -> tuple[DiskScenari
             f"{path.n_senders + 1} points are needed (senders plus destination), "
             f"got {len(row)}",
         )
-        routes.append([_as_point(value, f"{row_path}[{k}]") for k, value in enumerate(row)])
+        routes.append([_checked(f"{row_path}[{k}]", _point, value) for k, value in enumerate(row)])
     extra = set(positions_raw) - {str(p.id) for p in paths}
     _expect(not extra, "$.topology.positions", f"unknown path keys {sorted(extra)}")
-    return DiskScenario(interference_radius=radius, half_duplex=half_duplex), routes
+    return disk, routes
 
 
 def _parse_relation(raw: Any, path1: PrimaryPath, path2: PrimaryPath | None) -> PathPair:
@@ -165,10 +152,7 @@ def _parse_relation(raw: Any, path1: PrimaryPath, path2: PrimaryPath | None) -> 
         at = f"$.relation.matrix[{exc.row}]"
         _expect(exc.col is not None and len(matrix[exc.row]) == n, at, f"expected {n} entries")
         raise SchemaError(f"{at}[{exc.col}]", "expected 0 or 1") from None
-    try:
-        return PathPair._from_conflicts(path1, path2, conflicts)
-    except DomainError as exc:
-        raise SchemaError("$.relation.matrix", str(exc)) from None
+    return _checked("$.relation.matrix", PathPair._from_conflicts, path1, path2, conflicts)
 
 
 def _parse_route_list(raw: Any, path: str) -> tuple[RouteCandidate, ...]:
@@ -176,19 +160,8 @@ def _parse_route_list(raw: Any, path: str) -> tuple[RouteCandidate, ...]:
     routes = []
     for k, points in enumerate(raw):
         route_path = f"{path}[{k}]"
-        _expect(
-            isinstance(points, list) and len(points) >= 2,
-            route_path,
-            "expected a list of at least two points (senders plus destination)",
-        )
-        routes.append(
-            RouteCandidate(
-                points=tuple(
-                    _as_point(v, f"{route_path}[{i}]") for i, v in enumerate(points)
-                ),
-                label=f"route{k}",
-            )
-        )
+        _expect(isinstance(points, list), route_path, "expected a list of points (senders plus destination)")
+        routes.append(_checked(route_path, RouteCandidate, tuple(points), f"route{k}"))
     return tuple(routes)
 
 
@@ -198,10 +171,7 @@ def _parse_graph_routes(raw: Any) -> list[tuple[RouteCandidate, ...]]:
     _expect(isinstance(raw, dict), base, "expected an object")
     vertices = raw.get("vertices")
     _expect(isinstance(vertices, dict) and vertices, f"{base}.vertices", "expected an object of vertex positions")
-    positions = {
-        name: _as_point(value, f"{base}.vertices.{name}")
-        for name, value in vertices.items()
-    }
+    positions = {name: _checked(f"{base}.vertices.{name}", _point, value) for name, value in vertices.items()}
     edges = raw.get("edges")
     _expect(isinstance(edges, list), f"{base}.edges", "expected a list of [a, b] pairs")
     adjacency: dict[str, list[str]] = {name: [] for name in positions}
@@ -234,12 +204,7 @@ def _parse_graph_routes(raw: Any) -> list[tuple[RouteCandidate, ...]]:
             f"{spec_path}.destination",
             "expected a known vertex name",
         )
-        _expect(
-            _is_int(max_hops) and max_hops >= 1,
-            f"{spec_path}.max_hops",
-            "expected an integer >= 1",
-        )
-        found = routes_from_graph(adjacency, positions, source, destination, max_hops)
+        found = _checked(spec_path, routes_from_graph, adjacency, positions, source, destination, max_hops)
         _expect(
             bool(found),
             spec_path,
@@ -269,13 +234,7 @@ def _parse_optimize(raw: Any, disk: DiskScenario | None) -> tuple[DiskScenario, 
     radius = raw.get("interference_radius")
     if radius is None and disk is not None:
         radius = disk.interference_radius
-    radius = _as_radius(
-        radius,
-        f"{base}.interference_radius",
-        "expected a number >= 0 (may be inherited from $.topology)",
-    )
-    half_duplex = raw.get("half_duplex", disk.half_duplex if disk else True)
-    _expect(isinstance(half_duplex, bool), f"{base}.half_duplex", "expected a boolean")
+    disk = _disk(base, radius, raw.get("half_duplex", disk.half_duplex if disk else True))
     if "graph" in raw:
         _expect(
             "routes1" not in raw and "routes2" not in raw,
@@ -292,17 +251,13 @@ def _parse_optimize(raw: Any, disk: DiskScenario | None) -> tuple[DiskScenario, 
         routes1 = _parse_route_list(raw["routes1"], f"{base}.routes1")
         routes2 = _parse_route_list(raw["routes2"], f"{base}.routes2")
     max_traversals = raw.get("max_traversals", 4)
-    _expect(
-        _is_int(max_traversals) and max_traversals >= 1,
-        f"{base}.max_traversals",
-        "expected an integer >= 1",
-    )
-    return DiskScenario(interference_radius=radius, half_duplex=half_duplex), SearchSpace(
-        routes1=routes1,
-        routes2=routes2,
+    space = _checked(f"{base}.max_traversals", SearchSpace, routes1, routes2, max_traversals=max_traversals)
+    # SearchSpace checks max_traversals; the period ranges, whose >= 1 rule is
+    # the CLI's own, are read after it
+    return disk, replace(
+        space,
         period_range1=_parse_period_range(raw.get("period_range1"), f"{base}.period_range1"),
         period_range2=_parse_period_range(raw.get("period_range2"), f"{base}.period_range2"),
-        max_traversals=max_traversals,
     )
 
 
@@ -341,7 +296,7 @@ def _read_stdin(kind: str) -> str:
 def _decode_json(text: str, invalid: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the int str limit
         raise SchemaError("$", f"{invalid}: {exc}") from None
     except RecursionError:
         raise SchemaError("$", f"{invalid}: nested too deeply to parse") from None

@@ -21,6 +21,12 @@ takes the masks of a relation over its senders in dense order as they are
 matrix becomes row masks in `_row_masks`, masks given as they are pass
 `_check_conflicts`, and `_disk_masks` builds the masks of every geometric
 pair, for derive_relation, the CLI, the corpora and the optimizer.
+
+`_point` is the one coordinate reader: every position of a topology, a
+route or a route graph, from the library or a scenario file, becomes an
+(x, y) pair of finite floats there. `_check_radius` and
+`_check_half_duplex` are the one rule each for a disk model's radius and
+duplex mode.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ class PrimaryPath:
 
     def __post_init__(self):
         if self.id not in (1, 2):
-            raise DomainError(f"path id must be 1 or 2, got {self.id}")
+            raise DomainError(f"path id must be 1 or 2, got {self.id!r}")
         _check_counts(f"path needs at least one sender, got {self.n_senders}", id=self.id, n_senders=self.n_senders)
 
     @_lazy
@@ -363,9 +369,13 @@ class GeometricTopology:
 
     def __post_init__(self):
         _check_radius(self.interference_radius)
+        _check_half_duplex(self.half_duplex)
         norm = {}
         for key, value in self.positions.items():
-            norm[tuple(key)] = _as_point(value, key)
+            try:
+                norm[tuple(key)] = _point(value)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"position of node {key} {exc}") from None
         object.__setattr__(self, "_norm", norm)
 
     def position(self, path_id: int, seq: int) -> tuple[float, float]:
@@ -380,8 +390,8 @@ _NOT_NUMBER = (bool, *_TEXT)
 
 
 def _real(value) -> float:
-    """The coordinate rule of the model and the CLI: a number as a float. A
-    bool or text is no number (TypeError); a number too large for a float
+    """The number rule of `_point` and `_check_radius`: a number as a float.
+    A bool or text is no number (TypeError); a number too large for a float
     becomes an infinity of its sign."""
     if isinstance(value, _NOT_NUMBER):
         raise TypeError(f"{value!r} is no number")
@@ -391,19 +401,13 @@ def _real(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _as_point(value, key) -> tuple[float, float]:
-    """A node's position as an (x, y) pair of finite floats; key names the
-    node in the error texts."""
-    point = _point(value)
-    if type(point) is str:
-        raise ConfigurationError(f"position of node {key} {point}")
-    return point
-
-
-def _point(value) -> tuple[float, float] | str:
-    """_as_point's conversion, returning the problem instead of raising it, so
-    a caller can name the node only when its position is bad. A tuple of two
-    finite floats is already a point and comes back as it is."""
+def _point(value) -> tuple[float, float]:
+    """The one coordinate reader: a position as an (x, y) pair of finite
+    floats, each coordinate read by `_real`; a single number is a point on
+    the x axis. A tuple of two finite floats is already a point and comes
+    back as it is. A refusal is a ConfigurationError whose text is the
+    problem alone, as "must be finite, got (nan,)", for the caller to name
+    the point."""
     if type(value) is tuple and len(value) == 2:
         x, y = value
         if type(x) is float and type(y) is float and math.isfinite(x) and math.isfinite(y):
@@ -416,14 +420,14 @@ def _point(value) -> tuple[float, float] | str:
             coords = (value,)  # a single number is a point on the line
         coords = tuple(map(_real, coords))
     except (TypeError, ValueError):
-        return "must be a number or an (x, y) pair"
+        raise ConfigurationError("must be a number or an (x, y) pair") from None
     if not all(math.isfinite(c) for c in coords):
-        return f"must be finite, got {coords}"
+        raise ConfigurationError(f"must be finite, got {coords}")
     if len(coords) == 1:
         return (coords[0], 0.0)
-    if len(coords) == 2:
-        return coords
-    return f"must have 1 or 2 coordinates, got {len(coords)}"
+    if len(coords) != 2:
+        raise ConfigurationError(f"must have 1 or 2 coordinates, got {len(coords)}")
+    return coords
 
 
 def _check_counts(below_one: str, **counts: int) -> None:
@@ -455,6 +459,13 @@ def _check_radius(radius: float) -> None:
         except ValueError:  # a Fraction with more digits than the int str limit
             shown = f"a {type(radius).__name__} too long to print"
         raise DomainError(f"interference_radius must be >= 0, got {shown}")
+
+
+def _check_half_duplex(half_duplex: bool) -> None:
+    """Refuse a duplex mode that is no bool: a text such as "no" is true,
+    so it would run half-duplex."""
+    if type(half_duplex) is not bool:
+        raise ConfigurationError(f"half_duplex must be a bool, got {half_duplex!r}")
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -29,6 +29,7 @@ from .model import (
     PrimaryPath,
     _Ends,
     _check_counts,
+    _check_half_duplex,
     _check_radius,
     _disk_masks,
     _disk_row,
@@ -39,6 +40,16 @@ from .periods import _first_bad, _joint_rows, _local_phases
 from .scheduler import Schedule, schedule_pair_unequal
 
 
+class _PointError(ConfigurationError):
+    """A route's refusal of one of its points: the point's 0-based `index`
+    and the `problem` as `_point` words it, so a caller can name the point
+    its own way."""
+
+    def __init__(self, index: int, problem: str, label: str):
+        super().__init__(f"position of node {index + 1} of route {label!r} {problem}")
+        self.index, self.problem = index, problem
+
+
 @dataclass(frozen=True)
 class RouteCandidate:
     """Sender positions of one route plus the final receiver position.
@@ -46,8 +57,9 @@ class RouteCandidate:
     points[k] is where the (k+1)-th sender stands; the last entry is the
     destination. A route with m points therefore has m-1 senders. Points
     are given as for GeometricTopology and converted on construction to
-    (x, y) pairs, so a bad point is reported by the route's label and its
-    1-based position.
+    (x, y) pairs by `model._point`; a bad point is refused with a
+    `_PointError` that names the route's label and the point's 1-based
+    position.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -60,11 +72,11 @@ class RouteCandidate:
                 f"got {len(self.points)} points"
             )
         points = []
-        for k, point in enumerate(self.points, 1):
-            point = _point(point)
-            if type(point) is str:  # the problem: only now is the point's key needed
-                raise ConfigurationError(f"position of node {k} of route {self.label!r} {point}")
-            points.append(point)
+        try:
+            for point in self.points:
+                points.append(_point(point))
+        except ConfigurationError as exc:
+            raise _PointError(len(points), str(exc), self.label) from None
         object.__setattr__(self, "points", tuple(points))
 
     @property
@@ -134,13 +146,15 @@ def routes_from_graph(
 @dataclass(frozen=True)
 class DiskScenario:
     """Interference context shared by all candidate route pairs; the radius
-    is checked on construction, as GeometricTopology checks its own."""
+    and duplex mode are checked on construction, as GeometricTopology
+    checks its own."""
 
     interference_radius: float
     half_duplex: bool = True
 
     def __post_init__(self) -> None:
         _check_radius(self.interference_radius)
+        _check_half_duplex(self.half_duplex)
 
 
 @dataclass(frozen=True)

@@ -712,41 +712,41 @@ class TestNonFiniteNumbers:
         [
             (
                 {"interference_radius": 1.0, "positions": {"1": [0, "NaN", 2, 3]}},
-                "error: $.topology.positions.1[1]: expected a finite number",
+                "error: $.topology.positions.1[1]: must be finite, got (nan,)",
             ),
             (
                 {"interference_radius": 1.0, "positions": {"1": [0, 1, [2, "-Infinity"], 3]}},
-                "error: $.topology.positions.1[2][1]: expected a finite number",
+                "error: $.topology.positions.1[2]: must be finite, got (2.0, -inf)",
             ),
             (
                 {"interference_radius": "Infinity", "positions": {"1": [0, 1, 2, 3]}},
-                "error: $.topology.interference_radius: expected a finite number",
+                "error: $.topology.interference_radius: interference_radius must be finite, got inf",
             ),
             (
                 {"interference_radius": "NaN", "positions": {"1": [0, 1, 2, 3]}},
-                "error: $.topology.interference_radius: expected a number >= 0",
+                "error: $.topology.interference_radius: interference_radius must be finite, got nan",
             ),
             (
                 {"interference_radius": 1.0, "positions": {"1": [0, 1, 2, "1e999"]}},
-                "error: $.topology.positions.1[3]: expected a finite number",
+                "error: $.topology.positions.1[3]: must be finite, got (inf,)",
             ),
             (
                 # an integer too large for a float
                 {"interference_radius": 1.0, "positions": {"1": [0, int("9" * 400), 2, 3]}},
-                "error: $.topology.positions.1[1]: expected a finite number",
+                "error: $.topology.positions.1[1]: must be finite, got (inf,)",
             ),
             (
                 # an integer too large for a float is an infinity of its sign
                 {"interference_radius": 1.0, "positions": {"1": [-(10**400), 1, 2, 3]}},
-                "error: $.topology.positions.1[0]: expected a finite number",
+                "error: $.topology.positions.1[0]: must be finite, got (-inf,)",
             ),
             (
                 {"interference_radius": 1.0, "positions": {"1": [0, 1, [2, 10**400], 3]}},
-                "error: $.topology.positions.1[2][1]: expected a finite number",
+                "error: $.topology.positions.1[2]: must be finite, got (2.0, inf)",
             ),
             (
                 {"interference_radius": 1.0, "positions": {"1": [0, [-(10**400), 1], 2, 3]}},
-                "error: $.topology.positions.1[1][0]: expected a finite number",
+                "error: $.topology.positions.1[1]: must be finite, got (-inf, 1.0)",
             ),
         ],
     )
@@ -778,7 +778,7 @@ class TestNonFiniteNumbers:
         target.write_text(text)
         code, out, err = run(capsys, "optimize", str(target))
         assert (code, out) == (1, "")
-        assert err == "error: $.optimize.interference_radius: expected a finite number\n"
+        assert err == "error: $.optimize.interference_radius: interference_radius must be finite, got inf\n"
 
     def test_nan_position_exits_with_one_error_line(self, tmp_path):
         target = tmp_path / "scenario.json"
@@ -793,7 +793,7 @@ class TestNonFiniteNumbers:
         )
         assert result.returncode == 1
         assert result.stdout == ""
-        assert result.stderr == "error: $.topology.positions.1[1]: expected a finite number\n"
+        assert result.stderr == "error: $.topology.positions.1[1]: must be finite, got (nan,)\n"
 
     @pytest.mark.parametrize(
         "argv, stdin, message",
@@ -867,20 +867,20 @@ class TestScenarioPoints:
     def test_points_go_straight_to_masks(self, monkeypatch):
         expected = line_pair(6)
         calls = []
-        real = cli._real
+        read = cli._point
 
         def counted(value):
             calls.append(value)
-            return real(value)
+            return read(value)
 
         def no_topology(*args, **kwargs):
             raise AssertionError("parse_scenario built a GeometricTopology")
 
-        monkeypatch.setattr(cli, "_real", counted)
+        monkeypatch.setattr(cli, "_point", counted)
         monkeypatch.setattr(model.GeometricTopology, "__init__", no_topology)
         scenario = cli.load_scenario(CHAIN6)
-        # the radius, then each of the 7 coordinates once
-        assert calls == [1.0, 0, 1, 2, 3, 4, 5, 6]
+        # each of the 7 points once
+        assert calls == [0, 1, 2, 3, 4, 5, 6]
         assert scenario.pair == expected
         assert scenario.disk == DiskScenario(interference_radius=1.0, half_duplex=True)
 
@@ -912,11 +912,15 @@ class TestBooleansAreNotIntegers:
         [
             (
                 with_field(RELATION_SCENARIO, ("paths", 0, "id"), True),
-                "$.paths[0].id: expected an integer path id",
+                "$.paths[0]: id must be an int, got True",
+            ),
+            (
+                with_field(RELATION_SCENARIO, ("paths", 0, "id"), 3),
+                "$.paths[0]: path id must be 1 or 2, got 3",
             ),
             (
                 with_field(RELATION_SCENARIO, ("paths", 0, "n_senders"), True),
-                "$.paths[0].n_senders: expected a positive integer",
+                "$.paths[0]: n_senders must be an int, got True",
             ),
             (
                 with_field(RELATION_SCENARIO, ("relation", "matrix", 0, 1), True),
@@ -924,11 +928,11 @@ class TestBooleansAreNotIntegers:
             ),
             (
                 with_field(GRAPH_SCENARIO, ("optimize", "graph", "route1", "max_hops"), True),
-                "$.optimize.graph.route1.max_hops: expected an integer >= 1",
+                "$.optimize.graph.route1: max_hops must be an int, got True",
             ),
             (
                 with_field(GRAPH_SCENARIO, ("optimize", "max_traversals"), True),
-                "$.optimize.max_traversals: expected an integer >= 1",
+                "$.optimize.max_traversals: max_traversals must be an int, got True",
             ),
             (
                 with_field(GRAPH_SCENARIO, ("optimize", "period_range1"), [True, 2]),
@@ -1190,6 +1194,47 @@ class TestGraphEdges:
         doc = with_field(GRAPH_SCENARIO, ("optimize", "graph", "edges", 0), edge)
         code, out, err = run(capsys, "optimize", write_scenario(tmp_path, doc))
         assert (code, out, err) == (1, "", f"error: $.optimize.graph.edges[0]: {error}\n")
+
+
+class TestLibraryRefusalsAtTheirPath:
+    @pytest.mark.parametrize("value", ["no", 1, 0, None, [True]])
+    @pytest.mark.parametrize("section", ["topology", "optimize"])
+    def test_half_duplex_must_be_a_bool(self, capsys, tmp_path, section, value):
+        # a text such as "no" is true, so it would run half-duplex
+        doc = with_field(GRAPH_SCENARIO, (section, "half_duplex"), value)
+        code, out, err = run(capsys, "optimize", write_scenario(tmp_path, doc))
+        assert (code, out, err) == (1, "", f"error: $.{section}.half_duplex: half_duplex must be a bool, got {value!r}\n")
+
+    def test_the_radius_is_named_before_the_duplex_mode(self, capsys, tmp_path):
+        doc = with_field(GRAPH_SCENARIO, ("topology", "half_duplex"), "no")
+        doc = with_field(doc, ("topology", "interference_radius"), -1)
+        code, out, err = run(capsys, "analyze", write_scenario(tmp_path, doc))
+        assert (code, out, err) == (
+            1, "", "error: $.topology.interference_radius: interference_radius must be >= 0, got -1\n"
+        )
+
+    def test_a_route_from_a_vertex_to_itself_is_named_by_its_spec(self, capsys, tmp_path):
+        doc = with_field(GRAPH_SCENARIO, ("optimize", "graph", "route2", "destination"), "s")
+        code, out, err = run(capsys, "optimize", write_scenario(tmp_path, doc))
+        assert (code, out, err) == (
+            1, "", "error: $.optimize.graph.route2: a route needs at least one sender and a destination, got 1 points\n"
+        )
+
+    def test_a_route_is_checked_for_its_length_before_its_points(self, capsys, tmp_path):
+        doc = with_field(GRAPH_SCENARIO, ("optimize",), {"routes1": [[[0, "NaN"]]], "routes2": [[0, 1]]})
+        code, out, err = run(capsys, "optimize", write_scenario(tmp_path, doc))
+        assert (code, out, err) == (
+            1, "", "error: $.optimize.routes1[0]: a route needs at least one sender and a destination, got 1 points\n"
+        )
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int str limit in this Python")
+    def test_an_integer_past_the_str_limit_is_invalid_json(self, capsys, tmp_path):
+        target = tmp_path / "scenario.json"
+        target.write_text('{"paths": [{"id": 1, "n_senders": ' + "1" * 5000 + "}]}")
+        code, out, err = run(capsys, "analyze", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: $: invalid JSON: Exceeds the limit (4300 digits) for integer string conversion")
+        assert err.count("\n") == 1
 
 
 def complete_graph(n: int) -> dict:

@@ -77,6 +77,8 @@ class TestPrimaryPath:
             (1, True, "n_senders must be an int, got True"),
             (True, 2, "id must be an int, got True"),
             (1.0, 2, "id must be an int, got 1.0"),
+            ("1", 2, "path id must be 1 or 2, got '1'"),
+            (None, 2, "path id must be 1 or 2, got None"),
         ],
     )
     def test_id_and_sender_count_must_be_ints(self, path_id, n_senders, message):
@@ -312,6 +314,12 @@ class TestGeometry:
     def test_boolean_radius_rejected(self, radius):
         with pytest.raises(ConfigurationError, match=f"^interference_radius must be a number, got {radius}$"):
             GeometricTopology({(1, 1): 0.0}, interference_radius=radius)
+
+    @pytest.mark.parametrize("half_duplex", ["no", "", 1, 0, None, 1.0])
+    def test_duplex_mode_must_be_a_bool(self, half_duplex):
+        # a text such as "no" is true, so it would run half-duplex
+        with pytest.raises(ConfigurationError, match=f"^half_duplex must be a bool, got {re.escape(repr(half_duplex))}$"):
+            GeometricTopology({(1, 1): 0.0}, interference_radius=1.0, half_duplex=half_duplex)
 
     @pytest.mark.parametrize("point", ["12", b"12", bytearray(b"12"), ("1", 2), [0, b"2"], "7"])
     def test_text_position_rejected(self, point):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -15,9 +16,9 @@ import networkx as nx
 import pytest
 
 import beatsched
-from beatsched import matching, optimizer
+from beatsched import cli, matching, optimizer
 from beatsched.analysis import interference_intensity
-from beatsched.errors import ConfigurationError, DomainError
+from beatsched.errors import ConfigurationError, DomainError, SchemaError
 from beatsched.matching import max_support_set
 from beatsched.model import (
     GeometricTopology,
@@ -25,7 +26,7 @@ from beatsched.model import (
     NodeRef,
     PathPair,
     PrimaryPath,
-    _as_point,
+    _derive_pair,
     derive_relation,
 )
 from beatsched.optimizer import (
@@ -50,6 +51,15 @@ def straight_route(n_senders: int, y: float, gap: float = 1.0) -> RouteCandidate
         points=tuple((gap * k, y) for k in range(n_senders + 1)),
         label=f"line{n_senders}@{y}",
     )
+
+
+def in_json(value) -> bool:
+    """True when a JSON document can hold the value, a tuple as a list."""
+    try:
+        json.dumps(value)
+    except TypeError:  # a Fraction, a Decimal or bytes
+        return False
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -530,6 +540,11 @@ class TestRouteMasks:
         with pytest.raises(ConfigurationError, match=r"^position of node 1 of route 'flagged' must be a number or an \(x, y\) pair$"):
             RouteCandidate(points=(False, 1.0), label="flagged")
 
+    @pytest.mark.parametrize("half_duplex", ["no", 1, None])
+    def test_duplex_mode_must_be_a_bool(self, half_duplex):
+        with pytest.raises(ConfigurationError, match=f"^half_duplex must be a bool, got {re.escape(repr(half_duplex))}$"):
+            DiskScenario(1.0, half_duplex=half_duplex)
+
     @pytest.mark.parametrize("radius", ["1", None, [1]])
     def test_radius_that_is_no_number_is_rejected(self, radius):
         with pytest.raises(ConfigurationError, match=f"^interference_radius must be a number, got {re.escape(repr(radius))}$"):
@@ -585,17 +600,46 @@ class TestRouteMasks:
         # a tuple of two finite floats comes back as it is; everything else
         # converts, or fails with the same texts, for a node and for a route
         if type(expected) is str:
-            with pytest.raises(ConfigurationError, match=f"^position of node k {re.escape(expected)}$"):
-                _as_point(position, "k")
+            with pytest.raises(ConfigurationError, match=rf"^position of node \(1, 1\) {re.escape(expected)}$"):
+                GeometricTopology({(1, 1): position}, 1.0)
             with pytest.raises(ConfigurationError, match=f"^position of node 2 of route 'r' {re.escape(expected)}$"):
                 RouteCandidate(points=((0.0, 0.0), position, (9.0, 0.0)), label="r")
             return
-        point = _as_point(position, "k")
+        point = GeometricTopology({(1, 1): position}, 1.0).position(1, 1)
         assert point == expected and all(type(c) is float for c in point)
         assert math.copysign(1, point[0]) == math.copysign(1, expected[0])
         plain = type(position) is tuple and len(position) == 2 and all(type(c) is float for c in position)
         assert (point is position) == plain
         assert RouteCandidate(points=(position, (9.0, 0.0))).points[0] == expected
+
+    JSON_POINTS = [(position, expected) for position, expected in POINTS if in_json(position)]
+
+    @pytest.mark.parametrize("position, expected", JSON_POINTS, ids=lambda v: repr(v)[:24])
+    def test_scenario_points_follow_the_library(self, position, expected):
+        # a topology position and a fixed route's point, read from JSON: a
+        # refusal is the library's problem text at the point's $.path, and
+        # an accepted point gives the library's masks
+        near = [[1, 0.5], [1, 1.5]]
+        doc = json.loads(json.dumps({
+            "paths": [{"id": 1, "n_senders": 2}, {"id": 2, "n_senders": 1}],
+            "topology": {"interference_radius": 1.0, "positions": {"1": [[0, 0], position, [2, 0]], "2": near}},
+            "optimize": {"routes1": [[[0, 0], position, [2, 0]]], "routes2": [near]},
+        }))
+        if type(expected) is str:
+            with pytest.raises(SchemaError, match=f"^{re.escape('$.topology.positions.1[1]: ' + expected)}$"):
+                cli.parse_scenario(doc)
+            with pytest.raises(SchemaError, match=f"^{re.escape('$.optimize.routes1[0][1]: ' + expected)}$"):
+                cli._parse_optimize(doc["optimize"], DiskScenario(1.0))
+            return
+        scenario = cli.parse_scenario(doc)
+        points = ((0.0, 0.0), position, (2.0, 0.0))
+        topology = GeometricTopology(
+            {**{(1, k): p for k, p in enumerate(points, 1)}, **{(2, k): tuple(p) for k, p in enumerate(near, 1)}}, 1.0
+        )
+        assert scenario.pair == _derive_pair(topology, PrimaryPath(1, 2), PrimaryPath(2, 1))
+        disk, space = cli._parse_optimize(doc["optimize"], scenario.disk)
+        library = materialize_pair(disk, RouteCandidate(points), RouteCandidate(tuple(map(tuple, near))))
+        assert materialize_pair(disk, space.routes1[0], space.routes2[0]) == library == scenario.pair
 
     def test_points_are_converted_once_on_construction(self, monkeypatch):
         calls = []

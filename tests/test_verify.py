@@ -1,5 +1,6 @@
 """The property-check suite itself: corpora, realization, reporting."""
 
+import dataclasses
 import hashlib
 import inspect
 import random
@@ -7,6 +8,7 @@ import re
 
 import pytest
 
+from beatsched import cli, verify
 from beatsched.analysis import interference_intensity
 from beatsched.errors import DomainError
 from beatsched.model import validate_path_rules
@@ -154,3 +156,43 @@ class TestReporting:
         within = run_criteria(seed=DEFAULT_SEED, numbers=[8, 9])[0]
         assert alone.passed == within.passed
         assert alone.details == within.details
+
+
+def _changed(change):
+    """The fault that passes the real function's result through `change`."""
+    return lambda real: lambda *args, **kwargs: change(real(*args, **kwargs))
+
+
+# (criterion, a function of `verify` that it calls, the fault made from the real function)
+FAULTS = [
+    (1, "intrinsic_period", _changed(lambda period: period + 1)),
+    (2, "interference_intensity", _changed(lambda found: (found[0] + 1, found[1]))),
+    (3, "run", _changed(lambda report: dataclasses.replace(report, measured_throughput=report.measured_throughput + 1))),
+    (4, "measure_delay", _changed(lambda delays: {k: [d + 1 for d in v] for k, v in delays.items()})),
+    (5, "brute_force_max_support", _changed(lambda size: size + 1)),
+    (6, "predicted_throughput", _changed(lambda rate: rate + 1)),
+    (7, "brute_force_max_support", _changed(lambda size: size + 1)),
+    (8, "max_support_set", _changed(lambda found: (found[0], found[1] + 1))),
+    (9, "max_support_set", _changed(lambda found: (found[0], found[1] + 1))),
+    (10, "_partitions_into", lambda real: lambda n, groups: real(n, groups + 1)),
+]
+
+
+class TestTheGateCanFail:
+    @pytest.mark.parametrize("number, name, fault", FAULTS, ids=[f"{n}-{name}" for n, name, _ in FAULTS])
+    def test_an_off_by_one_library_fails_its_criterion(self, monkeypatch, capsys, number, name, fault):
+        # one function the check calls is off by one; the check must say FAIL
+        # and `beatsched verify --only N` must exit 1
+        monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+        results = []
+
+        def recorded(**kwargs):
+            results.extend(run_criteria(**kwargs))
+            return results
+
+        monkeypatch.setattr(cli, "run_criteria", recorded)
+        assert cli.main(["verify", "--only", str(number)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [(r.number, r.passed) for r in results] == [(number, False)]
+        assert lines[0].startswith(f"FAIL  criterion {number:2d}  ")
+        assert lines[1:] == [f"0/1 checks passed (seed {DEFAULT_SEED})"]
