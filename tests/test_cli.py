@@ -867,20 +867,21 @@ class TestScenarioPoints:
     def test_points_go_straight_to_masks(self, monkeypatch):
         expected = line_pair(6)
         calls = []
-        read = cli._point
+        real = model._real
 
         def counted(value):
             calls.append(value)
-            return read(value)
+            return real(value)
 
         def no_topology(*args, **kwargs):
             raise AssertionError("parse_scenario built a GeometricTopology")
 
-        monkeypatch.setattr(cli, "_point", counted)
+        # `_check_radius` and `_point` both read numbers through `model._real`
+        monkeypatch.setattr(model, "_real", counted)
         monkeypatch.setattr(model.GeometricTopology, "__init__", no_topology)
         scenario = cli.load_scenario(CHAIN6)
-        # each of the 7 points once
-        assert calls == [0, 1, 2, 3, 4, 5, 6]
+        # the radius, then each of the 7 coordinates once
+        assert calls == [1.0, 0, 1, 2, 3, 4, 5, 6]
         assert scenario.pair == expected
         assert scenario.disk == DiskScenario(interference_radius=1.0, half_duplex=True)
 

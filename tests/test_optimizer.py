@@ -641,6 +641,22 @@ class TestRouteMasks:
         library = materialize_pair(disk, RouteCandidate(points), RouteCandidate(tuple(map(tuple, near))))
         assert materialize_pair(disk, space.routes1[0], space.routes2[0]) == library == scenario.pair
 
+    def test_scenario_radius_is_the_library_radius(self):
+        # a scenario's radius meets distances as given, as the library keeps
+        # it: 2**53 + 3 is no float, and the distance 2**53 + 4 lies beyond
+        # it though not beyond its float, 2**53 + 4.0
+        radius, far = 2**53 + 3, 2**53 + 4
+        positions = {"1": [-1, 0], "2": [far, far + 2]}
+        doc = {"paths": [{"id": 1, "n_senders": 1}, {"id": 2, "n_senders": 1}],
+               "topology": {"interference_radius": radius, "positions": positions}}
+        scenario = cli.parse_scenario(json.loads(json.dumps(doc)))
+        assert type(scenario.disk.interference_radius) is int and scenario.disk.interference_radius == radius
+        points = {(int(i), k): p for i, route in positions.items() for k, p in enumerate(route, 1)}
+        paths = PrimaryPath(1, 1), PrimaryPath(2, 1)
+        assert scenario.pair == _derive_pair(GeometricTopology(points, radius), *paths)
+        assert not scenario.pair.relation.pairs
+        assert _derive_pair(GeometricTopology(points, float(radius)), *paths).relation.pairs
+
     def test_points_are_converted_once_on_construction(self, monkeypatch):
         calls = []
         convert = optimizer._point
