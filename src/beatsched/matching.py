@@ -65,11 +65,18 @@ the least weight over the checked covers, since each of them bounds it. A
 failed search's cover, the rows it did not reach and the columns it reached,
 is the same for every maximum flow, so neither the covers nor the table
 depend on which maximum flow a search reaches.
+
+Two steps: _hull_covers runs the breakpoint search on the matrix and
+returns the checked covers' (row count, column count) pairs, which no cap
+enters, and _cover_table builds the l1 x l2 table of least cover weights
+from them for one cap. tiled_support_sizes takes both steps on every call.
+`optimizer` keeps the covers of the joint cores a process has sized and
+builds each search's tables from them. The covers are also what a bound on
+the joint rate over the hull's breakpoint rays reads.
 """
 
 from __future__ import annotations
 
-from itertools import count, islice
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
@@ -216,12 +223,17 @@ def tiled_support_sizes(matrix: Sequence[Sequence[int]], max_traversals: int) ->
 
 
 def _tiled_sizes(ones: Sequence[int], width: int, max_traversals: int) -> tuple[tuple[int, ...], ...]:
-    """tiled_support_sizes on row masks over `width` columns, max_traversals >= 1.
-    The module docstring's breakpoint search starts from the limit rays and
+    """tiled_support_sizes on row masks over `width` columns, max_traversals >= 1."""
+    return _cover_table(_hull_covers(ones, width), max_traversals)
+
+
+def _hull_covers(ones: Sequence[int], width: int) -> tuple[tuple[int, int], ...]:
+    """The (row count, column count) of every cover the module docstring's
+    breakpoint search checks on row masks over `width` columns, ascending;
+    the lower hull is among them. The search starts from the limit rays and
     the all-rows and all-columns covers; a pending cone is done when one of
-    its rays' covers meets both. Nothing pairs without a column."""
-    if not width:
-        return ((0,) * max_traversals,) * max_traversals
+    its rays' covers meets both. It takes no cap, so the covers serve every
+    cap."""
     n = len(ones)
     # each checked cover (unreached rows, reached columns) -> its row and column counts
     covers = {cover: _check_cover(ones, *cover) for cover in (((1 << n) - 1, 0), (0, (1 << width) - 1))}
@@ -252,11 +264,19 @@ def _tiled_sizes(ones: Sequence[int], width: int, max_traversals: int) -> tuple[
                     (lo_row, lo_col, p_rows, p_cols, cap_row, cap_col, *r),
                     (cap_row, cap_col, *r, hi_row, hi_col, q_rows, q_cols),
                 ]
-    # row l1 of each cover's weights is an arithmetic progression in l2; the
-    # all-rows and all-columns covers make at least two of them for min
+    return tuple(sorted(set(covers.values())))
+
+
+def _cover_table(covers: Sequence[tuple[int, int]], max_traversals: int) -> tuple[tuple[int, ...], ...]:
+    """The tiled-size table the checked covers prove: entry [l1 - 1][l2 - 1],
+    l1, l2 in 1..max_traversals, is the least cover weight l1 * rows +
+    l2 * columns."""
+    m = max_traversals
+    # row l1 of each cover's weights is an arithmetic progression in l2; zip,
+    # since a matrix with no rows and no columns has a single cover
     return tuple(
-        tuple(islice(map(min, *[count(l1 * a + c, c) for a, c in covers.values()]), max_traversals))
-        for l1 in range(1, max_traversals + 1)
+        tuple(map(min, zip(*[range(l1 * a + c, l1 * a + c * m + 1, c) if c else (l1 * a,) * m for a, c in covers])))
+        for l1 in range(1, m + 1)
     )
 
 

@@ -13,17 +13,25 @@ worked out once, as bitmasks over its senders; each candidate pair adds
 only the disk-model conflicts between its two routes, so routes that bend
 closer to each other genuinely pay for it. Only the winning pair is built
 as a PathPair; its masks and each route's come from `model._disk_masks`.
+
+A grid point's tiled sizes depend only on its joint core (see
+`matching._core`), and they follow from the core's hull covers, which no
+traversal cap enters. The process keeps the covers of the
+`_COVER_CACHE_SIZE` (1,024) cores it used last, keyed by the core, so a
+core that recurs across searches is searched and certified once.
+Each `beatsched` CLI call is a new process and starts with none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .analysis import _best_clique
 from .errors import ConfigurationError, ConsistencyError, DomainError
-from .matching import _core, _tiled_sizes
+from .matching import _core, _cover_table, _hull_covers
 from .model import (
     PathPair,
     PrimaryPath,
@@ -38,6 +46,14 @@ from .model import (
 )
 from .periods import _first_bad, _joint_rows, _local_phases
 from .scheduler import Schedule, schedule_pair_unequal
+
+
+# cores whose covers a process keeps; an entry is O(rows + columns) ints,
+# about 1 KB on grid-graph routes, whose searches meet a few hundred cores
+_COVER_CACHE_SIZE = 1024
+
+# a failed certificate raises, and lru_cache keeps nothing of the call
+_covers = lru_cache(maxsize=_COVER_CACHE_SIZE)(_hull_covers)
 
 
 class _PointError(ConfigurationError):
@@ -287,9 +303,12 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
     its cross masks: a path-1 phase conflicts with the OR of its members'
     cross masks, and joint rows are column masks over path 2's phase
     masks. Grid points whose joint matrices have the same core (see
-    matching._core) share one tiled-size table, and log entries with the
-    same rate share one Fraction. Only the winner becomes a PathPair, built
-    by materialize_pair.
+    matching._core) share one tiled-size table, built from the core's hull
+    covers. The covers come from a process-wide cache keyed by the core and
+    bounded by _COVER_CACHE_SIZE (1,024 cores), so only a core new to the
+    process costs flows; a CLI call starts with the cache empty. Log entries
+    with the same rate share one Fraction. Only the winner becomes a
+    PathPair, built by materialize_pair.
     """
     if not space.routes1 or not space.routes2:
         raise DomainError("search space has no route candidates")
@@ -319,7 +338,7 @@ def optimize(scenario: DiskScenario, space: SearchSpace) -> OptimizationResult:
                     core, width = _core(_joint_rows(conflicts1, masks2))
                     sizes = tables.get(core)
                     if sizes is None:
-                        sizes = tables[core] = _tiled_sizes(core, width, cap)
+                        sizes = tables[core] = _cover_table(_covers(core, width), cap)
                     for traversals1, line in enumerate(sizes, start=1):
                         length1 = traversals1 * period1
                         for traversals2, support_size in enumerate(line, start=1):

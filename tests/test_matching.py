@@ -17,6 +17,7 @@ from beatsched.matching import (
     _check_cover,
     _check_flow,
     _core,
+    _hull_covers,
     _tiled_sizes,
     brute_force_max_support,
     max_support_set,
@@ -415,6 +416,7 @@ class TestMaskKernel:
             searched[cap] = calls[:]
         assert searched[4] == searched[300]
         assert len(searched[4]) == 5 <= 2 * min(len(matrix), len(matrix[0])) + 1
+        assert _hull_covers(row_masks(matrix), 4) == ((0, 4), (1, 2), (2, 1), (5, 0))
         assert [fails for _, _, fails in searched[4]] == [True, True, False, False, False]
 
     def test_searches_do_not_depend_on_the_cap(self, monkeypatch):

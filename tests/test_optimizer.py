@@ -1,5 +1,6 @@
 """Exhaustive grid search over routes, spacings, and traversal counts."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,7 +19,7 @@ import pytest
 import beatsched
 from beatsched import cli, matching, optimizer
 from beatsched.analysis import interference_intensity
-from beatsched.errors import ConfigurationError, DomainError, SchemaError
+from beatsched.errors import ConfigurationError, ConsistencyError, DomainError, SchemaError
 from beatsched.matching import max_support_set
 from beatsched.model import (
     GeometricTopology,
@@ -817,13 +818,14 @@ class TestRouteEnumerationOracle:
 class TestKernelWork:
     """The hull kernel's work on grid-graph route searches, pinned by count
     and digest rather than by wall time, so a change that adds flows fails
-    on any host. The figures were recorded before the kernel's fixed cost
-    per table was cut, which changed no flow."""
+    on any host. A table is built once per core per search, from covers
+    searched once per core per process."""
 
     TABLES = 840
-    SEARCHES = 1199
-    FAILED = 188
-    DIGEST = "674fa95f04e6652324aa72dba998f0cd38002d7b0761052b1f47bb538e34e0b3"
+    HULL_SEARCHES = 533
+    SEARCHES = 792
+    FAILED = 132
+    DIGEST = "39b98aa64ef32fa724816fe154383b630fd7e1a7d62facca2d858b9133b9eaf8"
 
     @staticmethod
     def jittered_grid(rng, width, height):
@@ -839,36 +841,114 @@ class TestKernelWork:
                 ]
         return adjacency, positions
 
-    def test_tables_and_searches_are_pinned(self, monkeypatch):
-        tables, searches = [], []
-        tiled, saturate = optimizer._tiled_sizes, matching._saturate
-
-        def counted_table(core, width, cap):
-            tables.append(core)
-            return tiled(core, width, cap)
-
-        def recorded_search(ones, width, cap_row, cap_col, bound):
-            result = saturate(ones, width, cap_row, cap_col, bound)
-            searches.append((cap_row, cap_col, bound, result[-1] is not None))
-            return result
-
-        monkeypatch.setattr(optimizer, "_tiled_sizes", counted_table)
-        monkeypatch.setattr(matching, "_saturate", recorded_search)
+    @classmethod
+    def searches(cls):
+        """The seeded grid-graph searches, at caps 1 to 3."""
         rng = random.Random("optimizer/kernel-work")
         for width, height in ((3, 2), (3, 3), (4, 3), (5, 2)):
             for cap in (1, 2, 3):
                 for max_hops in (4, 5):
-                    adjacency, positions = self.jittered_grid(rng, width, height)
+                    adjacency, positions = cls.jittered_grid(rng, width, height)
                     top = height - 1
                     space = SearchSpace(
                         routes1=routes_from_graph(adjacency, positions, "v0.0", f"v{width - 1}.0", max_hops),
                         routes2=routes_from_graph(adjacency, positions, f"v0.{top}", f"v{width - 1}.{top}", max_hops),
                         max_traversals=cap,
                     )
-                    optimize(DiskScenario(interference_radius=rng.uniform(0.6, 1.6)), space)
+                    yield DiskScenario(interference_radius=rng.uniform(0.6, 1.6)), space
+
+    def test_tables_and_searches_are_pinned(self, monkeypatch):
+        tables, searches = [], []
+        build, saturate = optimizer._cover_table, matching._saturate
+
+        def counted_table(covers, cap):
+            tables.append(covers)
+            return build(covers, cap)
+
+        def recorded_search(ones, width, cap_row, cap_col, bound):
+            result = saturate(ones, width, cap_row, cap_col, bound)
+            searches.append((cap_row, cap_col, bound, result[-1] is not None))
+            return result
+
+        monkeypatch.setattr(optimizer, "_cover_table", counted_table)
+        monkeypatch.setattr(matching, "_saturate", recorded_search)
+        optimizer._covers.cache_clear()
+        logs = [optimize(scenario, space).search_log for scenario, space in self.searches()]
+        hull_searches = optimizer._covers.cache_info().misses
         failed = sum(fails for *_, fails in searches)
         digest = hashlib.sha256(repr(searches).encode()).hexdigest()
-        assert (len(tables), len(searches), failed, digest) == (self.TABLES, self.SEARCHES, self.FAILED, self.DIGEST)
+        assert (len(tables), hull_searches, len(searches), failed, digest) == (
+            self.TABLES, self.HULL_SEARCHES, self.SEARCHES, self.FAILED, self.DIGEST,
+        )
+        # the same sweep again builds every table anew from kept covers
+        tables.clear()
+        searches.clear()
+        assert [optimize(scenario, space).search_log for scenario, space in self.searches()] == logs
+        assert (len(tables), optimizer._covers.cache_info().misses, searches) == (self.TABLES, hull_searches, [])
+
+
+class TestCoverCache:
+    """optimize reads hull covers through one process-wide cache keyed by
+    the joint core: a search gives the same result with it cold or warm."""
+
+    @staticmethod
+    def outcome(result):
+        winner = (
+            result.best_route_indices, result.best_period1, result.best_period2,
+            result.best_traversals1, result.best_traversals2, result.best_support_size,
+            result.best_throughput,
+        )
+        return result.search_log, winner, result.schedule, result.pair
+
+    @staticmethod
+    def cases():
+        """Grid-graph searches, at caps 1 to 4 and with period ranges on every
+        other one, and the seeded fixed-route searches."""
+        for index, (scenario, space) in enumerate(TestKernelWork.searches()):
+            ranges = ((3, 4), (2, 3)) if index % 2 else (None, None)
+            yield scenario, dataclasses.replace(
+                space, max_traversals=1 + index % 4, period_range1=ranges[0], period_range2=ranges[1]
+            )
+        yield from TestSeededSearchLogs.searches()
+
+    def test_cold_and_warm_searches_agree_at_every_cap(self):
+        cases = list(self.cases())
+        cold = []
+        for scenario, space in cases:
+            optimizer._covers.cache_clear()
+            cold.append(self.outcome(optimize(scenario, space)))
+        # A search at another cap sizes every core a search meets, since no
+        # core depends on the cap; the same search then sizes none, reading
+        # covers that searches at other caps kept.
+        optimizer._covers.cache_clear()
+        for (scenario, space), expected in zip(reversed(cases), reversed(cold)):
+            other = dataclasses.replace(space, max_traversals=space.max_traversals % 4 + 1)
+            optimize(scenario, other)
+            sized = optimizer._covers.cache_info().misses
+            assert self.outcome(optimize(scenario, space)) == expected
+            assert optimizer._covers.cache_info().misses == sized
+
+    def test_a_failed_certificate_caches_nothing(self, monkeypatch, far_space):
+        scenario = DiskScenario(interference_radius=1.0)
+        optimizer._covers.cache_clear()
+        expected = self.outcome(optimize(scenario, far_space))
+        optimizer._covers.cache_clear()
+        # each search stops at the empty flow and claims the empty cover,
+        # which misses the core's 1-entries
+        def forged(ones, width, cap_row, cap_col, bound):
+            return [[0] * width for _ in ones], [0] * len(ones), [0] * width, 0, (0, 0)
+
+        monkeypatch.setattr(matching, "_saturate", forged)
+        with pytest.raises(ConsistencyError, match="outside the cover"):
+            optimize(scenario, far_space)
+        assert optimizer._covers.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert self.outcome(optimize(scenario, far_space)) == expected
+        assert optimizer._covers.cache_info().currsize > 0
+
+    def test_the_cache_is_bounded_by_its_constant(self):
+        assert optimizer._covers.cache_info().maxsize == optimizer._COVER_CACHE_SIZE
+
 
 def test_import_leaves_networkx_out():
     src = Path(beatsched.__file__).resolve().parent.parent

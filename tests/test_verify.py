@@ -163,6 +163,24 @@ def _changed(change):
     return lambda real: lambda *args, **kwargs: change(real(*args, **kwargs))
 
 
+def _pair_intensity_low(real):
+    """The fault that makes the whole pair's intensity one too low, and
+    leaves each path's as it is."""
+
+    def intensity(pair, nodes=None):
+        if nodes is not None:
+            return real(pair, nodes)
+        found = real(pair)
+        return found[0] - 1, found[1]
+
+    return intensity
+
+
+def _one_beat_more(schedule):
+    """The schedule with its last beat repeated, one beat longer."""
+    return dataclasses.replace(schedule, period=schedule.period + 1, beats=schedule.beats + schedule.beats[-1:])
+
+
 # (criterion, a function of `verify` that it calls, the fault made from the real function)
 FAULTS = [
     (1, "intrinsic_period", _changed(lambda period: period + 1)),
@@ -172,9 +190,19 @@ FAULTS = [
     (5, "brute_force_max_support", _changed(lambda size: size + 1)),
     (6, "predicted_throughput", _changed(lambda rate: rate + 1)),
     (7, "brute_force_max_support", _changed(lambda size: size + 1)),
+    # criterion 8 has five bound checks, and each fault below fails one of
+    # them: the support bound (and, on other pairs, the equality case and
+    # the unequal-rate bound), the intensity bound, the equal-rate bound,
+    # its equality case and the unequal-rate bound
     (8, "max_support_set", _changed(lambda found: (found[0], found[1] + 1))),
+    (8, "interference_intensity", _pair_intensity_low),
+    (8, "predicted_throughput", _changed(lambda rate: rate + 1)),
+    (8, "schedule_pair_equal", _changed(_one_beat_more)),
+    (8, "continuation", lambda real: lambda matrix, l1, l2: real(matrix, l1, l2 + 1)),
     (9, "max_support_set", _changed(lambda found: (found[0], found[1] + 1))),
     (10, "_partitions_into", lambda real: lambda n, groups: real(n, groups + 1)),
+    # every window one sender wider: the residue classes conflict
+    (10, "_window_pair", lambda real: lambda n, width: real(n, width + 1)),
 ]
 
 
