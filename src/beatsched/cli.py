@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -36,7 +35,15 @@ from .model import (
     _row_masks,
     validate_path_rules,
 )
-from .optimizer import DiskScenario, RouteCandidate, SearchSpace, _PointError, optimize, routes_from_graph
+from .optimizer import (
+    DiskScenario,
+    RouteCandidate,
+    SearchSpace,
+    _clamped_range,
+    _PointError,
+    optimize,
+    routes_from_graph,
+)
 from .periods import build_matrix, intrinsic_period
 from .scheduler import (
     Schedule,
@@ -59,10 +66,6 @@ def fraction_dict(value: Fraction) -> dict:
 def _expect(condition: bool, path: str, message: str) -> None:
     if not condition:
         raise SchemaError(path, message)
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _checked(path: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
@@ -214,20 +217,6 @@ def _parse_graph_routes(raw: Any) -> list[tuple[RouteCandidate, ...]]:
     return sides
 
 
-def _parse_period_range(raw: Any, path: str) -> tuple[int, int] | None:
-    if raw is None:
-        return None
-    _expect(
-        isinstance(raw, list)
-        and len(raw) == 2
-        and all(_is_int(v) and v >= 1 for v in raw)
-        and raw[0] <= raw[1],
-        path,
-        "expected [lo, hi] with 1 <= lo <= hi",
-    )
-    return (raw[0], raw[1])
-
-
 def _parse_optimize(raw: Any, disk: DiskScenario | None) -> tuple[DiskScenario, SearchSpace]:
     base = "$.optimize"
     _expect(isinstance(raw, dict), base, "expected an object")
@@ -252,13 +241,11 @@ def _parse_optimize(raw: Any, disk: DiskScenario | None) -> tuple[DiskScenario, 
         routes2 = _parse_route_list(raw["routes2"], f"{base}.routes2")
     max_traversals = raw.get("max_traversals", 4)
     space = _checked(f"{base}.max_traversals", SearchSpace, routes1, routes2, max_traversals=max_traversals)
-    # SearchSpace checks max_traversals; the period ranges, whose >= 1 rule is
-    # the CLI's own, are read after it
-    return disk, replace(
-        space,
-        period_range1=_parse_period_range(raw.get("period_range1"), f"{base}.period_range1"),
-        period_range2=_parse_period_range(raw.get("period_range2"), f"{base}.period_range2"),
-    )
+    # SearchSpace checks each period range; one field at a time, so a
+    # refusal is placed at the key it names
+    for name in ("period_range1", "period_range2"):
+        space = _checked(f"{base}.{name}", replace, space, **{name: raw.get(name)})
+    return disk, space
 
 
 def parse_scenario(data: Any) -> Scenario:
@@ -397,6 +384,7 @@ def _build_schedule(scenario: Scenario, args) -> Schedule:
         # the chosen path's own flag; an unknown path is rejected downstream
         spacing = {1: args.spacing1, 2: args.spacing2}.get(args.path)
         return schedule_primary(pair, args.path, spacing)
+    pair.require_pair()
     spacing1, spacing2 = _pair_spacings(pair, args)
     counts = (args.traversals,) * 2 if mode == "equal" else (args.traversals1, args.traversals2)
     # a cycle has at most each path's spacing per traversal, and the
@@ -596,8 +584,8 @@ def _grid_points(space: SearchSpace) -> int:
     grid from above."""
 
     def spacings(routes, given):
-        lo, hi = given if given is not None else (1, math.inf)
-        return sum(max(0, min(hi, route.n_senders) - max(lo, 1) + 1) for route in routes)
+        clamped = (_clamped_range(given, 1, route.n_senders) for route in routes)
+        return sum(max(0, hi - lo + 1) for lo, hi in clamped)
 
     return (
         spacings(space.routes1, space.period_range1)
@@ -613,11 +601,11 @@ def cmd_optimize(args, out) -> int:
     if "optimize" not in data:
         raise ConfigurationError("scenario has no optimize section (routes or graph needed)")
     disk, space = _parse_optimize(data["optimize"], disk)
-    # replace() runs SearchSpace's own checks on the flags' values again
+    # replace() runs SearchSpace's own checks on the flags' values
     space = replace(
         space,
-        period_range1=_parse_period_range(args.period_range1, "--period-range1") or space.period_range1,
-        period_range2=_parse_period_range(args.period_range2, "--period-range2") or space.period_range2,
+        period_range1=space.period_range1 if args.period_range1 is None else args.period_range1,
+        period_range2=space.period_range2 if args.period_range2 is None else args.period_range2,
         max_traversals=space.max_traversals if args.max_traversals is None else args.max_traversals,
     )
     _within(_grid_points(space), MAX_GRID_POINTS,

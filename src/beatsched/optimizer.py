@@ -179,9 +179,10 @@ class SearchSpace:
 
     Period ranges are optional; when absent each route pair uses the
     full range from its interference intensity up to its sender count.
-    Explicit ranges are clamped into that window, since nothing below
-    the intensity is reachable and nothing above the sender count names
-    a valid spacing.
+    A given range must be a pair of ints (lo, hi) with 1 <= lo <= hi, and
+    is stored as a tuple. It is clamped into that window, since nothing
+    below the intensity is reachable and nothing above the sender count
+    names a valid spacing.
     """
 
     routes1: tuple[RouteCandidate, ...]
@@ -196,10 +197,10 @@ class SearchSpace:
             given = getattr(self, name)
             if given is None:
                 continue
-            if not isinstance(given, (tuple, list)) or len(given) != 2 or not all(type(v) is int for v in given):
-                raise DomainError(f"{name} must be a pair of ints (lo, hi), got {given!r}")
-            if given[0] > given[1]:
-                raise DomainError(f"{name} is an empty period range {given}")
+            pair = isinstance(given, (tuple, list)) and len(given) == 2 and all(type(v) is int for v in given)
+            if not (pair and 1 <= given[0] <= given[1]):
+                raise DomainError(f"{name} must be a pair of ints (lo, hi) with 1 <= lo <= hi, got {given!r}")
+            object.__setattr__(self, name, tuple(given))
 
 
 class LoggedCandidate(NamedTuple):

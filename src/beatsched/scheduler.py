@@ -237,9 +237,9 @@ def _int_field(value, name: str, keys: bool = False) -> int:
 
 def _phase_activations(pair: PathPair, path_id: int, spacing: int) -> tuple[SubsetActivation, ...]:
     """The activations of phases 1..spacing of a path; phase k at index k-1.
-    They are kept on the pair, so every schedule of a pair shares them."""
+    They are kept on the pair, so every schedule of a pair shares them.
+    The caller has checked the spacing, through periods._phases."""
     path = pair.path(path_id)
-    _check_phase(path, 1, spacing)
     if type(path_id) is not int:
         # True and 1.0 would find path 1's kept activations; the activation's own text
         raise DomainError(f"activation path_id must be an int, got {path_id!r}")
@@ -270,21 +270,13 @@ def schedule_primary(
     """Single-path schedule: beat k activates phase k of the cycle.
 
     Without an explicit period the intrinsic (smallest reachable) one is
-    used. An explicit period must be reachable on the path.
+    used. An explicit period goes to is_reachable_period and must be
+    reachable on the path.
     """
-    path = pair.path(path_id)
     if period is None:
         period = intrinsic_period(pair, path_id)
-    else:
-        if period < 1 or period > path.n_senders:
-            raise DomainError(
-                f"period {period} out of range 1..{path.n_senders} "
-                f"for path {path_id}"
-            )
-        if not is_reachable_period(pair, path_id, period):
-            raise DomainError(
-                f"period {period} is not reachable on path {path_id}"
-            )
+    elif not is_reachable_period(pair, path_id, period):
+        raise DomainError(f"period {period} is not reachable on path {path_id}")
     category = CATEGORY_PATH1 if path_id == 1 else CATEGORY_PATH2
     beats = tuple(Beat(category, (act,)) for act in _phase_activations(pair, path_id, period))
     return _audited(pair, Schedule(

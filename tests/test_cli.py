@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from beatsched import cli, matching, model, optimizer, scheduler
-from beatsched.errors import ConsistencyError
+from beatsched.errors import ConsistencyError, DomainError
 from beatsched.optimizer import DiskScenario
 from beatsched.scheduler import schedule_from_dict
 from helpers import line_pair
@@ -315,10 +315,11 @@ class TestSchedule:
         assert code == 1 and out == ""
         assert "not reachable" in err
 
-    def test_equal_mode_needs_pair(self, capsys):
-        code, _, err = run(capsys, "schedule", CHAIN6, "--mode", "equal")
-        assert code == 1
-        assert "no path 2" in err
+    @pytest.mark.parametrize("flags", [(), ("--spacing1", "3"), ("--spacing2", "3")])
+    @pytest.mark.parametrize("mode", ["equal", "unequal"])
+    def test_pair_modes_need_two_paths(self, capsys, mode, flags):
+        code, out, err = run(capsys, "schedule", CHAIN6, "--mode", mode, *flags)
+        assert (code, out, err) == (1, "", "error: operation needs two paths, scenario declares only one\n")
 
 
 class TestSimulate:
@@ -487,13 +488,31 @@ class TestOptimize:
         _, second, _ = run(capsys, "optimize", CROSSING)
         assert first == second
 
-    @pytest.mark.parametrize(
-        "flag, bounds",
-        [("--period-range1", ("-5", "-1")), ("--period-range2", ("0", "3")), ("--period-range1", ("4", "2"))],
-    )
-    def test_period_range_flags_are_checked_like_the_file(self, capsys, flag, bounds):
-        code, out, err = run(capsys, "optimize", CROSSING, flag, *bounds)
-        assert (code, out, err) == (1, "", f"error: {flag}: expected [lo, hi] with 1 <= lo <= hi\n")
+    @pytest.mark.parametrize("bounds", [[-5, -1], [0, 3], [-2, 1], [4, 2], [0, 0]])
+    @pytest.mark.parametrize("name", ["period_range1", "period_range2"])
+    def test_a_bad_period_range_reads_alike_from_file_flag_and_library(self, capsys, tmp_path, name, bounds):
+        # SearchSpace states the rule; the file adds only the path of its key
+        problem = f"{name} must be a pair of ints (lo, hi) with 1 <= lo <= hi, got {bounds}"
+        route = optimizer.RouteCandidate(((0.0, 0.0), (1.0, 0.0)))
+        with pytest.raises(DomainError) as refused:
+            optimizer.SearchSpace((route,), (route,), **{name: bounds})
+        assert str(refused.value) == problem
+        flag = "--" + name.replace("_", "-")
+        code, out, err = run(capsys, "optimize", CROSSING, flag, *map(str, bounds))
+        assert (code, out, err) == (1, "", f"error: {problem}\n")
+        doc = with_field(GRAPH_SCENARIO, ("optimize", name), bounds)
+        code, out, err = run(capsys, "optimize", write_scenario(tmp_path, doc))
+        assert (code, out, err) == (1, "", f"error: $.optimize.{name}: {problem}\n")
+
+    def test_the_first_bad_search_field_is_named(self, capsys, tmp_path):
+        doc = with_field(GRAPH_SCENARIO, ("optimize", "period_range2"), [0, 3])
+        doc = with_field(doc, ("optimize", "period_range1"), [4, 2])
+        code, _, err = run(capsys, "optimize", write_scenario(tmp_path, doc))
+        assert (code, err) == (1, "error: $.optimize.period_range1: period_range1 must be a pair of ints "
+                                  "(lo, hi) with 1 <= lo <= hi, got [4, 2]\n")
+        doc = with_field(doc, ("optimize", "max_traversals"), 0)
+        code, _, err = run(capsys, "optimize", write_scenario(tmp_path, doc))
+        assert (code, err) == (1, "error: $.optimize.max_traversals: max_traversals must be >= 1, got 0\n")
 
     def test_huge_grids_are_refused_with_their_size(self, capsys):
         # crossing_pair: spacings 1..4 on its route 1 and 1..3 on each of its
@@ -860,6 +879,10 @@ ZERO_FLAG_CASES = [
     for command in ("schedule", "simulate", "delay")
     for mode in ("equal", "unequal")
     for flag, n in (("--spacing1", 6), ("--spacing2", 4))
+] + [
+    ((command, CROSSING, "--mode", "primary", *flags, "0"), f"spacing must be in 1..{n}, got 0")
+    for command in ("schedule", "simulate", "delay")
+    for flags, n in ((("--spacing1",), 6), (("--path", "2", "--spacing2"), 4))
 ]
 
 
@@ -892,6 +915,19 @@ class TestZeroFlags:
         # 0 is a value the user gave, not a request for the default
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+class TestScheduleBuildersExitCleanly:
+    @pytest.mark.parametrize("flags", [(), ("--spacing1", "3"), ("--spacing2", "3"), ("--path", "2")])
+    @pytest.mark.parametrize("scenario", ["chain6.json", "far_pair.json", "crossing_pair.json"])
+    @pytest.mark.parametrize("mode", ["auto", "primary", "equal", "unequal"])
+    @pytest.mark.parametrize("command", ["schedule", "simulate", "delay"])
+    def test_a_run_succeeds_or_prints_one_error(self, capsys, command, mode, scenario, flags):
+        # an uncaught exception fails the test here; the CLI would show a traceback
+        code, out, err = run(capsys, command, str(SCENARIOS / scenario), "--mode", mode, *flags)
+        if code != 0:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def with_field(doc, path, value):
@@ -937,11 +973,13 @@ class TestBooleansAreNotIntegers:
             ),
             (
                 with_field(GRAPH_SCENARIO, ("optimize", "period_range1"), [True, 2]),
-                "$.optimize.period_range1: expected [lo, hi] with 1 <= lo <= hi",
+                "$.optimize.period_range1: period_range1 must be a pair of ints (lo, hi) with 1 <= lo <= hi, "
+                "got [True, 2]",
             ),
             (
                 with_field(GRAPH_SCENARIO, ("optimize", "period_range2"), [1, True]),
-                "$.optimize.period_range2: expected [lo, hi] with 1 <= lo <= hi",
+                "$.optimize.period_range2: period_range2 must be a pair of ints (lo, hi) with 1 <= lo <= hi, "
+                "got [1, True]",
             ),
         ],
     )

@@ -221,6 +221,9 @@ class TestDegenerateAndInvalid:
             ("period_range2", (1, False)),
             ("period_range2", 3),
             ("period_range2", (4, 3)),
+            ("period_range1", (0, 3)),
+            ("period_range2", (-2, 1)),
+            ("period_range1", [0, 3]),
         ],
     )
     def test_malformed_search_space_names_its_field(self, field, value):
@@ -230,6 +233,15 @@ class TestDegenerateAndInvalid:
                 routes2=(straight_route(2, 5.0),),
                 **{field: value},
             )
+
+    def test_a_list_range_is_kept_as_a_tuple(self):
+        space = SearchSpace(
+            routes1=(straight_route(2, 0.0),),
+            routes2=(straight_route(2, 5.0),),
+            period_range1=[1, 2],
+        )
+        assert space.period_range1 == (1, 2)
+        assert hash(space) == hash(dataclasses.replace(space, period_range1=(1, 2)))
 
 
 class TestSearchLog:
